@@ -300,7 +300,7 @@ def _verify_harmonic(bat: _Battery):
 
 
 def _verify_twirl(bat: _Battery):
-    from .subspace import block_mixer_sector, double_commutator_gram
+    from .subspace import block_mixer_eigenvalues, double_commutator_gram
     for n in (2, 3):
         inst = synthetic_instance(n, seed=2, high=5)
         bound = 1.0 / float(n) ** n
@@ -320,7 +320,7 @@ def _verify_twirl(bat: _Battery):
     # documented discrepancy: the per-block uniform eigenvalue is 2(n-1),
     # not (n-1); flagged as WARN, never FAIL.
     for n in (2, 3):
-        _, lam_u, _ = block_mixer_sector(n, False)
+        lam_u, _ = block_mixer_eigenvalues(n, False)
         matches_doc = abs(lam_u - (n - 1)) <= 1e-12
         bat.record(f"documented sector eigenvalue convention n={n}",
                    matches_doc, f"measured {_fmt(lam_u)} vs documented {n - 1}",

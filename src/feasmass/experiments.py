@@ -20,8 +20,8 @@ from . import bounds
 from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer,
                         feasible_mass, init_plus, mixer_kernel_rows,
                         run_generic, sample_counts)
-from .instance import (CapacityError, DiagonalCost, ProblemInstance,
-                       build_cost, enumerate_feasible, feasible_indices)
+from .instance import (CapacityError, DiagonalCost, ProblemInstance, as_cost,
+                       enumerate_feasible, feasible_indices)
 from .subspace import (best_block_relabeling, run_ce, subspace_feasible_mass,
                        subspace_to_full_labels, twirl_average)
 
@@ -74,12 +74,6 @@ class ExperimentResult:
         if self.seed is not None:
             out["seed"] = self.seed
         return out
-
-
-def _as_cost(instance, include_penalty=True) -> DiagonalCost:
-    if isinstance(instance, DiagonalCost):
-        return instance
-    return build_cost(instance, include_penalty=include_penalty)
 
 
 def _instance_name(instance) -> str:
@@ -145,7 +139,7 @@ def exact_angle_average(instance, beta: float, L: int | None = None,
                         include_penalty: bool = True) -> ExperimentResult:
     """Grid-exact mean of the single-layer feasible mass; contract: equals
     n!/2**(n**2) within 1e-10 on the tie-broken lattice."""
-    cost = _as_cost(instance, include_penalty)
+    cost = as_cost(instance, include_penalty)
     t0 = time.perf_counter()
     masses = lattice_feasible_masses(cost, beta, L=L, tie_break=tie_break)
     mean = float(masses.mean())
@@ -164,7 +158,7 @@ def markov_fraction(instance, beta: float, t: float, L: int | None = None,
     """Exact grid measure of {gamma : P >= t * baseline}; contract <= 1/t."""
     if t <= 0:
         raise ValueError("t must be positive")
-    cost = _as_cost(instance, include_penalty)
+    cost = as_cost(instance, include_penalty)
     t0 = time.perf_counter()
     masses = lattice_feasible_masses(cost, beta, L=L, tie_break=tie_break)
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
@@ -196,7 +190,7 @@ def l4_sweep(instance, betas, L: int | None = None,
     L >= 2*spread + 1 on the raw lattice; that reproduces the continuous
     angle average including degenerate quadruples.
     """
-    cost = _as_cost(instance, include_penalty)
+    cost = as_cost(instance, include_penalty)
     n = cost.n
     if n > 3:
         raise ValueError("fourth-moment sweep capped at n=3")
@@ -257,17 +251,18 @@ def _surface_row(args):
 
 
 def _worker_count() -> int:
+    raw = os.environ.get("FEASMASS_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("FEASMASS_THREADS", "1")))
+        return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValueError(f"FEASMASS_THREADS must be an integer, got {raw!r}") from None
 
 
 def grid_search_generic(instance, grid: GridSpec, precision: str = "f64",
                         include_penalty: bool = True) -> GridSearchResult:
     """Single-layer feasible mass at every grid point; lexicographically-first
     argmax by (gamma index, beta index)."""
-    cost = _as_cost(instance, include_penalty)
+    cost = as_cost(instance, include_penalty)
     gammas, betas = grid.gammas(), grid.betas()
     tasks = [(cost.dist.tolist(), cost.penalty_weight, cost.include_penalty,
               float(g), [float(b) for b in betas], precision) for g in gammas]
@@ -303,7 +298,7 @@ def parameter_transfer(instance, grid: GridSpec, precision: str = "f64",
     In this layered order (cost phase first) the ratio is a measurement, not
     a theorem, and ``satisfied`` must be False whenever factor * p_gen_max > 1.
     """
-    cost = _as_cost(instance, include_penalty)
+    cost = as_cost(instance, include_penalty)
     t0 = time.perf_counter()
     search = grid_search_generic(cost, grid, precision)
     ce_state = run_ce(cost, AngleSchedule.single(search.best_gamma, search.best_beta),
@@ -336,7 +331,7 @@ def feasible_histogram(instance, method: str, schedule: AngleSchedule,
                        precision: str = "f64",
                        include_penalty: bool = True) -> ExperimentResult:
     """Sample the chosen ansatz and count feasible outcomes per tour label."""
-    cost = _as_cost(instance, include_penalty)
+    cost = as_cost(instance, include_penalty)
     n = cost.n
     t0 = time.perf_counter()
     if method == "generic":
@@ -345,10 +340,10 @@ def feasible_histogram(instance, method: str, schedule: AngleSchedule,
         counts = sample_counts(state, shots, seed) if shots else {}
         label_of = {x: x for x in enumerate_feasible(n)}
     elif method == "ce":
+        labels = subspace_to_full_labels(n)   # capacity check before simulating
         state = run_ce(cost, schedule, normalized=normalized)
         p_exact = subspace_feasible_mass(state)
         raw = sample_counts(state, shots, seed) if shots else {}
-        labels = subspace_to_full_labels(n)
         counts = {}
         for idx, c in raw.items():
             counts[int(labels[idx])] = counts.get(int(labels[idx]), 0) + c
@@ -388,7 +383,7 @@ def ce_depth_sweep(instance, p_max: int, points_per_angle: int = 4,
         raise ValueError("per-angle grid capped at 6 points")
     if p_max > 3:
         raise ValueError("depth sweep capped at p_max=3")
-    cost = _as_cost(instance, include_penalty)
+    cost = as_cost(instance, include_penalty)
     if cost.n > 4:
         raise ValueError("depth sweep capped at n=4")
     gs = np.linspace(*gamma_range, points_per_angle)
@@ -424,14 +419,20 @@ def ce_depth_sweep(instance, p_max: int, points_per_angle: int = 4,
 def twirl_existence_experiment(instance, schedule: AngleSchedule, target=None,
                                normalized: bool = True,
                                include_penalty: bool = True) -> ExperimentResult:
-    """Exact relabeling-average (must equal 1/n**n) and the best relabeling."""
-    cost = _as_cost(instance, include_penalty)
+    """Mean of the target probability over all blockwise relabelings of the
+    CE state (must equal 1/n**n) and its maximum (must reach 1/n**n).
+
+    Both come from closed forms (see subspace.twirl_average), exact for every
+    n up to the subspace cap.
+    """
+    cost = as_cost(instance, include_penalty)
     n = cost.n
     if target is None:
         target = tuple(range(n))
     t0 = time.perf_counter()
-    mean = twirl_average(cost, schedule, target, normalized=normalized)
-    _, best_p = best_block_relabeling(cost, schedule, target, normalized=normalized)
+    state = run_ce(cost, schedule, normalized=normalized)
+    mean = twirl_average(state)
+    _, best_p = best_block_relabeling(state, target)
     bound = 1.0 / float(n) ** n
     return ExperimentResult(
         name="twirl_existence", instance=_instance_name(instance),
@@ -451,7 +452,7 @@ def envelope_excess_report(instance, grid: GridSpec,
     angles but is exceeded at tuned angles on small instances; this reports
     the measured excess instead of asserting the inequality.
     """
-    cost = _as_cost(instance, include_penalty)
+    cost = as_cost(instance, include_penalty)
     if cost.n > 3:
         raise ValueError("envelope report capped at n=3")
     search = grid_search_generic(cost, grid)

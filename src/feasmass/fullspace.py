@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import (CapacityError, DiagonalCost, build_cost,
-                       feasible_indices)
+from .instance import CapacityError, DiagonalCost, as_cost, feasible_indices
 
 MAX_FULL_QUBITS = 25
 _CHUNK = 1 << 20
@@ -104,8 +103,7 @@ def mixer_kernel_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarra
 def run_generic(instance, schedule: AngleSchedule, precision: str = "f64",
                 include_penalty: bool = True) -> np.ndarray:
     """Depth-p generic QAOA: alternate cost phase and X mixer from |+>^N."""
-    cost = instance if isinstance(instance, DiagonalCost) else build_cost(
-        instance, include_penalty=include_penalty)
+    cost = as_cost(instance, include_penalty)
     dtype = _DTYPES[precision]
     state = init_plus(cost.num_qubits, dtype=dtype)
     table = cost.cost_vector()

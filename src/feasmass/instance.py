@@ -306,3 +306,10 @@ def _dense_cost(n, dist, A, include_penalty, dtype):
 def build_cost(instance: ProblemInstance, include_penalty: bool = True) -> DiagonalCost:
     return DiagonalCost(n=instance.n, penalty_weight=instance.penalty_weight,
                         dist=instance.dist_array(), include_penalty=include_penalty)
+
+
+def as_cost(instance, include_penalty: bool = True) -> DiagonalCost:
+    """A DiagonalCost passes through unchanged; an instance is built into one."""
+    if isinstance(instance, DiagonalCost):
+        return instance
+    return build_cost(instance, include_penalty=include_penalty)

@@ -5,6 +5,9 @@ symbol tuple are related by C-order ravel over shape [n]*n, i.e. block 0 is
 the most significant digit: index(j_1..j_n) = sum_b j_b * n**(n-1-b).
 Block b maps to full-space bits [b*n, (b+1)*n); symbol j in block b sets bit
 b*n + j.
+
+The block mixer sector and the relabeling twirl are closed forms; their
+brute-force versions (dense Pauli sum, relabeling enumeration) are test oracles.
 """
 from __future__ import annotations
 
@@ -14,14 +17,11 @@ from functools import lru_cache
 import numpy as np
 
 from .fullspace import AngleSchedule, init_plus, run_generic
-from .instance import CapacityError, DiagonalCost, build_cost
+from .instance import CapacityError, DiagonalCost, as_cost
 
 MAX_BLOCK_SIZE = 8   # n**n amplitudes
 MAX_EMBED_SIZE = 4   # embedding needs the 2**(n*n) space too
-
-
-def subspace_dim(n: int) -> int:
-    return n ** n
+MAX_LABEL_BITS = 63  # full-space labels are int64
 
 
 def tuple_to_index(symbols, n: int) -> int:
@@ -48,11 +48,12 @@ def tuple_to_label(symbols, n: int) -> int:
 def subspace_to_full_labels(n: int) -> np.ndarray:
     """Bijection subspace index -> full-space label, as an index array.
 
-    The labels themselves are cheap for any n <= 8; only materializing the
-    full space (embed_to_full) is capped at n = 4.
+    Labels carry n*n bits, so they fit int64 up to n = 7; only materializing
+    the full space (embed_to_full) is capped lower, at n = 4.
     """
-    if n > MAX_BLOCK_SIZE:
-        raise CapacityError(f"subspace capped at n={MAX_BLOCK_SIZE}")
+    if n * n > MAX_LABEL_BITS:
+        raise CapacityError(f"full-space labels need {n * n} bits; int64 labels "
+                            f"hold {MAX_LABEL_BITS} (n <= 7)")
     out = np.empty(n ** n, dtype=np.int64)
     for k, t in enumerate(itertools.product(range(n), repeat=n)):
         out[k] = tuple_to_label(t, n)
@@ -115,50 +116,18 @@ def apply_subspace_cost_phase(state: np.ndarray, cost, gamma: float) -> np.ndarr
 # ---------------------------------------------------------------------------
 # block XY mixer
 
-@lru_cache(maxsize=None)
-def block_mixer_sector(n: int, normalized: bool):
-    """Single-excitation sector of the block XY Hamiltonian, eigen-analyzed.
+def block_mixer_eigenvalues(n: int, normalized: bool) -> tuple:
+    """Eigenvalues of the block-XY sector 2(J - I): 2(n-1) on the uniform
+    vector and -2 on its complement, both divided by n-1 when normalized."""
+    scale = 1.0 / (n - 1) if normalized else 1.0
+    return 2.0 * (n - 1) * scale, -2.0 * scale
 
-    Built numerically from the dense Pauli sum on 2**n dimensions, then
-    restricted to the weight-1 labels.  The sector must split into the
-    uniform vector plus a degenerate complement; both eigenvalues are
-    returned together with the sector matrix.
-    """
-    if n > MAX_BLOCK_SIZE:
-        raise CapacityError(f"block size capped at {MAX_BLOCK_SIZE}")
-    X = np.array([[0.0, 1.0], [1.0, 0.0]])
-    Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    dim = 1 << n
-    H = np.zeros((dim, dim), dtype=np.complex128)
 
-    def one_site(op, q):
-        mats = [op if k == q else np.eye(2) for k in range(n)]
-        out = mats[0]
-        for mm in mats[1:]:
-            out = np.kron(mm, out)  # qubit 0 = least significant bit
-        return out
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            H += one_site(X, a) @ one_site(X, b) + one_site(Y, a) @ one_site(Y, b)
-    if normalized:
-        H /= (n - 1)
-    weight1 = [1 << j for j in range(n)]
-    sector = H[np.ix_(weight1, weight1)].real.copy()
-
-    u = np.full(n, n ** -0.5)
-    lam_u = float(u @ sector @ u)
-    resid = np.abs(sector @ u - lam_u * u).max()
-    if resid > 1e-9:
-        raise AssertionError("uniform vector is not a sector eigenvector")
-    proj = np.outer(u, u)
-    rest = sector - lam_u * proj
-    # complement must be a single eigenvalue times (I - P_uniform)
-    comp = np.eye(n) - proj
-    lam_p = float(np.trace(rest @ comp) / (n - 1))
-    if np.abs(rest - lam_p * comp).max() > 1e-9:
-        raise AssertionError("sector is not two-eigenspace")
-    return sector, lam_u, lam_p
+def block_mixer_sector(n: int, normalized: bool) -> np.ndarray:
+    """Single-excitation sector of sum_{a<b} (X_a X_b + Y_a Y_b) on one block:
+    each term hops the excitation with amplitude 2, so 2(J - I) [/(n-1)]."""
+    scale = 1.0 / (n - 1) if normalized else 1.0
+    return (2.0 * scale) * (np.ones((n, n)) - np.eye(n))
 
 
 def apply_block_xy_mixer(state: np.ndarray, n: int, beta: float,
@@ -168,7 +137,7 @@ def apply_block_xy_mixer(state: np.ndarray, n: int, beta: float,
     exp(-i b H_sec) = e^{-i b l_perp} I + (e^{-i b l_unif} - e^{-i b l_perp}) P_unif,
     so one mean along each block axis suffices.
     """
-    _, lam_u, lam_p = block_mixer_sector(n, normalized)
+    lam_u, lam_p = block_mixer_eigenvalues(n, normalized)
     eu = complex(np.exp(-1j * beta * lam_u))
     ep = complex(np.exp(-1j * beta * lam_p))
     arr = state.reshape([n] * n)
@@ -181,7 +150,7 @@ def apply_block_xy_mixer(state: np.ndarray, n: int, beta: float,
 
 def block_mixer_unitary(n: int, beta: float, normalized: bool = True) -> np.ndarray:
     """Dense n x n sector unitary (for oracle comparisons)."""
-    _, lam_u, lam_p = block_mixer_sector(n, normalized)
+    lam_u, lam_p = block_mixer_eigenvalues(n, normalized)
     proj = np.full((n, n), 1.0 / n)
     return (np.exp(-1j * beta * lam_p) * (np.eye(n) - proj)
             + np.exp(-1j * beta * lam_u) * proj)
@@ -190,8 +159,7 @@ def block_mixer_unitary(n: int, beta: float, normalized: bool = True) -> np.ndar
 def run_ce(instance, schedule: AngleSchedule, normalized: bool = True,
            include_penalty: bool = True) -> np.ndarray:
     """Depth-p CE-QAOA: alternate cost phase and block mixer from the W product."""
-    cost = instance if isinstance(instance, DiagonalCost) else build_cost(
-        instance, include_penalty=include_penalty)
+    cost = as_cost(instance, include_penalty)
     table = subspace_cost_table(cost)
     state = init_w_product(cost.n)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
@@ -218,99 +186,32 @@ def _infer_n(dim: int) -> int:
 # ---------------------------------------------------------------------------
 # blockwise relabelings
 
-def identity_relabeling(n: int) -> tuple:
-    return tuple(tuple(range(n)) for _ in range(n))
+def twirl_average(state: np.ndarray) -> float:
+    """Mean target-overlap probability over all blockwise relabelings.
 
-
-def invert_relabeling(perms) -> tuple:
-    out = []
-    for p in perms:
-        inv = [0] * len(p)
-        for src, dst in enumerate(p):
-            inv[dst] = src
-        out.append(tuple(inv))
-    return tuple(out)
-
-
-def apply_block_permutation(state: np.ndarray, perms) -> np.ndarray:
-    """Move amplitude at (j_1..j_n) to (P_1(j_1)..P_n(j_n)); returns a new array."""
-    n = len(perms)
-    arr = state.reshape([n] * n)
-    for axis, p in enumerate(perms):
-        inv = np.argsort(np.asarray(p))
-        arr = np.take(arr, inv, axis=axis)
-    return arr.reshape(-1)
-
-
-def relabeled_target_probability(state: np.ndarray, perms, target) -> float:
-    """|<target| P^dag |state>|^2 = |state[(P_b(t_b))_b]|^2."""
-    n = len(perms)
-    moved = tuple(perms[b][t] for b, t in enumerate(target))
-    return float(np.abs(state[tuple_to_index(moved, n)]) ** 2)
-
-
-def _one_layer_state(instance, schedule, normalized, include_penalty):
-    if schedule is None:
-        raise ValueError("a schedule is required")
-    return run_ce(instance, schedule, normalized=normalized,
-                  include_penalty=include_penalty)
-
-
-def twirl_average(instance, schedule: AngleSchedule, target,
-                  normalized: bool = True, include_penalty: bool = True,
-                  samples: int = 100_000, seed: int = 0) -> float:
-    """Mean target-overlap probability over blockwise symbol relabelings.
-
-    Exact enumeration of all (n!)**n relabelings for n <= 3; Monte Carlo with
-    the declared sample count and seed beyond that.
+    A relabeling P permutes symbols per block and |<t|P^dag|state>|^2 =
+    |state[(P_b(t_b))_b]|^2.  Over all (n!)**n of them each block sends t_b
+    to every symbol equally often, so the mean is ||state||**2 / n**n for
+    every target and every n.
     """
-    cost = instance if isinstance(instance, DiagonalCost) else build_cost(
-        instance, include_penalty=include_penalty)
-    n = cost.n
-    state = _one_layer_state(cost, schedule, normalized, include_penalty)
-    if n <= 3:
-        perms = list(itertools.permutations(range(n)))
-        total = 0.0
-        for combo in itertools.product(perms, repeat=n):
-            total += relabeled_target_probability(state, combo, target)
-        return total / len(perms) ** n
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(samples):
-        combo = tuple(tuple(rng.permutation(n)) for _ in range(n))
-        total += relabeled_target_probability(state, combo, target)
-    return total / samples
+    n = _infer_n(state.shape[0])
+    return float(np.vdot(state, state).real) / float(n) ** n
 
 
-def best_block_relabeling(instance, schedule: AngleSchedule, target,
-                          normalized: bool = True, include_penalty: bool = True,
-                          samples: int = 20_000, seed: int = 0):
-    """Argmax relabeling and its probability; exact for n <= 3, sampled n <= 5.
+def best_block_relabeling(state: np.ndarray, target):
+    """Relabeling maximizing the target-overlap probability, and that probability.
 
-    Exact mode guarantees probability >= 1/n**n (a max dominates the mean).
+    The maximum is max_j |state_j|**2 (at least the mean 1/n**n for a unit
+    state), reached by the per-block transposition of t_b and j_b.
     """
-    cost = instance if isinstance(instance, DiagonalCost) else build_cost(
-        instance, include_penalty=include_penalty)
-    n = cost.n
-    state = _one_layer_state(cost, schedule, normalized, include_penalty)
-    best_p = -1.0
-    best = None
-    if n <= 3:
-        perms = list(itertools.permutations(range(n)))
-        for combo in itertools.product(perms, repeat=n):
-            p = relabeled_target_probability(state, combo, target)
-            if p > best_p:
-                best_p, best = p, combo
-        return best, best_p
-    if n > 5:
-        raise CapacityError("sampled relabeling search capped at n=5")
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        combo = tuple(tuple(rng.permutation(n)) for _ in range(n))
-        p = relabeled_target_probability(state, combo, target)
-        if p > best_p:
-            best_p, best = p, combo
-    return best, best_p
+    n = _infer_n(state.shape[0])
+    k = int(np.argmax(np.abs(state)))
+    perms = []
+    for t, j in zip(target, index_to_tuple(k, n)):
+        p = list(range(n))
+        p[t], p[j] = j, t
+        perms.append(tuple(p))
+    return tuple(perms), float(abs(state[k]) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +246,7 @@ def overlap_generic_ce(instance, gamma: float, beta: float,
 
     The CE side uses the unnormalized block mixer.
     """
-    cost = instance if isinstance(instance, DiagonalCost) else build_cost(
-        instance, include_penalty=include_penalty)
+    cost = as_cost(instance, include_penalty)
     n = cost.n
     if n > MAX_EMBED_SIZE:
         raise CapacityError(f"overlap capped at n={MAX_EMBED_SIZE}")
@@ -374,7 +274,7 @@ def subspace_mixer_hamiltonian(n: int, normalized: bool = False) -> np.ndarray:
     """Block mixer restricted to the manifold: kron-sum of sector matrices."""
     if n > 3:
         raise CapacityError("dense subspace operator capped at n=3")
-    sector, _, _ = block_mixer_sector(n, normalized)
+    sector = block_mixer_sector(n, normalized)
     dim = n ** n
     H = np.zeros((dim, dim))
     for b in range(n):

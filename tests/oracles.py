@@ -1,0 +1,48 @@
+"""Brute-force reference implementations for closed forms in ``feasmass``.
+
+Each oracle computes its quantity from the definition, the slow way, so the
+closed forms in ``src`` are compared against something they do not share.
+"""
+import itertools
+
+import numpy as np
+
+
+def pauli_block_sector(n: int, normalized: bool) -> np.ndarray:
+    """Single-excitation sector of sum_{a<b} (X_a X_b + Y_a Y_b), restricted
+    from the dense 2**n Pauli sum (qubit 0 = least significant bit)."""
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    dim = 1 << n
+    H = np.zeros((dim, dim), dtype=np.complex128)
+
+    def one_site(op, q):
+        out = np.eye(1)
+        for k in range(n):
+            out = np.kron(op if k == q else np.eye(2), out)
+        return out
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            H += one_site(X, a) @ one_site(X, b) + one_site(Y, a) @ one_site(Y, b)
+    if normalized:
+        H /= (n - 1)
+    weight1 = [1 << j for j in range(n)]
+    return H[np.ix_(weight1, weight1)].real.copy()
+
+
+def enumerated_twirl(state: np.ndarray, target) -> tuple:
+    """(mean, max) of |<target|P|state>|^2 over all (n!)**n blockwise
+    relabelings P, each applied to the state by moving its amplitudes."""
+    n = len(target)
+    if n > 3:
+        raise ValueError("relabeling enumeration is capped at n=3")
+    arr = np.asarray(state).reshape([n] * n)
+    probs = []
+    for combo in itertools.product(itertools.permutations(range(n)), repeat=n):
+        moved = arr
+        for axis, perm in enumerate(combo):
+            # the amplitude at symbol j moves to symbol perm[j]
+            moved = np.take(moved, np.argsort(perm), axis=axis)
+        probs.append(abs(moved[tuple(target)]) ** 2)
+    return float(np.mean(probs)), float(max(probs))

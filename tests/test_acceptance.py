@@ -32,10 +32,11 @@ from feasmass.harmonic import (dyadic_convolve, feasible_mass_via_plancherel,
 from feasmass.instance import (build_cost, feasible_indices, load_instance,
                                synthetic_instance)
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
-                               block_mixer_sector, block_mixer_unitary,
-                               init_w_product, overlap_generic_ce,
-                               project_to_subspace, run_ce,
+                               block_mixer_unitary, init_w_product,
+                               overlap_generic_ce, project_to_subspace, run_ce,
                                subspace_cost_table, subspace_feasible_mass)
+
+from oracles import enumerated_twirl, pauli_block_sector
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -60,16 +61,24 @@ def test_criterion_01_exact_angle_average():
 
 
 def test_criterion_02_twirl_identity():
+    # the closed-form mean and best are checked against an exhaustive
+    # enumeration of all (n!)**n relabelings, not only against 1/n**n
     worst = 0.0
+    worst_oracle = 0.0
     for n in (2, 3):
         inst = synthetic_instance(n, seed=2, high=5)
         bound = 1.0 / float(n) ** n
         for gamma, beta in ((0.4, 0.3), (1.1, 0.7), (2.3, 1.9)):
-            res = twirl_existence_experiment(inst, AngleSchedule.single(gamma, beta))
+            sched = AngleSchedule.single(gamma, beta)
+            res = twirl_existence_experiment(inst, sched)
+            mean, best = enumerated_twirl(run_ce(inst, sched), tuple(range(n)))
             worst = max(worst, res.metrics["mean_error"])
+            worst_oracle = max(worst_oracle, abs(res.metrics["mean"] - mean),
+                               abs(res.metrics["best"] - best))
             assert res.metrics["best"] >= bound - 1e-12
-    ok = report(2, "blockwise twirl identity", worst <= 1e-12,
-                f"(max |mean - 1/n^n| = {worst:.3e})")
+    ok = report(2, "blockwise twirl identity", worst <= 1e-12 and worst_oracle <= 1e-12,
+                f"(max |mean - 1/n^n| = {worst:.3e}; "
+                f"max |closed form - enumeration| = {worst_oracle:.3e})")
     assert ok
 
 
@@ -236,8 +245,7 @@ def test_criterion_08_mixer_closed_form():
     for n in range(2, 7):
         for beta in (0.1, 0.7, 2.0):
             for normalized in (True, False):
-                sector, _, _ = block_mixer_sector(n, normalized)
-                oracle = expm(-1j * beta * sector)
+                oracle = expm(-1j * beta * pauli_block_sector(n, normalized))
                 closed = block_mixer_unitary(n, beta, normalized)
                 worst = max(worst, float(np.abs(closed - oracle).max()))
     ok = report(8, "block-mixer closed form vs expm", worst <= 1e-9,

@@ -130,9 +130,32 @@ def test_run_depth(tmp_path):
 
 
 def test_run_twirl(tmp_path):
-    rc = run_cli(["run", "twirl", "--n", "2", "--gamma", "0.9",
-                  "--beta-list", "0.4", "--out", str(tmp_path)])
-    assert rc == 0
+    for n in (2, 4):
+        out = tmp_path / str(n)
+        rc = run_cli(["run", "twirl", "--n", str(n), "--gamma", "0.9",
+                      "--beta-list", "0.4", "--out", str(out)])
+        assert rc == 0
+        metrics = json.loads(next(out.glob("twirl_*.jsonl")).read_text())["metrics"]
+        assert metrics["mean_error"] <= 1e-12
+        assert metrics["best"] >= 1 / n ** n
+
+
+def test_run_hist_ce_beyond_label_width_exits_1(tmp_path, capsys):
+    # n=8 labels need 64 bits; the run stops before simulating anything
+    rc = run_cli(["run", "hist", "--n", "8", "--method", "ce", "--shots", "10",
+                  "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "64 bits" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FEASMASS_THREADS", "abc")
+    rc = run_cli(["run", "grid", "--n", "2", "--grid", "2x2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "FEASMASS_THREADS" in err
 
 
 def test_verify_bounds_passes(capsys):
@@ -149,6 +172,16 @@ def test_verify_twirl_passes(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "sector eigenvalue convention" in out
+
+
+def test_verify_all_verdict_counts(capsys):
+    rc = run_cli(["verify", "all"])
+    verdicts = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if line.strip()]
+    assert rc == 0
+    assert verdicts.count("PASS") == 116
+    assert verdicts.count("WARN") == 5
+    assert "FAIL" not in verdicts
 
 
 def test_verify_harmonic_passes(capsys):

@@ -172,11 +172,13 @@ def test_depth_sweep_zero_grid_constant():
 
 
 def test_twirl_experiment_exact():
-    inst = synthetic_instance(2, seed=1, high=3)
-    res = twirl_existence_experiment(inst, AngleSchedule.single(0.9, 0.6))
-    assert res.metrics["mean_error"] <= 1e-12
-    assert res.metrics["best"] >= res.metrics["bound"] - 1e-12
-    assert res.metrics["satisfied"]
+    # exact beyond the n <= 3 enumeration range as well
+    for n in (2, 4, 6):
+        inst = synthetic_instance(n, seed=1, high=3)
+        res = twirl_existence_experiment(inst, AngleSchedule.single(0.9, 0.6))
+        assert res.metrics["mean_error"] <= 1e-12
+        assert res.metrics["best"] >= res.metrics["bound"] - 1e-12
+        assert res.metrics["satisfied"]
 
 
 def test_twirl_identity_circuit_equality():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -9,17 +10,18 @@ from scipy.linalg import expm
 from feasmass.fullspace import AngleSchedule, feasible_mass
 from feasmass.instance import (CapacityError, build_cost, enumerate_feasible,
                                synthetic_instance)
-from feasmass.subspace import (apply_block_permutation, apply_block_xy_mixer,
-                               apply_subspace_cost_phase, best_block_relabeling,
+from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
+                               best_block_relabeling, block_mixer_eigenvalues,
                                block_mixer_sector, block_mixer_unitary,
                                double_commutator_gram, embed_to_full,
-                               feasible_subspace_indices, identity_relabeling,
-                               index_to_tuple, init_w_product, invert_relabeling,
-                               overlap_generic_ce, project_to_subspace,
-                               relabeled_target_probability, run_ce,
+                               feasible_subspace_indices, index_to_tuple,
+                               init_w_product, overlap_generic_ce,
+                               project_to_subspace, run_ce,
                                subspace_cost_table, subspace_feasible_mass,
                                subspace_to_full_labels, tuple_to_index,
                                tuple_to_label, twirl_average)
+
+from oracles import enumerated_twirl, pauli_block_sector
 
 
 def test_index_round_trip():
@@ -80,10 +82,19 @@ def test_block_mixer_zero_angle():
 @pytest.mark.parametrize("beta", [0.1, 0.7, 2.0])
 @pytest.mark.parametrize("normalized", [True, False])
 def test_block_mixer_matches_expm_oracle(n, beta, normalized):
-    sector, _, _ = block_mixer_sector(n, normalized)
-    oracle = expm(-1j * beta * sector)
+    oracle = expm(-1j * beta * pauli_block_sector(n, normalized))
     closed = block_mixer_unitary(n, beta, normalized)
     assert np.abs(closed - oracle).max() <= 1e-9
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_block_mixer_sector_matches_pauli_build(normalized):
+    for n in range(2, 9):
+        oracle = pauli_block_sector(n, normalized)
+        assert np.abs(block_mixer_sector(n, normalized) - oracle).max() <= 1e-15
+        lam_u, lam_p = block_mixer_eigenvalues(n, normalized)
+        assert np.abs(np.linalg.eigvalsh(oracle)
+                      - sorted([lam_p] * (n - 1) + [lam_u])).max() <= 1e-12
 
 
 def test_block_mixer_application_matches_dense():
@@ -151,61 +162,60 @@ def test_subspace_feasible_mass_values():
     assert subspace_feasible_mass(st) == 1.0
 
 
-def test_block_permutation_round_trip():
-    rng = np.random.default_rng(0)
-    st = rng.normal(size=27) + 1j * rng.normal(size=27)
-    perms = ((1, 2, 0), (0, 2, 1), (2, 1, 0))
-    moved = apply_block_permutation(st, perms)
-    back = apply_block_permutation(moved, invert_relabeling(perms))
-    assert np.array_equal(back, st)
-    same = apply_block_permutation(st, identity_relabeling(3))
-    assert np.array_equal(same, st)
-    uniform = init_w_product(3)
-    assert np.array_equal(apply_block_permutation(uniform, perms), uniform)
-
-
-def test_block_permutation_moves_amplitudes():
-    st = np.zeros(4, dtype=complex)
-    st[tuple_to_index((0, 1), 2)] = 1.0
-    perms = ((1, 0), (1, 0))
-    moved = apply_block_permutation(st, perms)
-    assert moved[tuple_to_index((1, 0), 2)] == 1.0
+def _ce_state(n, seed, high, gamma, beta):
+    return run_ce(synthetic_instance(n, seed=seed, high=high), AngleSchedule.single(gamma, beta))
 
 
 def test_twirl_mean_is_inverse_dimension():
-    inst = synthetic_instance(2, seed=1, high=3)
     for gamma, beta in ((0.4, 0.3), (1.2, 0.9), (2.5, 1.7)):
-        mean = twirl_average(inst, AngleSchedule.single(gamma, beta), (0, 1))
-        assert mean == pytest.approx(0.25, abs=1e-14)
-    inst3 = synthetic_instance(3, seed=1, high=5)
-    mean = twirl_average(inst3, AngleSchedule.single(0.8, 0.6), (0, 1, 2))
-    assert abs(mean - 1 / 27) <= 1e-12
+        st = _ce_state(2, 1, 3, gamma, beta)
+        assert twirl_average(st) == pytest.approx(0.25, abs=1e-14)
+    st3 = _ce_state(3, 1, 5, 0.8, 0.6)
+    assert abs(twirl_average(st3) - 1 / 27) <= 1e-12
+    assert abs(twirl_average(st3) - enumerated_twirl(st3, (0, 1, 2))[0]) <= 1e-12
 
 
 def test_twirl_identity_circuit_terms_uniform():
     # uniform state: every relabeled target already carries exactly 1/D
     st = init_w_product(3)
-    for perms in itertools.islice(
-            itertools.product(itertools.permutations(range(3)), repeat=3), 20):
-        p = relabeled_target_probability(st, perms, (0, 1, 2))
-        assert p == pytest.approx(1 / 27, abs=1e-15)
+    mean, best = enumerated_twirl(st, (0, 1, 2))
+    assert mean == pytest.approx(1 / 27, abs=1e-15)
+    assert best == pytest.approx(1 / 27, abs=1e-15)
+    assert best_block_relabeling(st, (0, 1, 2))[1] == pytest.approx(1 / 27, abs=1e-15)
 
 
 def test_best_relabeling_exact_mode():
-    inst = synthetic_instance(2, seed=2, high=3)
-    perms, prob = best_block_relabeling(inst, AngleSchedule.single(0.7, 0.4), (0, 1))
-    assert prob >= 0.25 - 1e-15
-    assert len(perms) == 2
-    inst3 = synthetic_instance(3, seed=2, high=5)
-    _, prob3 = best_block_relabeling(
-        inst3, AngleSchedule.single(math.pi / 3, math.pi / 3), (0, 1, 2))
-    assert prob3 >= 1 / 27 - 1e-15
+    for n, high, target, (gamma, beta) in ((2, 3, (0, 1), (0.7, 0.4)),
+                                           (3, 5, (2, 0, 1), (math.pi / 3, math.pi / 3))):
+        st = _ce_state(n, 2, high, gamma, beta)
+        perms, prob = best_block_relabeling(st, target)
+        assert prob == pytest.approx(enumerated_twirl(st, target)[1], abs=1e-15)
+        assert prob >= n ** -n - 1e-15
+        assert all(sorted(p) == list(range(n)) for p in perms)
+        moved = tuple(p[t] for p, t in zip(perms, target))
+        assert abs(st[tuple_to_index(moved, n)]) ** 2 == prob
 
 
 def test_best_relabeling_identity_circuit():
-    inst = synthetic_instance(2, seed=2, high=3)
-    _, prob = best_block_relabeling(inst, AngleSchedule.single(0.0, 0.0), (0, 1))
+    st = _ce_state(2, 2, 3, 0.0, 0.0)
+    _, prob = best_block_relabeling(st, (0, 1))
     assert prob == pytest.approx(0.25, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_twirl_closed_form_beyond_enumeration(n):
+    # a product of per-block unit vectors: the twirl mean is 1/n**n, and the
+    # best relabeling reaches the product of the per-block maxima
+    rng = np.random.default_rng(n)
+    blocks = [v / np.linalg.norm(v) for v in rng.normal(size=(n, n))]
+    st = functools.reduce(np.multiply.outer, blocks).reshape(-1)
+    assert twirl_average(st) == pytest.approx(float(n) ** -n, rel=1e-12)
+    target = tuple(range(n))[::-1]
+    perms, prob = best_block_relabeling(st, target)
+    assert prob == pytest.approx(math.prod(float(np.max(v ** 2)) for v in blocks),
+                                 rel=1e-12)
+    moved = tuple(p[t] for p, t in zip(perms, target))
+    assert st[tuple_to_index(moved, n)] ** 2 == prob
 
 
 def test_embed_uniform():
@@ -279,28 +289,3 @@ def test_feasible_subspace_indices_match_permutations():
     assert len(idx) == 6
     labels = subspace_to_full_labels(3)[idx]
     assert sorted(int(x) for x in labels) == sorted(enumerate_feasible(3))
-
-
-def test_twirl_monte_carlo_fallback():
-    inst = synthetic_instance(4, seed=1, high=5)
-    mean = twirl_average(inst, AngleSchedule.single(0.7, 0.4), (0, 1, 2, 3),
-                         samples=20_000, seed=3)
-    again = twirl_average(inst, AngleSchedule.single(0.7, 0.4), (0, 1, 2, 3),
-                          samples=20_000, seed=3)
-    assert mean == again  # declared seed makes the fallback reproducible
-    assert abs(mean - 1 / 256) < 0.5 / 256  # loose: MC estimate of the mean
-
-
-def test_best_relabeling_sampled_mode():
-    inst = synthetic_instance(4, seed=1, high=5)
-    perms, prob = best_block_relabeling(inst, AngleSchedule.single(0.7, 0.4),
-                                        (0, 1, 2, 3), samples=2000, seed=5)
-    assert len(perms) == 4
-    assert 0.0 < prob <= 1.0
-    perms2, prob2 = best_block_relabeling(inst, AngleSchedule.single(0.7, 0.4),
-                                          (0, 1, 2, 3), samples=2000, seed=5)
-    assert perms == perms2 and prob == prob2
-    inst6 = synthetic_instance(6, seed=1, high=5)
-    with pytest.raises(CapacityError):
-        best_block_relabeling(inst6, AngleSchedule.single(0.1, 0.1),
-                              (0,) * 6, samples=10, seed=1)
