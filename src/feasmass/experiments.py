@@ -2,22 +2,19 @@
 searches, parameter transfer, shot histograms, depth sweeps and the twirl
 existence check.
 
-Grid points are embarrassingly parallel; set FEASMASS_THREADS > 1 to fan the
-generic grid search out over processes.  Results are assembled by index, so
-the output is independent of worker scheduling.
+The generic grid search applies the cost phase once per gamma and the X
+mixer to a copy of that phased state per beta, so it holds two states.
 """
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds
-from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer,
+from .fullspace import (_DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer,
                         feasible_mass, init_plus, mixer_kernel_rows,
                         run_generic, sample_counts)
 from .instance import (CapacityError, DiagonalCost, ProblemInstance, as_cost,
@@ -171,17 +168,6 @@ def markov_fraction(instance, beta: float, t: float, L: int | None = None,
         wall_clock=time.perf_counter() - t0)
 
 
-def _batched_x_mixer(mat: np.ndarray, beta: float, num_qubits: int) -> np.ndarray:
-    c = math.cos(beta)
-    ms = -1j * math.sin(beta)
-    for q in range(num_qubits):
-        v = mat.reshape(mat.shape[0], -1, 2, 1 << q)
-        a0 = v[:, :, 0, :].copy()
-        v[:, :, 0, :] = c * a0 + ms * v[:, :, 1, :]
-        v[:, :, 1, :] = ms * a0 + c * v[:, :, 1, :]
-    return mat
-
-
 def l4_sweep(instance, betas, L: int | None = None,
              include_penalty: bool = True) -> ExperimentResult:
     """Exact grid mean of sum_x |a_x|^4 per beta against the analytic envelope.
@@ -212,7 +198,7 @@ def l4_sweep(instance, betas, L: int | None = None,
             kb = ks[lo:lo + chunk]
             units = (kb[:, None] * h[None, :]) % L
             amps = np.exp((-2j * math.pi / L) * units) * 2.0 ** (-N / 2)
-            _batched_x_mixer(amps, beta, N)
+            apply_x_mixer(amps, beta)
             p = np.abs(amps) ** 2
             total += float(np.sum(p * p))
         mean = total / L
@@ -239,49 +225,19 @@ class GridSearchResult:
     best_mass: float
 
 
-def _surface_row(args):
-    dist, penalty, include_penalty, gamma, betas, precision = args
-    cost = DiagonalCost(n=len(dist), penalty_weight=penalty,
-                        dist=np.asarray(dist), include_penalty=include_penalty)
-    out = []
-    for beta in betas:
-        state = run_generic(cost, AngleSchedule.single(gamma, beta), precision)
-        out.append(feasible_mass(state, cost.n))
-    return out
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("FEASMASS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"FEASMASS_THREADS must be an integer, got {raw!r}") from None
-
-
 def grid_search_generic(instance, grid: GridSpec, precision: str = "f64",
                         include_penalty: bool = True) -> GridSearchResult:
     """Single-layer feasible mass at every grid point; lexicographically-first
     argmax by (gamma index, beta index)."""
     cost = as_cost(instance, include_penalty)
     gammas, betas = grid.gammas(), grid.betas()
-    tasks = [(cost.dist.tolist(), cost.penalty_weight, cost.include_penalty,
-              float(g), [float(b) for b in betas], precision) for g in gammas]
-    workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_surface_row, tasks))
-    else:
-        table = cost.cost_vector()
-        rows = []
-        for g in gammas:
-            row = []
-            for b in betas:
-                state = init_plus(cost.num_qubits,
-                                  dtype=np.complex64 if precision == "f32" else np.complex128)
-                apply_cost_phase(state, table, g)
-                apply_x_mixer(state, b)
-                row.append(feasible_mass(state, cost.n))
-            rows.append(row)
+    table = cost.cost_vector()
+    rows = []
+    for g in gammas:
+        phased = apply_cost_phase(init_plus(cost.num_qubits, dtype=_DTYPES[precision]),
+                                  table, g)
+        rows.append([feasible_mass(apply_x_mixer(phased.copy(), b), cost.n)
+                     for b in betas])
     surface = np.array(rows, dtype=np.float64)
     gi, bi = np.unravel_index(int(np.argmax(surface)), surface.shape)
     return GridSearchResult(gammas=gammas, betas=betas, surface=surface,

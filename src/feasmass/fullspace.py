@@ -3,8 +3,8 @@
 States are plain 1-D complex ndarrays of length 2**N indexed by the integer
 basis label (bit k of the label = qubit k).  Gate application mutates the
 array in place and returns it; the state is exclusively owned while mutated.
-Double precision is the default; complex64 is supported so the N = 25 case
-fits in 256 MB.
+Double precision is the default; complex64 halves the N = 25 state to
+256 MiB (a whole `run hist` on wi5 in f32 peaks near 936 MiB, see README).
 """
 from __future__ import annotations
 
@@ -75,8 +75,12 @@ def apply_cost_phase(state: np.ndarray, cost, gamma: float) -> np.ndarray:
 
 
 def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-i*beta*X) on every qubit, as N stride-2**q butterfly passes."""
-    num_qubits = int(math.log2(state.shape[0]))
+    """exp(-i*beta*X) on every qubit, as N stride-2**q butterfly passes.
+
+    N comes from the last axis, so a C-contiguous (rows, 2**N) batch is mixed
+    row by row: the (-1, 2, 2**q) view never straddles a row boundary.
+    """
+    num_qubits = int(math.log2(state.shape[-1]))
     c = state.dtype.type(math.cos(beta))
     ms = state.dtype.type(-1j * math.sin(beta))
     for q in range(num_qubits):
@@ -87,14 +91,9 @@ def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     return state
 
 
-def mixer_kernel(x: int, y: int, beta: float, num_bits: int) -> complex:
-    """Closed-form product-mixer matrix element (cos b)^(N-d) (-i sin b)^d."""
-    d = (x ^ y).bit_count()
-    return (math.cos(beta) ** (num_bits - d)) * ((-1j * math.sin(beta)) ** d)
-
-
 def mixer_kernel_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarray:
-    """Dense kernel restricted to the given row labels (vectorized over columns)."""
+    """Closed-form product-mixer elements (cos b)^(N-d) (-i sin b)^d, d the
+    Hamming distance, for the given row labels against every column."""
     cols = np.arange(1 << num_bits, dtype=np.int64)
     d = np.bitwise_count(np.bitwise_xor.outer(rows.astype(np.int64), cols))
     return (math.cos(beta) ** (num_bits - d)) * ((-1j * math.sin(beta)) ** d)

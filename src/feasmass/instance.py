@@ -223,18 +223,17 @@ class DiagonalCost:
                         cost += int(d[u, v])
         return cost
 
-    def cost_vector(self, dtype=None) -> np.ndarray:
-        """Dense table C over all 2**(n*n) labels (index = integer label)."""
-        if self._vector is not None and (dtype is None or self._vector.dtype == dtype):
+    def cost_vector(self) -> np.ndarray:
+        """Dense table C over all 2**(n*n) labels (index = integer label);
+        int32 at n = 5 to halve the 2**25 table, int64 below."""
+        if self._vector is not None:
             return self._vector
         n = self.n
         if n > MAX_DENSE_COST_SIZE:
             raise CapacityError(f"dense cost table capped at n={MAX_DENSE_COST_SIZE}, got {n}")
-        if dtype is None:
-            dtype = np.int32 if n == 5 else np.int64
-        vec = _dense_cost(n, self.dist, self.penalty_weight, self.include_penalty, dtype)
-        self._vector = vec
-        return vec
+        dtype = np.int32 if n == 5 else np.int64
+        self._vector = _dense_cost(n, self.dist, self.penalty_weight, self.include_penalty, dtype)
+        return self._vector
 
     def tie_broken_vector(self) -> np.ndarray:
         """Injective lattice refinement C*2**N + y.

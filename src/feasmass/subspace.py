@@ -39,11 +39,6 @@ def index_to_tuple(idx: int, n: int) -> tuple:
     return tuple(reversed(out))
 
 
-def tuple_to_label(symbols, n: int) -> int:
-    """Full-space basis label with bit b*n + j_b set per block."""
-    return sum(1 << (b * n + int(j)) for b, j in enumerate(symbols))
-
-
 @lru_cache(maxsize=None)
 def subspace_to_full_labels(n: int) -> np.ndarray:
     """Bijection subspace index -> full-space label, as an index array.
@@ -54,10 +49,13 @@ def subspace_to_full_labels(n: int) -> np.ndarray:
     if n * n > MAX_LABEL_BITS:
         raise CapacityError(f"full-space labels need {n * n} bits; int64 labels "
                             f"hold {MAX_LABEL_BITS} (n <= 7)")
-    out = np.empty(n ** n, dtype=np.int64)
-    for k, t in enumerate(itertools.product(range(n), repeat=n)):
-        out[k] = tuple_to_label(t, n)
-    return out
+    # block b sets bit b*n + j_b; block b is axis b of the C-order [n]*n tensor
+    out = np.zeros([n] * n, dtype=np.int64)
+    for b in range(n):
+        shape = [1] * n
+        shape[b] = n
+        out += (np.int64(1) << (b * n + np.arange(n, dtype=np.int64))).reshape(shape)
+    return out.reshape(-1)
 
 
 @lru_cache(maxsize=None)

@@ -46,3 +46,8 @@ def enumerated_twirl(state: np.ndarray, target) -> tuple:
             moved = np.take(moved, np.argsort(perm), axis=axis)
         probs.append(abs(moved[tuple(target)]) ** 2)
     return float(np.mean(probs)), float(max(probs))
+
+
+def tuple_to_label(symbols, n: int) -> int:
+    """Full-space basis label with bit b*n + j_b set per block."""
+    return sum(1 << (b * n + int(j)) for b, j in enumerate(symbols))

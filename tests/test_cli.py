@@ -150,14 +150,6 @@ def test_run_hist_ce_beyond_label_width_exits_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FEASMASS_THREADS", "abc")
-    rc = run_cli(["run", "grid", "--n", "2", "--grid", "2x2", "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "FEASMASS_THREADS" in err
-
-
 def test_verify_bounds_passes(capsys):
     rc = run_cli(["verify", "bounds"])
     out = capsys.readouterr().out

@@ -8,7 +8,7 @@ from feasmass.experiments import (GridSpec, ce_depth_sweep, envelope_excess_repo
                                   grid_search_generic, l4_sweep,
                                   lattice_feasible_masses, markov_fraction,
                                   parameter_transfer, twirl_existence_experiment)
-from feasmass.fullspace import AngleSchedule
+from feasmass.fullspace import AngleSchedule, feasible_mass, run_generic
 from feasmass.instance import build_cost, synthetic_instance
 
 
@@ -201,12 +201,16 @@ def test_result_json_excludes_wall_clock():
     assert payload["experiment"] == "exact_angle_average"
 
 
-def test_worker_env_parallel_matches_serial(monkeypatch):
-    inst = synthetic_instance(2, seed=5, high=3)
-    serial = grid_search_generic(inst, GridSpec(4, 4))
-    monkeypatch.setenv("FEASMASS_THREADS", "2")
-    parallel = grid_search_generic(inst, GridSpec(4, 4))
-    assert np.array_equal(serial.surface, parallel.surface)
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_grid_surface_matches_run_generic(n, precision):
+    # phasing once per gamma must not change a single bit of any grid point
+    cost = build_cost(synthetic_instance(n, seed=5, high=3))
+    grid = GridSpec(4, 3)
+    res = grid_search_generic(cost, grid, precision)
+    expected = [[feasible_mass(run_generic(cost, AngleSchedule.single(g, b), precision), n)
+                 for b in grid.betas()] for g in grid.gammas()]
+    assert np.array_equal(res.surface, np.array(expected))
 
 
 def test_lattice_cap_names_size():

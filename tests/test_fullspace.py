@@ -6,7 +6,7 @@ import pytest
 
 from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer,
                                 feasible_mass, fourth_moment, init_plus,
-                                mixer_kernel, mixer_kernel_rows, norm_error,
+                                mixer_kernel_rows, norm_error,
                                 probabilities, run_generic, sample_counts)
 from feasmass.instance import CapacityError, build_cost, synthetic_instance
 
@@ -96,12 +96,24 @@ def test_x_mixer_matches_dense_kernel(num_bits, beta):
 
 def test_mixer_kernel_closed_form():
     beta = 0.7
-    assert mixer_kernel(5, 5, beta, 3) == pytest.approx(math.cos(beta) ** 3)
-    val = mixer_kernel(0, 0b1111, beta, 4)
+    assert mixer_kernel_rows(np.array([5]), beta, 3)[0, 5] == pytest.approx(math.cos(beta) ** 3)
+    val = mixer_kernel_rows(np.array([0]), beta, 4)[0, 0b1111]
     assert val == pytest.approx((-1j * math.sin(beta)) ** 4)
     # unitarity of one kernel row
-    row = sum(abs(mixer_kernel(3, y, beta, 4)) ** 2 for y in range(16))
+    row = np.sum(np.abs(mixer_kernel_rows(np.array([3]), beta, 4)) ** 2)
     assert row == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_x_mixer_batch_matches_rows(dtype):
+    rng = np.random.default_rng(11)
+    batch = (rng.standard_normal((7, 1 << 6))
+             + 1j * rng.standard_normal((7, 1 << 6))).astype(dtype)
+    for beta in (0.0, 0.4, 2.3):
+        rows = np.array([apply_x_mixer(r.copy(), beta) for r in batch])
+        out = apply_x_mixer(batch.copy(), beta)
+        assert out.shape == batch.shape and out.dtype == dtype
+        assert np.array_equal(out, rows)
 
 
 def test_run_generic_zero_angles_is_uniform():

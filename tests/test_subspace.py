@@ -19,15 +19,25 @@ from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                                project_to_subspace, run_ce,
                                subspace_cost_table, subspace_feasible_mass,
                                subspace_to_full_labels, tuple_to_index,
-                               tuple_to_label, twirl_average)
+                               twirl_average)
 
-from oracles import enumerated_twirl, pauli_block_sector
+from oracles import enumerated_twirl, pauli_block_sector, tuple_to_label
 
 
 def test_index_round_trip():
     for n in (2, 3, 4):
         for t in itertools.islice(itertools.product(range(n), repeat=n), 50):
             assert index_to_tuple(tuple_to_index(t, n), n) == t
+
+
+def test_label_map_matches_per_tuple_labels():
+    for n in range(2, 8):
+        labels = subspace_to_full_labels(n)
+        assert labels.dtype == np.int64 and labels.shape == (n ** n,)
+        ks = (range(n ** n) if n <= 5
+              else np.random.default_rng(n).integers(0, n ** n, 2000))
+        for k in ks:
+            assert labels[k] == tuple_to_label(index_to_tuple(int(k), n), n)
 
 
 def test_init_w_product_values():
