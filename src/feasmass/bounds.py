@@ -137,10 +137,10 @@ def control_inequality_holds(c_t: float, n: int) -> bool:
     return n * math.log(n) - (c_t * math.log(2) / 2) * n * n < 0
 
 
-def verify_bounds(n_ratio_max: int = 50, n_control_max: int = 200,
-                  n_stirling_max: int = 60) -> list:
+def verify_bounds() -> list:
     """Run the inequality sweeps; known finite-n failures come back as WARNs
     (satisfied=False on the specific report, not an exception)."""
+    n_ratio_max, n_control_max, n_stirling_max = 50, 200, 60
     reports = []
     ratio_ok = all(injective_ratio_inequality_holds(n) for n in range(2, n_ratio_max + 1))
     reports.append(BoundReport("injective_ratio_inequality",

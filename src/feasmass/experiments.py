@@ -8,7 +8,6 @@ mixer to a copy of that phased state per beta, so it holds two states.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,9 @@ from .fullspace import (_DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer,
                         run_generic, sample_counts)
 from .instance import (CapacityError, DiagonalCost, ProblemInstance, as_cost,
                        enumerate_feasible, feasible_indices)
-from .subspace import (best_block_relabeling, run_ce, subspace_feasible_mass,
+from .subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
+                       best_block_relabeling, init_w_product, run_ce,
+                       subspace_cost_table, subspace_feasible_mass,
                        subspace_to_full_labels, twirl_average)
 
 _PHASE_CHUNK_ELEMS = 1 << 22
@@ -56,14 +57,13 @@ class GridSpec:
 
 @dataclass
 class ExperimentResult:
-    """Named metrics of one experiment run (wall clock stays out of files)."""
+    """Named metrics of one experiment run."""
 
     name: str
     instance: str
     params: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     seed: int | None = None
-    wall_clock: float | None = None
 
     def to_json_dict(self) -> dict:
         out = {"experiment": self.name, "instance": self.instance,
@@ -132,12 +132,10 @@ def lattice_feasible_masses(cost: DiagonalCost, betas, L: int | None = None,
 
 
 def exact_angle_average(instance, beta: float, L: int | None = None,
-                        tie_break: bool = True,
-                        include_penalty: bool = True) -> ExperimentResult:
+                        tie_break: bool = True) -> ExperimentResult:
     """Grid-exact mean of the single-layer feasible mass; contract: equals
     n!/2**(n**2) within 1e-10 on the tie-broken lattice."""
-    cost = as_cost(instance, include_penalty)
-    t0 = time.perf_counter()
+    cost = as_cost(instance)
     masses = lattice_feasible_masses(cost, beta, L=L, tie_break=tie_break)
     mean = float(masses.mean())
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
@@ -145,18 +143,15 @@ def exact_angle_average(instance, beta: float, L: int | None = None,
         name="exact_angle_average", instance=_instance_name(instance),
         params={"beta": beta, "L": len(masses), "tie_break": tie_break},
         metrics={"mean": mean, "baseline": base, "deviation": abs(mean - base),
-                 "max_point": float(masses.max())},
-        wall_clock=time.perf_counter() - t0)
+                 "max_point": float(masses.max())})
 
 
 def markov_fraction(instance, beta: float, t: float, L: int | None = None,
-                    tie_break: bool = True,
-                    include_penalty: bool = True) -> ExperimentResult:
+                    tie_break: bool = True) -> ExperimentResult:
     """Exact grid measure of {gamma : P >= t * baseline}; contract <= 1/t."""
     if t <= 0:
         raise ValueError("t must be positive")
-    cost = as_cost(instance, include_penalty)
-    t0 = time.perf_counter()
+    cost = as_cost(instance)
     masses = lattice_feasible_masses(cost, beta, L=L, tie_break=tie_break)
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     frac = float(np.mean(masses >= t * base))
@@ -164,19 +159,17 @@ def markov_fraction(instance, beta: float, t: float, L: int | None = None,
         name="markov_fraction", instance=_instance_name(instance),
         params={"beta": beta, "t": t, "L": len(masses), "tie_break": tie_break},
         metrics={"fraction": frac, "bound": 1.0 / t,
-                 "satisfied": frac <= 1.0 / t + 1e-12},
-        wall_clock=time.perf_counter() - t0)
+                 "satisfied": frac <= 1.0 / t + 1e-12})
 
 
-def l4_sweep(instance, betas, L: int | None = None,
-             include_penalty: bool = True) -> ExperimentResult:
+def l4_sweep(instance, betas, L: int | None = None) -> ExperimentResult:
     """Exact grid mean of sum_x |a_x|^4 per beta against the analytic envelope.
 
     Fourth powers pair cost differences twice, so the exact grid needs
     L >= 2*spread + 1 on the raw lattice; that reproduces the continuous
     angle average including degenerate quadruples.
     """
-    cost = as_cost(instance, include_penalty)
+    cost = as_cost(instance)
     n = cost.n
     if n > 3:
         raise ValueError("fourth-moment sweep capped at n=3")
@@ -188,7 +181,6 @@ def l4_sweep(instance, betas, L: int | None = None,
         L = 2 * spread + 1
     elif L < 2 * spread + 1:
         raise ValueError(f"need L >= 2*spread+1 = {2 * spread + 1}")
-    t0 = time.perf_counter()
     ks = np.arange(L, dtype=np.int64)
     per_beta = {}
     for beta in betas:
@@ -208,8 +200,7 @@ def l4_sweep(instance, betas, L: int | None = None,
     return ExperimentResult(
         name="l4_sweep", instance=_instance_name(instance),
         params={"L": L, "betas": [float(b) for b in betas]},
-        metrics={"per_beta": per_beta},
-        wall_clock=time.perf_counter() - t0)
+        metrics={"per_beta": per_beta})
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +216,10 @@ class GridSearchResult:
     best_mass: float
 
 
-def grid_search_generic(instance, grid: GridSpec, precision: str = "f64",
-                        include_penalty: bool = True) -> GridSearchResult:
+def grid_search_generic(instance, grid: GridSpec, precision: str = "f64") -> GridSearchResult:
     """Single-layer feasible mass at every grid point; lexicographically-first
     argmax by (gamma index, beta index)."""
-    cost = as_cost(instance, include_penalty)
+    cost = as_cost(instance)
     gammas, betas = grid.gammas(), grid.betas()
     table = cost.cost_vector()
     rows = []
@@ -245,8 +235,7 @@ def grid_search_generic(instance, grid: GridSpec, precision: str = "f64",
                             best_mass=float(surface[gi, bi]))
 
 
-def parameter_transfer(instance, grid: GridSpec, precision: str = "f64",
-                       include_penalty: bool = True) -> ExperimentResult:
+def parameter_transfer(instance, grid: GridSpec, precision: str = "f64") -> ExperimentResult:
     """Reuse the generic grid argmax inside the manifold (unnormalized mixer).
 
     Reports the measured ratio against the dimension factor 2**(n**2)/n**n;
@@ -254,8 +243,7 @@ def parameter_transfer(instance, grid: GridSpec, precision: str = "f64",
     In this layered order (cost phase first) the ratio is a measurement, not
     a theorem, and ``satisfied`` must be False whenever factor * p_gen_max > 1.
     """
-    cost = as_cost(instance, include_penalty)
-    t0 = time.perf_counter()
+    cost = as_cost(instance)
     search = grid_search_generic(cost, grid, precision)
     ce_state = run_ce(cost, AngleSchedule.single(search.best_gamma, search.best_beta),
                       normalized=False)
@@ -270,31 +258,28 @@ def parameter_transfer(instance, grid: GridSpec, precision: str = "f64",
                 "beta_range": list(grid.beta_range), "precision": precision},
         metrics={"p_gen_max": search.best_mass, "gamma_star": search.best_gamma,
                  "beta_star": search.best_beta, "p_ce": p_ce, "ratio": ratio,
-                 "factor": factor, "satisfied": ratio >= factor},
-        wall_clock=time.perf_counter() - t0)
+                 "factor": factor, "satisfied": ratio >= factor})
 
 
 # ---------------------------------------------------------------------------
 # shot histograms
 
-def binomial_consistent(count: int, shots: int, p: float, nsigma: float = 5.0) -> bool:
+def binomial_consistent(count: int, shots: int, p: float) -> bool:
+    """Whether ``count`` lies within 5 sigma of the binomial mean shots*p."""
     sigma = math.sqrt(max(p * (1 - p), 1e-300) * shots)
-    return abs(count - shots * p) <= nsigma * sigma
+    return abs(count - shots * p) <= 5.0 * sigma
 
 
 def feasible_histogram(instance, method: str, schedule: AngleSchedule,
                        shots: int, seed: int, normalized: bool = True,
-                       precision: str = "f64",
-                       include_penalty: bool = True) -> ExperimentResult:
+                       precision: str = "f64") -> ExperimentResult:
     """Sample the chosen ansatz and count feasible outcomes per tour label."""
-    cost = as_cost(instance, include_penalty)
+    cost = as_cost(instance)
     n = cost.n
-    t0 = time.perf_counter()
     if method == "generic":
         state = run_generic(cost, schedule, precision)
         p_exact = feasible_mass(state, n)
         counts = sample_counts(state, shots, seed) if shots else {}
-        label_of = {x: x for x in enumerate_feasible(n)}
     elif method == "ce":
         labels = subspace_to_full_labels(n)   # capacity check before simulating
         state = run_ce(cost, schedule, normalized=normalized)
@@ -303,10 +288,9 @@ def feasible_histogram(instance, method: str, schedule: AngleSchedule,
         counts = {}
         for idx, c in raw.items():
             counts[int(labels[idx])] = counts.get(int(labels[idx]), 0) + c
-        label_of = {x: x for x in enumerate_feasible(n)}
     else:
         raise ValueError(f"unknown method {method!r}")
-    feas_counts = {x: counts.get(x, 0) for x in label_of}
+    feas_counts = {x: counts.get(x, 0) for x in enumerate_feasible(n)}
     feas_total = sum(feas_counts.values())
     frac = feas_total / shots if shots else 0.0
     return ExperimentResult(
@@ -318,8 +302,8 @@ def feasible_histogram(instance, method: str, schedule: AngleSchedule,
                  "feasible_total": feas_total,
                  "consistent_5sigma": (binomial_consistent(feas_total, shots, p_exact)
                                        if shots else True),
-                 "counts": {x: c for x, c in feas_counts.items()}},
-        seed=seed, wall_clock=time.perf_counter() - t0)
+                 "counts": feas_counts},
+        seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -327,65 +311,66 @@ def feasible_histogram(instance, method: str, schedule: AngleSchedule,
 
 def ce_depth_sweep(instance, p_max: int, points_per_angle: int = 4,
                    gamma_range=(0.0, math.pi), beta_range=(0.0, math.pi),
-                   normalized: bool = True,
-                   include_penalty: bool = True) -> ExperimentResult:
+                   normalized: bool = True) -> ExperimentResult:
     """Best grid feasible mass per depth p = 1..p_max (exhaustive per-layer grid).
 
     The per-layer grids start at zero angles, so depth p+1 contains every
     depth-p circuit extended by an identity layer; the maxima are
-    non-decreasing by construction.
+    non-decreasing by construction.  One depth-first walk extends each
+    depth-(p-1) state by one layer, so every circuit costs one layer; choices
+    are visited in grid order, which keeps the lexicographically-first argmax.
     """
     if points_per_angle > 6:
         raise ValueError("per-angle grid capped at 6 points")
     if p_max > 3:
         raise ValueError("depth sweep capped at p_max=3")
-    cost = as_cost(instance, include_penalty)
+    cost = as_cost(instance)
     if cost.n > 4:
         raise ValueError("depth sweep capped at n=4")
     gs = np.linspace(*gamma_range, points_per_angle)
     bs = np.linspace(*beta_range, points_per_angle)
     if gs[0] != 0.0 or bs[0] != 0.0:
         raise ValueError("per-layer grids must contain the zero angle")
-    t0 = time.perf_counter()
-    per_depth = []
-    for p in range(1, p_max + 1):
-        best = (-1.0, None)
-        layer_choices = [(g, b) for g in gs for b in bs]
-        stack = [()]
-        for _ in range(p):
-            stack = [prefix + (choice,) for prefix in stack for choice in layer_choices]
-        for combo in stack:
-            sched = AngleSchedule(gammas=tuple(c[0] for c in combo),
-                                  betas=tuple(c[1] for c in combo))
-            mass = subspace_feasible_mass(run_ce(cost, sched, normalized=normalized))
-            if mass > best[0]:
-                best = (mass, combo)
-        per_depth.append({"p": p, "best_mass": best[0],
-                          "angles": [list(c) for c in best[1]]})
+    table = subspace_cost_table(cost)
+    choices = [(float(g), float(b)) for g in gs for b in bs]
+    best = [(-1.0, None)] * p_max
+
+    def extend(state, prefix):
+        if len(prefix) >= p_max:
+            return
+        for choice in choices:
+            nxt = apply_subspace_cost_phase(state.copy(), table, choice[0])
+            apply_block_xy_mixer(nxt, cost.n, choice[1], normalized)
+            combo = prefix + (choice,)
+            mass = subspace_feasible_mass(nxt)
+            if mass > best[len(prefix)][0]:
+                best[len(prefix)] = (mass, combo)
+            extend(nxt, combo)
+
+    extend(init_w_product(cost.n), ())
+    per_depth = [{"p": p, "best_mass": mass, "angles": [list(c) for c in combo]}
+                 for p, (mass, combo) in enumerate(best, start=1)]
     return ExperimentResult(
         name="ce_depth_sweep", instance=_instance_name(instance),
         params={"p_max": p_max, "points_per_angle": points_per_angle,
                 "normalized_mixer": normalized},
         metrics={"per_depth": per_depth,
                  "monotone": all(per_depth[i + 1]["best_mass"] >= per_depth[i]["best_mass"] - 1e-15
-                                 for i in range(len(per_depth) - 1))},
-        wall_clock=time.perf_counter() - t0)
+                                 for i in range(len(per_depth) - 1))})
 
 
-def twirl_existence_experiment(instance, schedule: AngleSchedule, target=None,
-                               normalized: bool = True,
-                               include_penalty: bool = True) -> ExperimentResult:
-    """Mean of the target probability over all blockwise relabelings of the
-    CE state (must equal 1/n**n) and its maximum (must reach 1/n**n).
+def twirl_existence_experiment(instance, schedule: AngleSchedule,
+                               normalized: bool = True) -> ExperimentResult:
+    """Mean of the probability of the target tuple (0, 1, ..., n-1) over all
+    blockwise relabelings of the CE state (must equal 1/n**n) and its maximum
+    (must reach 1/n**n).
 
     Both come from closed forms (see subspace.twirl_average), exact for every
     n up to the subspace cap.
     """
-    cost = as_cost(instance, include_penalty)
+    cost = as_cost(instance)
     n = cost.n
-    if target is None:
-        target = tuple(range(n))
-    t0 = time.perf_counter()
+    target = tuple(range(n))
     state = run_ce(cost, schedule, normalized=normalized)
     mean = twirl_average(state)
     _, best_p = best_block_relabeling(state, target)
@@ -396,19 +381,17 @@ def twirl_existence_experiment(instance, schedule: AngleSchedule, target=None,
                 "betas": list(schedule.betas), "normalized_mixer": normalized},
         metrics={"mean": mean, "best": best_p, "bound": bound,
                  "mean_error": abs(mean - bound),
-                 "satisfied": abs(mean - bound) <= 1e-12 and best_p >= bound - 1e-12},
-        wall_clock=time.perf_counter() - t0)
+                 "satisfied": abs(mean - bound) <= 1e-12 and best_p >= bound - 1e-12})
 
 
-def envelope_excess_report(instance, grid: GridSpec,
-                           include_penalty: bool = True) -> ExperimentResult:
+def envelope_excess_report(instance, grid: GridSpec) -> ExperimentResult:
     """Measured max of P * 2**N / n! over the grid (strict-envelope diagnostic).
 
     The single-layer strict envelope P <= n!/2**N holds with equality at zero
     angles but is exceeded at tuned angles on small instances; this reports
     the measured excess instead of asserting the inequality.
     """
-    cost = as_cost(instance, include_penalty)
+    cost = as_cost(instance)
     if cost.n > 3:
         raise ValueError("envelope report capped at n=3")
     search = grid_search_generic(cost, grid)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import CapacityError, DiagonalCost, as_cost, feasible_indices
+from .instance import CapacityError, as_cost, feasible_indices
 
 MAX_FULL_QUBITS = 25
 _CHUNK = 1 << 20
@@ -52,21 +52,10 @@ def init_plus(num_qubits: int, dtype=np.complex128) -> np.ndarray:
     return np.full(1 << num_qubits, 2.0 ** (-num_qubits / 2), dtype=dtype)
 
 
-def _cost_table(cost, num_qubits):
-    if isinstance(cost, DiagonalCost):
-        if cost.num_qubits != num_qubits:
-            raise ValueError("cost size does not match state size")
-        return cost.cost_vector()
-    table = np.asarray(cost)
-    if table.shape != (1 << num_qubits,):
+def apply_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
+    """Multiply amplitude y by exp(-i*gamma*table[y]); chunked to bound temporaries."""
+    if table.shape != state.shape:
         raise ValueError("cost table length does not match state size")
-    return table
-
-
-def apply_cost_phase(state: np.ndarray, cost, gamma: float) -> np.ndarray:
-    """Multiply amplitude y by exp(-i*gamma*C(y)); chunked to bound temporaries."""
-    num_qubits = int(math.log2(state.shape[0]))
-    table = _cost_table(cost, num_qubits)
     for lo in range(0, state.shape[0], _CHUNK):
         hi = lo + _CHUNK
         phase = np.exp((-1j * gamma) * table[lo:hi])
@@ -99,13 +88,11 @@ def mixer_kernel_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarra
     return (math.cos(beta) ** (num_bits - d)) * ((-1j * math.sin(beta)) ** d)
 
 
-def run_generic(instance, schedule: AngleSchedule, precision: str = "f64",
-                include_penalty: bool = True) -> np.ndarray:
+def run_generic(instance, schedule: AngleSchedule, precision: str = "f64") -> np.ndarray:
     """Depth-p generic QAOA: alternate cost phase and X mixer from |+>^N."""
-    cost = as_cost(instance, include_penalty)
-    dtype = _DTYPES[precision]
-    state = init_plus(cost.num_qubits, dtype=dtype)
+    cost = as_cost(instance)
     table = cost.cost_vector()
+    state = init_plus(cost.num_qubits, dtype=_DTYPES[precision])
     for gamma, beta in zip(schedule.gammas, schedule.betas):
         apply_cost_phase(state, table, gamma)
         apply_x_mixer(state, beta)

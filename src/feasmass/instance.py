@@ -91,7 +91,7 @@ def synthetic_instance(n: int, seed: int = 0, high: int = 9, name=None) -> Probl
     return make_instance(d, name=name or f"synthetic-n{n}-s{seed}")
 
 
-def load_instance(path, penalty_weight=None) -> ProblemInstance:
+def load_instance(path) -> ProblemInstance:
     """Parse an instance file (format documented in the module docstring).
 
     Raises InstanceFormatError with the offending line number on bad input and
@@ -122,7 +122,7 @@ def load_instance(path, penalty_weight=None) -> ProblemInstance:
         raise InstanceDimensionError(
             f"{path}:{lineno}: expected {n}x{n}={n * n} matrix entries, got {len(body)}")
     d = np.array([v for _, v in body], dtype=np.int64).reshape(n, n)
-    return make_instance(d, penalty_weight=penalty_weight, name=path.stem)
+    return make_instance(d, name=path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +185,14 @@ def feasible_indices(n: int) -> np.ndarray:
 class DiagonalCost:
     """Diagonal cost C(y) = A*(one-hot penalties) + cyclic bilinear tour length.
 
-    The spectrum lies on the unit integer lattice (omega = 1), which is what
-    makes exact finite-grid angle averaging possible.
+    The spectrum lies on the unit integer lattice, which is what makes exact
+    finite-grid angle averaging possible.
     """
 
     n: int
     penalty_weight: int
     dist: np.ndarray
     include_penalty: bool = True
-    omega: int = 1
     _vector: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
@@ -225,13 +224,22 @@ class DiagonalCost:
 
     def cost_vector(self) -> np.ndarray:
         """Dense table C over all 2**(n*n) labels (index = integer label);
-        int32 at n = 5 to halve the 2**25 table, int64 below."""
+        int32 at n = 5 to halve the 2**25 table, int64 below.
+
+        Every penalty and tour term is non-decreasing in the set bits, so the
+        all-ones label holds the largest cost; the int32 table is refused
+        when that cost does not fit.
+        """
         if self._vector is not None:
             return self._vector
         n = self.n
         if n > MAX_DENSE_COST_SIZE:
             raise CapacityError(f"dense cost table capped at n={MAX_DENSE_COST_SIZE}, got {n}")
         dtype = np.int32 if n == 5 else np.int64
+        top = self.value((1 << self.num_qubits) - 1)
+        if top > np.iinfo(dtype).max:
+            raise CapacityError(f"largest cost {top} overflows the {np.dtype(dtype).name} "
+                                f"cost table at n={n}; use smaller distances")
         self._vector = _dense_cost(n, self.dist, self.penalty_weight, self.include_penalty, dtype)
         return self._vector
 
@@ -249,18 +257,9 @@ class DiagonalCost:
 
     @property
     def spread(self) -> int:
-        """Max pairwise cost difference; exact scan for n <= 4, analytic above."""
-        if self.n <= 4:
-            vec = self.cost_vector()
-            return int(vec.max() - vec.min())
-        n = self.n
-        d = self.dist
-        pen_max = 2 * n * (n - 1) ** 2 if self.include_penalty else 0
-        tour_max = n * int(d.sum())
-        return self.penalty_weight * pen_max + tour_max
-
-    def min_feasible_value(self) -> int:
-        return min(self.value(x) for x in enumerate_feasible(self.n))
+        """Max pairwise cost difference, by an exact scan of the dense table."""
+        vec = self.cost_vector()
+        return int(vec.max() - vec.min())
 
 
 def _dense_cost(n, dist, A, include_penalty, dtype):
@@ -307,8 +306,9 @@ def build_cost(instance: ProblemInstance, include_penalty: bool = True) -> Diago
                         dist=instance.dist_array(), include_penalty=include_penalty)
 
 
-def as_cost(instance, include_penalty: bool = True) -> DiagonalCost:
-    """A DiagonalCost passes through unchanged; an instance is built into one."""
+def as_cost(instance) -> DiagonalCost:
+    """A DiagonalCost passes through unchanged; an instance is built into the
+    penalised cost."""
     if isinstance(instance, DiagonalCost):
         return instance
-    return build_cost(instance, include_penalty=include_penalty)
+    return build_cost(instance)

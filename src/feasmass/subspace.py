@@ -65,11 +65,11 @@ def feasible_subspace_indices(n: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def init_w_product(n: int, dtype=np.complex128) -> np.ndarray:
+def init_w_product(n: int) -> np.ndarray:
     """Product of per-block uniform single-excitation states: all amps n**(-n/2)."""
     if n > MAX_BLOCK_SIZE:
         raise CapacityError(f"subspace capped at n={MAX_BLOCK_SIZE}, got {n}")
-    return np.full(n ** n, float(n) ** (-n / 2), dtype=dtype)
+    return np.full(n ** n, float(n) ** (-n / 2), dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +105,10 @@ def subspace_cost_table(cost: DiagonalCost) -> np.ndarray:
     return total.reshape(-1)
 
 
-def apply_subspace_cost_phase(state: np.ndarray, cost, gamma: float) -> np.ndarray:
-    table = cost if isinstance(cost, np.ndarray) else subspace_cost_table(cost)
-    state *= np.exp((-1j * gamma) * table).astype(state.dtype, copy=False)
+def apply_subspace_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
+    """Multiply amplitude k by exp(-i*gamma*table[k]) through one temporary."""
+    phase = (-1j * gamma) * table
+    state *= np.exp(phase, out=phase)
     return state
 
 
@@ -154,10 +155,9 @@ def block_mixer_unitary(n: int, beta: float, normalized: bool = True) -> np.ndar
             + np.exp(-1j * beta * lam_u) * proj)
 
 
-def run_ce(instance, schedule: AngleSchedule, normalized: bool = True,
-           include_penalty: bool = True) -> np.ndarray:
+def run_ce(instance, schedule: AngleSchedule, normalized: bool = True) -> np.ndarray:
     """Depth-p CE-QAOA: alternate cost phase and block mixer from the W product."""
-    cost = as_cost(instance, include_penalty)
+    cost = as_cost(instance)
     table = subspace_cost_table(cost)
     state = init_w_product(cost.n)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
@@ -215,11 +215,11 @@ def best_block_relabeling(state: np.ndarray, target):
 # ---------------------------------------------------------------------------
 # bridge to the full space
 
-def embed_to_full(state: np.ndarray, n: int, dtype=np.complex128) -> np.ndarray:
+def embed_to_full(state: np.ndarray, n: int) -> np.ndarray:
     """Copy amplitudes to their bijective full-space labels, zero elsewhere."""
     if n > MAX_EMBED_SIZE:
         raise CapacityError(f"embedding capped at n={MAX_EMBED_SIZE}")
-    full = np.zeros(1 << (n * n), dtype=dtype)
+    full = np.zeros(1 << (n * n), dtype=np.complex128)
     full[subspace_to_full_labels(n)] = state
     return full
 
@@ -230,8 +230,7 @@ def project_to_subspace(full_state: np.ndarray, n: int) -> np.ndarray:
 
 
 def overlap_generic_ce(instance, gamma: float, beta: float,
-                       order: str = "commuting",
-                       include_penalty: bool = True) -> complex:
+                       order: str = "commuting") -> complex:
     """Subspace-projected overlap between one CE layer and one generic layer.
 
     With ``order="commuting"`` each side applies its mixer to its own initial
@@ -244,7 +243,7 @@ def overlap_generic_ce(instance, gamma: float, beta: float,
 
     The CE side uses the unnormalized block mixer.
     """
-    cost = as_cost(instance, include_penalty)
+    cost = as_cost(instance)
     n = cost.n
     if n > MAX_EMBED_SIZE:
         raise CapacityError(f"overlap capped at n={MAX_EMBED_SIZE}")
@@ -268,11 +267,12 @@ def overlap_generic_ce(instance, gamma: float, beta: float,
 # ---------------------------------------------------------------------------
 # mixer leakage across the permutation set
 
-def subspace_mixer_hamiltonian(n: int, normalized: bool = False) -> np.ndarray:
-    """Block mixer restricted to the manifold: kron-sum of sector matrices."""
+def subspace_mixer_hamiltonian(n: int) -> np.ndarray:
+    """Unnormalized block mixer restricted to the manifold: kron-sum of sector
+    matrices."""
     if n > 3:
         raise CapacityError("dense subspace operator capped at n=3")
-    sector = block_mixer_sector(n, normalized)
+    sector = block_mixer_sector(n, normalized=False)
     dim = n ** n
     H = np.zeros((dim, dim))
     for b in range(n):
@@ -284,14 +284,14 @@ def subspace_mixer_hamiltonian(n: int, normalized: bool = False) -> np.ndarray:
     return H
 
 
-def double_commutator_gram(n: int, normalized: bool = False, mixer=None):
+def double_commutator_gram(n: int, mixer=None):
     """Minimum eigenvalue of 2 P H (I-P) H P on the manifold.
 
     P projects onto all-distinct tuples, H is the block mixer restricted to
     the manifold (overridable for diagnostics).  The operator has the form
     2 A^dag A, so the contract is min eigenvalue >= -1e-9.
     """
-    H = subspace_mixer_hamiltonian(n, normalized) if mixer is None else np.asarray(mixer)
+    H = subspace_mixer_hamiltonian(n) if mixer is None else np.asarray(mixer)
     dim = n ** n
     pdiag = np.zeros(dim)
     pdiag[feasible_subspace_indices(n)] = 1.0

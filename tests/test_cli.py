@@ -150,6 +150,28 @@ def test_run_hist_ce_beyond_label_width_exits_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_run_hist_int32_overflow_exits_1(tmp_path, capsys):
+    # a 5-city cost past the int32 table is refused before the state is built
+    inst = tmp_path / "big5.txt"
+    rows = [" ".join("0" if i == j else "3000000" for j in range(5)) for i in range(5)]
+    inst.write_text("5\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    rc = run_cli(["run", "hist", "--instance", str(inst), "--method", "generic",
+                  "--precision", "f32", "--shots", "10", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "overflows" in err
+    assert not list(out.iterdir())
+
+
+def test_run_grid_prints_one_wall_clock(tmp_path, capsys):
+    rc = run_cli(["run", "grid", "--n", "2", "--grid", "2x2", "--out", str(tmp_path)])
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("wall clock")]
+    assert rc == 0
+    assert len(lines) == 1
+    assert float(lines[0].split()[2]) >= 0.0
+
+
 def test_verify_bounds_passes(capsys):
     rc = run_cli(["verify", "bounds"])
     out = capsys.readouterr().out

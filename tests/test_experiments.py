@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from feasmass.experiments import (GridSpec, ce_depth_sweep, envelope_excess_repo
                                   parameter_transfer, twirl_existence_experiment)
 from feasmass.fullspace import AngleSchedule, feasible_mass, run_generic
 from feasmass.instance import build_cost, synthetic_instance
+from feasmass.subspace import run_ce, subspace_feasible_mass
 
 
 def test_gridspec_validation():
@@ -161,6 +163,25 @@ def test_depth_sweep_monotone():
     # the per-layer grid contains zero angles, so depth 1 at least matches
     # the uniform value n!/n**n = 1/2
     assert per[0]["best_mass"] >= 0.5 - 1e-12
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_depth_sweep_matches_per_circuit_run_ce(normalized):
+    # oracle: every circuit run from the W product, argmax taken in
+    # lexicographic order of the angle tuples
+    inst = synthetic_instance(3, seed=2, high=5)
+    res = ce_depth_sweep(inst, 2, points_per_angle=3, normalized=normalized)
+    grid = np.linspace(0.0, math.pi, 3)
+    choices = [(float(g), float(b)) for g in grid for b in grid]
+    for p, got in zip((1, 2), res.metrics["per_depth"]):
+        best = (-1.0, None)
+        for combo in itertools.product(choices, repeat=p):
+            sched = AngleSchedule(gammas=[c[0] for c in combo], betas=[c[1] for c in combo])
+            mass = subspace_feasible_mass(run_ce(inst, sched, normalized=normalized))
+            if mass > best[0]:
+                best = (mass, combo)
+        assert got["best_mass"] == best[0]
+        assert got["angles"] == [list(c) for c in best[1]]
 
 
 def test_depth_sweep_zero_grid_constant():

@@ -41,10 +41,20 @@ def test_cost_phase_identity_cases():
     cost = build_cost(inst)
     st = init_plus(4)
     ref = st.copy()
-    apply_cost_phase(st, cost, 0.0)
+    apply_cost_phase(st, cost.cost_vector(), 0.0)
     assert np.array_equal(st, ref)
     apply_cost_phase(st, np.zeros(16), 1.3)
     assert np.allclose(st, ref, atol=1e-15)
+
+
+def test_cost_phase_rejects_wrong_table_length():
+    st = init_plus(4)
+    ref = st.copy()
+    with pytest.raises(ValueError, match="length"):
+        apply_cost_phase(st, np.zeros(8, dtype=np.int64), 0.5)
+    with pytest.raises(ValueError, match="length"):
+        apply_cost_phase(st, build_cost(synthetic_instance(3)).cost_vector(), 0.5)
+    assert np.array_equal(st, ref)
 
 
 def test_cost_phase_preserves_moduli_exactly():
@@ -53,7 +63,7 @@ def test_cost_phase_preserves_moduli_exactly():
     rng = np.random.default_rng(2)
     st = rng.normal(size=512) + 1j * rng.normal(size=512)
     before = np.abs(st.copy())
-    apply_cost_phase(st, cost, 0.73)
+    apply_cost_phase(st, cost.cost_vector(), 0.73)
     assert np.allclose(np.abs(st), before, rtol=0, atol=1e-15)
 
 
@@ -220,8 +230,8 @@ def test_cost_phase_partition_independent(monkeypatch):
     rng = np.random.default_rng(6)
     st = rng.normal(size=512) + 1j * rng.normal(size=512)
     whole = st.copy()
-    apply_cost_phase(whole, cost, 0.83)
+    apply_cost_phase(whole, cost.cost_vector(), 0.83)
     chunked = st.copy()
     monkeypatch.setattr(fs, "_CHUNK", 37)
-    apply_cost_phase(chunked, cost, 0.83)
+    apply_cost_phase(chunked, cost.cost_vector(), 0.83)
     assert np.array_equal(whole, chunked)

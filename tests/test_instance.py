@@ -163,16 +163,18 @@ def test_spread_exact_small():
     assert cost.spread == int(vec.max() - vec.min())
 
 
-def test_spread_analytic_bound_n5():
-    inst = synthetic_instance(5, seed=1, high=9)
-    cost = build_cost(inst)
-    bound = cost.spread
-    # the bound must dominate the cost at the all-ones label and a sample
-    all_ones = (1 << 25) - 1
-    assert cost.value(all_ones) <= bound
-    rng = np.random.default_rng(1)
-    for y in rng.integers(0, 1 << 25, size=50):
-        assert cost.value(int(y)) <= bound
+def test_int32_cost_table_refuses_overflow_n5():
+    # off-diagonal distances of 3e6 put the all-ones cost at 2,700,000,160,
+    # past the int32 table; the guard fires before the 2**25 build
+    dist = np.full((5, 5), 3_000_000)
+    np.fill_diagonal(dist, 0)
+    cost = build_cost(make_instance(dist))
+    assert cost.value((1 << 25) - 1) == 2_700_000_160
+    with pytest.raises(CapacityError, match="overflows"):
+        cost.cost_vector()
+    with pytest.raises(CapacityError):
+        cost.spread
+    assert cost._vector is None
 
 
 def test_baseline_fraction_arithmetic():

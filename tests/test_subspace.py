@@ -77,7 +77,7 @@ def test_subspace_cost_phase_norm_exact():
     cost = build_cost(synthetic_instance(3, seed=1, high=5))
     st = init_w_product(3)
     before = np.abs(st.copy())
-    apply_subspace_cost_phase(st, cost, 1.7)
+    apply_subspace_cost_phase(st, subspace_cost_table(cost), 1.7)
     assert np.allclose(np.abs(st), before, rtol=0, atol=1e-15)
 
 
