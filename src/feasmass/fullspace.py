@@ -4,7 +4,10 @@ States are plain 1-D complex ndarrays of length 2**N indexed by the integer
 basis label (bit k of the label = qubit k).  Gate application mutates the
 array in place and returns it; the state is exclusively owned while mutated.
 Double precision is the default; complex64 halves the N = 25 state to
-256 MiB (a whole `run hist` on wi5 in f32 peaks near 936 MiB, see README).
+256 MiB (a whole `run hist` on wi5 in f32 peaks near 757 MiB, see README).
+The cost phase, the X mixer, probabilities and norms work on at most about
+_CHUNK amplitudes at a time, so none makes a full-state temporary, and none
+depends on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from .instance import CapacityError, as_cost, feasible_indices
 
 MAX_FULL_QUBITS = 25
 _CHUNK = 1 << 20
+_FUSE = 5   # qubits per fused mixer block: 2**5 x 2**5 matmuls
 
 _DTYPES = {"f64": np.complex128, "f32": np.complex64}
 
@@ -63,20 +67,45 @@ def apply_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.n
     return state
 
 
-def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-i*beta*X) on every qubit, as N stride-2**q butterfly passes.
+def _block_rotation(beta: float, num_bits: int, dtype) -> np.ndarray:
+    """R(beta)^{(x) num_bits}, R = [[cos b, -i sin b], [-i sin b, cos b]], by
+    Kronecker products (independent of mixer_kernel_rows); it is symmetric."""
+    c, ms = math.cos(beta), -1j * math.sin(beta)
+    out = np.ones((1, 1))
+    for _ in range(num_bits):
+        out = np.kron(out, [[c, ms], [ms, c]])
+    return out.astype(dtype)
 
-    N comes from the last axis, so a C-contiguous (rows, 2**N) batch is mixed
-    row by row: the (-1, 2, 2**q) view never straddles a row boundary.
+
+def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-i*beta*X) on every qubit, fused into blocks of _FUSE qubits.
+
+    Qubits [q, q+k) are mixed by one matmul with R(beta)^{(x)k} on the
+    (-1, 2**k, 2**q) view of the state, or by (-1, 2**k) @ U when q = 0;
+    the last block is smaller when _FUSE does not divide N.  Each matmul
+    covers at most about _CHUNK amplitudes, so no full-state temporary is
+    made.  N comes from the last axis, so a C-contiguous (rows, 2**N) batch
+    is mixed row by row: no view straddles a row boundary.  For N > _FUSE the
+    batch equals row-by-row mixing bit for bit; for N <= _FUSE a lone row is
+    a vector-matrix product and may differ from its batch at round-off.
     """
     num_qubits = int(math.log2(state.shape[-1]))
-    c = state.dtype.type(math.cos(beta))
-    ms = state.dtype.type(-1j * math.sin(beta))
-    for q in range(num_qubits):
-        v = state.reshape(-1, 2, 1 << q)
-        a0 = v[:, 0, :].copy()
-        v[:, 0, :] = c * a0 + ms * v[:, 1, :]
-        v[:, 1, :] = ms * a0 + c * v[:, 1, :]
+    for q in range(0, num_qubits, _FUSE):
+        k = min(_FUSE, num_qubits - q)
+        u = _block_rotation(beta, k, state.dtype)
+        if q == 0:
+            v = state.reshape(-1, 1 << k)
+            step = max(1, _CHUNK >> k)
+            for lo in range(0, v.shape[0], step):
+                v[lo:lo + step] = v[lo:lo + step] @ u
+            continue
+        v = state.reshape(-1, 1 << k, 1 << q)
+        step = max(1, _CHUNK >> (k + q))
+        width = max(1, min(1 << q, _CHUNK >> k))
+        for lo in range(0, v.shape[0], step):
+            for col in range(0, 1 << q, width):
+                blk = v[lo:lo + step, :, col:col + width]
+                blk[...] = u @ blk
     return state
 
 
@@ -131,7 +160,8 @@ def sample_counts(state: np.ndarray, shots: int, seed: int) -> dict:
         raise ValueError("shots must be non-negative")
     if shots == 0:
         return {}
-    cdf = np.cumsum(probabilities(state))
+    cdf = probabilities(state)
+    np.cumsum(cdf, out=cdf)
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random(shots)
@@ -140,8 +170,14 @@ def sample_counts(state: np.ndarray, shots: int, seed: int) -> dict:
     return {int(l): int(c) for l, c in zip(labels, counts)}
 
 
-def norm_error(state: np.ndarray) -> float:
+def norm_squared(state: np.ndarray) -> float:
+    """sum_x |amps[x]|**2, summed chunk by chunk in a fixed order, so the
+    result does not depend on the BLAS thread count (np.vdot's does)."""
     total = 0.0
     for lo in range(0, state.shape[0], _CHUNK):
-        total += float(np.vdot(state[lo:lo + _CHUNK], state[lo:lo + _CHUNK]).real)
-    return abs(1.0 - total)
+        total += float(np.sum(np.abs(state[lo:lo + _CHUNK]) ** 2))
+    return total
+
+
+def norm_error(state: np.ndarray) -> float:
+    return abs(1.0 - norm_squared(state))

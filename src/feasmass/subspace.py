@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fullspace import AngleSchedule, init_plus, run_generic
+from .fullspace import _CHUNK, AngleSchedule, init_plus, norm_squared, run_generic
 from .instance import CapacityError, DiagonalCost, as_cost
 
 MAX_BLOCK_SIZE = 8   # n**n amplitudes
@@ -106,9 +106,10 @@ def subspace_cost_table(cost: DiagonalCost) -> np.ndarray:
 
 
 def apply_subspace_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """Multiply amplitude k by exp(-i*gamma*table[k]) through one temporary."""
-    phase = (-1j * gamma) * table
-    state *= np.exp(phase, out=phase)
+    """Multiply amplitude k by exp(-i*gamma*table[k]); chunked to bound temporaries."""
+    for lo in range(0, state.shape[0], _CHUNK):
+        phase = (-1j * gamma) * table[lo:lo + _CHUNK]
+        state[lo:lo + _CHUNK] *= np.exp(phase, out=phase)
     return state
 
 
@@ -193,7 +194,7 @@ def twirl_average(state: np.ndarray) -> float:
     every target and every n.
     """
     n = _infer_n(state.shape[0])
-    return float(np.vdot(state, state).real) / float(n) ** n
+    return norm_squared(state) / float(n) ** n
 
 
 def best_block_relabeling(state: np.ndarray, target):

@@ -51,3 +51,12 @@ def enumerated_twirl(state: np.ndarray, target) -> tuple:
 def tuple_to_label(symbols, n: int) -> int:
     """Full-space basis label with bit b*n + j_b set per block."""
     return sum(1 << (b * n + int(j)) for b, j in enumerate(symbols))
+
+
+def cumsum_copy_sample_counts(state: np.ndarray, shots: int, seed: int) -> dict:
+    """Inverse-CDF sampling through a separate cumulative-sum array."""
+    cdf = np.cumsum((np.abs(state) ** 2).astype(np.float64))
+    cdf[-1] = 1.0
+    u = np.random.Generator(np.random.Philox(seed)).random(shots)
+    labels, counts = np.unique(np.searchsorted(cdf, u, side="right"), return_counts=True)
+    return {int(l): int(c) for l, c in zip(labels, counts)}

@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from feasmass.cli import main
 
-WI3 = str(Path(__file__).resolve().parent.parent / "instances" / "wi3.txt")
+ROOT = Path(__file__).resolve().parent.parent
+WI3 = str(ROOT / "instances" / "wi3.txt")
+WI4 = str(ROOT / "instances" / "wi4.txt")
 
 
 def run_cli(args):
@@ -138,6 +143,33 @@ def test_run_twirl(tmp_path):
         metrics = json.loads(next(out.glob("twirl_*.jsonl")).read_text())["metrics"]
         assert metrics["mean_error"] <= 1e-12
         assert metrics["best"] >= 1 / n ** n
+
+
+def test_run_files_independent_of_blas_threads(tmp_path):
+    # the BLAS thread count is read at numpy import, so each count needs its
+    # own interpreter; every written file must match byte for byte
+    commands = [
+        ["run", "hist", "--instance", WI4, "--method", "generic", "--precision", "f32"],
+        ["run", "hist", "--instance", WI4, "--method", "generic"],
+        ["run", "grid", "--instance", WI4, "--grid", "4x4"],
+        ["run", "twirl", "--n", "6"],
+        ["run", "twirl", "--n", "7"],
+    ]
+    script = ("import json, sys\n"
+              "from feasmass.cli import main\n"
+              "for i, args in enumerate(json.loads(sys.argv[2])):\n"
+              "    assert main(args + ['--out', f'{sys.argv[1]}/{i}']) == 0\n")
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script, str(out), json.dumps(commands)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = {str(p.relative_to(out)): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(written["1"]) >= len(commands)
+    assert written["1"] == written["2"]
 
 
 def test_run_hist_ce_beyond_label_width_exits_1(tmp_path, capsys):

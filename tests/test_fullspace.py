@@ -10,6 +10,8 @@ from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer,
                                 probabilities, run_generic, sample_counts)
 from feasmass.instance import CapacityError, build_cost, synthetic_instance
 
+from oracles import cumsum_copy_sample_counts
+
 
 def dense_mixer_matrix(num_bits, beta):
     return mixer_kernel_rows(np.arange(1 << num_bits), beta, num_bits)
@@ -114,16 +116,49 @@ def test_mixer_kernel_closed_form():
     assert row == pytest.approx(1.0, abs=1e-12)
 
 
+def unit_state(rng, shape):
+    st = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return st / math.sqrt(float(np.sum(np.abs(st) ** 2)))
+
+
+def kernel_apply(st, beta, num_bits):
+    """mixer_kernel_rows @ st, built 256 rows at a time."""
+    out = np.empty(1 << num_bits, dtype=np.complex128)
+    for lo in range(0, out.shape[0], 256):
+        rows = np.arange(lo, min(lo + 256, out.shape[0]))
+        out[rows] = mixer_kernel_rows(rows, beta, num_bits) @ st
+    return out
+
+
+@pytest.mark.parametrize("num_bits", range(1, 13))
+def test_fused_mixer_matches_kernel_oracle(num_bits, monkeypatch):
+    # N < 5, whole blocks (N = 5, 10) and a smaller last block; chunk 40 and
+    # 3000 run the row, item and column loops with ragged ends
+    import feasmass.fullspace as fs
+    st = unit_state(np.random.default_rng(num_bits), 1 << num_bits)
+    beta = 0.37 + 0.1 * num_bits
+    expect = kernel_apply(st, beta, num_bits)
+    for chunk in (fs._CHUNK, 40, 3000):
+        monkeypatch.setattr(fs, "_CHUNK", chunk)
+        for dtype, tol in ((np.complex128, 1e-12), (np.complex64, 1e-6)):
+            out = apply_x_mixer(st.astype(dtype), beta)
+            assert out.dtype == dtype
+            assert np.abs(out - expect).max() < tol, (chunk, dtype)
+
+
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
-def test_x_mixer_batch_matches_rows(dtype):
-    rng = np.random.default_rng(11)
-    batch = (rng.standard_normal((7, 1 << 6))
-             + 1j * rng.standard_normal((7, 1 << 6))).astype(dtype)
-    for beta in (0.0, 0.4, 2.3):
-        rows = np.array([apply_x_mixer(r.copy(), beta) for r in batch])
-        out = apply_x_mixer(batch.copy(), beta)
-        assert out.shape == batch.shape and out.dtype == dtype
-        assert np.array_equal(out, rows)
+def test_x_mixer_batch_matches_rows(dtype, monkeypatch):
+    # one chunk spans several rows (all of them at the default chunk size);
+    # N > 5, so every matmul has at least two rows in the batch and alone
+    import feasmass.fullspace as fs
+    for rows, num_bits, chunk in ((7, 6, fs._CHUNK), (131, 9, fs._CHUNK), (131, 9, 1 << 12)):
+        monkeypatch.setattr(fs, "_CHUNK", chunk)
+        batch = unit_state(np.random.default_rng(11), (rows, 1 << num_bits)).astype(dtype)
+        for beta in (0.0, 0.4, 2.3):
+            single = np.array([apply_x_mixer(r.copy(), beta) for r in batch])
+            out = apply_x_mixer(batch.copy(), beta)
+            assert out.shape == batch.shape and out.dtype == dtype
+            assert np.array_equal(out, single), (rows, num_bits, chunk, beta)
 
 
 def test_run_generic_zero_angles_is_uniform():
@@ -197,6 +232,12 @@ def test_sampling_deterministic():
     assert a == b
     assert a != c
     assert sample_counts(st, 0, seed=1) == {}
+
+
+def test_sampling_in_place_cdf_matches_copying_cdf():
+    st = unit_state(np.random.default_rng(5), 1 << 10)
+    for seed in (1, 2, 3):
+        assert sample_counts(st, 20_000, seed) == cumsum_copy_sample_counts(st, 20_000, seed)
 
 
 def test_single_precision_mode_tracks_double():

@@ -81,6 +81,18 @@ def test_subspace_cost_phase_norm_exact():
     assert np.allclose(np.abs(st), before, rtol=0, atol=1e-15)
 
 
+def test_subspace_cost_phase_partition_independent(monkeypatch):
+    # chunked processing must be bitwise identical to one whole-array pass
+    import feasmass.subspace as ss
+    table = subspace_cost_table(build_cost(synthetic_instance(4, seed=3, high=7)))
+    rng = np.random.default_rng(8)
+    st = rng.standard_normal(4 ** 4) + 1j * rng.standard_normal(4 ** 4)
+    whole = apply_subspace_cost_phase(st.copy(), table, 0.61)
+    monkeypatch.setattr(ss, "_CHUNK", 37)
+    chunked = apply_subspace_cost_phase(st.copy(), table, 0.61)
+    assert np.array_equal(whole, chunked)
+
+
 def test_block_mixer_zero_angle():
     st = init_w_product(3)
     ref = st.copy()
