@@ -14,8 +14,8 @@ import numpy as np
 
 from . import bounds
 from .fullspace import (_DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer,
-                        feasible_mass, init_plus, mixer_kernel_rows,
-                        run_generic, sample_counts)
+                        feasible_mass, fourth_moment, init_plus,
+                        mixer_kernel_rows, run_generic, sample_counts)
 from .instance import (CapacityError, DiagonalCost, ProblemInstance, as_cost,
                        enumerate_feasible, feasible_indices)
 from .subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
@@ -24,7 +24,9 @@ from .subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                        subspace_to_full_labels, twirl_average)
 
 _PHASE_CHUNK_ELEMS = 1 << 22
-MAX_LATTICE_POINTS = 10_000_000
+MAX_LATTICE_POINTS = 3_000_000
+"""Largest lattice grid.  Lengths with a large prime factor (Bluestein) cost
+most, ~170 B per point: prime L = 3,000,017 peaks at 519 MiB RSS at n=4."""
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,12 @@ def lattice_feasible_masses(cost: DiagonalCost, betas, L: int | None = None,
     (equal-cost pairs survive every average and shift the mean off baseline;
     see DiagonalCost.tie_broken_vector).
 
+    One length-L FFT per kernel column: the column scattered onto the lattice
+    (w(m) sums its entries over labels of cost m) transforms to its amplitude
+    at every gamma_k, so memory beside the kernel rows is O(L).
+
     ``betas`` may be a scalar or a sequence; the returned array has shape
-    (len(betas), L) in the sequence case, (L,) for a scalar.  One pass over
-    the grid serves all mixer angles.
+    (len(betas), L) in the sequence case, (L,) for a scalar.
     """
     n = cost.n
     if n > 4:
@@ -114,20 +119,14 @@ def lattice_feasible_masses(cost: DiagonalCost, betas, L: int | None = None,
             f"large-spread instances are out of exact-averaging reach"
             + (" - consider tie_break=False" if tie_break else ""))
     rows = feasible_indices(n)
-    nfeas = len(rows)
-    # kernel rows for all betas side by side: one phase pass serves them all
-    B = np.concatenate([mixer_kernel_rows(rows, b, N).T for b in beta_list],
-                       axis=1) * 2.0 ** (-N / 2)
-    roots = np.exp((-2j * math.pi / L) * np.arange(L))
-    masses = np.empty((len(beta_list), L), dtype=np.float64)
-    chunk = max(1, _PHASE_CHUNK_ELEMS // (1 << N))
-    for lo in range(0, L, chunk):
-        ks = np.arange(lo, min(lo + chunk, L), dtype=np.int64)
-        units = (ks[:, None] * h[None, :]) % L
-        amps = roots[units] @ B
-        p = np.abs(amps) ** 2
-        for bi in range(len(beta_list)):
-            masses[bi, lo:lo + len(ks)] = p[:, bi * nfeas:(bi + 1) * nfeas].sum(axis=1)
+    masses = np.zeros((len(beta_list), L), dtype=np.float64)
+    w = np.empty(L, dtype=np.complex128)
+    for bi, beta in enumerate(beta_list):
+        for col in mixer_kernel_rows(rows, beta, N) * 2.0 ** (-N / 2):
+            w.real = np.bincount(h, weights=col.real, minlength=L)
+            w.imag = np.bincount(h, weights=col.imag, minlength=L)
+            np.fft.fft(w, out=w)
+            masses[bi] += w.real ** 2 + w.imag ** 2
     return masses[0] if scalar else masses
 
 
@@ -191,8 +190,7 @@ def l4_sweep(instance, betas, L: int | None = None) -> ExperimentResult:
             units = (kb[:, None] * h[None, :]) % L
             amps = np.exp((-2j * math.pi / L) * units) * 2.0 ** (-N / 2)
             apply_x_mixer(amps, beta)
-            p = np.abs(amps) ** 2
-            total += float(np.sum(p * p))
+            total += fourth_moment(amps)
         mean = total / L
         envelope = math.exp(bounds.l4_envelope(N, beta))
         per_beta[float(beta)] = {"mean": mean, "envelope": envelope,

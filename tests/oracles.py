@@ -4,8 +4,12 @@ Each oracle computes its quantity from the definition, the slow way, so the
 closed forms in ``src`` are compared against something they do not share.
 """
 import itertools
+import math
 
 import numpy as np
+
+from feasmass.fullspace import mixer_kernel_rows
+from feasmass.instance import feasible_indices
 
 
 def pauli_block_sector(n: int, normalized: bool) -> np.ndarray:
@@ -60,3 +64,32 @@ def cumsum_copy_sample_counts(state: np.ndarray, shots: int, seed: int) -> dict:
     u = np.random.Generator(np.random.Philox(seed)).random(shots)
     labels, counts = np.unique(np.searchsorted(cdf, u, side="right"), return_counts=True)
     return {int(l): int(c) for l, c in zip(labels, counts)}
+
+
+def phase_matmul_lattice_masses(cost, betas, L=None, tie_break=True) -> np.ndarray:
+    """Feasible mass at every gamma_k = 2 pi k / L from the phase matrix
+    exp(-2 pi i k h_y / L), gathered from a table of L roots of unity and
+    multiplied into the kernel columns, 2**22 phases at a time."""
+    n = cost.n
+    N = cost.num_qubits
+    scalar = np.isscalar(betas)
+    beta_list = [float(betas)] if scalar else [float(b) for b in betas]
+    h = cost.tie_broken_vector() if tie_break else cost.cost_vector().astype(np.int64)
+    h = h - h.min()
+    if L is None:
+        L = int(h.max()) + 1
+    rows = feasible_indices(n)
+    nfeas = len(rows)
+    B = np.concatenate([mixer_kernel_rows(rows, b, N).T for b in beta_list],
+                       axis=1) * 2.0 ** (-N / 2)
+    roots = np.exp((-2j * math.pi / L) * np.arange(L))
+    masses = np.empty((len(beta_list), L), dtype=np.float64)
+    chunk = max(1, (1 << 22) // (1 << N))
+    for lo in range(0, L, chunk):
+        ks = np.arange(lo, min(lo + chunk, L), dtype=np.int64)
+        units = (ks[:, None] * h[None, :]) % L
+        amps = roots[units] @ B
+        p = np.abs(amps) ** 2
+        for bi in range(len(beta_list)):
+            masses[bi, lo:lo + len(ks)] = p[:, bi * nfeas:(bi + 1) * nfeas].sum(axis=1)
+    return masses[0] if scalar else masses

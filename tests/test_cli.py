@@ -154,6 +154,8 @@ def test_run_files_independent_of_blas_threads(tmp_path):
         ["run", "grid", "--instance", WI4, "--grid", "4x4"],
         ["run", "twirl", "--n", "6"],
         ["run", "twirl", "--n", "7"],
+        ["run", "avg", "--n", "3", "--beta", "0.7"],
+        ["run", "markov", "--n", "3", "--beta", "0.7", "--t", "4"],
     ]
     script = ("import json, sys\n"
               "from feasmass.cli import main\n"

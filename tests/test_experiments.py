@@ -9,9 +9,12 @@ from feasmass.experiments import (GridSpec, ce_depth_sweep, envelope_excess_repo
                                   grid_search_generic, l4_sweep,
                                   lattice_feasible_masses, markov_fraction,
                                   parameter_transfer, twirl_existence_experiment)
-from feasmass.fullspace import AngleSchedule, feasible_mass, run_generic
-from feasmass.instance import build_cost, synthetic_instance
+from feasmass.fullspace import (AngleSchedule, feasible_mass, mixer_kernel_rows,
+                                run_generic)
+from feasmass.instance import build_cost, feasible_indices, synthetic_instance
 from feasmass.subspace import run_ce, subspace_feasible_mass
+
+from oracles import phase_matmul_lattice_masses
 
 
 def test_gridspec_validation():
@@ -59,6 +62,39 @@ def test_lattice_multi_beta_matches_single():
     multi = lattice_feasible_masses(cost, [0.3, 1.1])
     single = lattice_feasible_masses(cost, 1.1)
     assert np.abs(multi[1] - single).max() < 1e-14
+
+
+def _lattice_bin_energy(cost, beta, tie_break):
+    """sum_x sum_m |w_x(m)|**2, w_x(m) the kernel column summed over labels of
+    cost m, binned by np.unique instead of on a length-L lattice."""
+    h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
+    _, level = np.unique(h, return_inverse=True)
+    N = cost.num_qubits
+    B = mixer_kernel_rows(feasible_indices(cost.n), beta, N) * 2.0 ** (-N / 2)
+    w = np.zeros((B.shape[0], level.max() + 1), dtype=np.complex128)
+    np.add.at(w.T, level, B.T)
+    return float(np.sum(np.abs(w) ** 2))
+
+
+@pytest.mark.parametrize("tie_break", [True, False])
+@pytest.mark.parametrize("n,seed,high,pad", [(2, 1, 3, 0), (2, 2, 3, 0), (2, 3, 3, 0),
+                                             (3, 1, 5, 0), (2, 2, 3, 9)])
+def test_lattice_fft_matches_phase_matmul_oracle(n, seed, high, pad, tie_break):
+    # pad > 0: a grid finer than spread+1, with empty lattice bins above the spread
+    cost = build_cost(synthetic_instance(n, seed=seed, high=high))
+    h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
+    L = int(h.max() - h.min()) + 1 + pad
+    betas = [0.0, 0.3, 1.1]
+    want = phase_matmul_lattice_masses(cost, betas + [0.7], L=L, tie_break=tie_break)
+    multi = lattice_feasible_masses(cost, betas, L=L if pad else None, tie_break=tie_break)
+    single = lattice_feasible_masses(cost, 0.7, L=L if pad else None, tie_break=tie_break)
+    assert multi.shape == (3, L) and single.shape == (L,)
+    assert np.abs(multi - want[:3]).max() <= 1e-14
+    assert np.abs(single - want[3]).max() <= 1e-14
+    # Parseval: the grid mean of |fft(w_x)|**2 is the energy of w_x
+    means = np.append(multi.mean(axis=-1), single.mean())
+    for beta, mean in zip(betas + [0.7], means):
+        assert abs(mean - _lattice_bin_energy(cost, beta, tie_break)) <= 1e-15
 
 
 def test_markov_fraction_bounds():
