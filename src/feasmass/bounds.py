@@ -109,13 +109,6 @@ def low_degree_window_size(num_bits: int, d: int) -> tuple:
     return exact, bound
 
 
-def markov_tail(t: float) -> float:
-    """Markov bound 1/t on the fraction of angles t-fold above baseline."""
-    if t <= 1:
-        raise ValueError("t must exceed 1")
-    return 1.0 / t
-
-
 # ---------------------------------------------------------------------------
 # inequality batteries
 
@@ -159,9 +152,3 @@ def verify_bounds() -> list:
         reports.append(BoundReport("stirling_floor", {"n": n},
                                    value=exact - floor, satisfied=exact >= floor))
     return reports
-
-
-def stirling_floor_violations(n_max: int = 60) -> list:
-    """The n values where the exact transfer factor sits below its Stirling floor."""
-    return [n for n in range(2, n_max + 1)
-            if transfer_factor(n)[0] < transfer_factor(n)[1]]

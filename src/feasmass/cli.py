@@ -438,7 +438,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         rc = args.func(args)
-    except (FileNotFoundError, InstanceFormatError, ValueError) as exc:
+    except (OSError, InstanceFormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except SystemExit as exc:

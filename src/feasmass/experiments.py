@@ -2,6 +2,9 @@
 searches, parameter transfer, shot histograms, depth sweeps and the twirl
 existence check.
 
+Both lattice averages, the feasible mass and the fourth moment, share one
+kernel: a mixer kernel row scattered onto the integer cost lattice
+transforms by one FFT to that label's amplitude at every grid angle.
 The generic grid search applies the cost phase once per gamma and the X
 mixer to a copy of that phased state per beta, so it holds two states.
 """
@@ -23,7 +26,6 @@ from .subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                        subspace_cost_table, subspace_feasible_mass,
                        subspace_to_full_labels, twirl_average)
 
-_PHASE_CHUNK_ELEMS = 1 << 22
 MAX_LATTICE_POINTS = 3_000_000
 """Largest lattice grid.  Lengths with a large prime factor (Bluestein) cost
 most, ~170 B per point: prime L = 3,000,017 peaks at 519 MiB RSS at n=4."""
@@ -80,31 +82,11 @@ def _instance_name(instance) -> str:
 
 
 # ---------------------------------------------------------------------------
-# exact lattice averaging (single layer)
+# exact lattice averaging
 
-def lattice_feasible_masses(cost: DiagonalCost, betas, L: int | None = None,
-                            tie_break: bool = True) -> np.ndarray:
-    """Feasible mass at every grid angle gamma_k = 2 pi k / L, k = 0..L-1.
-
-    The grid lives on the integer cost lattice; L must exceed the lattice
-    spread so every nonzero cost difference averages to zero exactly.  With
-    ``tie_break`` the lattice is refined to split degenerate cost levels
-    (equal-cost pairs survive every average and shift the mean off baseline;
-    see DiagonalCost.tie_broken_vector).
-
-    One length-L FFT per kernel column: the column scattered onto the lattice
-    (w(m) sums its entries over labels of cost m) transforms to its amplitude
-    at every gamma_k, so memory beside the kernel rows is O(L).
-
-    ``betas`` may be a scalar or a sequence; the returned array has shape
-    (len(betas), L) in the sequence case, (L,) for a scalar.
-    """
-    n = cost.n
-    if n > 4:
-        raise ValueError("lattice averaging capped at n=4")
-    N = cost.num_qubits
-    scalar = np.isscalar(betas)
-    beta_list = [float(betas)] if scalar else [float(b) for b in betas]
+def _lattice_costs(cost: DiagonalCost, tie_break: bool, L: int | None) -> tuple:
+    """Costs shifted onto the lattice 0..spread, and the grid length L
+    (default spread + 1), checked against the spread and the cap."""
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector().astype(np.int64)
     h = h - h.min()
     spread = int(h.max())
@@ -118,15 +100,50 @@ def lattice_feasible_masses(cost: DiagonalCost, betas, L: int | None = None,
             f"lattice grid needs {L} points (cap {MAX_LATTICE_POINTS}); "
             f"large-spread instances are out of exact-averaging reach"
             + (" - consider tie_break=False" if tie_break else ""))
+    return h, L
+
+
+def _lattice_spectra(h: np.ndarray, rows: np.ndarray, beta: float, L: int):
+    """Per row x, the amplitude a_x after one layer from |+> at every grid
+    angle gamma_k = 2 pi k / L, k = 0..L-1 (one reused buffer).
+
+    The kernel row scattered onto the lattice (w_x(m) sums its entries over
+    labels of cost m) transforms by one length-L FFT to a_x, so memory
+    beside the kernel rows is O(L).
+    """
+    N = h.size.bit_length() - 1
+    w = np.empty(L, dtype=np.complex128)
+    for col in mixer_kernel_rows(rows, beta, N) * 2.0 ** (-N / 2):
+        w.real = np.bincount(h, weights=col.real, minlength=L)
+        w.imag = np.bincount(h, weights=col.imag, minlength=L)
+        np.fft.fft(w, out=w)
+        yield w
+
+
+def lattice_feasible_masses(cost: DiagonalCost, betas, L: int | None = None,
+                            tie_break: bool = True) -> np.ndarray:
+    """Feasible mass at every grid angle gamma_k = 2 pi k / L, k = 0..L-1.
+
+    The grid lives on the integer cost lattice; L must exceed the lattice
+    spread so every nonzero cost difference averages to zero exactly.  With
+    ``tie_break`` the lattice is refined to split degenerate cost levels
+    (equal-cost pairs survive every average and shift the mean off baseline;
+    see DiagonalCost.tie_broken_vector).
+
+    ``betas`` may be a scalar or a sequence; the returned array has shape
+    (len(betas), L) in the sequence case, (L,) for a scalar.
+    """
+    n = cost.n
+    if n > 4:
+        raise ValueError("lattice averaging capped at n=4")
+    scalar = np.isscalar(betas)
+    beta_list = [float(betas)] if scalar else [float(b) for b in betas]
+    h, L = _lattice_costs(cost, tie_break, L)
     rows = feasible_indices(n)
     masses = np.zeros((len(beta_list), L), dtype=np.float64)
-    w = np.empty(L, dtype=np.complex128)
     for bi, beta in enumerate(beta_list):
-        for col in mixer_kernel_rows(rows, beta, N) * 2.0 ** (-N / 2):
-            w.real = np.bincount(h, weights=col.real, minlength=L)
-            w.imag = np.bincount(h, weights=col.imag, minlength=L)
-            np.fft.fft(w, out=w)
-            masses[bi] += w.real ** 2 + w.imag ** 2
+        for a in _lattice_spectra(h, rows, beta, L):
+            masses[bi] += a.real ** 2 + a.imag ** 2
     return masses[0] if scalar else masses
 
 
@@ -161,38 +178,23 @@ def markov_fraction(instance, beta: float, t: float, L: int | None = None,
                  "satisfied": frac <= 1.0 / t + 1e-12})
 
 
-def l4_sweep(instance, betas, L: int | None = None) -> ExperimentResult:
-    """Exact grid mean of sum_x |a_x|^4 per beta against the analytic envelope.
+def l4_sweep(instance, betas) -> ExperimentResult:
+    """Exact angle average of sum_x |a_x|^4 per beta against the analytic envelope.
 
-    Fourth powers pair cost differences twice, so the exact grid needs
-    L >= 2*spread + 1 on the raw lattice; that reproduces the continuous
-    angle average including degenerate quadruples.
+    Fourth powers pair cost differences twice, so every grid with
+    L >= 2*spread+1 points on the raw lattice gives the continuous angle
+    average, degenerate quadruples included.  The transform length is the
+    least power of two there, which pocketfft handles without Bluestein.
     """
     cost = as_cost(instance)
-    n = cost.n
-    if n > 3:
+    if cost.n > 3:
         raise ValueError("fourth-moment sweep capped at n=3")
-    N = cost.num_qubits
-    h = cost.cost_vector().astype(np.int64)
-    h = h - h.min()
-    spread = int(h.max())
-    if L is None:
-        L = 2 * spread + 1
-    elif L < 2 * spread + 1:
-        raise ValueError(f"need L >= 2*spread+1 = {2 * spread + 1}")
-    ks = np.arange(L, dtype=np.int64)
+    h, L = _lattice_costs(cost, False, 1 << (2 * cost.spread).bit_length())
+    rows = np.arange(h.size)
     per_beta = {}
     for beta in betas:
-        total = 0.0
-        chunk = max(1, _PHASE_CHUNK_ELEMS // (1 << N))
-        for lo in range(0, L, chunk):
-            kb = ks[lo:lo + chunk]
-            units = (kb[:, None] * h[None, :]) % L
-            amps = np.exp((-2j * math.pi / L) * units) * 2.0 ** (-N / 2)
-            apply_x_mixer(amps, beta)
-            total += fourth_moment(amps)
-        mean = total / L
-        envelope = math.exp(bounds.l4_envelope(N, beta))
+        mean = sum(fourth_moment(a) for a in _lattice_spectra(h, rows, beta, L)) / L
+        envelope = math.exp(bounds.l4_envelope(cost.num_qubits, beta))
         per_beta[float(beta)] = {"mean": mean, "envelope": envelope,
                                  "satisfied": mean <= envelope + 1e-9}
     return ExperimentResult(
@@ -320,8 +322,8 @@ def ce_depth_sweep(instance, p_max: int, points_per_angle: int = 4,
     """
     if points_per_angle > 6:
         raise ValueError("per-angle grid capped at 6 points")
-    if p_max > 3:
-        raise ValueError("depth sweep capped at p_max=3")
+    if not 1 <= p_max <= 3:
+        raise ValueError(f"depth sweep needs 1 <= p_max <= 3, got {p_max}")
     cost = as_cost(instance)
     if cost.n > 4:
         raise ValueError("depth sweep capped at n=4")

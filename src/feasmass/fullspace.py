@@ -177,7 +177,3 @@ def norm_squared(state: np.ndarray) -> float:
     for lo in range(0, state.shape[0], _CHUNK):
         total += float(np.sum(np.abs(state[lo:lo + _CHUNK]) ** 2))
     return total
-
-
-def norm_error(state: np.ndarray) -> float:
-    return abs(1.0 - norm_squared(state))

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from feasmass.fullspace import mixer_kernel_rows
+from feasmass.fullspace import apply_x_mixer, fourth_moment, mixer_kernel_rows
 from feasmass.instance import feasible_indices
 
 
@@ -93,3 +93,25 @@ def phase_matmul_lattice_masses(cost, betas, L=None, tie_break=True) -> np.ndarr
         for bi in range(len(beta_list)):
             masses[bi, lo:lo + len(ks)] = p[:, bi * nfeas:(bi + 1) * nfeas].sum(axis=1)
     return masses[0] if scalar else masses
+
+
+def phase_block_l4_means(cost, betas, L) -> list:
+    """Grid mean of sum_x |a_x|**4 over gamma_k = 2 pi k / L per beta, from
+    (angles x 2**N) phase blocks of the raw lattice costs run through the
+    batched X mixer, 2**22 amplitudes at a time."""
+    N = cost.num_qubits
+    h = cost.cost_vector().astype(np.int64)
+    h = h - h.min()
+    ks = np.arange(L, dtype=np.int64)
+    means = []
+    for beta in betas:
+        total = 0.0
+        chunk = max(1, (1 << 22) // (1 << N))
+        for lo in range(0, L, chunk):
+            kb = ks[lo:lo + chunk]
+            units = (kb[:, None] * h[None, :]) % L
+            amps = np.exp((-2j * math.pi / L) * units) * 2.0 ** (-N / 2)
+            apply_x_mixer(amps, beta)
+            total += fourth_moment(amps)
+        means.append(total / L)
+    return means

@@ -259,7 +259,8 @@ def test_criterion_09_inequality_sweeps():
         start = bounds.control_threshold_start(c_t)
         ok &= all(bounds.control_inequality_holds(c_t, n)
                   for n in range(start, 201))
-    violations = bounds.stirling_floor_violations(60)
+    violations = [rep.params["n"] for rep in bounds.verify_bounds()
+                  if rep.name == "stirling_floor" and not rep.satisfied]
     ok &= violations == [2, 3, 4]
     assert report(9, "inequality sweeps", bool(ok),
                   f"(stirling floor WARN at n={violations})")

@@ -103,16 +103,10 @@ def test_low_degree_window_size():
             assert exact <= cap
 
 
-def test_markov_tail():
-    assert bounds.markov_tail(2) == 0.5
-    assert bounds.markov_tail(9) == pytest.approx(1 / 9)
-    assert bounds.markov_tail(1e12) < 1e-11
-    with pytest.raises(ValueError):
-        bounds.markov_tail(1.0)
-
-
 def test_stirling_floor_violations_are_exactly_small_n():
-    assert bounds.stirling_floor_violations(60) == [2, 3, 4]
+    failing = [rep.params["n"] for rep in bounds.verify_bounds()
+               if rep.name == "stirling_floor" and not rep.satisfied]
+    assert failing == [2, 3, 4]
 
 
 def test_log_space_against_arbitrary_precision():

@@ -45,6 +45,23 @@ def test_missing_instance_file(capsys):
     assert "no/such/file.txt" in err
 
 
+@pytest.mark.parametrize("command", [["run", "avg"], ["baseline"]])
+def test_instance_directory_exits_1(command, capsys):
+    rc = run_cli(command + ["--instance", str(ROOT / "instances")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Is a directory" in err
+
+
+def test_out_is_existing_file_exits_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = run_cli(["run", "avg", "--n", "2", "--out", str(taken)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "File exists" in err
+
+
 def test_bad_grid_is_usage_error(capsys):
     rc = run_cli(["run", "grid", "--n", "2", "--grid", "oops"])
     assert rc == 1
@@ -132,6 +149,13 @@ def test_run_depth(tmp_path):
     assert rc == 0
     csv = next(tmp_path.glob("depth_*.csv")).read_text().splitlines()
     assert csv[1] == "p,best_p_feas"
+
+
+def test_run_depth_zero_exits_1(tmp_path, capsys):
+    rc = run_cli(["run", "depth", "--n", "2", "--depth", "0", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "p_max" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_twirl(tmp_path):

@@ -9,12 +9,12 @@ from feasmass.experiments import (GridSpec, ce_depth_sweep, envelope_excess_repo
                                   grid_search_generic, l4_sweep,
                                   lattice_feasible_masses, markov_fraction,
                                   parameter_transfer, twirl_existence_experiment)
-from feasmass.fullspace import (AngleSchedule, feasible_mass, mixer_kernel_rows,
-                                run_generic)
+from feasmass.fullspace import (AngleSchedule, feasible_mass, fourth_moment,
+                                mixer_kernel_rows, run_generic)
 from feasmass.instance import build_cost, feasible_indices, synthetic_instance
 from feasmass.subspace import run_ce, subspace_feasible_mass
 
-from oracles import phase_matmul_lattice_masses
+from oracles import phase_block_l4_means, phase_matmul_lattice_masses
 
 
 def test_gridspec_validation():
@@ -228,6 +228,12 @@ def test_depth_sweep_zero_grid_constant():
     assert masses == pytest.approx([0.5, 0.5], abs=1e-14)
 
 
+@pytest.mark.parametrize("p_max", [0, 4])
+def test_depth_sweep_rejects_depth_out_of_range(p_max):
+    with pytest.raises(ValueError, match="p_max"):
+        ce_depth_sweep(synthetic_instance(2, seed=1), p_max)
+
+
 def test_twirl_experiment_exact():
     # exact beyond the n <= 3 enumeration range as well
     for n in (2, 4, 6):
@@ -281,11 +287,31 @@ def test_lattice_cap_names_size():
 
 def test_l4_grid_mean_is_grid_size_independent():
     # any L >= 2*spread+1 reproduces the same (continuous) angle average
-    inst = synthetic_instance(2, seed=3, high=3)
+    cost = build_cost(synthetic_instance(2, seed=3, high=3))
+    a = phase_block_l4_means(cost, [0.4, 0.9], 2 * cost.spread + 1)
+    b = phase_block_l4_means(cost, [0.4, 0.9], 4 * cost.spread + 3)
+    assert a == pytest.approx(b, abs=1e-14)
+
+
+@pytest.mark.parametrize("n,seed,high", [(2, 1, 3), (2, 2, 3), (2, 3, 3), (3, 1, 5)])
+@pytest.mark.parametrize("scale,pad", [(2, 1), (4, 3)], ids=["2spread+1", "4spread+3"])
+def test_l4_sweep_matches_phase_block_oracle(n, seed, high, scale, pad):
+    inst = synthetic_instance(n, seed=seed, high=high)
     cost = build_cost(inst)
-    spread = int(cost.cost_vector().max() - cost.cost_vector().min())
-    a = l4_sweep(inst, [0.4, 0.9], L=2 * spread + 1)
-    b = l4_sweep(inst, [0.4, 0.9], L=4 * spread + 3)
-    for beta in (0.4, 0.9):
-        assert a.metrics["per_beta"][beta]["mean"] == pytest.approx(
-            b.metrics["per_beta"][beta]["mean"], abs=1e-14)
+    L = scale * cost.spread + pad
+    betas = [0.0, math.pi / 8, 0.9]
+    res = l4_sweep(inst, betas)
+    assert res.params["L"] >= 2 * cost.spread + 1
+    for beta, ref in zip(betas, phase_block_l4_means(cost, betas, L)):
+        assert abs(res.metrics["per_beta"][beta]["mean"] - ref) <= 1e-13 * ref
+
+
+def test_l4_sweep_matches_simulated_grid_mean():
+    # independent of both lattice kernels: full circuits at every grid angle
+    inst = synthetic_instance(2, seed=2, high=3)
+    L = 2 * build_cost(inst).spread + 1
+    for beta in (0.4, 1.2):
+        direct = np.mean([fourth_moment(run_generic(
+            inst, AngleSchedule.single(2 * math.pi * k / L, beta))) for k in range(L)])
+        got = l4_sweep(inst, [beta]).metrics["per_beta"][beta]["mean"]
+        assert abs(got - direct) <= 1e-13 * direct

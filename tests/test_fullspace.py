@@ -6,7 +6,7 @@ import pytest
 
 from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer,
                                 feasible_mass, fourth_moment, init_plus,
-                                mixer_kernel_rows, norm_error,
+                                mixer_kernel_rows, norm_squared,
                                 probabilities, run_generic, sample_counts)
 from feasmass.instance import CapacityError, build_cost, synthetic_instance
 
@@ -30,7 +30,7 @@ def test_init_plus_values():
     st = init_plus(9)
     assert st.shape == (512,)
     assert np.allclose(st, 2.0 ** -4.5)
-    assert norm_error(st) < 1e-12
+    assert abs(1 - norm_squared(st)) < 1e-12
 
 
 def test_init_plus_capacity():
@@ -178,7 +178,7 @@ def test_run_generic_zero_angles_is_uniform():
 def test_run_generic_norm():
     inst = synthetic_instance(3, seed=1, high=5)
     st = run_generic(inst, AngleSchedule(gammas=(0.4, 1.1), betas=(0.3, 0.8)))
-    assert norm_error(st) < 1e-9
+    assert abs(1 - norm_squared(st)) < 1e-9
 
 
 def test_run_generic_matches_direct_sum_n2():
@@ -253,7 +253,7 @@ def test_single_precision_mode_tracks_double():
 def test_init_plus_full_scale_norm():
     # the largest supported register: 2**25 amplitudes, norm exact to 1e-9
     st = init_plus(25)
-    assert norm_error(st) < 1e-9
+    assert abs(1 - norm_squared(st)) < 1e-9
     del st
 
 
