@@ -12,6 +12,7 @@ printed, never written).
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -92,11 +93,13 @@ def _write_jsonl(path: Path, config: dict, chash: str, result: ExperimentResult)
     record = dict(result.to_json_dict())
     record["config"] = config
     record["config_hash"] = chash
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, chash: str, header: str, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(f"# config {chash}\n")
         fh.write(header + "\n")
@@ -149,8 +152,11 @@ def cmd_run(args) -> int:
         "method": args.method, "gamma": args.gamma, "beta_list": args.beta_list,
     }
     chash = _config_hash(config)
+    # --out is made with the first file written, so a run that fails leaves
+    # none behind; a file in its place is refused before the run
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise FileExistsError(errno.EEXIST, "File exists", str(out))
     stem = f"{args.experiment}_{chash}"
     violation = False
 

@@ -22,9 +22,10 @@ from .fullspace import (_DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer,
 from .instance import (CapacityError, DiagonalCost, ProblemInstance, as_cost,
                        enumerate_feasible, feasible_indices)
 from .subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
-                       best_block_relabeling, init_w_product, run_ce,
-                       subspace_cost_table, subspace_feasible_mass,
-                       subspace_to_full_labels, twirl_average)
+                       best_block_relabeling, feasible_subspace_indices,
+                       init_w_product, run_ce, subspace_cost_table,
+                       subspace_feasible_mass, subspace_to_full_labels,
+                       twirl_average)
 
 MAX_LATTICE_POINTS = 3_000_000
 """Largest lattice grid.  Lengths with a large prime factor (Bluestein) cost
@@ -279,18 +280,20 @@ def feasible_histogram(instance, method: str, schedule: AngleSchedule,
     if method == "generic":
         state = run_generic(cost, schedule, precision)
         p_exact = feasible_mass(state, n)
-        counts = sample_counts(state, shots, seed) if shots else {}
+        feasible = feasible_indices(n)
     elif method == "ce":
-        labels = subspace_to_full_labels(n)   # capacity check before simulating
+        subspace_to_full_labels(n)   # capacity check before simulating
         state = run_ce(cost, schedule, normalized=normalized)
         p_exact = subspace_feasible_mass(state)
-        raw = sample_counts(state, shots, seed) if shots else {}
-        counts = {}
-        for idx, c in raw.items():
-            counts[int(labels[idx])] = counts.get(int(labels[idx]), 0) + c
+        feasible = feasible_subspace_indices(n)   # enumerate_feasible(n), in order
     else:
         raise ValueError(f"unknown method {method!r}")
-    feas_counts = {x: counts.get(x, 0) for x in enumerate_feasible(n)}
+    labels, counts = sample_counts(state, shots, seed)
+    # labels ascend; a feasible label above the last one meets the -1 pad
+    at = np.searchsorted(labels, feasible)
+    seen = np.append(labels, -1)[at] == feasible
+    feas_counts = dict(zip(enumerate_feasible(n),
+                           np.where(seen, np.append(counts, 0)[at], 0).tolist()))
     feas_total = sum(feas_counts.values())
     frac = feas_total / shots if shots else 0.0
     return ExperimentResult(

@@ -4,10 +4,10 @@ States are plain 1-D complex ndarrays of length 2**N indexed by the integer
 basis label (bit k of the label = qubit k).  Gate application mutates the
 array in place and returns it; the state is exclusively owned while mutated.
 Double precision is the default; complex64 halves the N = 25 state to
-256 MiB (a whole `run hist` on wi5 in f32 peaks near 757 MiB, see README).
-The cost phase, the X mixer, probabilities and norms work on at most about
-_CHUNK amplitudes at a time, so none makes a full-state temporary, and none
-depends on the BLAS thread count.
+256 MiB (a whole `run hist` on wi5 in f32 peaks near 475 MiB, see README).
+The cost phase, the X mixer, the sampler's CDF and norms work on at most
+about _CHUNK amplitudes at a time, so none makes a full-state temporary, and
+none depends on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -57,13 +57,30 @@ def init_plus(num_qubits: int, dtype=np.complex128) -> np.ndarray:
 
 
 def apply_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """Multiply amplitude y by exp(-i*gamma*table[y]); chunked to bound temporaries."""
+    """Multiply amplitude y by exp(-i*gamma*table[y]), _CHUNK entries at a time.
+
+    An integer table with fewer levels (max - min + 1) than entries has each
+    level exponentiated once, into a table of phase factors gathered per
+    chunk; complex exp is elementwise, so both paths give the same bits.
+    """
     if table.shape != state.shape:
         raise ValueError("cost table length does not match state size")
+    levels = None
+    if np.issubdtype(table.dtype, np.integer):
+        low, high = int(table.min()), int(table.max())
+        if high - low + 1 < table.size:
+            levels = np.empty(high - low + 1, dtype=state.dtype)
+            for lo in range(low, high + 1, _CHUNK):
+                m = np.arange(lo, min(lo + _CHUNK, high + 1), dtype=np.int64)
+                phase = (-1j * gamma) * m
+                levels[lo - low:lo - low + _CHUNK] = np.exp(phase, out=phase)
     for lo in range(0, state.shape[0], _CHUNK):
         hi = lo + _CHUNK
-        phase = np.exp((-1j * gamma) * table[lo:hi])
-        state[lo:hi] *= phase.astype(state.dtype, copy=False)
+        if levels is None:
+            phase = (-1j * gamma) * table[lo:hi]
+            state[lo:hi] *= np.exp(phase, out=phase).astype(state.dtype, copy=False)
+        else:
+            state[lo:hi] *= levels[table[lo:hi] - low]
     return state
 
 
@@ -143,31 +160,38 @@ def fourth_moment(state: np.ndarray) -> float:
     return total
 
 
-def probabilities(state: np.ndarray) -> np.ndarray:
-    out = np.empty(state.shape[0], dtype=np.float64)
-    for lo in range(0, state.shape[0], _CHUNK):
-        out[lo:lo + _CHUNK] = np.abs(state[lo:lo + _CHUNK]) ** 2
-    return out
-
-
-def sample_counts(state: np.ndarray, shots: int, seed: int) -> dict:
+def sample_counts(state: np.ndarray, shots: int, seed: int) -> tuple:
     """Inverse-CDF sampling with a counter-based (Philox) generator.
 
-    Deterministic for a given seed across runs and platforms; returns a
-    {label: count} dict over the labels that occurred.
+    Deterministic for a given seed across runs and platforms; returns the
+    labels that occurred, ascending, and their counts, as int64 arrays.
+    The uniforms are sorted, so each _CHUNK slice of the CDF, accumulated in
+    place from the running total of the slices before it, serves the run of
+    uniforms that falls in it.
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
-    if shots == 0:
-        return {}
-    cdf = probabilities(state)
-    np.cumsum(cdf, out=cdf)
-    cdf[-1] = 1.0
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random(shots)
-    idx = np.searchsorted(cdf, u, side="right")
+    size = state.shape[0]
+    u = np.random.Generator(np.random.Philox(seed)).random(shots)
+    u.sort()
+    idx = np.empty(shots, dtype=np.int64)
+    cdf = np.empty(min(_CHUNK, size), dtype=np.float64)
+    total, start = 0.0, 0
+    for lo in range(0, size, _CHUNK):
+        if start == shots:
+            break
+        c = cdf[:size - lo]
+        c[:] = np.abs(state[lo:lo + _CHUNK]) ** 2
+        c[0] += total
+        np.cumsum(c, out=c)
+        total = c[-1]
+        if lo + _CHUNK >= size:
+            c[-1] = 1.0
+        stop = start + int(np.searchsorted(u[start:], c[-1], side="left"))
+        idx[start:stop] = lo + np.searchsorted(c, u[start:stop], side="right")
+        start = stop
     labels, counts = np.unique(idx, return_counts=True)
-    return {int(l): int(c) for l, c in zip(labels, counts)}
+    return labels, counts
 
 
 def norm_squared(state: np.ndarray) -> float:

@@ -263,42 +263,41 @@ class DiagonalCost:
 
 
 def _dense_cost(n, dist, A, include_penalty, dtype):
-    # One axis per row block, axis k holding row (n-1-k) so that C-order
-    # flattening reproduces the integer label y = sum_i r_i << (i*n).
+    """The table over rows 0..k-1 is the first m**k entries of the table over
+    rows 0..k (row i holds bits [i*n, (i+1)*n)), so each row block extends it
+    by m slabs, one per value of the new row, built straight in ``dtype``.
+
+    The column penalty is A*(n - sum_i |r_i| + 2 sum_{i<i'} |r_i & r_i'|):
+    the constant and the |r_i| part join the row term, the overlap part the
+    pair terms.  Each term fits ``dtype`` when the all-ones cost does, and a
+    partial sum that wraps still ends exact, since the total fits.
+    """
     m = 1 << n
     bits = ((np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int64)
     popc = bits.sum(axis=1)
-    row_pen = (popc - 1) ** 2
-    and_popc = bits @ bits.T
-    tour = bits @ np.asarray(dist, dtype=np.int64) @ bits.T
+    pen = A if include_penalty else 0
+    row = (pen * ((popc - 1) ** 2 - popc)).astype(dtype)
+    overlap = 2 * pen * (bits @ bits.T)
+    tour = bits @ np.asarray(dist, dtype=np.int64) @ bits.T   # [r_t, r_{t+1}]
 
-    def on_row(vec1d, i):
-        shape = [1] * n
-        shape[n - 1 - i] = m
-        return vec1d.reshape(shape)
+    def pair(j, k, r):
+        # terms coupling row k (= r) to row j < k, over r_j on axis k-1-j: the
+        # overlap, the tour step j -> k, and for j = 0, k = n-1 the step back
+        vec = overlap[r] + (tour[:, r] if j == k - 1 else 0) + (tour[r] if k - j == n - 1 else 0)
+        shape = [1] * k
+        shape[k - 1 - j] = m
+        return vec.astype(dtype).reshape(shape)
 
-    def on_pair(mat, i, j):
-        # mat is indexed [r_i, r_j]; C-order reshape feeds the lower axis first
-        ai, aj = n - 1 - i, n - 1 - j
-        shape = [1] * n
-        shape[ai] = m
-        shape[aj] = m
-        return mat.reshape(shape) if ai < aj else mat.T.reshape(shape)
-
-    total = np.zeros([m] * n, dtype=np.int64)
-    if include_penalty:
-        for i in range(n):
-            total += A * on_row(row_pen, i)
-        # column part: A * (n - sum_i |r_i| + 2 sum_{i<i'} |r_i & r_i'|)
-        total += A * n
-        for i in range(n):
-            total -= A * on_row(popc, i)
-        for i in range(n):
-            for j in range(i + 1, n):
-                total += 2 * A * on_pair(and_popc, i, j)
-    for t in range(n):
-        total += on_pair(tour, t, (t + 1) % n)
-    return total.reshape(-1).astype(dtype, copy=False)
+    table = row + dtype(pen * n)
+    for k in range(1, n):
+        prev = table.reshape([m] * k)
+        table = np.empty(m ** (k + 1), dtype=dtype)
+        for r in range(m):
+            slab = table[r * m ** k:(r + 1) * m ** k].reshape([m] * k)
+            np.add(prev, pair(k - 1, k, r) + row[r], out=slab)
+            for j in range(k - 1):
+                slab += pair(j, k, r)
+    return table
 
 
 def build_cost(instance: ProblemInstance, include_penalty: bool = True) -> DiagonalCost:

@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fullspace import _CHUNK, AngleSchedule, init_plus, norm_squared, run_generic
+from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, init_plus,
+                        norm_squared, run_generic)
 from .instance import CapacityError, DiagonalCost, as_cost
 
 MAX_BLOCK_SIZE = 8   # n**n amplitudes
@@ -106,11 +107,8 @@ def subspace_cost_table(cost: DiagonalCost) -> np.ndarray:
 
 
 def apply_subspace_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """Multiply amplitude k by exp(-i*gamma*table[k]); chunked to bound temporaries."""
-    for lo in range(0, state.shape[0], _CHUNK):
-        phase = (-1j * gamma) * table[lo:lo + _CHUNK]
-        state[lo:lo + _CHUNK] *= np.exp(phase, out=phase)
-    return state
+    """Multiply amplitude k by exp(-i*gamma*table[k]): the full-space kernel."""
+    return apply_cost_phase(state, table, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +251,6 @@ def overlap_generic_ce(instance, gamma: float, beta: float,
         gen = run_generic(cost, sched)
         ce = run_ce(cost, sched, normalized=False)
     elif order == "commuting":
-        from .fullspace import apply_cost_phase, apply_x_mixer
         gen = init_plus(cost.num_qubits)
         apply_x_mixer(gen, beta)
         apply_cost_phase(gen, cost.cost_vector(), gamma)

@@ -57,6 +57,47 @@ def tuple_to_label(symbols, n: int) -> int:
     return sum(1 << (b * n + int(j)) for b, j in enumerate(symbols))
 
 
+def broadcast_dense_cost(n, dist, A, include_penalty, dtype):
+    """Dense cost table from one int64 [2**n]*n tensor, one broadcast term
+    at a time, cast to ``dtype`` at the end."""
+    # One axis per row block, axis k holding row (n-1-k) so that C-order
+    # flattening reproduces the integer label y = sum_i r_i << (i*n).
+    m = 1 << n
+    bits = ((np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int64)
+    popc = bits.sum(axis=1)
+    row_pen = (popc - 1) ** 2
+    and_popc = bits @ bits.T
+    tour = bits @ np.asarray(dist, dtype=np.int64) @ bits.T
+
+    def on_row(vec1d, i):
+        shape = [1] * n
+        shape[n - 1 - i] = m
+        return vec1d.reshape(shape)
+
+    def on_pair(mat, i, j):
+        # mat is indexed [r_i, r_j]; C-order reshape feeds the lower axis first
+        ai, aj = n - 1 - i, n - 1 - j
+        shape = [1] * n
+        shape[ai] = m
+        shape[aj] = m
+        return mat.reshape(shape) if ai < aj else mat.T.reshape(shape)
+
+    total = np.zeros([m] * n, dtype=np.int64)
+    if include_penalty:
+        for i in range(n):
+            total += A * on_row(row_pen, i)
+        # column part: A * (n - sum_i |r_i| + 2 sum_{i<i'} |r_i & r_i'|)
+        total += A * n
+        for i in range(n):
+            total -= A * on_row(popc, i)
+        for i in range(n):
+            for j in range(i + 1, n):
+                total += 2 * A * on_pair(and_popc, i, j)
+    for t in range(n):
+        total += on_pair(tour, t, (t + 1) % n)
+    return total.reshape(-1).astype(dtype, copy=False)
+
+
 def cumsum_copy_sample_counts(state: np.ndarray, shots: int, seed: int) -> dict:
     """Inverse-CDF sampling through a separate cumulative-sum array."""
     cdf = np.cumsum((np.abs(state) ** 2).astype(np.float64))

@@ -152,10 +152,12 @@ def test_run_depth(tmp_path):
 
 
 def test_run_depth_zero_exits_1(tmp_path, capsys):
-    rc = run_cli(["run", "depth", "--n", "2", "--depth", "0", "--out", str(tmp_path)])
+    # the --out directory is made with the first file, so none is left behind
+    out = tmp_path / "new"
+    rc = run_cli(["run", "depth", "--n", "2", "--depth", "0", "--out", str(out)])
     assert rc == 1
     assert "p_max" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert not out.exists()
 
 
 def test_run_twirl(tmp_path):
@@ -219,7 +221,42 @@ def test_run_hist_int32_overflow_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "overflows" in err
-    assert not list(out.iterdir())
+    assert not out.exists()
+
+
+def test_run_hist_files_independent_of_chunk(tmp_path, monkeypatch, capsys):
+    # whole runs through the level-table phase (all distances 1: 409 levels
+    # for 2**16 labels), the direct phase (wi4) and CE write the same bytes
+    # when the cost phase and the sampler take 64 entries at a time.  The X
+    # mixer keeps its default blocks: BLAS rounds a 2-row matmul differently.
+    import feasmass.fullspace as fs
+    mixer, default_chunk = fs.apply_x_mixer, fs._CHUNK
+
+    def mixer_at_default_chunk(state, beta):
+        with monkeypatch.context() as m:
+            m.setattr(fs, "_CHUNK", default_chunk)
+            return mixer(state, beta)
+
+    few = tmp_path / "ones4.txt"
+    few.write_text("4\n" + "\n".join(" ".join("0" if i == j else "1" for j in range(4))
+                                      for i in range(4)) + "\n")
+    hist = ["run", "hist", "--gamma", "0.4,0.9", "--beta-list", "0.3,0.2",
+            "--shots", "20000", "--seed", "5"]
+    runs = [["--instance", path, "--method", "generic", "--precision", precision]
+            for path in (str(few), WI4) for precision in ("f32", "f64")]
+    runs.append(["--n", "4", "--method", "ce"])
+
+    def files(label):
+        out = tmp_path / label
+        for i, extra in enumerate(runs):
+            assert run_cli(hist + extra + ["--out", str(out / str(i))]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.*"))}
+
+    default = files("default")
+    monkeypatch.setattr(fs, "_CHUNK", 64)
+    monkeypatch.setattr(fs, "apply_x_mixer", mixer_at_default_chunk)
+    assert files("chunk64") == default
+    assert len(default) == 2 * len(runs)
 
 
 def test_run_grid_prints_one_wall_clock(tmp_path, capsys):

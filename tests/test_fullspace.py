@@ -1,14 +1,15 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer,
                                 feasible_mass, fourth_moment, init_plus,
-                                mixer_kernel_rows, norm_squared,
-                                probabilities, run_generic, sample_counts)
-from feasmass.instance import CapacityError, build_cost, synthetic_instance
+                                mixer_kernel_rows, norm_squared, run_generic,
+                                sample_counts)
+from feasmass.instance import CapacityError, build_cost, load_instance, synthetic_instance
 
 from oracles import cumsum_copy_sample_counts
 
@@ -67,6 +68,38 @@ def test_cost_phase_preserves_moduli_exactly():
     before = np.abs(st.copy())
     apply_cost_phase(st, cost.cost_vector(), 0.73)
     assert np.allclose(np.abs(st), before, rtol=0, atol=1e-15)
+
+
+WI3 = Path(__file__).resolve().parent.parent / "instances" / "wi3.txt"
+
+
+def phase_tables():
+    """(label, table, takes the level table): integer tables with fewer and
+    with more levels than entries, minima other than 0, and a float table."""
+    few = build_cost(synthetic_instance(4, high=1)).cost_vector()
+    many = build_cost(load_instance(WI3)).cost_vector()
+    return [("few-levels", few, True), ("few-levels-shifted-up", few + 1000, True),
+            ("few-levels-negative", few - 700, True), ("many-levels", many, False),
+            ("many-levels-int32", many.astype(np.int32) - 5, False),
+            ("float", few.astype(np.float64), False)]
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("gamma", [0.4, 2.5952287138350463, 1e-3, -37.1])
+def test_cost_phase_paths_match_direct_exp_bitwise(dtype, gamma):
+    # the level table must give exactly the bits of exp per amplitude
+    for label, table, tabled in phase_tables():
+        levels = int(table.max() - table.min()) + 1
+        assert (np.issubdtype(table.dtype, np.integer) and levels < table.size) == tabled, label
+        rng = np.random.default_rng(table.size)
+        st = (rng.normal(size=table.size) + 1j * rng.normal(size=table.size)).astype(dtype)
+        phase = np.exp((-1j * gamma) * table).astype(dtype)
+        # phase is named: numpy may evaluate st * <temporary> as temporary * st,
+        # and complex * (FMA) is not commutative bit for bit
+        want = st * phase
+        got = apply_cost_phase(st.copy(), table, gamma)
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), label
 
 
 def test_x_mixer_zero_angle():
@@ -207,17 +240,21 @@ def test_fourth_moment_extremes():
     assert fourth_moment(basis) == 1.0
 
 
+def counts_dict(state, shots, seed):
+    return dict(zip(*(a.tolist() for a in sample_counts(state, shots, seed))))
+
+
 def test_sampling_basis_state():
     st = np.zeros(8, dtype=complex)
     st[5] = 1.0
-    counts = sample_counts(st, 100, seed=3)
+    counts = counts_dict(st, 100, seed=3)
     assert counts == {5: 100}
 
 
 def test_sampling_uniform_within_5_sigma():
     st = init_plus(2)
     shots = 400_000
-    counts = sample_counts(st, shots, seed=1)
+    counts = counts_dict(st, shots, seed=1)
     sigma = math.sqrt(shots * 0.25 * 0.75)
     for x in range(4):
         assert abs(counts.get(x, 0) - shots * 0.25) <= 5 * sigma
@@ -226,18 +263,49 @@ def test_sampling_uniform_within_5_sigma():
 def test_sampling_deterministic():
     inst = synthetic_instance(2, seed=1, high=3)
     st = run_generic(inst, AngleSchedule.single(0.9, 0.6))
-    a = sample_counts(st, 10_000, seed=42)
-    b = sample_counts(st, 10_000, seed=42)
-    c = sample_counts(st, 10_000, seed=43)
+    a = counts_dict(st, 10_000, seed=42)
+    b = counts_dict(st, 10_000, seed=42)
+    c = counts_dict(st, 10_000, seed=43)
     assert a == b
     assert a != c
-    assert sample_counts(st, 0, seed=1) == {}
+    assert counts_dict(st, 0, seed=1) == {}
+
+
+def test_sampling_returns_sorted_int64_arrays():
+    st = unit_state(np.random.default_rng(8), 1 << 6)
+    labels, counts = sample_counts(st, 5_000, seed=4)
+    assert labels.dtype == np.int64 and counts.dtype == np.int64
+    assert np.all(np.diff(labels) > 0) and counts.min() > 0
+    assert counts.sum() == 5_000
+    labels, counts = sample_counts(st, 0, seed=4)
+    assert labels.shape == counts.shape == (0,)
 
 
 def test_sampling_in_place_cdf_matches_copying_cdf():
     st = unit_state(np.random.default_rng(5), 1 << 10)
     for seed in (1, 2, 3):
-        assert sample_counts(st, 20_000, seed) == cumsum_copy_sample_counts(st, 20_000, seed)
+        assert counts_dict(st, 20_000, seed) == cumsum_copy_sample_counts(st, 20_000, seed)
+
+
+def sampler_states():
+    rng = np.random.default_rng(9)
+    st = unit_state(rng, 1 << 10)
+    first, last = np.zeros(1 << 10, dtype=complex), np.zeros(1 << 10, dtype=complex)
+    first[0] = last[-1] = 1.0
+    return {"unit": st, "norm+1e-6": st * math.sqrt(1 + 1e-6),
+            "norm-1e-6": st * math.sqrt(1 - 1e-6), "basis-first": first,
+            "basis-last": last, "f32": st.astype(np.complex64)}
+
+
+@pytest.mark.parametrize("chunk", [1, 37, 1024])
+@pytest.mark.parametrize("shots", [0, 1, 30_000])
+def test_chunked_sampler_matches_copying_cdf_oracle(monkeypatch, chunk, shots):
+    import feasmass.fullspace as fs
+    monkeypatch.setattr(fs, "_CHUNK", chunk)
+    for label, st in sampler_states().items():
+        for seed in (1, 2):
+            want = cumsum_copy_sample_counts(st, shots, seed)
+            assert counts_dict(st, shots, seed) == want, (label, seed)
 
 
 def test_single_precision_mode_tracks_double():
@@ -247,7 +315,7 @@ def test_single_precision_mode_tracks_double():
     hi = run_generic(inst, sched, precision="f64")
     assert lo.dtype == np.complex64
     assert np.abs(lo.astype(np.complex128) - hi).max() < 1e-5
-    assert abs(1 - probabilities(lo).sum()) < 1e-5
+    assert abs(1 - norm_squared(lo)) < 1e-5
 
 
 def test_init_plus_full_scale_norm():
@@ -272,7 +340,12 @@ def test_cost_phase_partition_independent(monkeypatch):
     st = rng.normal(size=512) + 1j * rng.normal(size=512)
     whole = st.copy()
     apply_cost_phase(whole, cost.cost_vector(), 0.83)
+    tabled = np.tile(st, 128)   # 2**16 amplitudes for the n = 4 level table
+    few = build_cost(synthetic_instance(4, high=1)).cost_vector()
+    tabled_whole = apply_cost_phase(tabled.copy(), few, 0.83)
     chunked = st.copy()
     monkeypatch.setattr(fs, "_CHUNK", 37)
     apply_cost_phase(chunked, cost.cost_vector(), 0.83)
     assert np.array_equal(whole, chunked)
+    # the level table is built and gathered 37 entries at a time too
+    assert np.array_equal(apply_cost_phase(tabled, few, 0.83), tabled_whole)

@@ -12,6 +12,8 @@ from feasmass.instance import (CapacityError, InstanceDimensionError,
                                load_instance, make_instance, parse_bitstring,
                                synthetic_instance)
 
+from oracles import broadcast_dense_cost
+
 
 def write_instance(tmp_path, text, name="inst.txt"):
     p = tmp_path / name
@@ -175,6 +177,48 @@ def test_int32_cost_table_refuses_overflow_n5():
     with pytest.raises(CapacityError):
         cost.spread
     assert cost._vector is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("include_penalty", [True, False])
+def test_slab_cost_build_matches_broadcast_oracle(n, seed, include_penalty):
+    cost = build_cost(synthetic_instance(n, seed=seed), include_penalty=include_penalty)
+    want = broadcast_dense_cost(n, cost.dist, cost.penalty_weight, include_penalty, np.int64)
+    got = cost.cost_vector()
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_slab_cost_build_matches_broadcast_oracle_asymmetric(n):
+    # synthetic distances are symmetric; a tour term read the wrong way
+    # round only shows on an asymmetric matrix
+    dist = np.random.default_rng(n).integers(1, 50, size=(n, n))
+    np.fill_diagonal(dist, 0)
+    cost = build_cost(make_instance(dist))
+    want = broadcast_dense_cost(n, cost.dist, cost.penalty_weight, True, np.int64)
+    assert np.array_equal(cost.cost_vector(), want)
+
+
+@pytest.mark.parametrize("off_diagonal", [None, 2_385_000])
+def test_slab_cost_build_n5_int32_sampled(off_diagonal):
+    # 2,385,000 puts the all-ones cost at 2,146,500,160, just under the int32
+    # maximum, so partial sums wrap; the finished table must still be exact
+    if off_diagonal is None:
+        inst = synthetic_instance(5, seed=3)
+    else:
+        dist = np.full((5, 5), off_diagonal)
+        np.fill_diagonal(dist, 0)
+        inst = make_instance(dist)
+    cost = build_cost(inst)
+    vec = cost.cost_vector()
+    assert vec.dtype == np.int32
+    top = (1 << 25) - 1
+    labels = np.append(np.random.default_rng(11).integers(0, 1 << 25, size=300), top)
+    assert [int(vec[y]) for y in labels] == [cost.value(int(y)) for y in labels]
+    if off_diagonal is not None:
+        assert int(vec[top]) == 2_146_500_160
 
 
 def test_baseline_fraction_arithmetic():

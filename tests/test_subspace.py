@@ -83,14 +83,30 @@ def test_subspace_cost_phase_norm_exact():
 
 def test_subspace_cost_phase_partition_independent(monkeypatch):
     # chunked processing must be bitwise identical to one whole-array pass
-    import feasmass.subspace as ss
+    import feasmass.fullspace as fs
     table = subspace_cost_table(build_cost(synthetic_instance(4, seed=3, high=7)))
     rng = np.random.default_rng(8)
     st = rng.standard_normal(4 ** 4) + 1j * rng.standard_normal(4 ** 4)
     whole = apply_subspace_cost_phase(st.copy(), table, 0.61)
-    monkeypatch.setattr(ss, "_CHUNK", 37)
+    monkeypatch.setattr(fs, "_CHUNK", 37)
     chunked = apply_subspace_cost_phase(st.copy(), table, 0.61)
     assert np.array_equal(whole, chunked)
+
+
+@pytest.mark.parametrize("n, tabled", [(3, False), (7, True)])
+def test_subspace_cost_phase_is_direct_exp_bitwise(n, tabled):
+    # n = 3 has more cost levels than its 27 entries (direct exp); n = 7 has
+    # 2,372 levels for 7**7 entries (level table): both give exp's bits
+    table = subspace_cost_table(build_cost(synthetic_instance(n, seed=1)))
+    assert (int(table.max() - table.min()) + 1 < table.size) == tabled
+    rng = np.random.default_rng(n)
+    st = rng.standard_normal(n ** n) + 1j * rng.standard_normal(n ** n)
+    phase = np.exp((-1j * 0.4) * table)
+    # phase is named: numpy may evaluate st * <temporary> as temporary * st,
+    # and complex * (FMA) is not commutative bit for bit
+    want = st * phase
+    got = apply_subspace_cost_phase(st.copy(), table, 0.4)
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_block_mixer_zero_angle():
