@@ -200,9 +200,7 @@ def cmd_run(args) -> int:
                                  for x, c in sorted(res.metrics["counts"].items())}
         violation = args.shots > 0 and not res.metrics["consistent_5sigma"]
     elif args.experiment == "depth":
-        res = experiments.ce_depth_sweep(inst, args.depth,
-                                         points_per_angle=min(args.grid[0], 6),
-                                         normalized=args.normalized_mixer)
+        res = experiments.ce_depth_sweep(inst, args.depth, grid, normalized=args.normalized_mixer)
         rows = [(d["p"], d["best_mass"]) for d in res.metrics["per_depth"]]
         _write_csv(out / f"{stem}.csv", chash, "p,best_p_feas", rows)
         violation = not res.metrics["monotone"]

@@ -4,9 +4,9 @@ existence check.
 
 Both lattice averages, the feasible mass and the fourth moment, share one
 kernel: a mixer kernel row scattered onto the integer cost lattice
-transforms by one FFT to that label's amplitude at every grid angle.
-The generic grid search applies the cost phase once per gamma and the X
-mixer to a copy of that phased state per beta, so it holds two states.
+transforms by one FFT to that label's amplitude at every grid angle.  Both
+angle grids, the generic grid search and the CE depth sweep, share one
+depth-first walk (``_sweep``) that phases once per gamma.
 """
 from __future__ import annotations
 
@@ -87,15 +87,10 @@ def _instance_name(instance) -> str:
 
 def _lattice_costs(cost: DiagonalCost, tie_break: bool, L: int | None) -> tuple:
     """Costs shifted onto the lattice 0..spread, and the grid length L
-    (default spread + 1), checked against the spread and the cap."""
+    (spread + 1 when None), checked against the cap."""
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector().astype(np.int64)
     h = h - h.min()
-    spread = int(h.max())
-    if L is None:
-        L = spread + 1
-    elif L <= spread:
-        raise ValueError(f"lattice grid of {L} points is too small: "
-                         f"need at least spread+1 = {spread + 1}")
+    L = L or int(h.max()) + 1
     if L > MAX_LATTICE_POINTS:
         raise CapacityError(
             f"lattice grid needs {L} points (cap {MAX_LATTICE_POINTS}); "
@@ -121,12 +116,11 @@ def _lattice_spectra(h: np.ndarray, rows: np.ndarray, beta: float, L: int):
         yield w
 
 
-def lattice_feasible_masses(cost: DiagonalCost, betas, L: int | None = None,
-                            tie_break: bool = True) -> np.ndarray:
+def lattice_feasible_masses(cost: DiagonalCost, betas, tie_break: bool = True) -> np.ndarray:
     """Feasible mass at every grid angle gamma_k = 2 pi k / L, k = 0..L-1.
 
-    The grid lives on the integer cost lattice; L must exceed the lattice
-    spread so every nonzero cost difference averages to zero exactly.  With
+    The grid lives on the integer cost lattice, L = spread + 1 points, so
+    every nonzero cost difference averages to zero exactly.  With
     ``tie_break`` the lattice is refined to split degenerate cost levels
     (equal-cost pairs survive every average and shift the mean off baseline;
     see DiagonalCost.tie_broken_vector).
@@ -139,7 +133,7 @@ def lattice_feasible_masses(cost: DiagonalCost, betas, L: int | None = None,
         raise ValueError("lattice averaging capped at n=4")
     scalar = np.isscalar(betas)
     beta_list = [float(betas)] if scalar else [float(b) for b in betas]
-    h, L = _lattice_costs(cost, tie_break, L)
+    h, L = _lattice_costs(cost, tie_break, None)
     rows = feasible_indices(n)
     masses = np.zeros((len(beta_list), L), dtype=np.float64)
     for bi, beta in enumerate(beta_list):
@@ -148,12 +142,11 @@ def lattice_feasible_masses(cost: DiagonalCost, betas, L: int | None = None,
     return masses[0] if scalar else masses
 
 
-def exact_angle_average(instance, beta: float, L: int | None = None,
-                        tie_break: bool = True) -> ExperimentResult:
+def exact_angle_average(instance, beta: float, tie_break: bool = True) -> ExperimentResult:
     """Grid-exact mean of the single-layer feasible mass; contract: equals
     n!/2**(n**2) within 1e-10 on the tie-broken lattice."""
     cost = as_cost(instance)
-    masses = lattice_feasible_masses(cost, beta, L=L, tie_break=tie_break)
+    masses = lattice_feasible_masses(cost, beta, tie_break=tie_break)
     mean = float(masses.mean())
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     return ExperimentResult(
@@ -163,13 +156,12 @@ def exact_angle_average(instance, beta: float, L: int | None = None,
                  "max_point": float(masses.max())})
 
 
-def markov_fraction(instance, beta: float, t: float, L: int | None = None,
-                    tie_break: bool = True) -> ExperimentResult:
+def markov_fraction(instance, beta: float, t: float, tie_break: bool = True) -> ExperimentResult:
     """Exact grid measure of {gamma : P >= t * baseline}; contract <= 1/t."""
     if t <= 0:
         raise ValueError("t must be positive")
     cost = as_cost(instance)
-    masses = lattice_feasible_masses(cost, beta, L=L, tie_break=tie_break)
+    masses = lattice_feasible_masses(cost, beta, tie_break=tie_break)
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     frac = float(np.mean(masses >= t * base))
     return ExperimentResult(
@@ -205,7 +197,29 @@ def l4_sweep(instance, betas) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# grid search and parameter transfer
+# angle sweeps, grid search and parameter transfer
+
+def _sweep(fresh, phase, mix, mass, grid: GridSpec, p_max: int):
+    """Yield (angles, mass) for every circuit of depth 1..p_max whose layers
+    take their (gamma, beta) from ``grid``, depth first in grid order.
+
+    ``fresh()`` makes a parent state: the initial state, or a copy of the
+    mixed state one layer up; ``phase`` and ``mix`` act in place.  Each gamma
+    phases one parent and each beta mixes a copy of that, so a walk holds two
+    states per layer.  Deeper layers recurse through the module name: a
+    closure that calls itself is a reference cycle, which would keep the
+    caller's cost table alive until the next garbage collection.
+    """
+    for g in grid.gammas().tolist():
+        phased = phase(fresh(), g)
+        for b in grid.betas().tolist():
+            state = mix(phased.copy(), b)
+            yield ((g, b),), mass(state)
+            if p_max > 1:
+                for angles, deeper in _sweep(state.copy, phase, mix, mass, grid, p_max - 1):
+                    yield ((g, b),) + angles, deeper
+            del state   # before the next beta's copy: one mixed state at a time
+
 
 @dataclass
 class GridSearchResult:
@@ -223,13 +237,10 @@ def grid_search_generic(instance, grid: GridSpec, precision: str = "f64") -> Gri
     cost = as_cost(instance)
     gammas, betas = grid.gammas(), grid.betas()
     table = cost.cost_vector()
-    rows = []
-    for g in gammas:
-        phased = apply_cost_phase(init_plus(cost.num_qubits, dtype=_DTYPES[precision]),
-                                  table, g)
-        rows.append([feasible_mass(apply_x_mixer(phased.copy(), b), cost.n)
-                     for b in betas])
-    surface = np.array(rows, dtype=np.float64)
+    walk = _sweep(lambda: init_plus(cost.num_qubits, dtype=_DTYPES[precision]),
+                  lambda state, g: apply_cost_phase(state, table, g), apply_x_mixer,
+                  lambda state: feasible_mass(state, cost.n), grid, 1)
+    surface = np.reshape([mass for _, mass in walk], (len(gammas), len(betas)))
     gi, bi = np.unravel_index(int(np.argmax(surface)), surface.shape)
     return GridSearchResult(gammas=gammas, betas=betas, surface=surface,
                             best_gamma=float(gammas[gi]), best_beta=float(betas[bi]),
@@ -312,50 +323,38 @@ def feasible_histogram(instance, method: str, schedule: AngleSchedule,
 # ---------------------------------------------------------------------------
 # depth sweep and twirl existence
 
-def ce_depth_sweep(instance, p_max: int, points_per_angle: int = 4,
-                   gamma_range=(0.0, math.pi), beta_range=(0.0, math.pi),
+def ce_depth_sweep(instance, p_max: int, grid: GridSpec,
                    normalized: bool = True) -> ExperimentResult:
-    """Best grid feasible mass per depth p = 1..p_max (exhaustive per-layer grid).
+    """Best CE feasible mass per depth p = 1..p_max on the per-layer ``grid``.
 
-    The per-layer grids start at zero angles, so depth p+1 contains every
+    The per-layer grid starts at zero angles, so depth p+1 contains every
     depth-p circuit extended by an identity layer; the maxima are
-    non-decreasing by construction.  One depth-first walk extends each
-    depth-(p-1) state by one layer, so every circuit costs one layer; choices
-    are visited in grid order, which keeps the lexicographically-first argmax.
+    non-decreasing by construction.  The walk visits circuits in grid order,
+    which keeps the lexicographically-first argmax.
     """
-    if points_per_angle > 6:
-        raise ValueError("per-angle grid capped at 6 points")
     if not 1 <= p_max <= 3:
         raise ValueError(f"depth sweep needs 1 <= p_max <= 3, got {p_max}")
+    if max(grid.gamma_points, grid.beta_points) > 6:
+        raise ValueError(f"depth sweep grid capped at 6 points per angle, got "
+                         f"--grid {grid.gamma_points}x{grid.beta_points}")
     cost = as_cost(instance)
     if cost.n > 4:
         raise ValueError("depth sweep capped at n=4")
-    gs = np.linspace(*gamma_range, points_per_angle)
-    bs = np.linspace(*beta_range, points_per_angle)
-    if gs[0] != 0.0 or bs[0] != 0.0:
+    if grid.gammas()[0] != 0.0 or grid.betas()[0] != 0.0:
         raise ValueError("per-layer grids must contain the zero angle")
     table = subspace_cost_table(cost)
-    choices = [(float(g), float(b)) for g in gs for b in bs]
     best = [(-1.0, None)] * p_max
-
-    def extend(state, prefix):
-        if len(prefix) >= p_max:
-            return
-        for choice in choices:
-            nxt = apply_subspace_cost_phase(state.copy(), table, choice[0])
-            apply_block_xy_mixer(nxt, cost.n, choice[1], normalized)
-            combo = prefix + (choice,)
-            mass = subspace_feasible_mass(nxt)
-            if mass > best[len(prefix)][0]:
-                best[len(prefix)] = (mass, combo)
-            extend(nxt, combo)
-
-    extend(init_w_product(cost.n), ())
-    per_depth = [{"p": p, "best_mass": mass, "angles": [list(c) for c in combo]}
-                 for p, (mass, combo) in enumerate(best, start=1)]
+    for angles, mass in _sweep(lambda: init_w_product(cost.n),
+                               lambda state, g: apply_subspace_cost_phase(state, table, g),
+                               lambda state, b: apply_block_xy_mixer(state, cost.n, b, normalized),
+                               subspace_feasible_mass, grid, p_max):
+        if mass > best[len(angles) - 1][0]:
+            best[len(angles) - 1] = (mass, angles)
+    per_depth = [{"p": p, "best_mass": mass, "angles": [list(a) for a in angles]}
+                 for p, (mass, angles) in enumerate(best, start=1)]
     return ExperimentResult(
         name="ce_depth_sweep", instance=_instance_name(instance),
-        params={"p_max": p_max, "points_per_angle": points_per_angle,
+        params={"p_max": p_max, "grid": [grid.gamma_points, grid.beta_points],
                 "normalized_mixer": normalized},
         metrics={"per_depth": per_depth,
                  "monotone": all(per_depth[i + 1]["best_mass"] >= per_depth[i]["best_mass"] - 1e-15

@@ -268,7 +268,7 @@ def test_criterion_09_inequality_sweeps():
 
 def test_criterion_10_depth_monotonicity():
     inst = synthetic_instance(3, seed=1, high=5)
-    res = ce_depth_sweep(inst, 2, points_per_angle=4)
+    res = ce_depth_sweep(inst, 2, GridSpec(4, 4))
     per = res.metrics["per_depth"]
     ok = per[1]["best_mass"] >= per[0]["best_mass"]
     assert report(10, "depth monotonicity p=1 -> 2", ok,

@@ -1,0 +1,83 @@
+"""The benchmark's tracing contract with ``src``.
+
+``benchmark/spans.py`` times the layers by rebinding ``src`` names in every
+feasmass module that holds them, so every name it wraps must exist, and the
+sweeps must call the layer functions through those module globals at call
+time.  The benchmark files are only read here: they are executed from their
+source text, and the subprocess runs with ``-B``, so nothing is written
+under ``benchmark/``.
+"""
+import importlib
+import json
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+from feasmass.instance import DiagonalCost
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "benchmark"
+
+
+def _load(name: str) -> types.ModuleType:
+    path = BENCH / f"{name}.py"
+    mod = types.ModuleType(f"benchmark_{name}")
+    mod.__file__ = str(path)
+    sys.modules[mod.__name__] = mod     # dataclasses look their module up
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    finally:
+        del sys.modules[mod.__name__]
+    return mod
+
+
+def _resolves(span: str) -> bool:
+    modname, _, name = span.partition(".")
+    owner = DiagonalCost if modname == "instance" else importlib.import_module(f"feasmass.{modname}")
+    return callable(getattr(owner, name, None))
+
+
+def test_every_traced_and_predicted_name_resolves_in_src():
+    spans, workloads = _load("spans"), _load("workloads")
+    names = [f"{mod}.{fn}" for mod, fns in spans.WRAPPED.items() for fn in fns]
+    names += [f"instance.{meth}" for meth in spans.COST_METHODS]
+    names += [span for predicted in workloads.PREDICTED_SPANS.values() for span in predicted]
+    assert [name for name in names if not _resolves(name)] == []
+
+
+_TRACED_RUNS = """
+import collections, json, sys, tempfile
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from feasmass import cli   # imported before install, as benchmark/worker.py does
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+calls = []
+for argv in (["run", "grid", "--instance", sys.argv[3], "--grid", "2x2"],
+             ["run", "depth", "--n", "2", "--depth", "2", "--grid", "2x2"]):
+    start = len(tracer.spans)
+    with tempfile.TemporaryDirectory() as out:
+        rc = cli.main(argv + ["--out", out])
+    calls.append([rc, collections.Counter(s[0] for s in tracer.spans[start:])])
+print(json.dumps(calls))
+"""
+
+
+def test_traced_sweeps_fire_the_layer_spans():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACED_RUNS, str(BENCH), str(ROOT / "src"),
+         str(ROOT / "instances" / "wi3.txt")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (grid_rc, grid), (depth_rc, depth) = json.loads(proc.stdout.splitlines()[-1])
+    assert grid_rc == 0 and depth_rc == 0
+    # a 2x2 grid: one cost phase per gamma, one mixer and one mass per point
+    assert (grid.get("fullspace.apply_cost_phase"), grid.get("fullspace.apply_x_mixer"),
+            grid.get("fullspace.feasible_mass")) == (2, 4, 4)
+    # depth 2 on 2x2: 2 + 4*2 phases (each delegates to the full-space
+    # kernel) and 4 + 4*4 mixers and masses
+    assert (depth.get("subspace.apply_subspace_cost_phase"),
+            depth.get("fullspace.apply_cost_phase"),
+            depth.get("subspace.apply_block_xy_mixer"),
+            depth.get("subspace.subspace_feasible_mass")) == (10, 10, 20, 20)

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from feasmass import experiments
 from feasmass.cli import main
+from feasmass.experiments import GridSpec
+from feasmass.instance import synthetic_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 WI3 = str(ROOT / "instances" / "wi3.txt")
@@ -149,6 +152,47 @@ def test_run_depth(tmp_path):
     assert rc == 0
     csv = next(tmp_path.glob("depth_*.csv")).read_text().splitlines()
     assert csv[1] == "p,best_p_feas"
+
+
+def _depth_record(tmp_path, *flags):
+    out = tmp_path / "_".join(flags).replace(":", "-")
+    rc = run_cli(["run", "depth", "--n", "2", "--depth", "2", *flags, "--out", str(out)])
+    assert rc == 0
+    return json.loads(next(out.glob("depth_*.jsonl")).read_text())
+
+
+def test_run_depth_uses_both_grid_axes(tmp_path):
+    record = _depth_record(tmp_path, "--grid", "3x2")
+    assert record["params"]["grid"] == [3, 2]
+    gammas, betas = [0.0, math.pi / 2, math.pi], [0.0, math.pi]
+    for layer in record["metrics"]["per_depth"]:
+        assert all(g in gammas and b in betas for g, b in layer["angles"])
+    direct = experiments.ce_depth_sweep(synthetic_instance(2, seed=1), 2, GridSpec(3, 2))
+    assert record["metrics"] == direct.metrics
+
+
+def test_run_depth_uses_ranges(tmp_path):
+    wide = _depth_record(tmp_path, "--grid", "4x4")
+    narrow = _depth_record(tmp_path, "--grid", "4x4", "--range-beta", "0:1")
+    assert narrow["metrics"] != wide["metrics"]
+    assert all(0.0 <= b <= 1.0 for layer in narrow["metrics"]["per_depth"]
+               for _, b in layer["angles"])
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--grid", "7x7"], "capped at 6 points per angle, got --grid 7x7"),
+    (["--grid", "3x7"], "capped at 6 points per angle, got --grid 3x7"),
+    ([], "capped at 6 points per angle, got --grid 10x10"),
+    (["--grid", "4x4", "--range-gamma", "0.1:1"], "zero angle"),
+    (["--grid", "4x4", "--range-beta", "0.1:1"], "zero angle"),
+])
+def test_run_depth_bad_grid_exits_1(tmp_path, capsys, flags, message):
+    out = tmp_path / "new"
+    rc = run_cli(["run", "depth", "--n", "2", "--depth", "2", *flags, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_run_depth_zero_exits_1(tmp_path, capsys):

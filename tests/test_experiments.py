@@ -1,9 +1,12 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from feasmass import experiments
 from feasmass.experiments import (GridSpec, ce_depth_sweep, envelope_excess_report,
                                   exact_angle_average, feasible_histogram,
                                   grid_search_generic, l4_sweep,
@@ -50,13 +53,6 @@ def test_exact_average_degenerate_spectrum_drifts():
     assert res.metrics["deviation"] > 1e-3
 
 
-def test_lattice_grid_too_small_names_minimum():
-    cost = build_cost(synthetic_instance(2, seed=1, high=3))
-    spread = int(cost.tie_broken_vector().max() - cost.tie_broken_vector().min())
-    with pytest.raises(ValueError, match=str(spread + 1)):
-        lattice_feasible_masses(cost, 0.7, L=spread)
-
-
 def test_lattice_multi_beta_matches_single():
     cost = build_cost(synthetic_instance(2, seed=2, high=3))
     multi = lattice_feasible_masses(cost, [0.3, 1.1])
@@ -78,16 +74,17 @@ def _lattice_bin_energy(cost, beta, tie_break):
 
 @pytest.mark.parametrize("tie_break", [True, False])
 @pytest.mark.parametrize("n,seed,high,pad", [(2, 1, 3, 0), (2, 2, 3, 0), (2, 3, 3, 0),
-                                             (3, 1, 5, 0), (2, 2, 3, 9)])
+                                             (3, 1, 5, 0)])
 def test_lattice_fft_matches_phase_matmul_oracle(n, seed, high, pad, tie_break):
-    # pad > 0: a grid finer than spread+1, with empty lattice bins above the spread
+    # pad is 0 in every case: the grid is spread+1 points, and padded grids
+    # are covered by test_l4_sweep_matches_phase_block_oracle
     cost = build_cost(synthetic_instance(n, seed=seed, high=high))
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
-    L = int(h.max() - h.min()) + 1 + pad
+    L = int(h.max() - h.min()) + 1
     betas = [0.0, 0.3, 1.1]
     want = phase_matmul_lattice_masses(cost, betas + [0.7], L=L, tie_break=tie_break)
-    multi = lattice_feasible_masses(cost, betas, L=L if pad else None, tie_break=tie_break)
-    single = lattice_feasible_masses(cost, 0.7, L=L if pad else None, tie_break=tie_break)
+    multi = lattice_feasible_masses(cost, betas, tie_break=tie_break)
+    single = lattice_feasible_masses(cost, 0.7, tie_break=tie_break)
     assert multi.shape == (3, L) and single.shape == (L,)
     assert np.abs(multi - want[:3]).max() <= 1e-14
     assert np.abs(single - want[3]).max() <= 1e-14
@@ -193,7 +190,7 @@ def test_histogram_seed_determinism():
 
 def test_depth_sweep_monotone():
     inst = synthetic_instance(2, seed=1, high=3)
-    res = ce_depth_sweep(inst, 2, points_per_angle=4)
+    res = ce_depth_sweep(inst, 2, GridSpec(4, 4))
     per = res.metrics["per_depth"]
     assert res.metrics["monotone"]
     # the per-layer grid contains zero angles, so depth 1 at least matches
@@ -206,7 +203,7 @@ def test_depth_sweep_matches_per_circuit_run_ce(normalized):
     # oracle: every circuit run from the W product, argmax taken in
     # lexicographic order of the angle tuples
     inst = synthetic_instance(3, seed=2, high=5)
-    res = ce_depth_sweep(inst, 2, points_per_angle=3, normalized=normalized)
+    res = ce_depth_sweep(inst, 2, GridSpec(3, 3), normalized=normalized)
     grid = np.linspace(0.0, math.pi, 3)
     choices = [(float(g), float(b)) for g in grid for b in grid]
     for p, got in zip((1, 2), res.metrics["per_depth"]):
@@ -222,8 +219,7 @@ def test_depth_sweep_matches_per_circuit_run_ce(normalized):
 
 def test_depth_sweep_zero_grid_constant():
     inst = synthetic_instance(2, seed=1, high=3)
-    res = ce_depth_sweep(inst, 2, points_per_angle=1,
-                         gamma_range=(0.0, 0.0), beta_range=(0.0, 0.0))
+    res = ce_depth_sweep(inst, 2, GridSpec(1, 1, (0.0, 0.0), (0.0, 0.0)))
     masses = [d["best_mass"] for d in res.metrics["per_depth"]]
     assert masses == pytest.approx([0.5, 0.5], abs=1e-14)
 
@@ -231,7 +227,65 @@ def test_depth_sweep_zero_grid_constant():
 @pytest.mark.parametrize("p_max", [0, 4])
 def test_depth_sweep_rejects_depth_out_of_range(p_max):
     with pytest.raises(ValueError, match="p_max"):
-        ce_depth_sweep(synthetic_instance(2, seed=1), p_max)
+        ce_depth_sweep(synthetic_instance(2, seed=1), p_max, GridSpec(2, 2))
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap the named ``experiments`` globals with call counters."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(experiments, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("gp,bp", [(1, 1), (3, 2)])
+def test_grid_search_phases_once_per_gamma(monkeypatch, gp, bp):
+    counts = _count_calls(monkeypatch, "apply_cost_phase", "apply_x_mixer",
+                          "feasible_mass")
+    grid_search_generic(synthetic_instance(2, seed=1, high=3), GridSpec(gp, bp))
+    assert counts == {"apply_cost_phase": gp, "apply_x_mixer": gp * bp,
+                      "feasible_mass": gp * bp}
+
+
+def test_depth_sweep_phases_once_per_gamma(monkeypatch):
+    # depth 1: 3 phases, 9 mixers; each of the 9 depth-1 states: 3 and 9 more
+    counts = _count_calls(monkeypatch, "apply_subspace_cost_phase",
+                          "apply_block_xy_mixer", "subspace_feasible_mass")
+    ce_depth_sweep(synthetic_instance(3, seed=2, high=5), 2, GridSpec(3, 3))
+    assert counts == {"apply_subspace_cost_phase": 3 + 9 * 3,
+                      "apply_block_xy_mixer": 90, "subspace_feasible_mass": 90}
+
+
+def test_grid_search_holds_under_four_states():
+    # the phased state, one mixed copy and the mixer's chunk temporaries
+    cost = build_cost(synthetic_instance(4, seed=1))
+    cost.cost_vector()
+    tracemalloc.start()
+    try:
+        grid_search_generic(cost, GridSpec(3, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 16 * 16, f"peak {peak / (2 ** 16 * 16):.2f} states"
+
+
+def test_grid_search_frees_its_cost_on_return():
+    # a reference cycle in the sweep would keep the cost table (0.5 MiB at
+    # n = 4) alive until the next garbage collection
+    gc.disable()
+    tracemalloc.start()
+    try:
+        grid_search_generic(synthetic_instance(4, seed=1), GridSpec(2, 2))
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert current < 2 ** 16, f"{current} B still held"
 
 
 def test_twirl_experiment_exact():
