@@ -138,6 +138,8 @@ def _schedule_from(args) -> AngleSchedule:
 
 def cmd_run(args) -> int:
     inst = _resolve_instance(args)
+    if args.experiment in ("depth", "twirl") and args.method != "ce":
+        raise _usage_error(f"run {args.experiment} simulates CE-QAOA only, got --method {args.method}")
     grid = GridSpec(gamma_points=args.grid[0], beta_points=args.grid[1],
                     gamma_range=args.range_gamma, beta_range=args.range_beta)
     config = {

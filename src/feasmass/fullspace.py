@@ -101,9 +101,11 @@ def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     (-1, 2**k, 2**q) view of the state, or by (-1, 2**k) @ U when q = 0;
     the last block is smaller when _FUSE does not divide N.  Each matmul
     covers at most about _CHUNK amplitudes, so no full-state temporary is
-    made.  N comes from the last axis, so a C-contiguous (rows, 2**N) batch
-    is mixed row by row: no view straddles a row boundary.  For N > _FUSE the
-    batch equals row-by-row mixing bit for bit; for N <= _FUSE a lone row is
+    made.  BLAS rounds by matmul shape, so the bits depend on _CHUNK through
+    the q = 0 row count (_CHUNK >> k), though not on the thread count.  N
+    comes from the last axis, so a C-contiguous (rows, 2**N) batch is mixed
+    row by row: no view straddles a row boundary.  For N > _FUSE the batch
+    equals row-by-row mixing bit for bit; for N <= _FUSE a lone row is
     a vector-matrix product and may differ from its batch at round-off.
     """
     num_qubits = int(math.log2(state.shape[-1]))

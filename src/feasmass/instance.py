@@ -35,9 +35,10 @@ class InstanceDimensionError(InstanceFormatError):
 
 
 def default_penalty_weight(dist) -> int:
-    """Big-M weight n*max(dist)+1: any constraint violation outweighs any tour."""
+    """Big-M weight n*max(dist)+1: any constraint violation outweighs any tour.
+    Python ints, so a large entry cannot wrap it."""
     d = np.asarray(dist)
-    return int(d.shape[0] * d.max() + 1)
+    return d.shape[0] * int(d.max()) + 1
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,8 @@ def load_instance(path) -> ProblemInstance:
                 except ValueError:
                     raise InstanceFormatError(
                         f"{path}:{lineno}: expected an integer, got {tok!r}") from None
+                if abs(val) >= 1 << 63:
+                    raise InstanceFormatError(f"{path}:{lineno}: {tok} does not fit in int64")
                 tokens.append((lineno, val))
     if not tokens:
         raise InstanceFormatError(f"{path}: empty instance file")
@@ -224,23 +227,15 @@ class DiagonalCost:
 
     def cost_vector(self) -> np.ndarray:
         """Dense table C over all 2**(n*n) labels (index = integer label);
-        int32 at n = 5 to halve the 2**25 table, int64 below.
-
-        Every penalty and tour term is non-decreasing in the set bits, so the
-        all-ones label holds the largest cost; the int32 table is refused
-        when that cost does not fit.
-        """
+        int32 at n = 5 to halve the 2**25 table, int64 below.  A table whose
+        largest cost could pass the dtype is refused (see _dense_cost)."""
         if self._vector is not None:
             return self._vector
         n = self.n
         if n > MAX_DENSE_COST_SIZE:
             raise CapacityError(f"dense cost table capped at n={MAX_DENSE_COST_SIZE}, got {n}")
-        dtype = np.int32 if n == 5 else np.int64
-        top = self.value((1 << self.num_qubits) - 1)
-        if top > np.iinfo(dtype).max:
-            raise CapacityError(f"largest cost {top} overflows the {np.dtype(dtype).name} "
-                                f"cost table at n={n}; use smaller distances")
-        self._vector = _dense_cost(n, self.dist, self.penalty_weight, self.include_penalty, dtype)
+        self._vector = _dense_cost(np.arange(1 << n), self.dist, self.penalty_weight,
+                                   self.include_penalty, np.int32 if n == 5 else np.int64)
         return self._vector
 
     def tie_broken_vector(self) -> np.ndarray:
@@ -262,23 +257,34 @@ class DiagonalCost:
         return int(vec.max() - vec.min())
 
 
-def _dense_cost(n, dist, A, include_penalty, dtype):
-    """The table over rows 0..k-1 is the first m**k entries of the table over
-    rows 0..k (row i holds bits [i*n, (i+1)*n)), so each row block extends it
-    by m slabs, one per value of the new row, built straight in ``dtype``.
+def _dense_cost(patterns, dist, A, include_penalty, dtype):
+    """Cost table over every choice of one bit pattern from ``patterns`` per
+    row, row 0 the least significant digit: ``np.arange(2**n)`` gives the
+    full table indexed by label, ``1 << np.arange(n)`` the one-hot manifold.
+
+    The table over rows 0..k-1 is the first m**k entries of the table over
+    rows 0..k (m patterns), so each row block extends it in place by m slabs,
+    one per pattern of the new row, built straight in ``dtype``.
 
     The column penalty is A*(n - sum_i |r_i| + 2 sum_{i<i'} |r_i & r_i'|):
     the constant and the |r_i| part join the row term, the overlap part the
-    pair terms.  Each term fits ``dtype`` when the all-ones cost does, and a
-    partial sum that wraps still ends exact, since the total fits.
+    pair terms.  Before anything is allocated, the sum of each term's largest
+    value (n row terms, n(n-1)/2 overlaps, n tour steps, in Python ints) must
+    fit ``dtype``; on the full table at n >= 3 that sum is the all-ones cost.
+    Every term then fits, and a partial sum that wraps still ends exact.
     """
-    m = 1 << n
-    bits = ((np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int64)
+    n, m = len(dist), len(patterns)
+    bits = ((patterns[:, None] >> np.arange(n)) & 1).astype(object)   # Python ints
     popc = bits.sum(axis=1)
-    pen = A if include_penalty else 0
-    row = (pen * ((popc - 1) ** 2 - popc)).astype(dtype)
+    pen = int(A) if include_penalty else 0
+    row = pen * ((popc - 1) ** 2 - popc)
     overlap = 2 * pen * (bits @ bits.T)
-    tour = bits @ np.asarray(dist, dtype=np.int64) @ bits.T   # [r_t, r_{t+1}]
+    tour = bits @ np.asarray(dist, dtype=object) @ bits.T   # [r_t, r_{t+1}]
+    top = pen * n + n * row.max() + n * (n - 1) // 2 * overlap.max() + n * tour.max()
+    if top > np.iinfo(dtype).max:
+        raise CapacityError(f"largest cost {top} overflows the {np.dtype(dtype).name} "
+                            f"cost table at n={n}; use smaller distances")
+    row, overlap, tour = row.astype(dtype), overlap.astype(np.int64), tour.astype(np.int64)
 
     def pair(j, k, r):
         # terms coupling row k (= r) to row j < k, over r_j on axis k-1-j: the
@@ -288,11 +294,11 @@ def _dense_cost(n, dist, A, include_penalty, dtype):
         shape[k - 1 - j] = m
         return vec.astype(dtype).reshape(shape)
 
-    table = row + dtype(pen * n)
+    table = np.empty(m ** n, dtype=dtype)
+    table[:m] = row + dtype(pen * n)
     for k in range(1, n):
-        prev = table.reshape([m] * k)
-        table = np.empty(m ** (k + 1), dtype=dtype)
-        for r in range(m):
+        prev = table[:m ** k].reshape([m] * k)
+        for r in range(m - 1, -1, -1):   # slab 0 is prev: extended last, in place
             slab = table[r * m ** k:(r + 1) * m ** k].reshape([m] * k)
             np.add(prev, pair(k - 1, k, r) + row[r], out=slab)
             for j in range(k - 1):

@@ -1,51 +1,39 @@
 """CE-QAOA simulation inside the n**n block-one-hot manifold.
 
 A subspace state is a 1-D complex ndarray of length n**n.  Flat index and
-symbol tuple are related by C-order ravel over shape [n]*n, i.e. block 0 is
-the most significant digit: index(j_1..j_n) = sum_b j_b * n**(n-1-b).
-Block b maps to full-space bits [b*n, (b+1)*n); symbol j in block b sets bit
-b*n + j.
+symbol tuple are related by C-order ravel over shape (n,)*n (np.ravel_multi_index
+and np.unravel_index), i.e. block 0 is the most significant digit:
+index(j_1..j_n) = sum_b j_b * n**(n-1-b).  Block b maps to full-space bits
+[b*n, (b+1)*n); symbol j in block b sets bit b*n + j.
 
-The block mixer sector and the relabeling twirl are closed forms; their
-brute-force versions (dense Pauli sum, relabeling enumeration) are test oracles.
+The cost table is the full-space cost builder run over one-hot rows
+(instance._dense_cost), so both tables come from one formula.  The block
+mixer sector and the relabeling twirl are closed forms; their brute-force
+versions (dense Pauli sum, relabeling enumeration, dense sector unitary,
+embedding into the full space) are test oracles.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
 from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, init_plus,
-                        norm_squared, run_generic)
-from .instance import CapacityError, DiagonalCost, as_cost
+                        norm_squared)
+from .instance import CapacityError, DiagonalCost, _dense_cost, as_cost
 
 MAX_BLOCK_SIZE = 8   # n**n amplitudes
-MAX_EMBED_SIZE = 4   # embedding needs the 2**(n*n) space too
+MAX_EMBED_SIZE = 4   # the overlap needs the 2**(n*n) space too
 MAX_LABEL_BITS = 63  # full-space labels are int64
 
 
-def tuple_to_index(symbols, n: int) -> int:
-    idx = 0
-    for j in symbols:
-        idx = idx * n + int(j)
-    return idx
-
-
-def index_to_tuple(idx: int, n: int) -> tuple:
-    out = []
-    for _ in range(n):
-        out.append(idx % n)
-        idx //= n
-    return tuple(reversed(out))
-
-
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def subspace_to_full_labels(n: int) -> np.ndarray:
     """Bijection subspace index -> full-space label, as an index array.
 
     Labels carry n*n bits, so they fit int64 up to n = 7; only materializing
-    the full space (embed_to_full) is capped lower, at n = 4.
+    the full space (overlap_generic_ce) is capped lower, at n = 4.
     """
     if n * n > MAX_LABEL_BITS:
         raise CapacityError(f"full-space labels need {n * n} bits; int64 labels "
@@ -59,11 +47,11 @@ def subspace_to_full_labels(n: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def feasible_subspace_indices(n: int) -> np.ndarray:
     """Indices of the n! all-distinct symbol tuples (lexicographic order)."""
-    out = [tuple_to_index(p, n) for p in itertools.permutations(range(n))]
-    return np.array(out, dtype=np.int64)
+    perms = np.fromiter(itertools.permutations(range(n)), dtype=(np.int64, n))
+    return np.ravel_multi_index(perms.T, (n,) * n)
 
 
 def init_w_product(n: int) -> np.ndarray:
@@ -77,33 +65,19 @@ def init_w_product(n: int) -> np.ndarray:
 # cost on the manifold
 
 def subspace_cost_table(cost: DiagonalCost) -> np.ndarray:
-    """C restricted to one-hot tuples, built directly on the [n]*n tensor.
+    """C restricted to one-hot tuples: the dense-cost builder over the n
+    one-hot row patterns, so it agrees with cost.value on embedded labels.
 
-    Row one-hot penalties vanish structurally; the column part reduces to
-    2*A per colliding block pair; the tour term couples adjacent blocks.
-    Agrees with cost.value on embedded labels (tested for n <= 3).
+    The builder's row 0 is its least significant digit and the manifold's
+    block 0 its most significant, so builder row i is block n-1-i and the
+    tour, block b to b+1, runs from builder row i+1 to i: the builder's
+    forward tour over dist.T.
     """
     n = cost.n
     if n > MAX_BLOCK_SIZE:
         raise CapacityError(f"subspace capped at n={MAX_BLOCK_SIZE}, got {n}")
-    d = np.asarray(cost.dist, dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-
-    def on_pair(mat, a, b):
-        # mat indexed [j_a, j_b] with a != b; axis index == block index
-        shape = [1] * n
-        shape[a] = n
-        shape[b] = n
-        return mat.reshape(shape) if a < b else mat.T.reshape(shape)
-
-    total = np.zeros([n] * n, dtype=np.int64)
-    for b in range(n):
-        total += on_pair(d, b, (b + 1) % n)
-    if cost.include_penalty:
-        for a in range(n):
-            for b in range(a + 1, n):
-                total += 2 * cost.penalty_weight * on_pair(eye, a, b)
-    return total.reshape(-1)
+    return _dense_cost(1 << np.arange(n), np.asarray(cost.dist, dtype=np.int64).T,
+                       cost.penalty_weight, cost.include_penalty, np.int64)
 
 
 def apply_subspace_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
@@ -144,14 +118,6 @@ def apply_block_xy_mixer(state: np.ndarray, n: int, beta: float,
         arr *= ep
         arr += (eu - ep) * m
     return state
-
-
-def block_mixer_unitary(n: int, beta: float, normalized: bool = True) -> np.ndarray:
-    """Dense n x n sector unitary (for oracle comparisons)."""
-    lam_u, lam_p = block_mixer_eigenvalues(n, normalized)
-    proj = np.full((n, n), 1.0 / n)
-    return (np.exp(-1j * beta * lam_p) * (np.eye(n) - proj)
-            + np.exp(-1j * beta * lam_u) * proj)
 
 
 def run_ce(instance, schedule: AngleSchedule, normalized: bool = True) -> np.ndarray:
@@ -204,7 +170,7 @@ def best_block_relabeling(state: np.ndarray, target):
     n = _infer_n(state.shape[0])
     k = int(np.argmax(np.abs(state)))
     perms = []
-    for t, j in zip(target, index_to_tuple(k, n)):
+    for t, j in zip(target, map(int, np.unravel_index(k, (n,) * n))):
         p = list(range(n))
         p[t], p[j] = j, t
         perms.append(tuple(p))
@@ -214,31 +180,20 @@ def best_block_relabeling(state: np.ndarray, target):
 # ---------------------------------------------------------------------------
 # bridge to the full space
 
-def embed_to_full(state: np.ndarray, n: int) -> np.ndarray:
-    """Copy amplitudes to their bijective full-space labels, zero elsewhere."""
-    if n > MAX_EMBED_SIZE:
-        raise CapacityError(f"embedding capped at n={MAX_EMBED_SIZE}")
-    full = np.zeros(1 << (n * n), dtype=np.complex128)
-    full[subspace_to_full_labels(n)] = state
-    return full
-
-
 def project_to_subspace(full_state: np.ndarray, n: int) -> np.ndarray:
     """Gather the one-hot-sector amplitudes of a full state (subspace order)."""
     return np.array(full_state[subspace_to_full_labels(n)], dtype=np.complex128)
 
 
-def overlap_generic_ce(instance, gamma: float, beta: float,
-                       order: str = "commuting") -> complex:
+def overlap_generic_ce(instance, gamma: float, beta: float) -> complex:
     """Subspace-projected overlap between one CE layer and one generic layer.
 
-    With ``order="commuting"`` each side applies its mixer to its own initial
-    state first and the diagonal cost phase second.  Both initial states are
-    mixer eigenstates, and the two cost phases meet across the diagonal
-    one-hot projector and cancel, so the modulus is pinned at
-    n**(n/2) / 2**(n**2/2) for every angle pair.  With ``order="standard"``
-    (cost phase first, as in the layered circuits) the cancellation is broken
-    and the returned value genuinely depends on the angles.
+    Each side applies its mixer to its own initial state first and the
+    diagonal cost phase second.  Both initial states are mixer eigenstates,
+    and the two cost phases meet across the diagonal one-hot projector and
+    cancel, so the modulus is pinned at n**(n/2) / 2**(n**2/2) for every
+    angle pair.  (With the cost phase first, as in the layered circuits, the
+    cancellation is broken and the overlap depends on the angles.)
 
     The CE side uses the unnormalized block mixer.
     """
@@ -246,19 +201,12 @@ def overlap_generic_ce(instance, gamma: float, beta: float,
     n = cost.n
     if n > MAX_EMBED_SIZE:
         raise CapacityError(f"overlap capped at n={MAX_EMBED_SIZE}")
-    sched = AngleSchedule.single(gamma, beta)
-    if order == "standard":
-        gen = run_generic(cost, sched)
-        ce = run_ce(cost, sched, normalized=False)
-    elif order == "commuting":
-        gen = init_plus(cost.num_qubits)
-        apply_x_mixer(gen, beta)
-        apply_cost_phase(gen, cost.cost_vector(), gamma)
-        ce = init_w_product(n)
-        apply_block_xy_mixer(ce, n, beta, normalized=False)
-        apply_subspace_cost_phase(ce, subspace_cost_table(cost), gamma)
-    else:
-        raise ValueError(f"unknown order {order!r}")
+    gen = init_plus(cost.num_qubits)
+    apply_x_mixer(gen, beta)
+    apply_cost_phase(gen, cost.cost_vector(), gamma)
+    ce = init_w_product(n)
+    apply_block_xy_mixer(ce, n, beta, normalized=False)
+    apply_subspace_cost_phase(ce, subspace_cost_table(cost), gamma)
     return complex(np.vdot(ce, project_to_subspace(gen, n)))
 
 
@@ -274,22 +222,18 @@ def subspace_mixer_hamiltonian(n: int) -> np.ndarray:
     dim = n ** n
     H = np.zeros((dim, dim))
     for b in range(n):
-        mats = [sector if k == b else np.eye(n) for k in range(n)]
-        term = mats[0]
-        for mm in mats[1:]:
-            term = np.kron(term, mm)
-        H += term
+        H += functools.reduce(np.kron, [sector if k == b else np.eye(n) for k in range(n)])
     return H
 
 
-def double_commutator_gram(n: int, mixer=None):
+def double_commutator_gram(n: int):
     """Minimum eigenvalue of 2 P H (I-P) H P on the manifold.
 
     P projects onto all-distinct tuples, H is the block mixer restricted to
-    the manifold (overridable for diagnostics).  The operator has the form
-    2 A^dag A, so the contract is min eigenvalue >= -1e-9.
+    the manifold.  The operator has the form 2 A^dag A, so the contract is
+    min eigenvalue >= -1e-9.
     """
-    H = subspace_mixer_hamiltonian(n) if mixer is None else np.asarray(mixer)
+    H = subspace_mixer_hamiltonian(n)
     dim = n ** n
     pdiag = np.zeros(dim)
     pdiag[feasible_subspace_indices(n)] = 1.0

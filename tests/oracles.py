@@ -9,7 +9,10 @@ import math
 import numpy as np
 
 from feasmass.fullspace import apply_x_mixer, fourth_moment, mixer_kernel_rows
-from feasmass.instance import feasible_indices
+from feasmass.instance import CapacityError, feasible_indices
+from feasmass.subspace import block_mixer_eigenvalues, subspace_to_full_labels
+
+MAX_EMBED_SIZE = 4   # embedding needs the 2**(n*n) space too
 
 
 def pauli_block_sector(n: int, normalized: bool) -> np.ndarray:
@@ -33,6 +36,23 @@ def pauli_block_sector(n: int, normalized: bool) -> np.ndarray:
         H /= (n - 1)
     weight1 = [1 << j for j in range(n)]
     return H[np.ix_(weight1, weight1)].real.copy()
+
+
+def block_mixer_unitary(n: int, beta: float, normalized: bool = True) -> np.ndarray:
+    """Dense n x n sector unitary (for oracle comparisons)."""
+    lam_u, lam_p = block_mixer_eigenvalues(n, normalized)
+    proj = np.full((n, n), 1.0 / n)
+    return (np.exp(-1j * beta * lam_p) * (np.eye(n) - proj)
+            + np.exp(-1j * beta * lam_u) * proj)
+
+
+def embed_to_full(state: np.ndarray, n: int) -> np.ndarray:
+    """Copy amplitudes to their bijective full-space labels, zero elsewhere."""
+    if n > MAX_EMBED_SIZE:
+        raise CapacityError(f"embedding capped at n={MAX_EMBED_SIZE}")
+    full = np.zeros(1 << (n * n), dtype=np.complex128)
+    full[subspace_to_full_labels(n)] = state
+    return full
 
 
 def enumerated_twirl(state: np.ndarray, target) -> tuple:

@@ -32,11 +32,11 @@ from feasmass.harmonic import (dyadic_convolve, feasible_mass_via_plancherel,
 from feasmass.instance import (build_cost, feasible_indices, load_instance,
                                synthetic_instance)
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
-                               block_mixer_unitary, init_w_product,
-                               overlap_generic_ce, project_to_subspace, run_ce,
-                               subspace_cost_table, subspace_feasible_mass)
+                               init_w_product, overlap_generic_ce,
+                               project_to_subspace, run_ce, subspace_cost_table,
+                               subspace_feasible_mass)
 
-from oracles import enumerated_twirl, pauli_block_sector
+from oracles import block_mixer_unitary, enumerated_twirl, pauli_block_sector
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 

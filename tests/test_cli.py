@@ -268,6 +268,84 @@ def test_run_hist_int32_overflow_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def write_instance(path, dist) -> str:
+    path.write_text(f"{len(dist)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in dist))
+    return str(path)
+
+
+def constant_dist(n, d) -> list:
+    return [[0 if i == j else d for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n, d, command", [
+    (4, 10 ** 18, ["depth", "--depth", "1", "--grid", "2x2"]),
+    (4, 10 ** 18, ["hist", "--method", "ce", "--shots", "10"]),
+    (7, 10 ** 17, ["hist", "--method", "ce", "--shots", "10"]),
+    (7, 10 ** 17, ["twirl"]),
+])
+def test_run_ce_int64_overflow_exits_1(tmp_path, capsys, n, d, command):
+    # the manifold table's bound A*n*(n-1) + n*d passes int64; unguarded, it
+    # wrapped silently and the run exited 0
+    inst = write_instance(tmp_path / "big.txt", constant_dist(n, d))
+    out = tmp_path / "out"
+    rc = run_cli(["run", *command, "--instance", inst, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: largest cost {(n * d + 1) * n * (n - 1) + n * d} "
+                          f"overflows the int64 cost table at n={n}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["depth", "--depth", "2", "--grid", "2x2"],
+                                     ["hist", "--method", "ce", "--shots", "10"]])
+def test_run_ce_just_under_int64_bound_runs(tmp_path, capsys, command):
+    # 21*d + 6 = A*n*(n-1) + n*d at n = 3: the largest d whose table fits
+    d = (2 ** 63 - 1 - 6) // 21
+    for dd, want in ((d, 0), (d + 1, 1)):
+        inst = write_instance(tmp_path / f"edge{dd}.txt", constant_dist(3, dd))
+        rc = run_cli(["run", *command, "--instance", inst, "--out", str(tmp_path / str(dd))])
+        assert rc == want
+    assert "overflows the int64" in capsys.readouterr().err
+
+
+def test_instance_entry_past_int64_exits_1(tmp_path, capsys):
+    dist = constant_dist(3, 5)
+    dist[1][2] = 2 ** 63
+    inst = write_instance(tmp_path / "huge.txt", dist)
+    rc = run_cli(["run", "avg", "--instance", inst, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {inst}:3: {2 ** 63} does not fit in int64\n"
+
+
+@pytest.mark.parametrize("command", [["grid", "--grid", "2x2"],
+                                     ["depth", "--grid", "2x2"]])
+def test_huge_entry_meets_the_overflow_guard(tmp_path, capsys, command):
+    # the default weight 3*4e18 + 1 is past int64; computed in int64 it
+    # wrapped negative and the run exited with "penalty weight must be positive"
+    dist = constant_dist(3, 5)
+    dist[0][1] = 4 * 10 ** 18
+    inst = write_instance(tmp_path / "big.txt", dist)
+    out = tmp_path / "out"
+    rc = run_cli(["run", *command, "--instance", inst, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: largest cost ") and "overflows the int64 cost table at n=3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["depth", "twirl"])
+def test_run_ce_only_experiment_refuses_generic(tmp_path, capsys, experiment):
+    # the config hash records --method, so a CE run must not be filed as generic
+    out = tmp_path / "out"
+    rc = run_cli(["run", experiment, "--n", "2", "--grid", "2x2", "--method", "generic",
+                  "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: run {experiment} simulates CE-QAOA only, "
+                                       f"got --method generic\n")
+    assert not out.exists()
+
+
 def test_run_hist_files_independent_of_chunk(tmp_path, monkeypatch, capsys):
     # whole runs through the level-table phase (all distances 1: 409 levels
     # for 2**16 labels), the direct phase (wi4) and CE write the same bytes

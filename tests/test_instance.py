@@ -70,6 +70,8 @@ def test_make_instance_validation():
 
 def test_default_penalty_weight():
     assert default_penalty_weight([[0, 7], [7, 0]]) == 15
+    # Python ints: an int64 product would wrap negative here
+    assert default_penalty_weight([[0, 4 * 10 ** 18], [1, 0]]) == 8 * 10 ** 18 + 1
 
 
 def test_feasibility_n2():
@@ -177,6 +179,19 @@ def test_int32_cost_table_refuses_overflow_n5():
     with pytest.raises(CapacityError):
         cost.spread
     assert cost._vector is None
+
+
+@pytest.mark.parametrize("n, d", [(3, 10 ** 18), (4, 10 ** 17), (5, 3_000_000)])
+def test_full_table_guard_reports_the_all_ones_cost(n, d):
+    # for n >= 3 the guard's sum of largest terms is the all-ones cost
+    dist = np.full((n, n), d)
+    np.fill_diagonal(dist, 0)
+    cost = build_cost(make_instance(dist))
+    top = cost.value((1 << (n * n)) - 1)
+    dtype = "int32" if n == 5 else "int64"
+    with pytest.raises(CapacityError, match=f"largest cost {top} overflows the {dtype} "
+                                            f"cost table at n={n}; use smaller distances"):
+        cost.cost_vector()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

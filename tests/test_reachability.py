@@ -17,8 +17,11 @@ KNOWN_UNREACHABLE = {
     "bounds.low_degree_window_size", "bounds.ratio_master",
     "harmonic.inverse_walsh_transform", "harmonic.low_degree_mass",
     "instance.bits_to_matrix", "instance.is_permutation_feasible", "instance.parse_bitstring",
-    "subspace.block_mixer_unitary", "subspace.embed_to_full",
 }
+
+# Defaulted parameters plus defaulted dataclass fields in ``src``: each is a
+# knob a caller can turn.  The count may only shrink, like the set above.
+MAX_KNOBS = 36
 
 
 def _defined_names(stmt) -> list:
@@ -84,3 +87,29 @@ def test_every_definition_is_reachable_from_cli_main():
     defs, edges = name_graph()
     unreachable = defs - reachable_from("cli.main", edges)
     assert unreachable <= KNOWN_UNREACHABLE, sorted(unreachable - KNOWN_UNREACHABLE)
+
+
+def _is_dataclass(node) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def knob_count() -> int:
+    count = 0
+    for path in PKG.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+    return count
+
+
+def test_defaulted_knobs_do_not_grow():
+    count = knob_count()
+    assert count <= MAX_KNOBS, f"{count} defaulted parameters and fields, cap {MAX_KNOBS}"
