@@ -6,7 +6,9 @@ Both lattice averages, the feasible mass and the fourth moment, share one
 kernel: a mixer kernel row scattered onto the integer cost lattice
 transforms by one FFT to that label's amplitude at every grid angle.  Both
 angle grids, the generic grid search and the CE depth sweep, share one
-depth-first walk (``_sweep``) that phases once per gamma.
+depth-first walk (``_sweep``) that phases once per gamma.  The generic grid
+ends each walk in the one-hot row projection (fullspace.mixed_feasible_mass)
+instead of the full X mixer, and re-runs its argmax as a whole circuit.
 """
 from __future__ import annotations
 
@@ -17,15 +19,14 @@ import numpy as np
 
 from . import bounds
 from .fullspace import (_DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer,
-                        feasible_mass, fourth_moment, init_plus,
+                        feasible_mass, fourth_moment, init_plus, mixed_feasible_mass,
                         mixer_kernel_rows, run_generic, sample_counts)
 from .instance import (CapacityError, DiagonalCost, ProblemInstance, as_cost,
-                       enumerate_feasible, feasible_indices)
+                       enumerate_feasible, feasible_indices, feasible_subspace_indices)
 from .subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
-                       best_block_relabeling, feasible_subspace_indices,
-                       init_w_product, run_ce, subspace_cost_table,
-                       subspace_feasible_mass, subspace_to_full_labels,
-                       twirl_average)
+                       best_block_relabeling, init_w_product, run_ce,
+                       subspace_cost_table, subspace_feasible_mass,
+                       subspace_to_full_labels, twirl_average)
 
 MAX_LATTICE_POINTS = 3_000_000
 """Largest lattice grid.  Lengths with a large prime factor (Bluestein) cost
@@ -199,26 +200,31 @@ def l4_sweep(instance, betas) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # angle sweeps, grid search and parameter transfer
 
-def _sweep(fresh, phase, mix, mass, grid: GridSpec, p_max: int):
+def _sweep(fresh, phase, mix, mass, final, grid: GridSpec, p_max: int):
     """Yield (angles, mass) for every circuit of depth 1..p_max whose layers
     take their (gamma, beta) from ``grid``, depth first in grid order.
 
     ``fresh()`` makes a parent state: the initial state, or a copy of the
     mixed state one layer up; ``phase`` and ``mix`` act in place.  Each gamma
-    phases one parent and each beta mixes a copy of that, so a walk holds two
-    states per layer.  Deeper layers recurse through the module name: a
-    closure that calls itself is a reference cycle, which would keep the
-    caller's cost table alive until the next garbage collection.
+    phases one parent.  Above the last layer each beta mixes a copy of it for
+    ``mass`` and the layers below, so a walk holds two states per layer; on
+    the last, ``final(phased, beta)`` gives the mass after the mixer and
+    leaves ``phased`` unchanged.  Deeper layers recurse through the module
+    name: a closure that calls itself is a reference cycle, which would keep
+    the caller's cost table alive until the next garbage collection.
     """
     for g in grid.gammas().tolist():
         phased = phase(fresh(), g)
         for b in grid.betas().tolist():
+            if p_max == 1:
+                yield ((g, b),), final(phased, b)
+                continue
             state = mix(phased.copy(), b)
             yield ((g, b),), mass(state)
-            if p_max > 1:
-                for angles, deeper in _sweep(state.copy, phase, mix, mass, grid, p_max - 1):
-                    yield ((g, b),) + angles, deeper
+            for angles, deeper in _sweep(state.copy, phase, mix, mass, final, grid, p_max - 1):
+                yield ((g, b),) + angles, deeper
             del state   # before the next beta's copy: one mixed state at a time
+        del phased   # before the next gamma's fresh state
 
 
 @dataclass
@@ -232,19 +238,25 @@ class GridSearchResult:
 
 
 def grid_search_generic(instance, grid: GridSpec, precision: str = "f64") -> GridSearchResult:
-    """Single-layer feasible mass at every grid point; lexicographically-first
-    argmax by (gamma index, beta index)."""
+    """Single-layer feasible mass at every grid point by the one-hot row
+    projection; lexicographically-first argmax by (gamma index, beta index).
+    The argmax is re-run as a whole circuit, an independent oracle: masses
+    over 1e-12 apart, relative (1e-5 in f32), raise ValueError."""
     cost = as_cost(instance)
     gammas, betas = grid.gammas(), grid.betas()
     table = cost.cost_vector()
-    walk = _sweep(lambda: init_plus(cost.num_qubits, dtype=_DTYPES[precision]),
-                  lambda state, g: apply_cost_phase(state, table, g), apply_x_mixer,
-                  lambda state: feasible_mass(state, cost.n), grid, 1)
+    fresh = lambda: init_plus(cost.num_qubits, dtype=_DTYPES[precision])
+    phase = lambda state, g: apply_cost_phase(state, table, g)
+    walk = _sweep(fresh, phase, None, None,
+                  lambda phased, b: mixed_feasible_mass(phased, b, cost.n), grid, 1)
     surface = np.reshape([mass for _, mass in walk], (len(gammas), len(betas)))
     gi, bi = np.unravel_index(int(np.argmax(surface)), surface.shape)
+    best, g, b = float(surface[gi, bi]), float(gammas[gi]), float(betas[bi])
+    check = feasible_mass(apply_x_mixer(phase(fresh(), g), b), cost.n)
+    if abs(check - best) > {"f64": 1e-12, "f32": 1e-5}[precision] * abs(check):
+        raise ValueError(f"grid argmax ({g}, {b}): projected mass {best!r}, circuit {check!r}")
     return GridSearchResult(gammas=gammas, betas=betas, surface=surface,
-                            best_gamma=float(gammas[gi]), best_beta=float(betas[bi]),
-                            best_mass=float(surface[gi, bi]))
+                            best_gamma=g, best_beta=b, best_mass=best)
 
 
 def parameter_transfer(instance, grid: GridSpec, precision: str = "f64") -> ExperimentResult:
@@ -343,11 +355,13 @@ def ce_depth_sweep(instance, p_max: int, grid: GridSpec,
     if grid.gammas()[0] != 0.0 or grid.betas()[0] != 0.0:
         raise ValueError("per-layer grids must contain the zero angle")
     table = subspace_cost_table(cost)
+    mix = lambda state, b: apply_block_xy_mixer(state, cost.n, b, normalized)
     best = [(-1.0, None)] * p_max
     for angles, mass in _sweep(lambda: init_w_product(cost.n),
                                lambda state, g: apply_subspace_cost_phase(state, table, g),
-                               lambda state, b: apply_block_xy_mixer(state, cost.n, b, normalized),
-                               subspace_feasible_mass, grid, p_max):
+                               mix, subspace_feasible_mass,
+                               lambda phased, b: subspace_feasible_mass(mix(phased.copy(), b)),
+                               grid, p_max):
         if mass > best[len(angles) - 1][0]:
             best[len(angles) - 1] = (mass, angles)
     per_depth = [{"p": p, "best_mass": mass, "angles": [list(a) for a in angles]}

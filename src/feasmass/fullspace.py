@@ -3,11 +3,12 @@
 States are plain 1-D complex ndarrays of length 2**N indexed by the integer
 basis label (bit k of the label = qubit k).  Gate application mutates the
 array in place and returns it; the state is exclusively owned while mutated.
-Double precision is the default; complex64 halves the N = 25 state to
-256 MiB (a whole `run hist` on wi5 in f32 peaks near 475 MiB, see README).
-The cost phase, the X mixer, the sampler's CDF and norms work on at most
-about _CHUNK amplitudes at a time, so none makes a full-state temporary, and
-none depends on the BLAS thread count.
+complex128 is the default; complex64 halves the N = 25 state to 256 MiB.
+The feasible mass after the X mixer needs only the mixer's one-hot rows
+(mixed_feasible_mass), so a grid search mixes no state per point.  The cost
+phase, the mixer, that projection, the sampler's CDF and norms work on
+bounded chunks: none makes a full-state temporary or depends on the BLAS
+thread count.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import CapacityError, as_cost, feasible_indices
+from .instance import CapacityError, as_cost, feasible_indices, feasible_subspace_indices
 
 MAX_FULL_QUBITS = 25
 _CHUNK = 1 << 20
@@ -151,6 +152,27 @@ def feasible_mass(state: np.ndarray, n: int) -> float:
     """Total probability on the n! permutation labels."""
     idx = feasible_indices(n)
     return float(np.sum(np.abs(state[idx]) ** 2))
+
+
+def mixed_feasible_mass(state: np.ndarray, beta: float, n: int) -> float:
+    """feasible_mass(apply_x_mixer(state.copy(), beta), n) without the mixer.
+
+    Only the n one-hot rows of R(beta)^{(x)n} reach a feasible row.  Each row
+    block in turn, the contiguous one first, meets that n x 2**n slice in
+    matmuls under 2**16 multiply-adds (OpenBLAS runs those on one thread),
+    and its n results go first, so the next row is contiguous.  Row 0 ends
+    least significant in the n**n result; digit reversal maps permutations
+    onto themselves, so the manifold's index map picks the n! amplitudes.
+    """
+    s = mixer_kernel_rows(1 << np.arange(n), beta, n).astype(state.dtype).T
+    step = max(1, ((1 << 16) - 1) // (n << n))
+    t = state
+    for _ in range(n):
+        v = t.reshape(-1, 1 << n)
+        t = np.empty((n, v.shape[0]), dtype=state.dtype)
+        for lo in range(0, v.shape[0], step):
+            t[:, lo:lo + step] = (v[lo:lo + step] @ s).T
+    return float(np.sum(np.abs(t.reshape(-1)[feasible_subspace_indices(n)]) ** 2))
 
 
 def fourth_moment(state: np.ndarray) -> float:

@@ -55,13 +55,6 @@ def walsh_transform(values) -> np.ndarray:
     return a
 
 
-def inverse_walsh_transform(spectrum) -> np.ndarray:
-    """f(x) = sum_S f_hat(S) chi_S(x); the unnormalized butterfly."""
-    a = np.array(spectrum, dtype=np.complex128)
-    num_bits_of(a.shape[0])
-    return _fwht_inplace(a)
-
-
 # ---------------------------------------------------------------------------
 # Krawtchouk polynomials (exact integers)
 

@@ -131,39 +131,9 @@ def load_instance(path) -> ProblemInstance:
 # ---------------------------------------------------------------------------
 # bit-layout helpers
 
-def bit_index(position: int, city: int, n: int) -> int:
-    return position * n + city
-
-
 def bitstring_str(x: int, n: int) -> str:
     """Render a basis label with bit k=i*n+j at string position k (left to right)."""
     return "".join("1" if (x >> k) & 1 else "0" for k in range(n * n))
-
-
-def parse_bitstring(s: str) -> int:
-    return sum(1 << k for k, ch in enumerate(s) if ch == "1")
-
-
-def bits_to_matrix(x: int, n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = (x >> bit_index(i, j, n)) & 1
-    return m
-
-
-def is_permutation_feasible(x: int, n: int) -> bool:
-    """True iff every row and every column of the n x n bit matrix sums to 1."""
-    row_mask = (1 << n) - 1
-    cols = 0
-    for i in range(n):
-        row = (x >> (i * n)) & row_mask
-        if row.bit_count() != 1:
-            return False
-        if cols & row:
-            return False
-        cols |= row
-    return cols == row_mask
 
 
 @lru_cache(maxsize=None)
@@ -171,14 +141,20 @@ def enumerate_feasible(n: int) -> tuple:
     """All n! feasible labels, in lexicographic permutation order."""
     if n > MAX_ENUM_SIZE:
         raise CapacityError(f"feasible enumeration capped at n={MAX_ENUM_SIZE}, got {n}")
-    out = []
-    for perm in itertools.permutations(range(n)):
-        out.append(sum(1 << bit_index(pos, city, n) for pos, city in enumerate(perm)))
-    return tuple(out)
+    return tuple(sum(1 << (pos * n + city) for pos, city in enumerate(perm))
+                 for perm in itertools.permutations(range(n)))
 
 
 def feasible_indices(n: int) -> np.ndarray:
     return np.array(enumerate_feasible(n), dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def feasible_subspace_indices(n: int) -> np.ndarray:
+    """Indices of the n! all-distinct symbol tuples (lexicographic order) in
+    the C-order [n]*n one-hot tensor."""
+    perms = np.fromiter(itertools.permutations(range(n)), dtype=(np.int64, n))
+    return np.ravel_multi_index(perms.T, (n,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +220,14 @@ class DiagonalCost:
         Degenerate cost levels defeat exact angle averaging (equal-cost pairs
         keep phase 1 under every average); spacing the lattice by 2**N and
         adding the label index splits every level while staying on an integer
-        lattice, so the finite-grid average is exact again.
+        lattice, so the finite-grid average is exact again.  Entries past
+        int64 are refused before the multiply.
         """
         N = self.num_qubits
         base = self.cost_vector().astype(np.int64)
+        if (top := (int(base.max()) + 1) << N) > np.iinfo(np.int64).max:
+            raise CapacityError(f"tie-broken costs reach {top - 1}, past int64 at n={self.n}; "
+                                "use smaller distances")
         return base * (1 << N) + np.arange(1 << N, dtype=np.int64)
 
     @property

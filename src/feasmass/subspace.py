@@ -15,13 +15,13 @@ embedding into the full space) are test oracles.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
 from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, init_plus,
                         norm_squared)
-from .instance import CapacityError, DiagonalCost, _dense_cost, as_cost
+from .instance import (CapacityError, DiagonalCost, _dense_cost, as_cost,
+                       feasible_subspace_indices)
 
 MAX_BLOCK_SIZE = 8   # n**n amplitudes
 MAX_EMBED_SIZE = 4   # the overlap needs the 2**(n*n) space too
@@ -45,13 +45,6 @@ def subspace_to_full_labels(n: int) -> np.ndarray:
         shape[b] = n
         out += (np.int64(1) << (b * n + np.arange(n, dtype=np.int64))).reshape(shape)
     return out.reshape(-1)
-
-
-@functools.lru_cache(maxsize=None)
-def feasible_subspace_indices(n: int) -> np.ndarray:
-    """Indices of the n! all-distinct symbol tuples (lexicographic order)."""
-    perms = np.fromiter(itertools.permutations(range(n)), dtype=(np.int64, n))
-    return np.ravel_multi_index(perms.T, (n,) * n)
 
 
 def init_w_product(n: int) -> np.ndarray:

@@ -72,6 +72,38 @@ def enumerated_twirl(state: np.ndarray, target) -> tuple:
     return float(np.mean(probs)), float(max(probs))
 
 
+def parse_bitstring(s: str) -> int:
+    """Basis label with bit k set where character k is '1' (left to right)."""
+    return sum(1 << k for k, ch in enumerate(s) if ch == "1")
+
+
+def bits_to_matrix(x: int, n: int) -> np.ndarray:
+    """The n x n 0/1 matrix of a label: entry (i, j) is bit i*n + j."""
+    return np.array([[(x >> (i * n + j)) & 1 for j in range(n)] for i in range(n)],
+                    dtype=np.int64)
+
+
+def is_permutation_feasible(x: int, n: int) -> bool:
+    """True iff every row and every column of the n x n bit matrix sums to 1,
+    by row masks (independent of bits_to_matrix)."""
+    row_mask = (1 << n) - 1
+    cols = 0
+    for i in range(n):
+        row = (x >> (i * n)) & row_mask
+        if row.bit_count() != 1 or cols & row:
+            return False
+        cols |= row
+    return cols == row_mask
+
+
+def inverse_walsh_transform(spectrum) -> np.ndarray:
+    """f(x) = sum_S f_hat(S) (-1)**|S & x|, as one dense character matrix."""
+    spec = np.asarray(spectrum, dtype=np.complex128)
+    labels = np.arange(spec.shape[0])
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.bitwise_and.outer(labels, labels)) & 1)
+    return signs @ spec
+
+
 def tuple_to_label(symbols, n: int) -> int:
     """Full-space basis label with bit b*n + j_b set per block."""
     return sum(1 << (b * n + int(j)) for b, j in enumerate(symbols))

@@ -14,6 +14,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 from feasmass.instance import DiagonalCost
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,8 +56,7 @@ import spans
 tracer = spans.Tracer()
 spans.install(tracer)
 calls = []
-for argv in (["run", "grid", "--instance", sys.argv[3], "--grid", "2x2"],
-             ["run", "depth", "--n", "2", "--depth", "2", "--grid", "2x2"]):
+for argv in json.loads(sys.argv[3]):
     start = len(tracer.spans)
     with tempfile.TemporaryDirectory() as out:
         rc = cli.main(argv + ["--out", out])
@@ -64,20 +65,41 @@ print(json.dumps(calls))
 """
 
 
-def test_traced_sweeps_fire_the_layer_spans():
+@pytest.fixture(scope="module")
+def traced_runs():
+    """(exit code, span counts) of ``grid`` on wi3, ``depth`` and ``transfer``,
+    each run under the benchmark's tracer in one subprocess."""
+    commands = [["run", "grid", "--instance", str(ROOT / "instances" / "wi3.txt"), "--grid", "2x2"],
+                ["run", "depth", "--n", "2", "--depth", "2", "--grid", "2x2"],
+                ["run", "transfer", "--n", "2", "--grid", "2x2"]]
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _TRACED_RUNS, str(BENCH), str(ROOT / "src"),
-         str(ROOT / "instances" / "wi3.txt")],
+         json.dumps(commands)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    (grid_rc, grid), (depth_rc, depth) = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_sweeps_fire_the_layer_spans(traced_runs):
+    (grid_rc, grid), (depth_rc, depth), _ = traced_runs
     assert grid_rc == 0 and depth_rc == 0
-    # a 2x2 grid: one cost phase per gamma, one mixer and one mass per point
+    # a 2x2 grid: one cost phase per gamma and a projection per point, then
+    # the argmax check's phase, mixer and mass
     assert (grid.get("fullspace.apply_cost_phase"), grid.get("fullspace.apply_x_mixer"),
-            grid.get("fullspace.feasible_mass")) == (2, 4, 4)
+            grid.get("fullspace.feasible_mass")) == (3, 1, 1)
     # depth 2 on 2x2: 2 + 4*2 phases (each delegates to the full-space
     # kernel) and 4 + 4*4 mixers and masses
     assert (depth.get("subspace.apply_subspace_cost_phase"),
             depth.get("fullspace.apply_cost_phase"),
             depth.get("subspace.apply_block_xy_mixer"),
             depth.get("subspace.subspace_feasible_mass")) == (10, 10, 20, 20)
+
+
+def test_grid_n4_analogue_fires_its_predicted_spans(traced_runs):
+    # grid plus transfer, as the grid-n4 workload runs them: a grid search
+    # that stopped calling a predicted layer fails the traced benchmark run
+    (grid_rc, grid), _, (transfer_rc, transfer) = traced_runs
+    assert grid_rc == 0 and transfer_rc in (0, 2)
+    fired = set(grid) | set(transfer)
+    predicted = _load("workloads").PREDICTED_SPANS["grid-n4"]
+    assert [span for span in predicted if span not in fired] == []

@@ -10,7 +10,7 @@ import pytest
 from feasmass import experiments
 from feasmass.cli import main
 from feasmass.experiments import GridSpec
-from feasmass.instance import synthetic_instance
+from feasmass.instance import build_cost, load_instance, synthetic_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 WI3 = str(ROOT / "instances" / "wi3.txt")
@@ -331,6 +331,38 @@ def test_huge_entry_meets_the_overflow_guard(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: largest cost ") and "overflows the int64 cost table at n=3" in err
+    assert not out.exists()
+
+
+def test_run_avg_tie_broken_past_int64_exits_1(tmp_path, capsys):
+    # every distance 1e15: the table fits (largest cost 9.0e16), but the
+    # tie-broken lattice C*2**9 + label does not fit int64; it used to wrap
+    # and report "lattice grid needs 8704000000000002534 points"
+    inst = write_instance(tmp_path / "wide.txt", constant_dist(3, 10 ** 15))
+    top = int(build_cost(load_instance(inst)).cost_vector().max())
+    out = tmp_path / "out"
+    rc = run_cli(["run", "avg", "--instance", inst, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: tie-broken costs reach {((top + 1) << 9) - 1}, past int64 "
+                   f"at n=3; use smaller distances\n")
+    assert ((top + 1) << 9) - 1 > 2 ** 63
+    assert not out.exists()
+
+
+def test_run_grid_refuses_a_corrupted_projection(tmp_path, capsys, monkeypatch):
+    # the argmax is re-run as a full circuit; a projection that doubles every
+    # mass is caught there, before any file is written
+    true = experiments.grid_search_generic(load_instance(WI3), GridSpec(3, 3)).best_mass
+    real = experiments.mixed_feasible_mass
+    monkeypatch.setattr(experiments, "mixed_feasible_mass",
+                        lambda st, b, n: 2 * real(st, b, n))
+    out = tmp_path / "out"
+    rc = run_cli(["run", "grid", "--instance", WI3, "--grid", "3x3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: grid argmax (") and f"projected mass {2 * true!r}," in err
+    assert float(err.split("circuit ")[1]) == pytest.approx(true, rel=1e-12)
     assert not out.exists()
 
 

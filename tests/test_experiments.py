@@ -12,8 +12,9 @@ from feasmass.experiments import (GridSpec, ce_depth_sweep, envelope_excess_repo
                                   grid_search_generic, l4_sweep,
                                   lattice_feasible_masses, markov_fraction,
                                   parameter_transfer, twirl_existence_experiment)
-from feasmass.fullspace import (AngleSchedule, feasible_mass, fourth_moment,
-                                mixer_kernel_rows, run_generic)
+from feasmass.fullspace import (AngleSchedule, apply_cost_phase, fourth_moment,
+                                init_plus, mixed_feasible_mass, mixer_kernel_rows,
+                                run_generic)
 from feasmass.instance import build_cost, feasible_indices, synthetic_instance
 from feasmass.subspace import run_ce, subspace_feasible_mass
 
@@ -245,11 +246,31 @@ def _count_calls(monkeypatch, *names):
 
 @pytest.mark.parametrize("gp,bp", [(1, 1), (3, 2)])
 def test_grid_search_phases_once_per_gamma(monkeypatch, gp, bp):
+    # one projection per point; the argmax check adds one phase, the only
+    # mixer and the only full feasible mass
     counts = _count_calls(monkeypatch, "apply_cost_phase", "apply_x_mixer",
-                          "feasible_mass")
+                          "feasible_mass", "mixed_feasible_mass")
     grid_search_generic(synthetic_instance(2, seed=1, high=3), GridSpec(gp, bp))
-    assert counts == {"apply_cost_phase": gp, "apply_x_mixer": gp * bp,
-                      "feasible_mass": gp * bp}
+    assert counts == {"apply_cost_phase": gp + 1, "apply_x_mixer": 1,
+                      "feasible_mass": 1, "mixed_feasible_mass": gp * bp}
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_grid_search_refuses_a_projection_off_the_circuit(monkeypatch, precision):
+    # the argmax check is the full circuit; a projection off by more than
+    # round-off (1e-12 relative in f64, 1e-5 in f32) is refused, within it not
+    tol = {"f64": 1e-12, "f32": 1e-5}[precision]
+    inst, grid = synthetic_instance(2, seed=1, high=3), GridSpec(3, 2)
+    exact = grid_search_generic(inst, grid, precision).best_mass
+    for scale, refused in ((1 + tol / 4, False), (1 + 4 * tol, True)):
+        monkeypatch.setattr(experiments, "mixed_feasible_mass",
+                            lambda st, b, n, s=scale: s * mixed_feasible_mass(st, b, n))
+        if refused:
+            with pytest.raises(ValueError, match="projected mass .* circuit"):
+                grid_search_generic(inst, grid, precision)
+        else:
+            assert grid_search_generic(inst, grid, precision).best_mass == pytest.approx(
+                exact, rel=tol)
 
 
 def test_depth_sweep_phases_once_per_gamma(monkeypatch):
@@ -262,7 +283,9 @@ def test_depth_sweep_phases_once_per_gamma(monkeypatch):
 
 
 def test_grid_search_holds_under_four_states():
-    # the phased state, one mixed copy and the mixer's chunk temporaries
+    # one state plus the cost phase's or the mixer's chunk temporaries: each
+    # gamma's phased state is freed before the next one is made, and the
+    # projection copies nothing (about 2.6 states; 3.6 with a mixed copy)
     cost = build_cost(synthetic_instance(4, seed=1))
     cost.cost_vector()
     tracemalloc.start()
@@ -271,7 +294,7 @@ def test_grid_search_holds_under_four_states():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 16 * 16, f"peak {peak / (2 ** 16 * 16):.2f} states"
+    assert peak < 3 * 2 ** 16 * 16, f"peak {peak / (2 ** 16 * 16):.2f} states"
 
 
 def test_grid_search_frees_its_cost_on_return():
@@ -321,11 +344,15 @@ def test_result_json_excludes_wall_clock():
 @pytest.mark.parametrize("precision", ["f64", "f32"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_grid_surface_matches_run_generic(n, precision):
-    # phasing once per gamma must not change a single bit of any grid point
+    # phasing once per gamma must not change a single bit of any grid point:
+    # each is the projection of a freshly phased |+>; the projection matches
+    # run_generic's mixer in test_fullspace.test_projection_matches_full_mixer
     cost = build_cost(synthetic_instance(n, seed=5, high=3))
     grid = GridSpec(4, 3)
     res = grid_search_generic(cost, grid, precision)
-    expected = [[feasible_mass(run_generic(cost, AngleSchedule.single(g, b), precision), n)
+    dtype = {"f64": np.complex128, "f32": np.complex64}[precision]
+    table = cost.cost_vector()
+    expected = [[mixed_feasible_mass(apply_cost_phase(init_plus(n * n, dtype), table, g), b, n)
                  for b in grid.betas()] for g in grid.gammas()]
     assert np.array_equal(res.surface, np.array(expected))
 

@@ -2,13 +2,15 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as hs
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer,
                                 feasible_mass, fourth_moment, init_plus,
-                                mixer_kernel_rows, norm_squared, run_generic,
-                                sample_counts)
+                                mixed_feasible_mass, mixer_kernel_rows, norm_squared,
+                                run_generic, sample_counts)
 from feasmass.instance import CapacityError, build_cost, load_instance, synthetic_instance
 
 from oracles import cumsum_copy_sample_counts
@@ -192,6 +194,46 @@ def test_x_mixer_batch_matches_rows(dtype, monkeypatch):
             out = apply_x_mixer(batch.copy(), beta)
             assert out.shape == batch.shape and out.dtype == dtype
             assert np.array_equal(out, single), (rows, num_bits, chunk, beta)
+
+
+PROJECTION_TOL = {np.complex128: 1e-13, np.complex64: 1e-5}   # relative
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_projection_matches_full_mixer(n, dtype):
+    cost = build_cost(synthetic_instance(n, seed=3, high=5))
+    states = {"random": unit_state(np.random.default_rng(n), 1 << (n * n)).astype(dtype),
+              "phased": apply_cost_phase(init_plus(n * n, dtype), cost.cost_vector(), 0.7)}
+    for label, st in states.items():
+        before = st.copy()
+        for beta in (0.0, 0.3, math.pi / 4, math.pi / 2, 3.0):
+            want = feasible_mass(apply_x_mixer(st.copy(), beta), n)
+            got = mixed_feasible_mass(st, beta, n)
+            assert abs(got - want) <= PROJECTION_TOL[dtype] * want, (label, beta)
+        assert np.array_equal(st, before), label   # the input is left as it was
+
+
+def test_projection_matches_full_mixer_n5_f32():
+    # 2**25 complex64 amplitudes (256 MiB), mixed in place: the second
+    # sampled beta is checked through R(b1) = R(b1 - b0) R(b0)
+    cost = build_cost(synthetic_instance(5, seed=1, high=9))
+    st = apply_cost_phase(init_plus(25, np.complex64), cost.cost_vector(), 0.4)
+    del cost
+    b0, b1 = np.random.default_rng(5).uniform(0.0, math.pi, size=2).tolist()
+    want0, want1 = mixed_feasible_mass(st, b0, 5), mixed_feasible_mass(st, b1, 5)
+    apply_x_mixer(st, b0)
+    assert abs(feasible_mass(st, 5) - want0) <= 1e-5 * want0
+    assert abs(mixed_feasible_mass(st, b1 - b0, 5) - want1) <= 1e-5 * want1
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=hs.sampled_from([2, 3, 4]), beta=hs.floats(-2 * math.pi, 2 * math.pi),
+       seed=hs.integers(0, 2 ** 32 - 1), dtype=hs.sampled_from([np.complex128, np.complex64]))
+def test_projection_equals_full_mixer_property(n, beta, seed, dtype):
+    st = unit_state(np.random.default_rng(seed), 1 << (n * n)).astype(dtype)
+    want = feasible_mass(apply_x_mixer(st.copy(), beta), n)
+    assert abs(mixed_feasible_mass(st, beta, n) - want) <= PROJECTION_TOL[dtype] * want
 
 
 def test_run_generic_zero_angles_is_uniform():

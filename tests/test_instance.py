@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from feasmass.instance import (CapacityError, InstanceDimensionError,
-                               InstanceFormatError, bits_to_matrix,
-                               bitstring_str, build_cost, default_penalty_weight,
-                               enumerate_feasible, is_permutation_feasible,
-                               load_instance, make_instance, parse_bitstring,
-                               synthetic_instance)
+                               InstanceFormatError, bitstring_str, build_cost,
+                               default_penalty_weight, enumerate_feasible,
+                               load_instance, make_instance, synthetic_instance)
 
-from oracles import broadcast_dense_cost
+from oracles import (bits_to_matrix, broadcast_dense_cost, is_permutation_feasible,
+                     parse_bitstring)
 
 
 def write_instance(tmp_path, text, name="inst.txt"):

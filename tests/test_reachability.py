@@ -14,9 +14,7 @@ PKG = Path(__file__).resolve().parent.parent / "src" / "feasmass"
 # either gets a consumer or moves to tests/oracles.py.
 KNOWN_UNREACHABLE = {
     "bounds.alpha_star", "bounds.cross_term_suppression", "bounds.l4_feasible_envelope",
-    "bounds.low_degree_window_size", "bounds.ratio_master",
-    "harmonic.inverse_walsh_transform", "harmonic.low_degree_mass",
-    "instance.bits_to_matrix", "instance.is_permutation_feasible", "instance.parse_bitstring",
+    "bounds.low_degree_window_size", "bounds.ratio_master", "harmonic.low_degree_mass",
 }
 
 # Defaulted parameters plus defaulted dataclass fields in ``src``: each is a

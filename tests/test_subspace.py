@@ -11,11 +11,11 @@ from scipy.linalg import expm
 
 from feasmass.fullspace import AngleSchedule, feasible_mass, run_generic
 from feasmass.instance import (CapacityError, build_cost, enumerate_feasible,
-                               make_instance, synthetic_instance)
+                               feasible_subspace_indices, make_instance,
+                               synthetic_instance)
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                                best_block_relabeling, block_mixer_eigenvalues,
-                               block_mixer_sector, double_commutator_gram,
-                               feasible_subspace_indices, init_w_product,
+                               block_mixer_sector, double_commutator_gram, init_w_product,
                                overlap_generic_ce, project_to_subspace, run_ce,
                                subspace_cost_table, subspace_feasible_mass,
                                subspace_to_full_labels, twirl_average)
