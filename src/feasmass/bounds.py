@@ -5,27 +5,18 @@ base-e log value; linear values appear only where they provably fit.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 
 @dataclass
 class BoundReport:
-    """One evaluated bound or inequality check, serializable as a JSON line."""
+    """One evaluated bound or inequality check."""
 
     name: str
     params: dict = field(default_factory=dict)
     value: float = math.nan
-    log_value: bool = True
     satisfied: bool | None = None
-
-    def to_json(self) -> str:
-        payload = {"name": self.name, "params": self.params,
-                   "log_value" if self.log_value else "value": self.value}
-        if self.satisfied is not None:
-            payload["satisfied"] = self.satisfied
-        return json.dumps(payload, sort_keys=True)
 
 
 def log_factorial(n: int) -> float:
@@ -81,23 +72,12 @@ def transfer_factor(n: int) -> tuple:
     return exact, floor
 
 
-def ratio_master(n: int, alpha: float, delta_row: float, c_ce: float,
-                 bookkeeping: float = 1.0) -> float:
-    """n^2 (ln2 - a ln d) - K n ln n + ln c_ce; K is an explicit input."""
+def ratio_master(n: int, alpha: float, delta_row: float, c_ce: float) -> float:
+    """n^2 (ln2 - a ln d) - n ln n + ln c_ce."""
     if c_ce < 1:
         raise ValueError("c_ce must be >= 1")
     return (n * n * (math.log(2) - alpha * math.log(delta_row))
-            - bookkeeping * n * math.log(n) + math.log(c_ce))
-
-
-def cross_term_suppression(kind: str, width: float, delta: float) -> float:
-    """Residual cross-term factor for wide-window averaging (linear value)."""
-    if kind == "uniform":
-        x = width * delta
-        return 1.0 if x == 0 else math.sin(x) / x
-    if kind == "gaussian":
-        return math.exp(-0.5 * width * width * delta * delta)
-    raise ValueError(f"unknown kind {kind!r}")
+            - n * math.log(n) + math.log(c_ce))
 
 
 def low_degree_window_size(num_bits: int, d: int) -> tuple:

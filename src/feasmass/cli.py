@@ -24,9 +24,10 @@ import numpy as np
 
 from . import bounds, experiments, harmonic
 from .experiments import ExperimentResult, GridSpec
-from .fullspace import AngleSchedule
+from .fullspace import AngleSchedule, feasible_mass, mixer_kernel_rows, run_generic
 from .instance import (InstanceFormatError, ProblemInstance, bitstring_str,
                        load_instance, synthetic_instance)
+from .subspace import block_mixer_eigenvalues, double_commutator_gram, overlap_generic_ce
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,12 +55,29 @@ def _parse_grid(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"grid must look like 10x10, got {text!r}")
 
 
+def _parse_finite(text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return val
+
+
 def _parse_range(text: str) -> tuple:
     try:
         lo, hi = text.split(":")
-        return float(lo), float(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"range must look like LO:HI, got {text!r}")
+    return _parse_finite(lo), _parse_finite(hi)
+
+
+def _parse_list(text: str) -> str:
+    """Comma-separated finite numbers, kept as the text (the config hashes it)."""
+    for item in text.split(","):
+        _parse_finite(item)
+    return text
 
 
 def _parse_bool(text: str) -> bool:
@@ -131,9 +149,7 @@ def cmd_baseline(args) -> int:
 # run
 
 def _schedule_from(args) -> AngleSchedule:
-    gammas = [float(x) for x in args.gamma.split(",")]
-    betas = [float(x) for x in args.beta_list.split(",")]
-    return AngleSchedule(gammas=tuple(gammas), betas=tuple(betas))
+    return AngleSchedule(gammas=args.gamma.split(","), betas=args.beta_list.split(","))
 
 
 def cmd_run(args) -> int:
@@ -268,7 +284,6 @@ def _verify_harmonic(bat: _Battery):
             bat.record(f"sphere spectrum vs transform n={n} w={w}", err <= 1e-10,
                        f"max err {_fmt(err)}")
     # walsh multiplier against the dense kernel on 4 bits
-    from .fullspace import mixer_kernel_rows
     rng = np.random.default_rng(7)
     f = rng.normal(size=16) + 1j * rng.normal(size=16)
     beta = 0.83
@@ -292,7 +307,6 @@ def _verify_harmonic(bat: _Battery):
         bat.record(f"permutation spectral mass = n! (n={n})",
                    abs(total - math.factorial(n)) <= 1e-9,
                    f"mass {_fmt(total)}")
-    from .fullspace import feasible_mass, run_generic
     for n in (2, 3):
         inst = synthetic_instance(n, seed=1, high=5)
         state = run_generic(inst, AngleSchedule.single(0.9, 0.4))
@@ -308,7 +322,6 @@ def _verify_harmonic(bat: _Battery):
 
 
 def _verify_twirl(bat: _Battery):
-    from .subspace import block_mixer_eigenvalues, double_commutator_gram
     for n in (2, 3):
         inst = synthetic_instance(n, seed=2, high=5)
         bound = 1.0 / float(n) ** n
@@ -333,7 +346,6 @@ def _verify_twirl(bat: _Battery):
         bat.record(f"documented sector eigenvalue convention n={n}",
                    matches_doc, f"measured {_fmt(lam_u)} vs documented {n - 1}",
                    warn_only=True)
-    from .subspace import overlap_generic_ce
     for n in (2, 3):
         inst = synthetic_instance(n, seed=3, high=5)
         target = float(n) ** (n / 2) / 2.0 ** (n * n / 2)
@@ -421,14 +433,15 @@ def build_parser() -> _Parser:
     run.add_argument("--normalized-mixer", type=_parse_bool, default=True,
                      metavar="BOOL")
     run.add_argument("--precision", choices=["f64", "f32"], default="f64")
-    run.add_argument("--beta", type=float, default=0.7,
+    run.add_argument("--beta", type=_parse_finite, default=0.7,
                      help="single mixer angle (avg/markov)")
-    run.add_argument("--t", type=float, default=4.0, help="markov threshold")
+    run.add_argument("--t", type=_parse_finite, default=4.0, help="markov threshold")
     run.add_argument("--tie-break", type=_parse_bool, default=True, metavar="BOOL",
                      help="refine the cost lattice to split degenerate levels")
     run.add_argument("--method", choices=["generic", "ce"], default="ce")
-    run.add_argument("--gamma", default="0.4", help="comma-separated gammas (hist/twirl)")
-    run.add_argument("--beta-list", default="0.3",
+    run.add_argument("--gamma", type=_parse_list, default="0.4",
+                     help="comma-separated gammas (hist/twirl)")
+    run.add_argument("--beta-list", type=_parse_list, default="0.3",
                      help="comma-separated betas (hist/twirl/l4)")
     run.add_argument("--out", default="results")
     run.set_defaults(func=cmd_run)

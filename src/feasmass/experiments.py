@@ -117,7 +117,7 @@ def _lattice_spectra(h: np.ndarray, rows: np.ndarray, beta: float, L: int):
         yield w
 
 
-def lattice_feasible_masses(cost: DiagonalCost, betas, tie_break: bool = True) -> np.ndarray:
+def lattice_feasible_masses(cost: DiagonalCost, beta: float, tie_break: bool = True) -> np.ndarray:
     """Feasible mass at every grid angle gamma_k = 2 pi k / L, k = 0..L-1.
 
     The grid lives on the integer cost lattice, L = spread + 1 points, so
@@ -125,22 +125,15 @@ def lattice_feasible_masses(cost: DiagonalCost, betas, tie_break: bool = True) -
     ``tie_break`` the lattice is refined to split degenerate cost levels
     (equal-cost pairs survive every average and shift the mean off baseline;
     see DiagonalCost.tie_broken_vector).
-
-    ``betas`` may be a scalar or a sequence; the returned array has shape
-    (len(betas), L) in the sequence case, (L,) for a scalar.
     """
     n = cost.n
     if n > 4:
         raise ValueError("lattice averaging capped at n=4")
-    scalar = np.isscalar(betas)
-    beta_list = [float(betas)] if scalar else [float(b) for b in betas]
     h, L = _lattice_costs(cost, tie_break, None)
-    rows = feasible_indices(n)
-    masses = np.zeros((len(beta_list), L), dtype=np.float64)
-    for bi, beta in enumerate(beta_list):
-        for a in _lattice_spectra(h, rows, beta, L):
-            masses[bi] += a.real ** 2 + a.imag ** 2
-    return masses[0] if scalar else masses
+    masses = np.zeros(L, dtype=np.float64)
+    for a in _lattice_spectra(h, feasible_indices(n), float(beta), L):
+        masses += a.real ** 2 + a.imag ** 2
+    return masses
 
 
 def exact_angle_average(instance, beta: float, tie_break: bool = True) -> ExperimentResult:

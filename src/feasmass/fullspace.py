@@ -4,11 +4,12 @@ States are plain 1-D complex ndarrays of length 2**N indexed by the integer
 basis label (bit k of the label = qubit k).  Gate application mutates the
 array in place and returns it; the state is exclusively owned while mutated.
 complex128 is the default; complex64 halves the N = 25 state to 256 MiB.
-The feasible mass after the X mixer needs only the mixer's one-hot rows
-(mixed_feasible_mass), so a grid search mixes no state per point.  The cost
-phase, the mixer, that projection, the sampler's CDF and norms work on
-bounded chunks: none makes a full-state temporary or depends on the BLAS
-thread count.
+Every mixer matrix comes from one closed form, mixer_kernel_rows: the fused
+X mixer takes whole 2**k x 2**k blocks of it, and the feasible mass after
+the mixer needs only its one-hot rows (mixed_feasible_mass), so a grid
+search mixes no state per point.  The cost phase, the mixer, that
+projection, the sampler's CDF and norms work on bounded chunks: none makes
+a full-state temporary or depends on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -40,10 +41,6 @@ class AngleSchedule:
             raise ValueError("gammas and betas must have equal positive length")
         object.__setattr__(self, "gammas", g)
         object.__setattr__(self, "betas", b)
-
-    @property
-    def depth(self) -> int:
-        return len(self.gammas)
 
     @classmethod
     def single(cls, gamma: float, beta: float) -> "AngleSchedule":
@@ -85,21 +82,12 @@ def apply_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.n
     return state
 
 
-def _block_rotation(beta: float, num_bits: int, dtype) -> np.ndarray:
-    """R(beta)^{(x) num_bits}, R = [[cos b, -i sin b], [-i sin b, cos b]], by
-    Kronecker products (independent of mixer_kernel_rows); it is symmetric."""
-    c, ms = math.cos(beta), -1j * math.sin(beta)
-    out = np.ones((1, 1))
-    for _ in range(num_bits):
-        out = np.kron(out, [[c, ms], [ms, c]])
-    return out.astype(dtype)
-
-
 def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     """exp(-i*beta*X) on every qubit, fused into blocks of _FUSE qubits.
 
-    Qubits [q, q+k) are mixed by one matmul with R(beta)^{(x)k} on the
-    (-1, 2**k, 2**q) view of the state, or by (-1, 2**k) @ U when q = 0;
+    Qubits [q, q+k) are mixed by one matmul with U = R(beta)^{(x)k}, all
+    2**k rows of mixer_kernel_rows in the state's dtype (U is symmetric), on
+    the (-1, 2**k, 2**q) view of the state, or by (-1, 2**k) @ U when q = 0;
     the last block is smaller when _FUSE does not divide N.  Each matmul
     covers at most about _CHUNK amplitudes, so no full-state temporary is
     made.  BLAS rounds by matmul shape, so the bits depend on _CHUNK through
@@ -112,7 +100,7 @@ def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     num_qubits = int(math.log2(state.shape[-1]))
     for q in range(0, num_qubits, _FUSE):
         k = min(_FUSE, num_qubits - q)
-        u = _block_rotation(beta, k, state.dtype)
+        u = mixer_kernel_rows(np.arange(1 << k), beta, k).astype(state.dtype)
         if q == 0:
             v = state.reshape(-1, 1 << k)
             step = max(1, _CHUNK >> k)

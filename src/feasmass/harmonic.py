@@ -73,11 +73,11 @@ def krawtchouk_table(n: int) -> tuple:
                  for w in range(n + 1))
 
 
-def krawtchouk_orthogonality_check(n: int, table=None) -> bool:
+def krawtchouk_orthogonality_check(n: int) -> bool:
     """Exact check of sum_r C(n,r) K_w(r) K_w'(r) = 2**n C(n,w) delta_ww'."""
     if n > 12:
         raise CapacityError("orthogonality check uses exact integers up to n=12")
-    K = table if table is not None else krawtchouk_table(n)
+    K = krawtchouk_table(n)
     binom = [math.comb(n, r) for r in range(n + 1)]
     for w in range(n + 1):
         for wp in range(n + 1):

@@ -74,22 +74,20 @@ class ProblemInstance:
         return np.asarray(self.dist, dtype=np.int64)
 
 
-def make_instance(dist, penalty_weight=None, name="unnamed") -> ProblemInstance:
+def make_instance(dist, name="unnamed") -> ProblemInstance:
     d = np.asarray(dist)
-    if penalty_weight is None:
-        penalty_weight = default_penalty_weight(d)
     return ProblemInstance(n=d.shape[0], dist=tuple(map(tuple, d.tolist())),
-                           penalty_weight=int(penalty_weight), name=name)
+                           penalty_weight=default_penalty_weight(d), name=name)
 
 
-def synthetic_instance(n: int, seed: int = 0, high: int = 9, name=None) -> ProblemInstance:
+def synthetic_instance(n: int, seed: int = 0, high: int = 9) -> ProblemInstance:
     """Deterministic symmetric instance with integer entries in [1, high]."""
     rng = np.random.default_rng(seed + 1009 * n)
     d = rng.integers(1, high + 1, size=(n, n))
     d = (d + d.T) // 2
     d = np.maximum(d, 1)
     np.fill_diagonal(d, 0)
-    return make_instance(d, name=name or f"synthetic-n{n}-s{seed}")
+    return make_instance(d, name=f"synthetic-n{n}-s{seed}")
 
 
 def load_instance(path) -> ProblemInstance:
@@ -177,29 +175,6 @@ class DiagonalCost:
     @property
     def num_qubits(self) -> int:
         return self.n * self.n
-
-    def value(self, y: int) -> int:
-        """Scalar evaluation by bit arithmetic; exact integer."""
-        n = self.n
-        row_mask = (1 << n) - 1
-        rows = [(y >> (i * n)) & row_mask for i in range(n)]
-        cost = 0
-        if self.include_penalty:
-            pen = sum((r.bit_count() - 1) ** 2 for r in rows)
-            for j in range(n):
-                col = sum((r >> j) & 1 for r in rows)
-                pen += (col - 1) ** 2
-            cost += self.penalty_weight * pen
-        d = self.dist
-        for t in range(n):
-            rt, rt1 = rows[t], rows[(t + 1) % n]
-            for u in range(n):
-                if not (rt >> u) & 1:
-                    continue
-                for v in range(n):
-                    if (rt1 >> v) & 1:
-                        cost += int(d[u, v])
-        return cost
 
     def cost_vector(self) -> np.ndarray:
         """Dense table C over all 2**(n*n) labels (index = integer label);

@@ -15,6 +15,40 @@ from feasmass.subspace import block_mixer_eigenvalues, subspace_to_full_labels
 MAX_EMBED_SIZE = 4   # embedding needs the 2**(n*n) space too
 
 
+def kron_mixer(beta: float, num_bits: int) -> np.ndarray:
+    """R(beta)^{(x) num_bits}, R = [[cos b, -i sin b], [-i sin b, cos b]], by
+    Kronecker products (independent of mixer_kernel_rows)."""
+    c, ms = math.cos(beta), -1j * math.sin(beta)
+    out = np.ones((1, 1))
+    for _ in range(num_bits):
+        out = np.kron(out, [[c, ms], [ms, c]])
+    return out
+
+
+def cost_value(cost, y: int) -> int:
+    """Cost of one label by bit arithmetic over rows and columns; exact integer."""
+    n = cost.n
+    row_mask = (1 << n) - 1
+    rows = [(y >> (i * n)) & row_mask for i in range(n)]
+    value = 0
+    if cost.include_penalty:
+        pen = sum((r.bit_count() - 1) ** 2 for r in rows)
+        for j in range(n):
+            col = sum((r >> j) & 1 for r in rows)
+            pen += (col - 1) ** 2
+        value += cost.penalty_weight * pen
+    d = cost.dist
+    for t in range(n):
+        rt, rt1 = rows[t], rows[(t + 1) % n]
+        for u in range(n):
+            if not (rt >> u) & 1:
+                continue
+            for v in range(n):
+                if (rt1 >> v) & 1:
+                    value += int(d[u, v])
+    return value
+
+
 def pauli_block_sector(n: int, normalized: bool) -> np.ndarray:
     """Single-excitation sector of sum_{a<b} (X_a X_b + Y_a Y_b), restricted
     from the dense 2**n Pauli sum (qubit 0 = least significant bit)."""
@@ -160,32 +194,31 @@ def cumsum_copy_sample_counts(state: np.ndarray, shots: int, seed: int) -> dict:
 
 
 def phase_matmul_lattice_masses(cost, betas, L=None, tie_break=True) -> np.ndarray:
-    """Feasible mass at every gamma_k = 2 pi k / L from the phase matrix
-    exp(-2 pi i k h_y / L), gathered from a table of L roots of unity and
-    multiplied into the kernel columns, 2**22 phases at a time."""
+    """Feasible mass at every gamma_k = 2 pi k / L, one row per beta, from
+    the phase matrix exp(-2 pi i k h_y / L), gathered from a table of L roots
+    of unity and multiplied into the kernel columns of every beta at once,
+    2**22 phases at a time."""
     n = cost.n
     N = cost.num_qubits
-    scalar = np.isscalar(betas)
-    beta_list = [float(betas)] if scalar else [float(b) for b in betas]
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector().astype(np.int64)
     h = h - h.min()
     if L is None:
         L = int(h.max()) + 1
     rows = feasible_indices(n)
     nfeas = len(rows)
-    B = np.concatenate([mixer_kernel_rows(rows, b, N).T for b in beta_list],
+    B = np.concatenate([mixer_kernel_rows(rows, b, N).T for b in betas],
                        axis=1) * 2.0 ** (-N / 2)
     roots = np.exp((-2j * math.pi / L) * np.arange(L))
-    masses = np.empty((len(beta_list), L), dtype=np.float64)
+    masses = np.empty((len(betas), L), dtype=np.float64)
     chunk = max(1, (1 << 22) // (1 << N))
     for lo in range(0, L, chunk):
         ks = np.arange(lo, min(lo + chunk, L), dtype=np.int64)
         units = (ks[:, None] * h[None, :]) % L
         amps = roots[units] @ B
         p = np.abs(amps) ** 2
-        for bi in range(len(beta_list)):
+        for bi in range(len(betas)):
             masses[bi, lo:lo + len(ks)] = p[:, bi * nfeas:(bi + 1) * nfeas].sum(axis=1)
-    return masses[0] if scalar else masses
+    return masses
 
 
 def phase_block_l4_means(cost, betas, L) -> list:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath
@@ -82,15 +81,6 @@ def test_ratio_master():
                                 - 10 * math.log(10))
 
 
-def test_cross_term_suppression():
-    assert bounds.cross_term_suppression("uniform", math.pi, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert bounds.cross_term_suppression("gaussian", 0.0, 5.0) == 1.0
-    for width in (0.5, 2.0, 7.0, 40.0):
-        for delta in (0.3, 1.0, 4.0):
-            val = abs(bounds.cross_term_suppression("uniform", width, delta))
-            assert val <= min(1.0, 1.0 / (width * delta)) + 1e-12
-
-
 def test_low_degree_window_size():
     assert bounds.low_degree_window_size(9, 1) == (10, pytest.approx(9 * math.e))
     exact, cap = bounds.low_degree_window_size(16, 2)
@@ -118,14 +108,6 @@ def test_log_space_against_arbitrary_precision():
         assert abs(bounds.uniform_baseline(n) - base) <= 1e-12 * abs(base)
         env = float((n * n) * mpmath.log(mpmath.mpf(3) / 4))
         assert abs(bounds.l4_envelope(n * n, math.pi / 4) - env) <= 1e-12 * abs(env)
-
-
-def test_bound_report_serialization():
-    rep = bounds.BoundReport("demo", {"n": 3}, value=-1.5, satisfied=True)
-    payload = json.loads(rep.to_json())
-    assert payload["name"] == "demo"
-    assert payload["log_value"] == -1.5
-    assert payload["satisfied"] is True
 
 
 def test_verify_bounds_reports():

@@ -468,3 +468,20 @@ def test_mismatched_schedule_exits_1(capsys):
     rc = run_cli(["run", "hist", "--n", "2", "--gamma", "0.1,0.2",
                   "--beta-list", "0.3", "--shots", "10"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("flag,args", [
+    ("beta", ["avg", "--beta", "nan"]),
+    ("t", ["markov", "--t", "inf"]),
+    ("range-gamma", ["grid", "--grid", "3x3", "--range-gamma", "0:nan"]),
+    ("range-beta", ["grid", "--grid", "3x3", "--range-beta", "0:inf"]),
+    ("gamma", ["hist", "--method", "generic", "--gamma", "nan", "--shots", "10"]),
+    ("beta-list", ["twirl", "--gamma", "0.4,0.9", "--beta-list", "0.3,inf"]),
+])
+def test_run_non_finite_value_exits_1(tmp_path, capsys, flag, args):
+    out = tmp_path / "new"
+    rc = run_cli(["run", *args, "--n", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: argument --{flag}: expected a finite number" in err.splitlines()[-1]
+    assert not out.exists()

@@ -54,13 +54,6 @@ def test_exact_average_degenerate_spectrum_drifts():
     assert res.metrics["deviation"] > 1e-3
 
 
-def test_lattice_multi_beta_matches_single():
-    cost = build_cost(synthetic_instance(2, seed=2, high=3))
-    multi = lattice_feasible_masses(cost, [0.3, 1.1])
-    single = lattice_feasible_masses(cost, 1.1)
-    assert np.abs(multi[1] - single).max() < 1e-14
-
-
 def _lattice_bin_energy(cost, beta, tie_break):
     """sum_x sum_m |w_x(m)|**2, w_x(m) the kernel column summed over labels of
     cost m, binned by np.unique instead of on a length-L lattice."""
@@ -82,17 +75,14 @@ def test_lattice_fft_matches_phase_matmul_oracle(n, seed, high, pad, tie_break):
     cost = build_cost(synthetic_instance(n, seed=seed, high=high))
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
     L = int(h.max() - h.min()) + 1
-    betas = [0.0, 0.3, 1.1]
-    want = phase_matmul_lattice_masses(cost, betas + [0.7], L=L, tie_break=tie_break)
-    multi = lattice_feasible_masses(cost, betas, tie_break=tie_break)
-    single = lattice_feasible_masses(cost, 0.7, tie_break=tie_break)
-    assert multi.shape == (3, L) and single.shape == (L,)
-    assert np.abs(multi - want[:3]).max() <= 1e-14
-    assert np.abs(single - want[3]).max() <= 1e-14
-    # Parseval: the grid mean of |fft(w_x)|**2 is the energy of w_x
-    means = np.append(multi.mean(axis=-1), single.mean())
-    for beta, mean in zip(betas + [0.7], means):
-        assert abs(mean - _lattice_bin_energy(cost, beta, tie_break)) <= 1e-15
+    betas = [0.0, 0.3, 1.1, 0.7]
+    want = phase_matmul_lattice_masses(cost, betas, L=L, tie_break=tie_break)
+    for beta, expect in zip(betas, want):
+        masses = lattice_feasible_masses(cost, beta, tie_break=tie_break)
+        assert masses.shape == (L,)
+        assert np.abs(masses - expect).max() <= 1e-14
+        # Parseval: the grid mean of |fft(w_x)|**2 is the energy of w_x
+        assert abs(masses.mean() - _lattice_bin_energy(cost, beta, tie_break)) <= 1e-15
 
 
 def test_markov_fraction_bounds():

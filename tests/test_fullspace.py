@@ -13,18 +13,22 @@ from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer,
                                 run_generic, sample_counts)
 from feasmass.instance import CapacityError, build_cost, load_instance, synthetic_instance
 
-from oracles import cumsum_copy_sample_counts
+from oracles import cumsum_copy_sample_counts, kron_mixer
 
 
-def dense_mixer_matrix(num_bits, beta):
-    return mixer_kernel_rows(np.arange(1 << num_bits), beta, num_bits)
+@pytest.mark.parametrize("num_bits", [1, 2, 3, 4, 5])
+def test_mixer_kernel_rows_match_kronecker_product(num_bits):
+    # the closed form that every mixer block comes from, entry by entry
+    for beta in np.linspace(0.0, math.pi, 13).tolist() + [0.2, 0.3, 0.4, 0.7, -1.3]:
+        closed = mixer_kernel_rows(np.arange(1 << num_bits), beta, num_bits)
+        assert np.abs(closed - kron_mixer(beta, num_bits)).max() <= 1e-15
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
         AngleSchedule(gammas=(0.1,), betas=(0.1, 0.2))
     s = AngleSchedule.single(0.4, 0.3)
-    assert s.depth == 1
+    assert s.gammas == (0.4,) and s.betas == (0.3,)
 
 
 def test_init_plus_values():
@@ -127,7 +131,7 @@ def test_x_mixer_matches_dense_kernel(num_bits, beta):
     rng = np.random.default_rng(num_bits)
     st = rng.normal(size=1 << num_bits) + 1j * rng.normal(size=1 << num_bits)
     st /= np.linalg.norm(st)
-    K = dense_mixer_matrix(num_bits, beta)
+    K = kron_mixer(beta, num_bits)
     expect = K @ st
     apply_x_mixer(st, beta)
     assert np.abs(st - expect).max() < 1e-12
@@ -263,7 +267,7 @@ def test_run_generic_matches_direct_sum_n2():
     st = run_generic(cost, AngleSchedule.single(gamma, beta))
     table = cost.cost_vector()
     phases = np.exp(-1j * gamma * table) * 0.25
-    direct = dense_mixer_matrix(4, beta) @ phases
+    direct = kron_mixer(beta, 4) @ phases
     assert np.abs(st - direct).max() < 1e-10
 
 
