@@ -16,6 +16,7 @@ import errno
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -25,8 +26,7 @@ import numpy as np
 from . import bounds, experiments, harmonic
 from .experiments import ExperimentResult, GridSpec
 from .fullspace import AngleSchedule, feasible_mass, mixer_kernel_rows, run_generic
-from .instance import (InstanceFormatError, ProblemInstance, bitstring_str,
-                       load_instance, synthetic_instance)
+from .instance import InstanceFormatError, ProblemInstance, load_instance, synthetic_instance
 from .subspace import block_mixer_eigenvalues, double_commutator_gram, overlap_generic_ce
 
 EXIT_OK = 0
@@ -78,6 +78,12 @@ def _parse_list(text: str) -> str:
     for item in text.split(","):
         _parse_finite(item)
     return text
+
+
+def _bitstrings(labels, N: int) -> list:
+    """Basis labels rendered with bit k at string position k (left to right)."""
+    bits = ((np.array(labels, dtype=np.int64)[:, None] >> np.arange(N)) & 1) + ord("0")
+    return bits.astype(np.uint8).view(f"S{N}").ravel().astype(str).tolist()
 
 
 def _parse_bool(text: str) -> bool:
@@ -138,9 +144,7 @@ def cmd_baseline(args) -> int:
     print(f"ln baseline     {_fmt(bounds.uniform_baseline(n))}")
     exact, floor = bounds.transfer_factor(n)
     print(f"ln transfer     {_fmt(exact)}   (stirling floor {_fmt(floor)})")
-    for p in sorted({1, n // 2, n}):
-        if p < 1:
-            continue
+    for p in sorted({1, n // 2, n}):   # n >= 2, so every p >= 1
         print(f"ln lightcone 1d p={p:<3d} {_fmt(bounds.lightcone_1d_bound(n, p))}")
     return EXIT_OK
 
@@ -211,11 +215,9 @@ def cmd_run(args) -> int:
         res = experiments.feasible_histogram(
             inst, args.method, _schedule_from(args), args.shots, args.seed,
             normalized=args.normalized_mixer, precision=args.precision)
-        rows = [(bitstring_str(x, inst.n), c)
-                for x, c in sorted(res.metrics["counts"].items())]
-        _write_csv(out / f"{stem}.csv", chash, "bitstring,count", rows)
-        res.metrics["counts"] = {bitstring_str(x, inst.n): c
-                                 for x, c in sorted(res.metrics["counts"].items())}
+        labels, counts = zip(*sorted(res.metrics["counts"].items()))
+        res.metrics["counts"] = dict(zip(_bitstrings(labels, inst.n * inst.n), counts))
+        _write_csv(out / f"{stem}.csv", chash, "bitstring,count", res.metrics["counts"].items())
         violation = args.shots > 0 and not res.metrics["consistent_5sigma"]
     elif args.experiment == "depth":
         res = experiments.ce_depth_sweep(inst, args.depth, grid, normalized=args.normalized_mixer)
@@ -252,13 +254,8 @@ class _Battery:
         self.failed = False
 
     def record(self, name: str, ok: bool, detail: str = "", warn_only: bool = False):
-        if ok:
-            status = "PASS"
-        elif warn_only:
-            status = "WARN"
-        else:
-            status = "FAIL"
-            self.failed = True
+        status = "PASS" if ok else "WARN" if warn_only else "FAIL"
+        self.failed |= status == "FAIL"
         self.lines.append(f"{status:<5s} {name:<58s} {detail}")
 
     def emit(self):
@@ -444,6 +441,8 @@ def build_parser() -> _Parser:
     run.add_argument("--beta-list", type=_parse_list, default="0.3",
                      help="comma-separated betas (hist/twirl/l4)")
     run.add_argument("--out", default="results")
+    # a token that starts like a number (-1:1, -0.4,0.5, -.5) is a value, not an option
+    run._negative_number_matcher = re.compile(r"-\.?\d")
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="run an identity battery")

@@ -29,8 +29,8 @@ from .subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                        subspace_to_full_labels, twirl_average)
 
 MAX_LATTICE_POINTS = 3_000_000
-"""Largest lattice grid.  Lengths with a large prime factor (Bluestein) cost
-most, ~170 B per point: prime L = 3,000,017 peaks at 519 MiB RSS at n=4."""
+"""Largest lattice grid.  Grid lengths are 5-smooth; an n=4 run peaks near
+47 MiB + 68 B per point of RSS, 243 MiB at L = 3,000,000."""
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,24 @@ def _instance_name(instance) -> str:
 # ---------------------------------------------------------------------------
 # exact lattice averaging
 
-def _lattice_costs(cost: DiagonalCost, tie_break: bool, L: int | None) -> tuple:
-    """Costs shifted onto the lattice 0..spread, and the grid length L
-    (spread + 1 when None), checked against the cap."""
+def _smooth_length(span: int) -> int:
+    """Least integer >= span with no prime factor above 5 (no Bluestein FFT):
+    the least power-of-two multiple of some 3**b * 5**c that reaches span."""
+    odd = [3 ** b * 5 ** c for b in range(span.bit_length()) for c in range(span.bit_length())]
+    return min(p << (-(-span // p) - 1).bit_length() for p in odd)
+
+
+def _lattice_costs(cost: DiagonalCost, tie_break: bool, order: int) -> tuple:
+    """Costs shifted onto the lattice 0..spread, and the grid length L: the
+    least 5-smooth L > order * spread (exact for phases that sum ``order``
+    cost differences), checked against the cap."""
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector().astype(np.int64)
     h = h - h.min()
-    L = L or int(h.max()) + 1
+    L = _smooth_length(order * int(h.max()) + 1)
     if L > MAX_LATTICE_POINTS:
-        raise CapacityError(
-            f"lattice grid needs {L} points (cap {MAX_LATTICE_POINTS}); "
-            f"large-spread instances are out of exact-averaging reach"
-            + (" - consider tie_break=False" if tie_break else ""))
+        hint = " - consider tie_break=False" if tie_break else ""
+        raise CapacityError(f"lattice grid needs {L} points (cap {MAX_LATTICE_POINTS}); "
+                            f"large-spread instances are out of exact-averaging reach{hint}")
     return h, L
 
 
@@ -120,18 +127,17 @@ def _lattice_spectra(h: np.ndarray, rows: np.ndarray, beta: float, L: int):
 def lattice_feasible_masses(cost: DiagonalCost, beta: float, tie_break: bool = True) -> np.ndarray:
     """Feasible mass at every grid angle gamma_k = 2 pi k / L, k = 0..L-1.
 
-    The grid lives on the integer cost lattice, L = spread + 1 points, so
-    every nonzero cost difference averages to zero exactly.  With
+    The grid lives on the integer cost lattice: any L > spread averages every
+    nonzero cost difference to zero exactly (L: see _lattice_costs).  With
     ``tie_break`` the lattice is refined to split degenerate cost levels
     (equal-cost pairs survive every average and shift the mean off baseline;
     see DiagonalCost.tie_broken_vector).
     """
-    n = cost.n
-    if n > 4:
+    if cost.n > 4:
         raise ValueError("lattice averaging capped at n=4")
-    h, L = _lattice_costs(cost, tie_break, None)
+    h, L = _lattice_costs(cost, tie_break, 1)
     masses = np.zeros(L, dtype=np.float64)
-    for a in _lattice_spectra(h, feasible_indices(n), float(beta), L):
+    for a in _lattice_spectra(h, feasible_indices(cost.n), float(beta), L):
         masses += a.real ** 2 + a.imag ** 2
     return masses
 
@@ -170,13 +176,13 @@ def l4_sweep(instance, betas) -> ExperimentResult:
 
     Fourth powers pair cost differences twice, so every grid with
     L >= 2*spread+1 points on the raw lattice gives the continuous angle
-    average, degenerate quadruples included.  The transform length is the
-    least power of two there, which pocketfft handles without Bluestein.
+    average, degenerate quadruples included.  L is the least 5-smooth
+    length there (wi3: 675,000), as for the feasible mass.
     """
     cost = as_cost(instance)
     if cost.n > 3:
         raise ValueError("fourth-moment sweep capped at n=3")
-    h, L = _lattice_costs(cost, False, 1 << (2 * cost.spread).bit_length())
+    h, L = _lattice_costs(cost, False, 2)
     rows = np.arange(h.size)
     per_beta = {}
     for beta in betas:

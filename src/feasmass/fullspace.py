@@ -202,8 +202,7 @@ def sample_counts(state: np.ndarray, shots: int, seed: int) -> tuple:
         stop = start + int(np.searchsorted(u[start:], c[-1], side="left"))
         idx[start:stop] = lo + np.searchsorted(c, u[start:stop], side="right")
         start = stop
-    labels, counts = np.unique(idx, return_counts=True)
-    return labels, counts
+    return np.unique(idx, return_counts=True)
 
 
 def norm_squared(state: np.ndarray) -> float:

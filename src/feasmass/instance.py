@@ -129,11 +129,6 @@ def load_instance(path) -> ProblemInstance:
 # ---------------------------------------------------------------------------
 # bit-layout helpers
 
-def bitstring_str(x: int, n: int) -> str:
-    """Render a basis label with bit k=i*n+j at string position k (left to right)."""
-    return "".join("1" if (x >> k) & 1 else "0" for k in range(n * n))
-
-
 @lru_cache(maxsize=None)
 def enumerate_feasible(n: int) -> tuple:
     """All n! feasible labels, in lexicographic permutation order."""

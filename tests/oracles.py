@@ -111,6 +111,11 @@ def parse_bitstring(s: str) -> int:
     return sum(1 << k for k, ch in enumerate(s) if ch == "1")
 
 
+def bitstring_str(x: int, n: int) -> str:
+    """Render a basis label with bit k=i*n+j at string position k (left to right)."""
+    return "".join("1" if (x >> k) & 1 else "0" for k in range(n * n))
+
+
 def bits_to_matrix(x: int, n: int) -> np.ndarray:
     """The n x n 0/1 matrix of a label: entry (i, j) is bit i*n + j."""
     return np.array([[(x >> (i * n + j)) & 1 for j in range(n)] for i in range(n)],

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from feasmass import experiments
-from feasmass.cli import main
+from feasmass.cli import _bitstrings, main
 from feasmass.experiments import GridSpec
-from feasmass.instance import build_cost, load_instance, synthetic_instance
+from feasmass.instance import build_cost, enumerate_feasible, load_instance, synthetic_instance
+
+from oracles import bitstring_str
 
 ROOT = Path(__file__).resolve().parent.parent
 WI3 = str(ROOT / "instances" / "wi3.txt")
@@ -132,6 +134,12 @@ def test_run_transfer_violation_exits_2(tmp_path, capsys):
     else:
         assert rc == 2
         assert "CONTRACT VIOLATION" in out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_bitstrings_match_scalar_oracle(n):
+    labels = sorted(enumerate_feasible(n))
+    assert _bitstrings(labels, n * n) == [bitstring_str(x, n) for x in labels]
 
 
 def test_run_hist_ce(tmp_path):
@@ -485,3 +493,19 @@ def test_run_non_finite_value_exits_1(tmp_path, capsys, flag, args):
     assert rc == 1
     assert f"error: argument --{flag}: expected a finite number" in err.splitlines()[-1]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,args", [
+    ("--range-gamma", "-1:1", ["grid", "--grid", "2x2"]),
+    ("--range-beta", "-1:1", ["grid", "--grid", "2x2"]),
+    ("--gamma", "-0.4,0.5", ["hist", "--beta-list", "0.3,0.2", "--shots", "10"]),
+    ("--beta-list", "-.3", ["hist", "--gamma", "0.4", "--shots", "10"]),
+])
+def test_run_value_starting_with_minus(tmp_path, capsys, flag, value, args):
+    # "FLAG VALUE" and "FLAG=VALUE" are the same configuration, byte for byte
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run_cli(["run", *args, "--n", "2", flag, value, "--out", str(spaced)]) == 0
+    assert run_cli(["run", *args, "--n", "2", f"{flag}={value}", "--out", str(joined)]) == 0
+    files = sorted(p.name for p in spaced.iterdir())
+    assert files == sorted(p.name for p in joined.iterdir())
+    assert all((spaced / f).read_bytes() == (joined / f).read_bytes() for f in files)

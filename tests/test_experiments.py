@@ -70,11 +70,11 @@ def _lattice_bin_energy(cost, beta, tie_break):
 @pytest.mark.parametrize("n,seed,high,pad", [(2, 1, 3, 0), (2, 2, 3, 0), (2, 3, 3, 0),
                                              (3, 1, 5, 0)])
 def test_lattice_fft_matches_phase_matmul_oracle(n, seed, high, pad, tie_break):
-    # pad is 0 in every case: the grid is spread+1 points, and padded grids
-    # are covered by test_l4_sweep_matches_phase_block_oracle
+    # pad is 0 in every case: the grid is the least 5-smooth length >= spread+1,
+    # and padded grids are covered by test_l4_sweep_matches_phase_block_oracle
     cost = build_cost(synthetic_instance(n, seed=seed, high=high))
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
-    L = int(h.max() - h.min()) + 1
+    L = experiments._smooth_length(int(h.max() - h.min()) + 1)
     betas = [0.0, 0.3, 1.1, 0.7]
     want = phase_matmul_lattice_masses(cost, betas, L=L, tie_break=tie_break)
     for beta, expect in zip(betas, want):
@@ -83,6 +83,39 @@ def test_lattice_fft_matches_phase_matmul_oracle(n, seed, high, pad, tie_break):
         assert np.abs(masses - expect).max() <= 1e-14
         # Parseval: the grid mean of |fft(w_x)|**2 is the energy of w_x
         assert abs(masses.mean() - _lattice_bin_energy(cost, beta, tie_break)) <= 1e-15
+
+
+def _is_5_smooth(L):
+    return L // math.gcd(L, 30 ** 40) == 1
+
+
+@pytest.mark.parametrize("span", [269_740, 1_000_003, 2_985_985])
+def test_smooth_length_is_least_5_smooth_at_or_above_span(span):
+    # the benchmark's lattice span, a prime, and one past 2**12 * 3**6
+    L = experiments._smooth_length(span)
+    assert L >= span and _is_5_smooth(L)
+    assert not any(_is_5_smooth(k) for k in range(span, L))
+
+
+def test_smooth_length_matches_brute_force_below_5000():
+    smooth = [k for k in range(1, 5200) if _is_5_smooth(k)]
+    for span in range(1, 5000):
+        assert experiments._smooth_length(span) == next(k for k in smooth if k >= span)
+
+
+@pytest.mark.parametrize("tie_break", [True, False])
+@pytest.mark.parametrize("n,seed,high", [(2, 2, 5), (2, 7, 5), (3, 1, 5)])
+def test_smooth_grid_mean_equals_spread_plus_one_grid_mean(n, seed, high, tie_break):
+    # any L > spread is an exact grid: the mean on the smooth grid is the
+    # phase-matmul oracle's mean on the L = spread + 1 grid
+    cost = build_cost(synthetic_instance(n, seed=seed, high=high))
+    h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
+    span = int(h.max() - h.min()) + 1
+    assert experiments._smooth_length(span) > span
+    want = phase_matmul_lattice_masses(cost, [0.7], L=span, tie_break=tie_break)[0].mean()
+    masses = lattice_feasible_masses(cost, 0.7, tie_break=tie_break)
+    assert len(masses) == experiments._smooth_length(span)
+    assert abs(masses.mean() - want) <= 1e-15
 
 
 def test_markov_fraction_bounds():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from feasmass.instance import (CapacityError, InstanceDimensionError,
-                               InstanceFormatError, bitstring_str, build_cost,
+                               InstanceFormatError, build_cost,
                                default_penalty_weight, enumerate_feasible,
                                load_instance, make_instance, synthetic_instance)
 
-from oracles import (bits_to_matrix, broadcast_dense_cost, cost_value,
+from oracles import (bits_to_matrix, bitstring_str, broadcast_dense_cost, cost_value,
                      is_permutation_feasible, parse_bitstring)
 
 

@@ -23,7 +23,7 @@ MAX_KNOBS = 31
 
 # Summed line count of src/feasmass/*.py, as ``wc -l`` counts it.  It may
 # only shrink too.
-MAX_SRC_LINES = 1948
+MAX_SRC_LINES = 1947
 
 
 def _defined_names(stmt) -> list:
