@@ -256,9 +256,9 @@ def _dense_cost(patterns, dist, A, include_penalty, dtype):
     return table
 
 
-def build_cost(instance: ProblemInstance, include_penalty: bool = True) -> DiagonalCost:
+def build_cost(instance: ProblemInstance) -> DiagonalCost:
     return DiagonalCost(n=instance.n, penalty_weight=instance.penalty_weight,
-                        dist=instance.dist_array(), include_penalty=include_penalty)
+                        dist=instance.dist_array())
 
 
 def as_cost(instance) -> DiagonalCost:

@@ -8,13 +8,15 @@ index(j_1..j_n) = sum_b j_b * n**(n-1-b).  Block b maps to full-space bits
 
 The cost table is the full-space cost builder run over one-hot rows
 (instance._dense_cost), so both tables come from one formula.  The block
-mixer sector and the relabeling twirl are closed forms; their brute-force
-versions (dense Pauli sum, relabeling enumeration, dense sector unitary,
-embedding into the full space) are test oracles.
+mixer sector, the relabeling twirl and the leakage spectrum are closed forms;
+their brute-force versions (dense Pauli sum, relabeling enumeration, dense
+sector unitary and manifold mixer, full-space embedding) are test oracles.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -86,13 +88,6 @@ def block_mixer_eigenvalues(n: int, normalized: bool) -> tuple:
     vector and -2 on its complement, both divided by n-1 when normalized."""
     scale = 1.0 / (n - 1) if normalized else 1.0
     return 2.0 * (n - 1) * scale, -2.0 * scale
-
-
-def block_mixer_sector(n: int, normalized: bool) -> np.ndarray:
-    """Single-excitation sector of sum_{a<b} (X_a X_b + Y_a Y_b) on one block:
-    each term hops the excitation with amplitude 2, so 2(J - I) [/(n-1)]."""
-    scale = 1.0 / (n - 1) if normalized else 1.0
-    return (2.0 * scale) * (np.ones((n, n)) - np.eye(n))
 
 
 def apply_block_xy_mixer(state: np.ndarray, n: int, beta: float,
@@ -206,30 +201,28 @@ def overlap_generic_ce(instance, gamma: float, beta: float) -> complex:
 # ---------------------------------------------------------------------------
 # mixer leakage across the permutation set
 
-def subspace_mixer_hamiltonian(n: int) -> np.ndarray:
-    """Unnormalized block mixer restricted to the manifold: kron-sum of sector
-    matrices."""
-    if n > 3:
-        raise CapacityError("dense subspace operator capped at n=3")
-    sector = block_mixer_sector(n, normalized=False)
-    dim = n ** n
-    H = np.zeros((dim, dim))
-    for b in range(n):
-        H += functools.reduce(np.kron, [sector if k == b else np.eye(n) for k in range(n)])
-    return H
+def leakage_spectrum(n: int) -> list:
+    """(partition lam, eigenvalue, multiplicity) of leakage_gram, (n) first and
+    (1**n) last: T acts on the isotypic component of lam as its content sum,
+    with multiplicity (f^lam)**2, f^lam = n! over the hook lengths (Diaconis
+    and Shahshahani 1981).  The uniform state leaks 16n(n-1), the sign state 0."""
+    out = []
+    for lam in (lam for k in range(1, n + 1)
+                for lam in itertools.combinations_with_replacement(range(n, 0, -1), k)
+                if sum(lam) == n):
+        cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+        height = [sum(row > j for row in lam) for j in range(lam[0])]
+        hooks = math.prod(lam[i] - j + height[j] - i - 1 for i, j in cells)
+        content = sum(j - i for i, j in cells)
+        out.append((lam, 8 * n * (n - 1) + 16 * content, (math.factorial(n) // hooks) ** 2))
+    return out
 
 
-def double_commutator_gram(n: int):
-    """Minimum eigenvalue of 2 P H (I-P) H P on the manifold.
-
-    P projects onto all-distinct tuples, H is the block mixer restricted to
-    the manifold.  The operator has the form 2 A^dag A, so the contract is
-    min eigenvalue >= -1e-9.
-    """
-    H = subspace_mixer_hamiltonian(n)
-    dim = n ** n
-    pdiag = np.zeros(dim)
-    pdiag[feasible_subspace_indices(n)] = 1.0
-    P = np.diag(pdiag)
-    G = 2.0 * P @ H @ (np.eye(dim) - P) @ H @ P
-    return float(np.linalg.eigvalsh((G + G.T.conj()) / 2).min()), G
+def leakage_gram(n: int) -> np.ndarray:
+    """2 P H (I-P) H P on the permutations (order of feasible_subspace_indices),
+    H the unnormalized block mixer, P the projector onto the permutations.
+    Every block move from a permutation makes a collision, so it is
+    8n(n-1) I + 16 T, T linking permutations one transposition apart."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    T = (perms[:, None] != perms).sum(axis=2) == 2
+    return 8.0 * n * (n - 1) * np.eye(len(perms)) + 16.0 * T

@@ -3,13 +3,14 @@
 Each oracle computes its quantity from the definition, the slow way, so the
 closed forms in ``src`` are compared against something they do not share.
 """
+import functools
 import itertools
 import math
 
 import numpy as np
 
 from feasmass.fullspace import apply_x_mixer, fourth_moment, mixer_kernel_rows
-from feasmass.instance import CapacityError, feasible_indices
+from feasmass.instance import CapacityError, feasible_indices, feasible_subspace_indices
 from feasmass.subspace import block_mixer_eigenvalues, subspace_to_full_labels
 
 MAX_EMBED_SIZE = 4   # embedding needs the 2**(n*n) space too
@@ -70,6 +71,34 @@ def pauli_block_sector(n: int, normalized: bool) -> np.ndarray:
         H /= (n - 1)
     weight1 = [1 << j for j in range(n)]
     return H[np.ix_(weight1, weight1)].real.copy()
+
+
+def block_mixer_sector(n: int, normalized: bool) -> np.ndarray:
+    """Single-excitation sector of sum_{a<b} (X_a X_b + Y_a Y_b) on one block:
+    each term hops the excitation with amplitude 2, so 2(J - I) [/(n-1)]."""
+    scale = 1.0 / (n - 1) if normalized else 1.0
+    return (2.0 * scale) * (np.ones((n, n)) - np.eye(n))
+
+
+def subspace_mixer_hamiltonian(n: int) -> np.ndarray:
+    """Unnormalized block mixer on the n**n manifold: the Kronecker sum of
+    the block sectors."""
+    if n > 3:
+        raise CapacityError("dense subspace operator capped at n=3")
+    sector = block_mixer_sector(n, normalized=False)
+    H = np.zeros((n ** n, n ** n))
+    for b in range(n):
+        H += functools.reduce(np.kron, [sector if k == b else np.eye(n) for k in range(n)])
+    return H
+
+
+def dense_leakage_gram(n: int) -> np.ndarray:
+    """2 P H (I-P) H P on the manifold from the dense Hamiltonian, P the
+    projector onto the all-distinct tuples."""
+    H = subspace_mixer_hamiltonian(n)
+    P = np.zeros((n ** n, n ** n))
+    P[feasible_subspace_indices(n), feasible_subspace_indices(n)] = 1.0
+    return 2.0 * P @ H @ (np.eye(n ** n) - P) @ H @ P
 
 
 def block_mixer_unitary(n: int, beta: float, normalized: bool = True) -> np.ndarray:

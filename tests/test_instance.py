@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,7 +124,7 @@ def test_cost_identity_tour():
 def test_cost_feasible_has_zero_penalty():
     inst = synthetic_instance(3, seed=4, high=5)
     cost = build_cost(inst)
-    bare = build_cost(inst, include_penalty=False)
+    bare = replace(build_cost(inst), include_penalty=False)
     for x in enumerate_feasible(3):
         assert cost_value(cost, x) == cost_value(bare, x)
 
@@ -197,7 +198,7 @@ def test_full_table_guard_reports_the_all_ones_cost(n, d):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("include_penalty", [True, False])
 def test_slab_cost_build_matches_broadcast_oracle(n, seed, include_penalty):
-    cost = build_cost(synthetic_instance(n, seed=seed), include_penalty=include_penalty)
+    cost = replace(build_cost(synthetic_instance(n, seed=seed)), include_penalty=include_penalty)
     want = broadcast_dense_cost(n, cost.dist, cost.penalty_weight, include_penalty, np.int64)
     got = cost.cost_vector()
     assert got.dtype == np.int64
@@ -244,7 +245,7 @@ def test_big_m_separates_infeasible_strings():
     # than its bare tour value, and more than any feasible tour
     inst = synthetic_instance(2, seed=6, high=3)
     cost = build_cost(inst)
-    bare = build_cost(inst, include_penalty=False)
+    bare = replace(build_cost(inst), include_penalty=False)
     max_tour = max(cost_value(cost, x) for x in enumerate_feasible(2))
     for y in range(16):
         if is_permutation_feasible(y, 2):

@@ -19,11 +19,11 @@ KNOWN_UNREACHABLE = {
 
 # Defaulted parameters plus defaulted dataclass fields in ``src``: each is a
 # knob a caller can turn.  The count may only shrink, like the set above.
-MAX_KNOBS = 31
+MAX_KNOBS = 30
 
 # Summed line count of src/feasmass/*.py, as ``wc -l`` counts it.  It may
 # only shrink too.
-MAX_SRC_LINES = 1947
+MAX_SRC_LINES = 1945
 
 
 def _defined_names(stmt) -> list:

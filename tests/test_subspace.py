@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as hs
@@ -15,12 +16,13 @@ from feasmass.instance import (CapacityError, build_cost, enumerate_feasible,
                                synthetic_instance)
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                                best_block_relabeling, block_mixer_eigenvalues,
-                               block_mixer_sector, double_commutator_gram, init_w_product,
+                               init_w_product, leakage_gram, leakage_spectrum,
                                overlap_generic_ce, project_to_subspace, run_ce,
                                subspace_cost_table, subspace_feasible_mass,
                                subspace_to_full_labels, twirl_average)
 
-from oracles import (block_mixer_unitary, cost_value, embed_to_full, enumerated_twirl,
+from oracles import (block_mixer_sector, block_mixer_unitary, cost_value,
+                     dense_leakage_gram, embed_to_full, enumerated_twirl,
                      pauli_block_sector, tuple_to_label)
 
 
@@ -70,7 +72,7 @@ def one_hot_costs(draw):
     dist = np.array(draw(hs.lists(hs.integers(0, 10 ** 12), min_size=n * n,
                                   max_size=n * n))).reshape(n, n)
     np.fill_diagonal(dist, 0)
-    return build_cost(make_instance(dist), include_penalty=draw(hs.booleans()))
+    return replace(build_cost(make_instance(dist)), include_penalty=draw(hs.booleans()))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -144,7 +146,7 @@ def test_subspace_cost_table_just_under_the_bound_is_exact():
 def test_subspace_cost_phase_feasible_is_tour_only():
     inst = synthetic_instance(3, seed=2, high=5)
     cost = build_cost(inst)
-    bare = build_cost(inst, include_penalty=False)
+    bare = replace(build_cost(inst), include_penalty=False)
     table = subspace_cost_table(cost)
     gamma = 0.9
     st = init_w_product(3)
@@ -396,10 +398,38 @@ def test_overlap_standard_order_depends_on_angles():
     assert max(vals) - min(vals) > 1e-3
 
 
-def test_double_commutator_gram_psd():
-    for n in (2, 3):
-        mineig, _ = double_commutator_gram(n)
-        assert mineig >= -1e-9
+def _closed_spectrum(n: int) -> list:
+    return sorted(e for _, e, m in leakage_spectrum(n) for _ in range(m))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dense_leakage_gram_is_transposition_operator_on_permutations(n):
+    # the dense 2 P H (I-P) H P from the n**n Hamiltonian: zero off the
+    # permutations, 8n(n-1) I + 16 T on them, and its spectrum the closed form
+    G = dense_leakage_gram(n)
+    feas = feasible_subspace_indices(n)
+    off = np.ones(n ** n, dtype=bool)
+    off[feas] = False
+    assert not G[off].any() and not G[:, off].any()
+    assert np.abs(G[np.ix_(feas, feas)] - leakage_gram(n)).max() <= 1e-12
+    assert np.abs(np.linalg.eigvalsh(G[np.ix_(feas, feas)]) - _closed_spectrum(n)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_leakage_spectrum_is_transposition_operator_spectrum(n):
+    spec = leakage_spectrum(n)
+    assert sum(m for _, _, m in spec) == math.factorial(n)
+    gram = leakage_gram(n)
+    assert np.abs(np.linalg.eigvalsh(gram) - _closed_spectrum(n)).max() <= 1e-9
+    # (n) is the uniform state, the most leaking; (1**n) the sign state,
+    # which leaks nothing
+    (top, e_top, _), (bottom, e_bottom, _) = spec[0], spec[-1]
+    assert top == (n,) and bottom == (1,) * n
+    assert (e_top, e_bottom) == (16 * n * (n - 1), 0)
+    assert np.abs(gram @ np.ones(len(gram)) - e_top).max() == 0
+    sign = np.array([(-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+                     for p in itertools.permutations(range(n))])
+    assert np.abs(gram @ sign).max() == 0
 
 
 def test_feasible_subspace_indices_match_permutations():
