@@ -101,7 +101,7 @@ def _lattice_costs(cost: DiagonalCost, tie_break: bool, order: int) -> tuple:
     h = h - h.min()
     L = _smooth_length(order * int(h.max()) + 1)
     if L > MAX_LATTICE_POINTS:
-        hint = " - consider tie_break=False" if tie_break else ""
+        hint = " - consider --tie-break false" if tie_break else ""
         raise CapacityError(f"lattice grid needs {L} points (cap {MAX_LATTICE_POINTS}); "
                             f"large-spread instances are out of exact-averaging reach{hint}")
     return h, L

@@ -1,19 +1,19 @@
 """Dense statevector simulation of generic QAOA on N = n**2 qubits.
 
-States are plain 1-D complex ndarrays of length 2**N indexed by the integer
-basis label (bit k of the label = qubit k).  Gate application mutates the
-array in place and returns it; the state is exclusively owned while mutated.
-complex128 is the default; complex64 halves the N = 25 state to 256 MiB.
-Every mixer matrix comes from one closed form, mixer_kernel_rows: the fused
-X mixer takes whole 2**k x 2**k blocks of it, and the feasible mass after
-the mixer needs only its one-hot rows (mixed_feasible_mass), so a grid
-search mixes no state per point.  The cost phase, the mixer, that
-projection, the sampler's CDF and norms work on bounded chunks: none makes
-a full-state temporary or depends on the BLAS thread count.
+States are 1-D complex ndarrays of length 2**N indexed by the basis label
+(bit k = qubit k), mutated in place and returned; complex64 halves N = 25 to
+256 MiB.  Every mixer matrix comes from mixer_kernel_rows: the fused X mixer
+takes whole 2**k x 2**k blocks of it, the feasible mass after the mixer only
+its one-hot rows (mixed_feasible_mass), so a grid search mixes no state per
+point.  Full-space passes take _CHUNK entries at a time, so none makes a
+full-state temporary; the |+> fill, the cost phase and the norms spread their
+chunks over the CPUs (_chunks).  No result depends on either thread count.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +21,8 @@ import numpy as np
 from .instance import CapacityError, as_cost, feasible_indices, feasible_subspace_indices
 
 MAX_FULL_QUBITS = 25
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16   # 512 KiB of complex64: one chunk stays in a 2 MiB L2
 _FUSE = 5   # qubits per fused mixer block: 2**5 x 2**5 matmuls
-
 _DTYPES = {"f64": np.complex128, "f32": np.complex64}
 
 
@@ -51,16 +50,29 @@ def init_plus(num_qubits: int, dtype=np.complex128) -> np.ndarray:
     """|+>^N : every amplitude 2**(-N/2)."""
     if num_qubits > MAX_FULL_QUBITS:
         raise CapacityError(f"full space capped at {MAX_FULL_QUBITS} qubits, got {num_qubits}")
-    return np.full(1 << num_qubits, 2.0 ** (-num_qubits / 2), dtype=dtype)
+    state = np.empty(1 << num_qubits, dtype=dtype)   # np.full's bits, filled chunk by chunk
+    _chunks(lambda lo: state[lo:lo + _CHUNK].fill(2.0 ** (-num_qubits / 2)), state.size)
+    return state
+
+
+@functools.cache
+def _pool():
+    from concurrent.futures import ThreadPoolExecutor   # 9 ms to import: on first use
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+
+
+def _chunks(fn, size: int) -> list:
+    """[fn(lo) for lo in range(0, size, _CHUNK)] in chunk order, on the pool
+    when there is more than one chunk (numpy releases the GIL); an exception
+    in any chunk propagates.  fn calls no BLAS and no traced public function."""
+    starts = range(0, size, _CHUNK)
+    return [fn(lo) for lo in starts] if len(starts) < 2 else list(_pool().map(fn, starts))
 
 
 def apply_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """Multiply amplitude y by exp(-i*gamma*table[y]), _CHUNK entries at a time.
-
-    An integer table with fewer levels (max - min + 1) than entries has each
-    level exponentiated once, into a table of phase factors gathered per
-    chunk; complex exp is elementwise, so both paths give the same bits.
-    """
+    """Multiply amplitude y by exp(-i*gamma*table[y]).  An integer table with
+    fewer levels (max - min + 1) than entries has each level exponentiated once
+    (in complex128, as each entry is otherwise) and gathered: the same bits."""
     if table.shape != state.shape:
         raise ValueError("cost table length does not match state size")
     levels = None
@@ -68,34 +80,28 @@ def apply_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.n
         low, high = int(table.min()), int(table.max())
         if high - low + 1 < table.size:
             levels = np.empty(high - low + 1, dtype=state.dtype)
-            for lo in range(low, high + 1, _CHUNK):
-                m = np.arange(lo, min(lo + _CHUNK, high + 1), dtype=np.int64)
-                phase = (-1j * gamma) * m
-                levels[lo - low:lo - low + _CHUNK] = np.exp(phase, out=phase)
-    for lo in range(0, state.shape[0], _CHUNK):
-        hi = lo + _CHUNK
-        if levels is None:
-            phase = (-1j * gamma) * table[lo:hi]
-            state[lo:hi] *= np.exp(phase, out=phase).astype(state.dtype, copy=False)
-        else:
-            state[lo:hi] *= levels[table[lo:hi] - low]
+            _chunks(lambda lo: np.exp(
+                (-1j * gamma) * np.arange(low + lo, min(low + lo + _CHUNK, high + 1)),
+                out=levels[lo:lo + _CHUNK]), levels.size)
+
+    def apply(lo):
+        t = table[lo:lo + _CHUNK]
+        phase = levels[t - low] if levels is not None else np.exp(p := (-1j * gamma) * t, out=p)
+        state[lo:lo + _CHUNK] *= phase.astype(state.dtype, copy=False)
+    _chunks(apply, state.size)
     return state
 
 
 def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     """exp(-i*beta*X) on every qubit, fused into blocks of _FUSE qubits.
 
-    Qubits [q, q+k) are mixed by one matmul with U = R(beta)^{(x)k}, all
-    2**k rows of mixer_kernel_rows in the state's dtype (U is symmetric), on
-    the (-1, 2**k, 2**q) view of the state, or by (-1, 2**k) @ U when q = 0;
-    the last block is smaller when _FUSE does not divide N.  Each matmul
-    covers at most about _CHUNK amplitudes, so no full-state temporary is
-    made.  BLAS rounds by matmul shape, so the bits depend on _CHUNK through
-    the q = 0 row count (_CHUNK >> k), though not on the thread count.  N
-    comes from the last axis, so a C-contiguous (rows, 2**N) batch is mixed
-    row by row: no view straddles a row boundary.  For N > _FUSE the batch
-    equals row-by-row mixing bit for bit; for N <= _FUSE a lone row is
-    a vector-matrix product and may differ from its batch at round-off.
+    Qubits [q, q+k) are mixed by U = R(beta)^{(x)k} (all 2**k rows of
+    mixer_kernel_rows; U is symmetric) in matmuls over about _CHUNK amplitudes
+    of the (-1, 2**k, 2**q) view, or as (-1, 2**k) @ U when q = 0.  The bits
+    were measured equal at _CHUNK = 2**16 and 2**20 (N = 16, 20 in c128; 20, 25
+    in c64) and at 1 and 2 BLAS threads.  N comes from the last axis, so a
+    C-contiguous (rows, 2**N) batch is mixed row by row: bit for bit for
+    N > _FUSE, at round-off for N <= _FUSE (a lone row is a vector product).
     """
     num_qubits = int(math.log2(state.shape[-1]))
     for q in range(0, num_qubits, _FUSE):
@@ -164,22 +170,17 @@ def mixed_feasible_mass(state: np.ndarray, beta: float, n: int) -> float:
 
 
 def fourth_moment(state: np.ndarray) -> float:
-    """sum_x |amps[x]|**4."""
-    total = 0.0
-    for lo in range(0, state.shape[0], _CHUNK):
-        a = np.abs(state[lo:lo + _CHUNK]) ** 2
-        total += float(np.sum(a * a))
-    return total
+    """sum_x |amps[x]|**4 as a*a, a = |amps[x]|**2, summed like norm_squared."""
+    return sum(_chunks(lambda lo: float(np.sum((a := np.abs(state[lo:lo + _CHUNK]) ** 2) * a)),
+                       state.size))
 
 
 def sample_counts(state: np.ndarray, shots: int, seed: int) -> tuple:
-    """Inverse-CDF sampling with a counter-based (Philox) generator.
-
-    Deterministic for a given seed across runs and platforms; returns the
-    labels that occurred, ascending, and their counts, as int64 arrays.
-    The uniforms are sorted, so each _CHUNK slice of the CDF, accumulated in
-    place from the running total of the slices before it, serves the run of
-    uniforms that falls in it.
+    """Inverse-CDF sampling with a counter-based (Philox) generator: the labels
+    that occurred, ascending, and their counts (int64), the same for a seed on
+    every run and platform.  The uniforms are sorted, so each _CHUNK slice of
+    the CDF, accumulated in place from the running total of the slices before
+    it, serves the run of uniforms in it: one sequential float64 cumsum.
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
@@ -206,9 +207,6 @@ def sample_counts(state: np.ndarray, shots: int, seed: int) -> tuple:
 
 
 def norm_squared(state: np.ndarray) -> float:
-    """sum_x |amps[x]|**2, summed chunk by chunk in a fixed order, so the
-    result does not depend on the BLAS thread count (np.vdot's does)."""
-    total = 0.0
-    for lo in range(0, state.shape[0], _CHUNK):
-        total += float(np.sum(np.abs(state[lo:lo + _CHUNK]) ** 2))
-    return total
+    """sum_x |amps[x]|**2: one numpy sum per chunk, added in chunk order, so
+    no thread count changes it (np.vdot's result follows BLAS's)."""
+    return sum(_chunks(lambda lo: float(np.sum(np.abs(state[lo:lo + _CHUNK]) ** 2)), state.size))

@@ -181,7 +181,7 @@ class DiagonalCost:
         if n > MAX_DENSE_COST_SIZE:
             raise CapacityError(f"dense cost table capped at n={MAX_DENSE_COST_SIZE}, got {n}")
         self._vector = _dense_cost(np.arange(1 << n), self.dist, self.penalty_weight,
-                                   self.include_penalty, np.int32 if n == 5 else np.int64)
+                                   self.include_penalty, (np.int32 if n == 5 else np.int64,))
         return self._vector
 
     def tie_broken_vector(self) -> np.ndarray:
@@ -207,7 +207,7 @@ class DiagonalCost:
         return int(vec.max() - vec.min())
 
 
-def _dense_cost(patterns, dist, A, include_penalty, dtype):
+def _dense_cost(patterns, dist, A, include_penalty, dtypes):
     """Cost table over every choice of one bit pattern from ``patterns`` per
     row, row 0 the least significant digit: ``np.arange(2**n)`` gives the
     full table indexed by label, ``1 << np.arange(n)`` the one-hot manifold.
@@ -219,9 +219,9 @@ def _dense_cost(patterns, dist, A, include_penalty, dtype):
     The column penalty is A*(n - sum_i |r_i| + 2 sum_{i<i'} |r_i & r_i'|):
     the constant and the |r_i| part join the row term, the overlap part the
     pair terms.  Before anything is allocated, the sum of each term's largest
-    value (n row terms, n(n-1)/2 overlaps, n tour steps, in Python ints) must
-    fit ``dtype``; on the full table at n >= 3 that sum is the all-ones cost.
-    Every term then fits, and a partial sum that wraps still ends exact.
+    value (n row terms, n(n-1)/2 overlaps, n tour steps, in Python ints; on the
+    full table at n >= 3, the all-ones cost) picks the first of ``dtypes`` that
+    holds it.  Every term then fits, and a partial sum that wraps still ends exact.
     """
     n, m = len(dist), len(patterns)
     bits = ((patterns[:, None] >> np.arange(n)) & 1).astype(object)   # Python ints
@@ -231,9 +231,10 @@ def _dense_cost(patterns, dist, A, include_penalty, dtype):
     overlap = 2 * pen * (bits @ bits.T)
     tour = bits @ np.asarray(dist, dtype=object) @ bits.T   # [r_t, r_{t+1}]
     top = pen * n + n * row.max() + n * (n - 1) // 2 * overlap.max() + n * tour.max()
-    if top > np.iinfo(dtype).max:
-        raise CapacityError(f"largest cost {top} overflows the {np.dtype(dtype).name} "
+    if top > np.iinfo(dtypes[-1]).max:
+        raise CapacityError(f"largest cost {top} overflows the {np.dtype(dtypes[-1]).name} "
                             f"cost table at n={n}; use smaller distances")
+    dtype = next(t for t in dtypes if top <= np.iinfo(t).max)
     row, overlap, tour = row.astype(dtype), overlap.astype(np.int64), tour.astype(np.int64)
 
     def pair(j, k, r):

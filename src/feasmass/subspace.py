@@ -66,13 +66,14 @@ def subspace_cost_table(cost: DiagonalCost) -> np.ndarray:
     The builder's row 0 is its least significant digit and the manifold's
     block 0 its most significant, so builder row i is block n-1-i and the
     tour, block b to b+1, runs from builder row i+1 to i: the builder's
-    forward tour over dist.T.
+    forward tour over dist.T.  At n = 8 it is int32 (64 MiB) if the costs fit.
     """
     n = cost.n
     if n > MAX_BLOCK_SIZE:
         raise CapacityError(f"subspace capped at n={MAX_BLOCK_SIZE}, got {n}")
     return _dense_cost(1 << np.arange(n), np.asarray(cost.dist, dtype=np.int64).T,
-                       cost.penalty_weight, cost.include_penalty, np.int64)
+                       cost.penalty_weight, cost.include_penalty,
+                       (np.int32, np.int64) if n == 8 else (np.int64,))
 
 
 def apply_subspace_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:

@@ -49,29 +49,40 @@ def test_every_traced_and_predicted_name_resolves_in_src():
 
 
 _TRACED_RUNS = """
-import collections, json, sys, tempfile
+import collections, json, sys, tempfile, threading
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
-from feasmass import cli   # imported before install, as benchmark/worker.py does
+from feasmass import cli, fullspace   # imported before install, as benchmark/worker.py does
 import spans
 tracer = spans.Tracer()
 spans.install(tracer)
-calls = []
-for argv in json.loads(sys.argv[3]):
+default_chunk, calls = fullspace._CHUNK, []
+for chunk, argv in json.loads(sys.argv[3]):
+    fullspace._CHUNK = chunk or default_chunk
     start = len(tracer.spans)
     with tempfile.TemporaryDirectory() as out:
         rc = cli.main(argv + ["--out", out])
-    calls.append([rc, collections.Counter(s[0] for s in tracer.spans[start:])])
+    calls.append([rc, collections.Counter(s[0] for s in tracer.spans[start:]),
+                  len(tracer.stack), threading.active_count()])
 print(json.dumps(calls))
 """
+
+HIST_WI3 = ["run", "hist", "--instance", str(ROOT / "instances" / "wi3.txt"), "--method",
+            "generic", "--precision", "f32", "--gamma", "0.4", "--beta-list", "0.3",
+            "--shots", "2000"]
 
 
 @pytest.fixture(scope="module")
 def traced_runs():
-    """(exit code, span counts) of ``grid`` on wi3, ``depth`` and ``transfer``,
-    each run under the benchmark's tracer in one subprocess."""
-    commands = [["run", "grid", "--instance", str(ROOT / "instances" / "wi3.txt"), "--grid", "2x2"],
-                ["run", "depth", "--n", "2", "--depth", "2", "--grid", "2x2"],
-                ["run", "transfer", "--n", "2", "--grid", "2x2"]]
+    """(exit code, span counts, tracer stack depth after, live threads after)
+    of ``grid`` on wi3, ``depth``, ``transfer``, then ``hist`` as generic-n5
+    runs it but on wi3, at the default chunk size and at 64 entries (so the
+    chunk passes go to the thread pool), each run under the benchmark's
+    tracer in one subprocess."""
+    commands = [[None, ["run", "grid", "--instance", str(ROOT / "instances" / "wi3.txt"),
+                        "--grid", "2x2"]],
+                [None, ["run", "depth", "--n", "2", "--depth", "2", "--grid", "2x2"]],
+                [None, ["run", "transfer", "--n", "2", "--grid", "2x2"]],
+                [None, HIST_WI3], [64, HIST_WI3]]
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _TRACED_RUNS, str(BENCH), str(ROOT / "src"),
          json.dumps(commands)],
@@ -81,7 +92,7 @@ def traced_runs():
 
 
 def test_traced_sweeps_fire_the_layer_spans(traced_runs):
-    (grid_rc, grid), (depth_rc, depth), _ = traced_runs
+    (grid_rc, grid, *_), (depth_rc, depth, *_) = traced_runs[:2]
     assert grid_rc == 0 and depth_rc == 0
     # a 2x2 grid: one cost phase per gamma and a projection per point, then
     # the argmax check's phase, mixer and mass
@@ -98,8 +109,24 @@ def test_traced_sweeps_fire_the_layer_spans(traced_runs):
 def test_grid_n4_analogue_fires_its_predicted_spans(traced_runs):
     # grid plus transfer, as the grid-n4 workload runs them: a grid search
     # that stopped calling a predicted layer fails the traced benchmark run
-    (grid_rc, grid), _, (transfer_rc, transfer) = traced_runs
+    (grid_rc, grid, *_), _, (transfer_rc, transfer, *_) = traced_runs[:3]
     assert grid_rc == 0 and transfer_rc in (0, 2)
     fired = set(grid) | set(transfer)
     predicted = _load("workloads").PREDICTED_SPANS["grid-n4"]
     assert [span for span in predicted if span not in fired] == []
+    # states of one chunk never start the pool
+    assert [threads for *_, threads in traced_runs[:3]] == [1, 1, 1]
+
+
+def test_generic_n5_analogue_fires_its_predicted_spans(traced_runs):
+    # hist on wi3 as the generic-n5 workload runs it on wi5; a worker that
+    # crashed, a predicted span that never fired or a tracer left with open
+    # spans each fail the traced benchmark run
+    (rc, hist, stack, threads), (pooled_rc, pooled, pooled_stack, pooled_threads) = traced_runs[3:]
+    assert rc == 0 and stack == 0 and threads == 1
+    predicted = _load("workloads").PREDICTED_SPANS["generic-n5"]
+    assert [span for span in predicted if span not in hist] == []
+    # at 64-entry chunks the same run goes through the thread pool and fires
+    # the same spans, each as often
+    assert pooled_rc == 0 and pooled_stack == 0 and pooled_threads > 1
+    assert pooled == hist

@@ -252,6 +252,45 @@ def test_run_files_independent_of_blas_threads(tmp_path):
     assert written["1"] == written["2"]
 
 
+def test_run_files_independent_of_pool_workers(tmp_path, monkeypatch):
+    # at 512-entry chunks every run spreads chunks over the pool (at least 3
+    # per pass: l4 on n = 3 sums spectra of L = 1350); one worker and two
+    # must write the same bytes
+    from concurrent.futures import ThreadPoolExecutor
+    import feasmass.fullspace as fs
+    monkeypatch.setattr(fs, "_CHUNK", 512)
+    commands = [
+        ["run", "hist", "--instance", WI4, "--method", "generic", "--precision", "f32"],
+        ["run", "hist", "--instance", WI4, "--method", "generic", "--precision", "f64"],
+        ["run", "hist", "--n", "5", "--method", "ce"],
+        ["run", "twirl", "--n", "6"],
+        ["run", "l4", "--n", "3"],
+    ]
+    written = {}
+    for workers in (1, 2):
+        out, used = tmp_path / str(workers), []
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(fs, "_pool", lambda: used.append(1) or pool)
+            for i, args in enumerate(commands):
+                before = len(used)
+                assert run_cli(args + ["--out", str(out / str(i))]) == 0
+                assert len(used) > before, args
+        written[workers] = {str(p.relative_to(out)): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(written[1]) >= len(commands)
+    assert written[1] == written[2]
+
+
+def test_run_markov_lattice_cap_names_the_flag(tmp_path, capsys):
+    # tie-broken wi4 needs 85,429,687,500 grid points; the hint is a CLI flag
+    out = tmp_path / "out"
+    assert run_cli(["run", "markov", "--instance", WI4, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: lattice grid needs 85429687500 points (cap 3000000); large-spread instances "
+        "are out of exact-averaging reach - consider --tie-break false\n")
+    assert not out.exists()
+
+
 def test_run_hist_ce_beyond_label_width_exits_1(tmp_path, capsys):
     # n=8 labels need 64 bits; the run stops before simulating anything
     rc = run_cli(["run", "hist", "--n", "8", "--method", "ce", "--shots", "10",
@@ -270,9 +309,9 @@ def test_run_hist_int32_overflow_exits_1(tmp_path, capsys):
     out = tmp_path / "out"
     rc = run_cli(["run", "hist", "--instance", str(inst), "--method", "generic",
                   "--precision", "f32", "--shots", "10", "--out", str(out)])
-    err = capsys.readouterr().err
     assert rc == 1
-    assert "overflows" in err
+    assert capsys.readouterr().err == ("error: largest cost 2700000160 overflows the int32 cost "
+                                       "table at n=5; use smaller distances\n")
     assert not out.exists()
 
 
@@ -290,6 +329,7 @@ def constant_dist(n, d) -> list:
     (4, 10 ** 18, ["hist", "--method", "ce", "--shots", "10"]),
     (7, 10 ** 17, ["hist", "--method", "ce", "--shots", "10"]),
     (7, 10 ** 17, ["twirl"]),
+    (8, 10 ** 17, ["twirl"]),   # an int32 table at n = 8 only when the costs fit it
 ])
 def test_run_ce_int64_overflow_exits_1(tmp_path, capsys, n, d, command):
     # the manifold table's bound A*n*(n-1) + n*d passes int64; unguarded, it

@@ -374,7 +374,7 @@ def test_lattice_cap_names_size():
     from pathlib import Path
     wi4 = load_instance(Path(__file__).resolve().parent.parent / "instances" / "wi4.txt")
     cost = build_cost(wi4)
-    with pytest.raises(CapacityError, match="tie_break=False"):
+    with pytest.raises(CapacityError, match="consider --tie-break false$"):
         lattice_feasible_masses(cost, 0.7, tie_break=True)
 
 

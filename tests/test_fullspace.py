@@ -40,6 +40,46 @@ def test_init_plus_values():
     assert abs(1 - norm_squared(st)) < 1e-12
 
 
+def test_chunks_keep_chunk_order_and_raise(monkeypatch):
+    # later chunks finish first on the pool; results still come in chunk
+    # order, a state of one chunk runs on the calling thread, and an
+    # exception in any chunk reaches the caller
+    import threading
+    import time
+    import feasmass.fullspace as fs
+    monkeypatch.setattr(fs, "_CHUNK", 4)
+    threads = set()
+
+    def slow(lo):
+        threads.add(threading.get_ident())
+        time.sleep(0.002 * (40 - lo) / 4)
+        return lo
+
+    assert fs._chunks(slow, 4) == [0] and threads == {threading.get_ident()}
+    assert fs._chunks(slow, 38) == list(range(0, 38, 4))
+    assert len(threads) > 1
+
+    def fail_at(bad):
+        def fn(lo):
+            if lo == bad:
+                raise ZeroDivisionError(lo)
+            return lo
+        return fn
+
+    for bad in (0, 16, 36):
+        with pytest.raises(ZeroDivisionError, match=f"^{bad}$"):
+            fs._chunks(fail_at(bad), 38)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_chunked_init_plus_is_np_full_bitwise(dtype, monkeypatch):
+    import feasmass.fullspace as fs
+    monkeypatch.setattr(fs, "_CHUNK", 100)
+    for num_qubits in (1, 9, 12):
+        want = np.full(1 << num_qubits, 2.0 ** (-num_qubits / 2), dtype=dtype)
+        assert np.array_equal(init_plus(num_qubits, dtype).view(np.uint8), want.view(np.uint8))
+
+
 def test_init_plus_capacity():
     with pytest.raises(CapacityError):
         init_plus(26)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from scipy.linalg import expm
 
 from feasmass.fullspace import AngleSchedule, feasible_mass, run_generic
-from feasmass.instance import (CapacityError, build_cost, enumerate_feasible,
+from feasmass.instance import (CapacityError, _dense_cost, build_cost, enumerate_feasible,
                                feasible_subspace_indices, make_instance,
                                synthetic_instance)
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
@@ -141,6 +141,29 @@ def test_subspace_cost_table_just_under_the_bound_is_exact():
         table = subspace_cost_table(cost)
         assert table.tolist() == [cost_value(cost, int(y)) for y in subspace_to_full_labels(3)]
         assert int(table.max()) == 6 * cost.penalty_weight   # 86% of the int64 max
+
+
+# 456*d + 56 = A*n*(n-1) + n*d at n = 8 with A = 8d + 1: the largest d whose
+# CE table is int32 (64 MiB); one more takes the int64 table (128 MiB)
+INT32_BOUND_N8 = (np.iinfo(np.int32).max - 56) // 456
+
+
+def uniform_dist(n: int, d: int) -> np.ndarray:
+    dist = np.full((n, n), d)
+    np.fill_diagonal(dist, 0)
+    return dist
+
+
+@pytest.mark.parametrize("dist, dtype", [(synthetic_instance(8, seed=1).dist, np.int32),
+                                         (uniform_dist(8, INT32_BOUND_N8), np.int32),
+                                         (uniform_dist(8, INT32_BOUND_N8 + 1), np.int64)])
+def test_subspace_cost_table_n8_int32_equals_int64_build(dist, dtype):
+    cost = build_cost(make_instance(dist))
+    table = subspace_cost_table(cost)
+    assert table.dtype == dtype
+    wide = _dense_cost(1 << np.arange(8), np.asarray(cost.dist, dtype=np.int64).T,
+                       cost.penalty_weight, True, (np.int64,))
+    assert np.array_equal(table, wide)
 
 
 def test_subspace_cost_phase_feasible_is_tour_only():
