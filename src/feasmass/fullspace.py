@@ -2,12 +2,12 @@
 
 States are 1-D complex ndarrays of length 2**N indexed by the basis label
 (bit k = qubit k), mutated in place and returned; complex64 halves N = 25 to
-256 MiB.  Every mixer matrix comes from mixer_kernel_rows: the fused X mixer
-takes whole 2**k x 2**k blocks of it, the feasible mass after the mixer only
-its one-hot rows (mixed_feasible_mass), so a grid search mixes no state per
-point.  Full-space passes take _CHUNK entries at a time, so none makes a
-full-state temporary; the |+> fill, the cost phase and the norms spread their
-chunks over the CPUs (_chunks).  No result depends on either thread count.
+256 MiB.  Every mixer matrix comes from mixer_kernel_rows: the X mixer takes
+its real blocks conj(P) K conj(P), the feasible mass after the mixer only its
+one-hot rows (mixed_feasible_mass), so a grid search mixes no state per point.
+Full-space passes take _CHUNK entries at a time, so none makes a full-state
+temporary; the |+> fill, the cost phase, the X mixer and the norms spread
+their chunks over the CPUs (_chunks).  No result depends on either thread count.
 """
 from __future__ import annotations
 
@@ -23,6 +23,8 @@ from .instance import CapacityError, as_cost, feasible_indices, feasible_subspac
 MAX_FULL_QUBITS = 25
 _CHUNK = 1 << 16   # 512 KiB of complex64: one chunk stays in a 2 MiB L2
 _FUSE = 5   # qubits per fused mixer block: 2**5 x 2**5 matmuls
+_GEMM = 1 << 17   # m*n*k per mixer matmul: OpenBLAS threads real gemm from 2**20
+_PHASES = np.array([1, -1j, -1, 1j])   # (-i)**d by d % 4: exact
 _DTYPES = {"f64": np.complex128, "f32": np.complex64}
 
 
@@ -64,7 +66,9 @@ def _pool():
 def _chunks(fn, size: int) -> list:
     """[fn(lo) for lo in range(0, size, _CHUNK)] in chunk order, on the pool
     when there is more than one chunk (numpy releases the GIL); an exception
-    in any chunk propagates.  fn calls no BLAS and no traced public function."""
+    in any chunk propagates.  fn calls no traced public function, and each of
+    its matmuls stays below OpenBLAS's threading size (m*n*k = 2**16 complex,
+    2**20 real), so no pool thread wakes a BLAS thread."""
     starts = range(0, size, _CHUNK)
     return [fn(lo) for lo in starts] if len(starts) < 2 else list(_pool().map(fn, starts))
 
@@ -77,7 +81,9 @@ def apply_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.n
         raise ValueError("cost table length does not match state size")
     levels = None
     if np.issubdtype(table.dtype, np.integer):
-        low, high = int(table.min()), int(table.max())
+        low, high = zip(*_chunks(lambda lo: ((t := table[lo:lo + _CHUNK]).min(), t.max()),
+                                 table.size))   # one (min, max) pair per chunk
+        low, high = int(min(low)), int(max(high))
         if high - low + 1 < table.size:
             levels = np.empty(high - low + 1, dtype=state.dtype)
             _chunks(lambda lo: np.exp(
@@ -93,33 +99,47 @@ def apply_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.n
 
 
 def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-i*beta*X) on every qubit, fused into blocks of _FUSE qubits.
-
-    Qubits [q, q+k) are mixed by U = R(beta)^{(x)k} (all 2**k rows of
-    mixer_kernel_rows; U is symmetric) in matmuls over about _CHUNK amplitudes
-    of the (-1, 2**k, 2**q) view, or as (-1, 2**k) @ U when q = 0.  The bits
-    were measured equal at _CHUNK = 2**16 and 2**20 (N = 16, 20 in c128; 20, 25
-    in c64) and at 1 and 2 BLAS threads.  N comes from the last axis, so a
-    C-contiguous (rows, 2**N) batch is mixed row by row: bit for bit for
-    N > _FUSE, at round-off for N <= _FUSE (a lone row is a vector product).
+    """exp(-i*beta*X) on every qubit as P M P: P = diag((-i)**popcount(x)) is
+    exact to apply, M = [[cos b, sin b], [sin b, -cos b]]^{(x)N} is real.
+    N splits into blocks of _FUSE qubits and one of the rest, each M taken
+    from conj(P) mixer_kernel_rows conj(P).  A pass mixes qubits [a, a+k), as
+    many blocks as fit, in _CHUNK-entry items of the (-1, 2**k, 2**a) view:
+    times P, a real matmul per block on the float view, times P.  A C-contiguous
+    (rows, 2**N) batch is mixed row by row.  No bit depends on either thread
+    count, nor on _CHUNK from 2**13 up (narrower stripes round differently).
     """
-    num_qubits = int(math.log2(state.shape[-1]))
-    for q in range(0, num_qubits, _FUSE):
-        k = min(_FUSE, num_qubits - q)
-        u = mixer_kernel_rows(np.arange(1 << k), beta, k).astype(state.dtype)
-        if q == 0:
-            v = state.reshape(-1, 1 << k)
-            step = max(1, _CHUNK >> k)
-            for lo in range(0, v.shape[0], step):
-                v[lo:lo + step] = v[lo:lo + step] @ u
-            continue
-        v = state.reshape(-1, 1 << k, 1 << q)
-        step = max(1, _CHUNK >> (k + q))
-        width = max(1, min(1 << q, _CHUNK >> k))
-        for lo in range(0, v.shape[0], step):
-            for col in range(0, 1 << q, width):
-                blk = v[lo:lo + step, :, col:col + width]
-                blk[...] = u @ blk
+    if _CHUNK & (_CHUNK - 1) or _CHUNK < 1 << _FUSE:
+        raise ValueError(f"_CHUNK must be a power of two of at least 2**{_FUSE}, got {_CHUNK}")
+    num_qubits, real, flat = int(math.log2(state.shape[-1])), state.real.dtype, state.reshape(-1)
+    sizes = [min(_FUSE, num_qubits - s) for s in range(0, num_qubits, _FUSE)]
+    per_pass = (_CHUNK.bit_length() - 1) // _FUSE   # blocks per pass
+    m = {q: (np.outer(cp := _PHASES[np.bitwise_count(np.arange(1 << q)) % 4].conj(), cp)
+             * mixer_kernel_rows(np.arange(1 << q), beta, q)).real for q in set(sizes)}
+    m = {q: (u.astype(real), np.kron(u, np.eye(2)).astype(real)) for q, u in m.items()}
+    for i in range(0, len(sizes), per_pass):   # m is ready: pool callbacks call nothing traced
+        a, k = sum(sizes[:i]), sum(sizes[i:i + per_pass])
+        p = _PHASES[np.bitwise_count(np.arange(1 << k)) % 4].astype(state.dtype)
+        v, p = flat.reshape(-1, 1 << k, 1 << a), p[:, None] if a else p
+        rows, width = max(1, _CHUNK >> (k + a)), min(1 << a, _CHUNK >> k)   # per item
+
+        def item(lo):
+            o, c = divmod(lo // _CHUNK, (1 << a) // width)
+            src = v[o * rows:(o + 1) * rows, :, c * width:(c + 1) * width]
+            src = src if a else src[..., 0]   # p broadcast over a trailing 1 is slow
+            x = np.multiply(src, p, out=src if width == 1 << a else None)   # a stripe: copied
+            y, cols = np.empty_like(x), 2 * width   # floats below the block's qubits
+            for q in sizes[i:i + per_pass]:
+                f, g = x.reshape(-1).view(real), y.reshape(-1).view(real)
+                if cols == 2:   # re/im pairs fastest: (rows, 2**(q+1)) @ (M (x) I2)
+                    shape = (-1, math.gcd(f.size >> (q + 1), _GEMM >> (2 * q + 2)), 2 << q)
+                    np.matmul(f.reshape(shape), m[q][1], out=g.reshape(shape))
+                else:
+                    shape = (-1, 1 << q, cols // (span := min(cols, _GEMM >> (2 * q))), span)
+                    np.matmul(m[q][0], f.reshape(shape).swapaxes(1, 2),
+                              out=g.reshape(shape).swapaxes(1, 2))
+                x, y, cols = y, x, cols << q
+            np.multiply(x, p, out=src)
+        _chunks(item, flat.size)
     return state
 
 
@@ -144,8 +164,7 @@ def run_generic(instance, schedule: AngleSchedule, precision: str = "f64") -> np
 
 def feasible_mass(state: np.ndarray, n: int) -> float:
     """Total probability on the n! permutation labels."""
-    idx = feasible_indices(n)
-    return float(np.sum(np.abs(state[idx]) ** 2))
+    return float(np.sum(np.abs(state[feasible_indices(n)]) ** 2))
 
 
 def mixed_feasible_mass(state: np.ndarray, beta: float, n: int) -> float:

@@ -117,27 +117,10 @@ class PermutationSpectra(NamedTuple):
     col: np.ndarray    # spectrum of the all-columns-one-hot indicator
 
 
-def row_indicator(n: int) -> np.ndarray:
-    N = n * n
-    pc = popcounts(n)
-    ok = np.ones(1 << N, dtype=bool)
-    idx = np.arange(1 << N)
-    row_mask = (1 << n) - 1
-    for i in range(n):
-        ok &= pc[(idx >> (i * n)) & row_mask] == 1
-    return ok.astype(np.float64)
-
-
-def col_indicator(n: int) -> np.ndarray:
-    N = n * n
-    idx = np.arange(1 << N)
-    ok = np.ones(1 << N, dtype=bool)
-    for j in range(n):
-        col = np.zeros(1 << N, dtype=np.int64)
-        for i in range(n):
-            col += (idx >> (i * n + j)) & 1
-        ok &= col == 1
-    return ok.astype(np.float64)
+def _one_bit_each(n: int, masks) -> np.ndarray:
+    """Indicator of the N-bit labels with exactly one bit set in each mask."""
+    labels = np.arange(1 << (n * n))
+    return np.logical_and.reduce([np.bitwise_count(labels & m) == 1 for m in masks]).astype(float)
 
 
 def permutation_indicator(n: int) -> np.ndarray:
@@ -150,21 +133,19 @@ def permutation_spectrum(n: int) -> PermutationSpectra:
     """Spectra of the permutation, row-one-hot and column-one-hot indicators."""
     if n > 4:
         raise CapacityError("permutation spectrum capped at n=4 (N=16)")
+    rows = [((1 << n) - 1) << (i * n) for i in range(n)]
+    cols = [sum(1 << (i * n + j) for i in range(n)) for j in range(n)]
     return PermutationSpectra(full=walsh_transform(permutation_indicator(n)),
-                              row=walsh_transform(row_indicator(n)),
-                              col=walsh_transform(col_indicator(n)))
+                              row=walsh_transform(_one_bit_each(n, rows)),
+                              col=walsh_transform(_one_bit_each(n, cols)))
 
 
 def row_spectrum_closed_form(n: int) -> np.ndarray:
     """2**-N prod_i (n - 2|S_i|) where S_i is the mask restricted to row i."""
-    N = n * n
-    pc = popcounts(n)
-    idx = np.arange(1 << N)
-    row_mask = (1 << n) - 1
-    prod = np.ones(1 << N, dtype=np.float64)
-    for i in range(n):
-        prod *= n - 2 * pc[(idx >> (i * n)) & row_mask]
-    return (prod * 2.0 ** (-N)).astype(np.complex128)
+    labels = np.arange(1 << (n * n))
+    prod = np.prod([n - 2 * np.bitwise_count(labels & (((1 << n) - 1) << (i * n))).astype(np.int64)
+                    for i in range(n)], axis=0, dtype=np.float64)
+    return (prod * 2.0 ** (-n * n)).astype(np.complex128)
 
 
 def dyadic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -252,6 +252,49 @@ def test_run_files_independent_of_blas_threads(tmp_path):
     assert written["1"] == written["2"]
 
 
+def test_x_mixer_bits_independent_of_blas_threads_and_pool_workers():
+    # at N = 20 both mixer passes spread their items over the pool, unlike the
+    # 2**16 states above; every mix at 1 and 2 BLAS threads (one interpreter
+    # each) and 1 and 2 pool workers must give the same bytes.  The threads
+    # that exist after numpy's import are OpenBLAS's; once their start-up spin
+    # has settled, no mixer matmul may be large enough to wake them (read from
+    # Linux /proc, where it exists)
+    script = ("import hashlib, json, os, time, numpy as np\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "import feasmass.fullspace as fs\n"
+              "task = f'/proc/{os.getpid()}/task'\n"
+              "blas = [t for t in os.listdir(task) if t != str(os.getpid())] "
+              "if os.path.isdir(task) else []\n"
+              "ticks = lambda: sum(sum(map(int, open(f'{task}/{t}/stat').read()"
+              ".rsplit(')', 1)[1].split()[11:13])) for t in blas)\n"
+              "rng = np.random.default_rng(20)\n"
+              "st = rng.standard_normal(1 << 20) + 1j * rng.standard_normal(1 << 20)\n"
+              "before = -1\n"
+              "while before != (before := ticks()):\n"
+              "    time.sleep(0.2)\n"
+              "out, used = {}, []\n"
+              "for workers in (1, 2):\n"
+              "    with ThreadPoolExecutor(workers) as pool:\n"
+              "        fs._pool = lambda: used.append(1) or pool\n"
+              "        for dtype in ('complex64', 'complex128'):\n"
+              "            mixed = fs.apply_x_mixer(st.astype(dtype), 0.83)\n"
+              "            out[f'{dtype} {workers}'] = hashlib.sha256(mixed.tobytes()).hexdigest()\n"
+              "print(json.dumps([out, len(used), ticks() - before]))\n")
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out, pooled, blas_ticks = json.loads(proc.stdout)
+        assert pooled >= 8   # two passes per mix, four mixes
+        assert blas_ticks <= 1, (threads, blas_ticks)   # CPU ticks of OpenBLAS's threads
+        digests.update({f"{key} {threads}": val for key, val in out.items()})
+    for dtype in ("complex64", "complex128"):
+        assert len({val for key, val in digests.items() if key.startswith(dtype)}) == 1, digests
+    assert digests["complex64 1 1"] != digests["complex128 1 1"]
+
+
 def test_run_files_independent_of_pool_workers(tmp_path, monkeypatch):
     # at 512-entry chunks every run spreads chunks over the pool (at least 3
     # per pass: l4 on n = 3 sums spectra of L = 1350); one worker and two

@@ -148,6 +148,56 @@ def test_cost_phase_paths_match_direct_exp_bitwise(dtype, gamma):
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), label
 
 
+def test_cost_phase_level_range_spans_first_and_last_chunk(monkeypatch):
+    # the level range comes from one (min, max) per chunk; the extremes sit in
+    # the first and in the ragged last chunk, either way round, so a range
+    # from any one chunk indexes past the level table or off its start
+    import feasmass.fullspace as fs
+    monkeypatch.setattr(fs, "_CHUNK", 64)
+    rng = np.random.default_rng(3)
+    st = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    for first, last in ((-40, 77), (77, -40)):
+        table = rng.integers(0, 30, size=1000)
+        table[5], table[-3] = first, last
+        want = st * np.exp((-1j * 0.7) * table)
+        assert np.array_equal(apply_cost_phase(st.copy(), table, 0.7), want), (first, last)
+
+
+def test_x_mixer_blocks_are_real_p_m_p():
+    # R(b)^{(x)k} = P M P with P = diag((-i)**popcount(x)): conj(P) K conj(P)
+    # is real, equals [[c, s], [s, -c]]^{(x)k}, and multiplying by P only
+    # swaps re and im with a sign
+    import feasmass.fullspace as fs
+    for k in range(1, 6):
+        cp = fs._PHASES[np.bitwise_count(np.arange(1 << k)) % 4].conj()
+        for beta in (0.0, 0.37, 1.2, math.pi / 2, 2.9, -0.8):
+            blk = np.outer(cp, cp) * mixer_kernel_rows(np.arange(1 << k), beta, k)
+            assert np.all(blk.imag == 0), (k, beta)
+            c, s = math.cos(beta), math.sin(beta)
+            m = np.ones((1, 1))
+            for _ in range(k):
+                m = np.kron(m, [[c, s], [s, -c]])
+            assert np.abs(blk.real - m).max() <= 1e-15, (k, beta)
+    rng = np.random.default_rng(4)
+    for dtype in (np.complex64, np.complex128):
+        st = (rng.standard_normal(1 << 10) + 1j * rng.standard_normal(1 << 10)).astype(dtype)
+        d = np.bitwise_count(np.arange(1 << 10)) % 4
+        re, im = st.real, st.imag
+        want = np.empty_like(st)
+        want.real = np.choose(d, [re, im, -re, -im])
+        want.imag = np.choose(d, [im, -re, -im, re])
+        got = st * fs._PHASES[d].astype(dtype)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), dtype
+
+
+def test_x_mixer_refuses_chunks_it_cannot_split(monkeypatch):
+    import feasmass.fullspace as fs
+    for chunk in (40, 3000, 16):
+        monkeypatch.setattr(fs, "_CHUNK", chunk)
+        with pytest.raises(ValueError, match=f"power of two of at least 2\\*\\*5, got {chunk}$"):
+            apply_x_mixer(init_plus(6), 0.3)
+
+
 def test_x_mixer_zero_angle():
     st = init_plus(4)
     ref = st.copy()
@@ -211,13 +261,14 @@ def kernel_apply(st, beta, num_bits):
 
 @pytest.mark.parametrize("num_bits", range(1, 13))
 def test_fused_mixer_matches_kernel_oracle(num_bits, monkeypatch):
-    # N < 5, whole blocks (N = 5, 10) and a smaller last block; chunk 40 and
-    # 3000 run the row, item and column loops with ragged ends
+    # N < 5, whole blocks (N = 5, 10) and a smaller last block; chunks of 2**6 and
+    # 2**11 force passes of at most 5 and 10 qubits and several column-stripe
+    # items per pass
     import feasmass.fullspace as fs
     st = unit_state(np.random.default_rng(num_bits), 1 << num_bits)
     beta = 0.37 + 0.1 * num_bits
     expect = kernel_apply(st, beta, num_bits)
-    for chunk in (fs._CHUNK, 40, 3000):
+    for chunk in (fs._CHUNK, 1 << 6, 1 << 11):
         monkeypatch.setattr(fs, "_CHUNK", chunk)
         for dtype, tol in ((np.complex128, 1e-12), (np.complex64, 1e-6)):
             out = apply_x_mixer(st.astype(dtype), beta)
