@@ -2,12 +2,12 @@
 permutation-constrained problems."""
 
 from .fullspace import AngleSchedule
-from .instance import (DiagonalCost, ProblemInstance, build_cost, enumerate_feasible,
-                       load_instance, make_instance, synthetic_instance)
+from .instance import (DiagonalCost, build_cost, enumerate_feasible, load_instance,
+                       make_instance, synthetic_instance)
 
 __all__ = [
-    "AngleSchedule", "DiagonalCost", "ProblemInstance", "build_cost",
-    "enumerate_feasible", "load_instance", "make_instance", "synthetic_instance",
+    "AngleSchedule", "DiagonalCost", "build_cost", "enumerate_feasible", "load_instance",
+    "make_instance", "synthetic_instance",
 ]
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds, experiments, harmonic
 from .experiments import ExperimentResult, GridSpec
 from .fullspace import AngleSchedule, feasible_mass, mixer_kernel_rows, run_generic
-from .instance import InstanceFormatError, ProblemInstance, load_instance, synthetic_instance
+from .instance import DiagonalCost, InstanceFormatError, load_instance, synthetic_instance
 from .subspace import (block_mixer_eigenvalues, leakage_gram, leakage_spectrum,
                        overlap_generic_ce)
 
@@ -96,7 +96,7 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _resolve_instance(args) -> ProblemInstance:
+def _resolve_instance(args) -> DiagonalCost:
     if getattr(args, "instance", None):
         return load_instance(args.instance)
     if getattr(args, "n", None):
@@ -165,7 +165,7 @@ def cmd_run(args) -> int:
                     gamma_range=args.range_gamma, beta_range=args.range_beta)
     config = {
         "command": args.experiment, "instance": inst.name,
-        "n": inst.n, "dist": list(map(list, inst.dist)),
+        "n": inst.n, "dist": inst.dist.tolist(),
         "penalty_weight": inst.penalty_weight,
         "grid": list(args.grid), "range_gamma": list(args.range_gamma),
         "range_beta": list(args.range_beta), "shots": args.shots,

@@ -21,12 +21,11 @@ from . import bounds
 from .fullspace import (_DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer,
                         feasible_mass, fourth_moment, init_plus, mixed_feasible_mass,
                         mixer_kernel_rows, run_generic, sample_counts)
-from .instance import (CapacityError, DiagonalCost, ProblemInstance, as_cost,
-                       enumerate_feasible, feasible_indices, feasible_subspace_indices)
-from .subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
-                       best_block_relabeling, init_w_product, run_ce,
-                       subspace_cost_table, subspace_feasible_mass,
-                       subspace_to_full_labels, twirl_average)
+from .instance import (CapacityError, DiagonalCost, enumerate_feasible, feasible_indices,
+                       feasible_subspace_indices)
+from .subspace import (_check_label_bits, apply_block_xy_mixer, apply_subspace_cost_phase,
+                       best_block_relabeling, init_w_product, run_ce, subspace_cost_table,
+                       subspace_feasible_mass, twirl_average)
 
 MAX_LATTICE_POINTS = 3_000_000
 """Largest lattice grid.  Grid lengths are 5-smooth; an n=4 run peaks near
@@ -77,10 +76,6 @@ class ExperimentResult:
         if self.seed is not None:
             out["seed"] = self.seed
         return out
-
-
-def _instance_name(instance) -> str:
-    return instance.name if isinstance(instance, ProblemInstance) else "cost"
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +133,11 @@ def lattice_feasible_masses(cost: DiagonalCost, beta: float, tie_break: bool = T
     return masses
 
 
-def exact_angle_average(instance, beta: float, tie_break: bool = True) -> ExperimentResult:
+def exact_angle_average(cost: DiagonalCost, beta: float,
+                        tie_break: bool = True) -> ExperimentResult:
     """Angle mean of the single-layer feasible mass (contract: n!/2**(n**2)
     within 1e-10 on the tie-broken lattice).  Terms between distinct cost levels
     average out (Parseval): 2**-N sum_{x feasible, level} |sum_{y in level} K_xy|**2."""
-    cost = as_cost(instance)
     if cost.n > 4:
         raise ValueError("angle averaging capped at n=4")
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
@@ -152,27 +147,27 @@ def exact_angle_average(instance, beta: float, tie_break: bool = True) -> Experi
     mean /= 2.0 ** cost.num_qubits
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     return ExperimentResult(
-        name="exact_angle_average", instance=_instance_name(instance),
+        name="exact_angle_average", instance=cost.name,
         params={"beta": beta, "tie_break": tie_break},
         metrics={"mean": mean, "baseline": base, "deviation": abs(mean - base)})
 
 
-def markov_fraction(instance, beta: float, t: float, tie_break: bool = True) -> ExperimentResult:
+def markov_fraction(cost: DiagonalCost, beta: float, t: float,
+                    tie_break: bool = True) -> ExperimentResult:
     """Exact grid measure of {gamma : P >= t * baseline}; contract <= 1/t."""
     if t <= 0:
         raise ValueError("t must be positive")
-    cost = as_cost(instance)
     masses = lattice_feasible_masses(cost, beta, tie_break=tie_break)
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     frac = float(np.mean(masses >= t * base))
     return ExperimentResult(
-        name="markov_fraction", instance=_instance_name(instance),
+        name="markov_fraction", instance=cost.name,
         params={"beta": beta, "t": t, "L": len(masses), "tie_break": tie_break},
         metrics={"fraction": frac, "bound": 1.0 / t,
                  "satisfied": frac <= 1.0 / t + 1e-12})
 
 
-def l4_sweep(instance, betas) -> ExperimentResult:
+def l4_sweep(cost: DiagonalCost, betas) -> ExperimentResult:
     """Exact angle average of sum_x |a_x|^4 per beta against the analytic envelope.
 
     Fourth powers pair cost differences twice, so every grid with
@@ -180,7 +175,6 @@ def l4_sweep(instance, betas) -> ExperimentResult:
     average, degenerate quadruples included.  L is the least 5-smooth
     length there (wi3: 675,000), as for the feasible mass.
     """
-    cost = as_cost(instance)
     if cost.n > 3:
         raise ValueError("fourth-moment sweep capped at n=3")
     h, L = _lattice_costs(cost, False, 2)
@@ -192,7 +186,7 @@ def l4_sweep(instance, betas) -> ExperimentResult:
         per_beta[float(beta)] = {"mean": mean, "envelope": envelope,
                                  "satisfied": mean <= envelope + 1e-9}
     return ExperimentResult(
-        name="l4_sweep", instance=_instance_name(instance),
+        name="l4_sweep", instance=cost.name,
         params={"L": L, "betas": [float(b) for b in betas]},
         metrics={"per_beta": per_beta})
 
@@ -237,12 +231,12 @@ class GridSearchResult:
     best_mass: float
 
 
-def grid_search_generic(instance, grid: GridSpec, precision: str = "f64") -> GridSearchResult:
+def grid_search_generic(cost: DiagonalCost, grid: GridSpec,
+                        precision: str = "f64") -> GridSearchResult:
     """Single-layer feasible mass at every grid point by the one-hot row
     projection; lexicographically-first argmax by (gamma index, beta index).
     The argmax is re-run as a whole circuit, an independent oracle: masses
     over 1e-12 apart, relative (1e-5 in f32), raise ValueError."""
-    cost = as_cost(instance)
     gammas, betas = grid.gammas(), grid.betas()
     table = cost.cost_vector()
     fresh = lambda: init_plus(cost.num_qubits, dtype=_DTYPES[precision])
@@ -259,7 +253,8 @@ def grid_search_generic(instance, grid: GridSpec, precision: str = "f64") -> Gri
                             best_gamma=g, best_beta=b, best_mass=best)
 
 
-def parameter_transfer(instance, grid: GridSpec, precision: str = "f64") -> ExperimentResult:
+def parameter_transfer(cost: DiagonalCost, grid: GridSpec,
+                       precision: str = "f64") -> ExperimentResult:
     """Reuse the generic grid argmax inside the manifold (unnormalized mixer).
 
     Reports the measured ratio against the dimension factor 2**(n**2)/n**n;
@@ -267,7 +262,6 @@ def parameter_transfer(instance, grid: GridSpec, precision: str = "f64") -> Expe
     In this layered order (cost phase first) the ratio is a measurement, not
     a theorem, and ``satisfied`` must be False whenever factor * p_gen_max > 1.
     """
-    cost = as_cost(instance)
     search = grid_search_generic(cost, grid, precision)
     ce_state = run_ce(cost, AngleSchedule.single(search.best_gamma, search.best_beta),
                       normalized=False)
@@ -276,7 +270,7 @@ def parameter_transfer(instance, grid: GridSpec, precision: str = "f64") -> Expe
     factor = 2.0 ** (n * n) / float(n) ** n
     ratio = p_ce / search.best_mass if search.best_mass > 0 else math.inf
     return ExperimentResult(
-        name="parameter_transfer", instance=_instance_name(instance),
+        name="parameter_transfer", instance=cost.name,
         params={"grid": [grid.gamma_points, grid.beta_points],
                 "gamma_range": list(grid.gamma_range),
                 "beta_range": list(grid.beta_range), "precision": precision},
@@ -294,18 +288,17 @@ def binomial_consistent(count: int, shots: int, p: float) -> bool:
     return abs(count - shots * p) <= 5.0 * sigma
 
 
-def feasible_histogram(instance, method: str, schedule: AngleSchedule,
+def feasible_histogram(cost: DiagonalCost, method: str, schedule: AngleSchedule,
                        shots: int, seed: int, normalized: bool = True,
                        precision: str = "f64") -> ExperimentResult:
     """Sample the chosen ansatz and count feasible outcomes per tour label."""
-    cost = as_cost(instance)
     n = cost.n
     if method == "generic":
         state = run_generic(cost, schedule, precision)
         p_exact = feasible_mass(state, n)
         feasible = feasible_indices(n)
     elif method == "ce":
-        subspace_to_full_labels(n)   # capacity check before simulating
+        _check_label_bits(n)   # int64 labels: refused before simulating
         state = run_ce(cost, schedule, normalized=normalized)
         p_exact = subspace_feasible_mass(state)
         feasible = feasible_subspace_indices(n)   # enumerate_feasible(n), in order
@@ -320,7 +313,7 @@ def feasible_histogram(instance, method: str, schedule: AngleSchedule,
     feas_total = sum(feas_counts.values())
     frac = feas_total / shots if shots else 0.0
     return ExperimentResult(
-        name="feasible_histogram", instance=_instance_name(instance),
+        name="feasible_histogram", instance=cost.name,
         params={"method": method, "shots": shots,
                 "gammas": list(schedule.gammas), "betas": list(schedule.betas),
                 "normalized_mixer": normalized},
@@ -335,7 +328,7 @@ def feasible_histogram(instance, method: str, schedule: AngleSchedule,
 # ---------------------------------------------------------------------------
 # depth sweep and twirl existence
 
-def ce_depth_sweep(instance, p_max: int, grid: GridSpec,
+def ce_depth_sweep(cost: DiagonalCost, p_max: int, grid: GridSpec,
                    normalized: bool = True) -> ExperimentResult:
     """Best CE feasible mass per depth p = 1..p_max on the per-layer ``grid``.
 
@@ -349,7 +342,6 @@ def ce_depth_sweep(instance, p_max: int, grid: GridSpec,
     if max(grid.gamma_points, grid.beta_points) > 6:
         raise ValueError(f"depth sweep grid capped at 6 points per angle, got "
                          f"--grid {grid.gamma_points}x{grid.beta_points}")
-    cost = as_cost(instance)
     if cost.n > 4:
         raise ValueError("depth sweep capped at n=4")
     if grid.gammas()[0] != 0.0 or grid.betas()[0] != 0.0:
@@ -367,7 +359,7 @@ def ce_depth_sweep(instance, p_max: int, grid: GridSpec,
     per_depth = [{"p": p, "best_mass": mass, "angles": [list(a) for a in angles]}
                  for p, (mass, angles) in enumerate(best, start=1)]
     return ExperimentResult(
-        name="ce_depth_sweep", instance=_instance_name(instance),
+        name="ce_depth_sweep", instance=cost.name,
         params={"p_max": p_max, "grid": [grid.gamma_points, grid.beta_points],
                 "normalized_mixer": normalized},
         metrics={"per_depth": per_depth,
@@ -375,7 +367,7 @@ def ce_depth_sweep(instance, p_max: int, grid: GridSpec,
                                  for i in range(len(per_depth) - 1))})
 
 
-def twirl_existence_experiment(instance, schedule: AngleSchedule,
+def twirl_existence_experiment(cost: DiagonalCost, schedule: AngleSchedule,
                                normalized: bool = True) -> ExperimentResult:
     """Mean of the probability of the target tuple (0, 1, ..., n-1) over all
     blockwise relabelings of the CE state (must equal 1/n**n) and its maximum
@@ -384,7 +376,6 @@ def twirl_existence_experiment(instance, schedule: AngleSchedule,
     Both come from closed forms (see subspace.twirl_average), exact for every
     n up to the subspace cap.
     """
-    cost = as_cost(instance)
     n = cost.n
     target = tuple(range(n))
     state = run_ce(cost, schedule, normalized=normalized)
@@ -392,7 +383,7 @@ def twirl_existence_experiment(instance, schedule: AngleSchedule,
     _, best_p = best_block_relabeling(state, target)
     bound = 1.0 / float(n) ** n
     return ExperimentResult(
-        name="twirl_existence", instance=_instance_name(instance),
+        name="twirl_existence", instance=cost.name,
         params={"target": list(target), "gammas": list(schedule.gammas),
                 "betas": list(schedule.betas), "normalized_mixer": normalized},
         metrics={"mean": mean, "best": best_p, "bound": bound,
@@ -400,18 +391,17 @@ def twirl_existence_experiment(instance, schedule: AngleSchedule,
                  "satisfied": abs(mean - bound) <= 1e-12 and best_p >= bound - 1e-12})
 
 
-def envelope_excess_report(instance, grid: GridSpec) -> ExperimentResult:
+def envelope_excess_report(cost: DiagonalCost, grid: GridSpec) -> ExperimentResult:
     """Measured max of P * 2**N / n! over the grid (strict-envelope excess).
     The single-layer envelope P <= n!/2**N is an equality at beta = 0, so a
     grid holding beta = 0 has a max >= 1, but tuned angles exceed it on small
     instances."""
-    cost = as_cost(instance)
     if cost.n > 3:
         raise ValueError("envelope report capped at n=3")
     search = grid_search_generic(cost, grid)
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     return ExperimentResult(
-        name="envelope_excess", instance=_instance_name(instance),
+        name="envelope_excess", instance=cost.name,
         params={"grid": [grid.gamma_points, grid.beta_points]},
         metrics={"max_over_baseline": search.best_mass / base,
                  "best_gamma": search.best_gamma, "best_beta": search.best_beta})

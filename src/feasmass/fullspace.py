@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import CapacityError, as_cost, feasible_indices, feasible_subspace_indices
+from .instance import CapacityError, DiagonalCost, feasible_indices, feasible_subspace_indices
 
 MAX_FULL_QUBITS = 25
 _CHUNK = 1 << 16   # 512 KiB of complex64: one chunk stays in a 2 MiB L2
@@ -81,9 +81,7 @@ def apply_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.n
         raise ValueError("cost table length does not match state size")
     levels = None
     if np.issubdtype(table.dtype, np.integer):
-        low, high = zip(*_chunks(lambda lo: ((t := table[lo:lo + _CHUNK]).min(), t.max()),
-                                 table.size))   # one (min, max) pair per chunk
-        low, high = int(min(low)), int(max(high))
+        low, high = int(table.min()), int(table.max())
         if high - low + 1 < table.size:
             levels = np.empty(high - low + 1, dtype=state.dtype)
             _chunks(lambda lo: np.exp(
@@ -151,9 +149,8 @@ def mixer_kernel_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarra
     return (math.cos(beta) ** (num_bits - d)) * ((-1j * math.sin(beta)) ** d)
 
 
-def run_generic(instance, schedule: AngleSchedule, precision: str = "f64") -> np.ndarray:
+def run_generic(cost: DiagonalCost, schedule: AngleSchedule, precision: str = "f64") -> np.ndarray:
     """Depth-p generic QAOA: alternate cost phase and X mixer from |+>^N."""
-    cost = as_cost(instance)
     table = cost.cost_vector()
     state = init_plus(cost.num_qubits, dtype=_DTYPES[precision])
     for gamma, beta in zip(schedule.gammas, schedule.betas):

@@ -1,4 +1,4 @@
-"""Problem instances, the permutation-feasibility test, and the diagonal cost.
+"""The problem instance with its diagonal cost, and the permutation-feasibility test.
 
 A problem of size ``n`` is encoded on ``N = n**2`` binary variables laid out
 row-major: bit ``i*n + j`` of a basis label says whether city ``j`` sits at
@@ -41,22 +41,28 @@ def default_penalty_weight(dist) -> int:
     return d.shape[0] * int(d.max()) + 1
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    """A permutation-constrained instance: city count, distances, penalty weight."""
+@dataclass(frozen=True, eq=False)
+class DiagonalCost:
+    """A permutation-constrained instance and its diagonal cost
+    C(y) = A*(one-hot penalties) + cyclic bilinear tour length.
 
-    n: int
-    dist: tuple
+    ``dist`` is held as a read-only int64 array, the penalty weight A as a
+    Python int.  The spectrum lies on the unit integer lattice, which is what
+    makes exact finite-grid angle averaging possible.  The dense table is
+    built on first use (build_cost); dataclasses.replace starts without one.
+    """
+
+    dist: np.ndarray
     penalty_weight: int
-    name: str = "unnamed"
+    name: str
+    include_penalty: bool = True
+    _vector: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.dist)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise InstanceDimensionError(f"distance matrix must be square, got shape {d.shape}")
-        if d.shape[0] != self.n:
-            raise InstanceDimensionError(f"matrix is {d.shape[0]}x{d.shape[1]} but n={self.n}")
-        if self.n < 2:
+        if d.shape[0] < 2:
             raise ValueError("need at least two cities")
         if (d < 0).any():
             raise ValueError("distances must be non-negative integers")
@@ -64,23 +70,51 @@ class ProblemInstance:
             raise ValueError("distance matrix must have a zero diagonal")
         if self.penalty_weight < 1:
             raise ValueError("penalty weight must be positive")
-        object.__setattr__(self, "dist", tuple(tuple(int(v) for v in row) for row in d))
+        d = np.array(d, dtype=np.int64)
+        d.flags.writeable = False
+        object.__setattr__(self, "dist", d)
+        object.__setattr__(self, "penalty_weight", int(self.penalty_weight))
+
+    @property
+    def n(self) -> int:
+        return len(self.dist)
 
     @property
     def num_qubits(self) -> int:
         return self.n * self.n
 
-    def dist_array(self) -> np.ndarray:
-        return np.asarray(self.dist, dtype=np.int64)
+    def cost_vector(self) -> np.ndarray:
+        """Dense table C over all 2**(n*n) labels (see build_cost)."""
+        return build_cost(self)._vector
+
+    def tie_broken_vector(self) -> np.ndarray:
+        """Injective lattice refinement C*2**N + y.
+
+        Degenerate cost levels defeat exact angle averaging (equal-cost pairs
+        keep phase 1 under every average); spacing the lattice by 2**N and
+        adding the label index splits every level while staying on an integer
+        lattice, so the finite-grid average is exact again.  Entries past
+        int64 are refused before the multiply.
+        """
+        N = self.num_qubits
+        base = self.cost_vector().astype(np.int64)
+        if (top := (int(base.max()) + 1) << N) > np.iinfo(np.int64).max:
+            raise CapacityError(f"tie-broken costs reach {top - 1}, past int64 at n={self.n}; "
+                                "use smaller distances")
+        return base * (1 << N) + np.arange(1 << N, dtype=np.int64)
+
+    @property
+    def spread(self) -> int:
+        """Max pairwise cost difference, by an exact scan of the dense table."""
+        vec = self.cost_vector()
+        return int(vec.max() - vec.min())
 
 
-def make_instance(dist, name="unnamed") -> ProblemInstance:
-    d = np.asarray(dist)
-    return ProblemInstance(n=d.shape[0], dist=tuple(map(tuple, d.tolist())),
-                           penalty_weight=default_penalty_weight(d), name=name)
+def make_instance(dist, name="unnamed") -> DiagonalCost:
+    return DiagonalCost(dist=dist, penalty_weight=default_penalty_weight(dist), name=name)
 
 
-def synthetic_instance(n: int, seed: int = 0, high: int = 9) -> ProblemInstance:
+def synthetic_instance(n: int, seed: int = 0, high: int = 9) -> DiagonalCost:
     """Deterministic symmetric instance with integer entries in [1, high]."""
     rng = np.random.default_rng(seed + 1009 * n)
     d = rng.integers(1, high + 1, size=(n, n))
@@ -90,7 +124,7 @@ def synthetic_instance(n: int, seed: int = 0, high: int = 9) -> ProblemInstance:
     return make_instance(d, name=f"synthetic-n{n}-s{seed}")
 
 
-def load_instance(path) -> ProblemInstance:
+def load_instance(path) -> DiagonalCost:
     """Parse an instance file (format documented in the module docstring).
 
     Raises InstanceFormatError with the offending line number on bad input and
@@ -151,61 +185,7 @@ def feasible_subspace_indices(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# diagonal cost
-
-@dataclass
-class DiagonalCost:
-    """Diagonal cost C(y) = A*(one-hot penalties) + cyclic bilinear tour length.
-
-    The spectrum lies on the unit integer lattice, which is what makes exact
-    finite-grid angle averaging possible.
-    """
-
-    n: int
-    penalty_weight: int
-    dist: np.ndarray
-    include_penalty: bool = True
-    _vector: np.ndarray = field(default=None, repr=False, compare=False)
-
-    @property
-    def num_qubits(self) -> int:
-        return self.n * self.n
-
-    def cost_vector(self) -> np.ndarray:
-        """Dense table C over all 2**(n*n) labels (index = integer label);
-        int32 at n = 5 to halve the 2**25 table, int64 below.  A table whose
-        largest cost could pass the dtype is refused (see _dense_cost)."""
-        if self._vector is not None:
-            return self._vector
-        n = self.n
-        if n > MAX_DENSE_COST_SIZE:
-            raise CapacityError(f"dense cost table capped at n={MAX_DENSE_COST_SIZE}, got {n}")
-        self._vector = _dense_cost(np.arange(1 << n), self.dist, self.penalty_weight,
-                                   self.include_penalty, (np.int32 if n == 5 else np.int64,))
-        return self._vector
-
-    def tie_broken_vector(self) -> np.ndarray:
-        """Injective lattice refinement C*2**N + y.
-
-        Degenerate cost levels defeat exact angle averaging (equal-cost pairs
-        keep phase 1 under every average); spacing the lattice by 2**N and
-        adding the label index splits every level while staying on an integer
-        lattice, so the finite-grid average is exact again.  Entries past
-        int64 are refused before the multiply.
-        """
-        N = self.num_qubits
-        base = self.cost_vector().astype(np.int64)
-        if (top := (int(base.max()) + 1) << N) > np.iinfo(np.int64).max:
-            raise CapacityError(f"tie-broken costs reach {top - 1}, past int64 at n={self.n}; "
-                                "use smaller distances")
-        return base * (1 << N) + np.arange(1 << N, dtype=np.int64)
-
-    @property
-    def spread(self) -> int:
-        """Max pairwise cost difference, by an exact scan of the dense table."""
-        vec = self.cost_vector()
-        return int(vec.max() - vec.min())
-
+# dense cost tables
 
 def _dense_cost(patterns, dist, A, include_penalty, dtypes):
     """Cost table over every choice of one bit pattern from ``patterns`` per
@@ -257,14 +237,16 @@ def _dense_cost(patterns, dist, A, include_penalty, dtypes):
     return table
 
 
-def build_cost(instance: ProblemInstance) -> DiagonalCost:
-    return DiagonalCost(n=instance.n, penalty_weight=instance.penalty_weight,
-                        dist=instance.dist_array())
-
-
-def as_cost(instance) -> DiagonalCost:
-    """A DiagonalCost passes through unchanged; an instance is built into the
-    penalised cost."""
-    if isinstance(instance, DiagonalCost):
-        return instance
-    return build_cost(instance)
+def build_cost(cost: DiagonalCost) -> DiagonalCost:
+    """Build and keep ``cost``'s dense table over all 2**(n*n) labels (index =
+    integer label), int32 at n = 5 to halve the 2**25 table, int64 below, and
+    return ``cost``.  A table whose largest cost could pass the dtype is
+    refused (see _dense_cost)."""
+    if cost._vector is None:
+        n = cost.n
+        if n > MAX_DENSE_COST_SIZE:
+            raise CapacityError(f"dense cost table capped at n={MAX_DENSE_COST_SIZE}, got {n}")
+        object.__setattr__(cost, "_vector", _dense_cost(
+            np.arange(1 << n), cost.dist, cost.penalty_weight, cost.include_penalty,
+            (np.int32 if n == 5 else np.int64,)))
+    return cost

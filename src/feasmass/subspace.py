@@ -22,24 +22,25 @@ import numpy as np
 
 from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, init_plus,
                         norm_squared)
-from .instance import (CapacityError, DiagonalCost, _dense_cost, as_cost,
-                       feasible_subspace_indices)
+from .instance import CapacityError, DiagonalCost, _dense_cost, feasible_subspace_indices
 
 MAX_BLOCK_SIZE = 8   # n**n amplitudes
 MAX_EMBED_SIZE = 4   # the overlap needs the 2**(n*n) space too
 MAX_LABEL_BITS = 63  # full-space labels are int64
 
 
-@functools.lru_cache(maxsize=None)
-def subspace_to_full_labels(n: int) -> np.ndarray:
-    """Bijection subspace index -> full-space label, as an index array.
-
-    Labels carry n*n bits, so they fit int64 up to n = 7; only materializing
-    the full space (overlap_generic_ce) is capped lower, at n = 4.
-    """
+def _check_label_bits(n: int) -> None:
+    """Labels carry n*n bits, so they fit int64 up to n = 7; only materializing
+    the full space (overlap_generic_ce) is capped lower, at n = 4."""
     if n * n > MAX_LABEL_BITS:
         raise CapacityError(f"full-space labels need {n * n} bits; int64 labels "
                             f"hold {MAX_LABEL_BITS} (n <= 7)")
+
+
+@functools.lru_cache(maxsize=None)
+def subspace_to_full_labels(n: int) -> np.ndarray:
+    """Bijection subspace index -> full-space label, as an index array."""
+    _check_label_bits(n)
     # block b sets bit b*n + j_b; block b is axis b of the C-order [n]*n tensor
     out = np.zeros([n] * n, dtype=np.int64)
     for b in range(n):
@@ -71,8 +72,7 @@ def subspace_cost_table(cost: DiagonalCost) -> np.ndarray:
     n = cost.n
     if n > MAX_BLOCK_SIZE:
         raise CapacityError(f"subspace capped at n={MAX_BLOCK_SIZE}, got {n}")
-    return _dense_cost(1 << np.arange(n), np.asarray(cost.dist, dtype=np.int64).T,
-                       cost.penalty_weight, cost.include_penalty,
+    return _dense_cost(1 << np.arange(n), cost.dist.T, cost.penalty_weight, cost.include_penalty,
                        (np.int32, np.int64) if n == 8 else (np.int64,))
 
 
@@ -109,9 +109,8 @@ def apply_block_xy_mixer(state: np.ndarray, n: int, beta: float,
     return state
 
 
-def run_ce(instance, schedule: AngleSchedule, normalized: bool = True) -> np.ndarray:
+def run_ce(cost: DiagonalCost, schedule: AngleSchedule, normalized: bool = True) -> np.ndarray:
     """Depth-p CE-QAOA: alternate cost phase and block mixer from the W product."""
-    cost = as_cost(instance)
     table = subspace_cost_table(cost)
     state = init_w_product(cost.n)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
@@ -174,7 +173,7 @@ def project_to_subspace(full_state: np.ndarray, n: int) -> np.ndarray:
     return np.array(full_state[subspace_to_full_labels(n)], dtype=np.complex128)
 
 
-def overlap_generic_ce(instance, gamma: float, beta: float) -> complex:
+def overlap_generic_ce(cost: DiagonalCost, gamma: float, beta: float) -> complex:
     """Subspace-projected overlap between one CE layer and one generic layer.
 
     Each side applies its mixer to its own initial state first and the
@@ -186,7 +185,6 @@ def overlap_generic_ce(instance, gamma: float, beta: float) -> complex:
 
     The CE side uses the unnormalized block mixer.
     """
-    cost = as_cost(instance)
     n = cost.n
     if n > MAX_EMBED_SIZE:
         raise CapacityError(f"overlap capped at n={MAX_EMBED_SIZE}")

@@ -29,8 +29,7 @@ from feasmass.harmonic import (dyadic_convolve, feasible_mass_via_plancherel,
                                mixer_walsh_multiplier, permutation_spectrum,
                                popcounts, row_spectrum_closed_form,
                                sphere_indicator, walsh_transform)
-from feasmass.instance import (build_cost, feasible_indices, load_instance,
-                               synthetic_instance)
+from feasmass.instance import feasible_indices, load_instance, synthetic_instance
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                                init_w_product, overlap_generic_ce,
                                project_to_subspace, run_ce, subspace_cost_table,
@@ -51,7 +50,7 @@ def test_criterion_01_exact_angle_average():
     worst = 0.0
     for n in (2, 3):
         for seed in (1, 2):
-            cost = build_cost(synthetic_instance(n, seed=seed, high=5))
+            cost = synthetic_instance(n, seed=seed, high=5)
             base = math.factorial(n) / 2.0 ** (n * n)
             for beta in (0.3, 0.7, 1.1):
                 masses = lattice_feasible_masses(cost, beta)
@@ -102,8 +101,7 @@ def test_criterion_03_parameter_transfer_inequality():
     cases = [load_instance(INSTANCES / "wi3.txt"), synthetic_instance(4, seed=1, high=9)]
     grid = GridSpec(10, 10)
     gammas, betas = grid.gammas(), grid.betas()
-    for inst in cases:
-        cost = build_cost(inst)
+    for cost in cases:
         n = cost.n
         factor = 2.0 ** (n * n) / float(n) ** n
         scale = math.sqrt(float(n) ** n / 2.0 ** (n * n))
@@ -128,13 +126,13 @@ def test_criterion_03_parameter_transfer_inequality():
         gi, bi = np.unravel_index(int(np.argmax(p_gen)), p_gen.shape)
         argmax_ratio = p_ce[gi, bi] / p_gen[gi, bi]
         if not worst_rel <= tol:
-            failures.append(f"{inst.name}: commuting P_CE/P_gen off the factor by "
+            failures.append(f"{cost.name}: commuting P_CE/P_gen off the factor by "
                             f"{worst_rel:.3e} (relative)")
         if not worst_amp <= tol:
-            failures.append(f"{inst.name}: projected generic state off "
+            failures.append(f"{cost.name}: projected generic state off "
                             f"phase*scale*CE by {worst_amp:.3e}")
         if not argmax_ratio >= factor * (1 - tol):
-            failures.append(f"{inst.name}: commuting ratio {argmax_ratio!r} at the "
+            failures.append(f"{cost.name}: commuting ratio {argmax_ratio!r} at the "
                             f"generic argmax below factor {factor!r}")
 
         # (b) standard order (cost phase first) through parameter_transfer:
@@ -147,7 +145,7 @@ def test_criterion_03_parameter_transfer_inequality():
                   * 2.0 ** (-cost.num_qubits / 2))
         oracle = float(np.sum(np.abs(rows @ phased) ** 2))
         if not abs(m["p_gen_max"] - oracle) <= tol:
-            failures.append(f"{inst.name}: p_gen_max {m['p_gen_max']!r} vs "
+            failures.append(f"{cost.name}: p_gen_max {m['p_gen_max']!r} vs "
                             f"kernel oracle {oracle!r}")
         zero_points = ([(g, betas[0]) for g in gammas]
                        + [(gammas[0], b) for b in betas[1:]])
@@ -156,11 +154,11 @@ def test_criterion_03_parameter_transfer_inequality():
         ).metrics["ratio"] for g, b in zero_points])
         worst_zero = float(np.max(np.abs(ratios - factor) / factor))
         if not worst_zero <= tol:
-            failures.append(f"{inst.name}: standard-order ratio off the factor by "
+            failures.append(f"{cost.name}: standard-order ratio off the factor by "
                             f"{worst_zero:.3e} at zero angles")
 
         details.append(
-            f"{inst.name}: p_gen_max {m['p_gen_max']:.7f}, p_ce(theta*) {m['p_ce']:.4f}, "
+            f"{cost.name}: p_gen_max {m['p_gen_max']:.7f}, p_ce(theta*) {m['p_ce']:.4f}, "
             f"standard ratio {m['ratio']:.4f} vs factor {factor:.4f} "
             f"(inequality needs p_ce >= {factor * m['p_gen_max']:.4f}), "
             f"commuting worst rel dev {worst_rel:.1e}, amp dev {worst_amp:.1e}, "
@@ -206,7 +204,7 @@ def test_criterion_06_markov_fraction():
     all_ok = True
     worst = 0.0
     for n in (2, 3):
-        cost = build_cost(synthetic_instance(n, seed=1, high=5))
+        cost = synthetic_instance(n, seed=1, high=5)
         masses = lattice_feasible_masses(cost, 0.7)
         base = math.factorial(n) / 2.0 ** (n * n)
         for t in (2.0, 4.0, 9.0):

@@ -76,13 +76,14 @@ def traced_runs():
     """(exit code, span counts, tracer stack depth after, live threads after)
     of ``grid`` on wi3, ``depth``, ``transfer``, then ``hist`` as generic-n5
     runs it but on wi3, at the default chunk size and at 64 entries (so the
-    chunk passes go to the thread pool), each run under the benchmark's
-    tracer in one subprocess."""
+    chunk passes go to the thread pool), then ``markov``, each run under the
+    benchmark's tracer in one subprocess."""
     commands = [[None, ["run", "grid", "--instance", str(ROOT / "instances" / "wi3.txt"),
                         "--grid", "2x2"]],
                 [None, ["run", "depth", "--n", "2", "--depth", "2", "--grid", "2x2"]],
                 [None, ["run", "transfer", "--n", "2", "--grid", "2x2"]],
-                [None, HIST_WI3], [64, HIST_WI3]]
+                [None, HIST_WI3], [64, HIST_WI3],
+                [None, ["run", "markov", "--n", "2", "--beta", "0.7", "--t", "4"]]]
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _TRACED_RUNS, str(BENCH), str(ROOT / "src"),
          json.dumps(commands)],
@@ -122,7 +123,7 @@ def test_generic_n5_analogue_fires_its_predicted_spans(traced_runs):
     # hist on wi3 as the generic-n5 workload runs it on wi5; a worker that
     # crashed, a predicted span that never fired or a tracer left with open
     # spans each fail the traced benchmark run
-    (rc, hist, stack, threads), (pooled_rc, pooled, pooled_stack, pooled_threads) = traced_runs[3:]
+    (rc, hist, stack, threads), (pooled_rc, pooled, pooled_stack, pooled_threads) = traced_runs[3:5]
     assert rc == 0 and stack == 0 and threads == 1
     predicted = _load("workloads").PREDICTED_SPANS["generic-n5"]
     assert [span for span in predicted if span not in hist] == []
@@ -130,3 +131,18 @@ def test_generic_n5_analogue_fires_its_predicted_spans(traced_runs):
     # the same spans, each as often
     assert pooled_rc == 0 and pooled_stack == 0 and pooled_threads > 1
     assert pooled == hist
+
+
+def test_traced_markov_runs_the_lattice_probe(traced_runs):
+    # markov is the only command whose traced run reads the cost through the
+    # lattice probe (its n, penalty weight, dist bytes and penalty flag)
+    rc, markov, stack, _ = traced_runs[5]
+    assert rc == 0 and stack == 0
+    assert markov["experiments.lattice_feasible_masses"] >= 1
+    assert markov["instance.tie_broken_vector"] >= 1
+
+
+def test_lattice_instance_seed_as_the_benchmark_parent_picks_it():
+    # the benchmark's parent process builds synthetic n=3 costs and reads
+    # their spread to choose the lattice instances
+    assert _load("workloads").lattice_instance_seed(1) == 7921

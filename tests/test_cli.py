@@ -10,7 +10,7 @@ import pytest
 from feasmass import experiments
 from feasmass.cli import _bitstrings, main
 from feasmass.experiments import GridSpec
-from feasmass.instance import build_cost, enumerate_feasible, load_instance, synthetic_instance
+from feasmass.instance import enumerate_feasible, load_instance, synthetic_instance
 
 from oracles import bitstring_str
 
@@ -430,7 +430,7 @@ def test_run_avg_tie_broken_past_int64_exits_1(tmp_path, capsys):
     # tie-broken lattice C*2**9 + label does not fit int64; it used to wrap
     # and report "lattice grid needs 8704000000000002534 points"
     inst = write_instance(tmp_path / "wide.txt", constant_dist(3, 10 ** 15))
-    top = int(build_cost(load_instance(inst)).cost_vector().max())
+    top = int(load_instance(inst).cost_vector().max())
     out = tmp_path / "out"
     rc = run_cli(["run", "avg", "--instance", inst, "--out", str(out)])
     err = capsys.readouterr().err

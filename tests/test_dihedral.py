@@ -12,13 +12,14 @@ full table it fixes them only then (from n = 3; at n = 2 a reversal is a
 rotation).
 """
 import math
+from dataclasses import replace
 
 import hypothesis.strategies as hs
 import numpy as np
 from hypothesis import given, settings
 
 from feasmass.fullspace import AngleSchedule, run_generic
-from feasmass.instance import DiagonalCost, default_penalty_weight
+from feasmass.instance import DiagonalCost, make_instance
 from feasmass.subspace import run_ce, subspace_cost_table
 
 
@@ -49,8 +50,7 @@ def manifold_index_map(n: int, k: int, reverse: bool) -> np.ndarray:
 
 
 def transposed(cost: DiagonalCost) -> DiagonalCost:
-    return DiagonalCost(n=cost.n, penalty_weight=cost.penalty_weight,
-                        dist=cost.dist.T.copy(), include_penalty=cost.include_penalty)
+    return replace(cost, dist=cost.dist.T)
 
 
 @hs.composite
@@ -63,8 +63,7 @@ def costs_and_moves(draw, sizes):
     if draw(hs.booleans()):
         dist = dist + dist.T
     np.fill_diagonal(dist, 0)
-    cost = DiagonalCost(n=n, penalty_weight=default_penalty_weight(dist), dist=dist,
-                        include_penalty=draw(hs.booleans()))
+    cost = replace(make_instance(dist), include_penalty=draw(hs.booleans()))
     return cost, draw(hs.integers(0, n - 1)), draw(hs.booleans())
 
 
@@ -135,7 +134,7 @@ def test_ce_reversal_fixes_a_gradient_asymmetric_table():
     # so every tour's circulation of it vanishes on the manifold, while a
     # label with only two nonempty rows still tells the directions apart
     dist = np.array([[0, 1, 2], [0, 0, 1], [0, 0, 0]])
-    cost = DiagonalCost(n=3, penalty_weight=default_penalty_weight(dist), dist=dist)
+    cost = make_instance(dist)
     table, full = subspace_cost_table(cost), cost.cost_vector()
     for k in range(3):
         assert np.array_equal(table[manifold_index_map(3, k, True)], table)

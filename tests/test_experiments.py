@@ -14,8 +14,8 @@ from feasmass.experiments import (GridSpec, ce_depth_sweep, envelope_excess_repo
                                   parameter_transfer, twirl_existence_experiment)
 from feasmass.fullspace import (AngleSchedule, apply_cost_phase, fourth_moment,
                                 init_plus, mixed_feasible_mass, run_generic)
-from feasmass.instance import build_cost, synthetic_instance
-from feasmass.subspace import run_ce, subspace_feasible_mass
+from feasmass.instance import synthetic_instance
+from feasmass.subspace import run_ce, subspace_feasible_mass, subspace_to_full_labels
 
 from oracles import phase_block_l4_means, phase_matmul_lattice_masses
 
@@ -42,7 +42,7 @@ def test_exact_average_zero_beta_trivial():
     res = exact_angle_average(inst, 0.0, tie_break=False)
     # with no mixing the moduli never move, so every grid point is baseline
     assert res.metrics["deviation"] <= 1e-15
-    masses = lattice_feasible_masses(build_cost(inst), 0.0, tie_break=False)
+    masses = lattice_feasible_masses(inst, 0.0, tie_break=False)
     assert np.abs(masses - res.metrics["baseline"]).max() <= 1e-15
 
 
@@ -60,7 +60,7 @@ def test_exact_average_degenerate_spectrum_drifts():
 def test_lattice_fft_matches_phase_matmul_oracle(n, seed, high, pad, tie_break):
     # pad is 0 in every case: the grid is the least 5-smooth length >= spread+1,
     # and padded grids are covered by test_l4_sweep_matches_phase_block_oracle
-    cost = build_cost(synthetic_instance(n, seed=seed, high=high))
+    cost = synthetic_instance(n, seed=seed, high=high)
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
     L = experiments._smooth_length(int(h.max() - h.min()) + 1)
     betas = [0.0, 0.3, 1.1, 0.7]
@@ -97,7 +97,7 @@ def test_smooth_length_matches_brute_force_below_5000():
 def test_smooth_grid_mean_equals_spread_plus_one_grid_mean(n, seed, high, tie_break):
     # any L > spread is an exact grid: the mean on the smooth grid is the
     # phase-matmul oracle's mean on the L = spread + 1 grid
-    cost = build_cost(synthetic_instance(n, seed=seed, high=high))
+    cost = synthetic_instance(n, seed=seed, high=high)
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
     span = int(h.max() - h.min()) + 1
     assert experiments._smooth_length(span) > span
@@ -183,6 +183,15 @@ def test_histogram_ce_consistency_and_keys():
     res = feasible_histogram(inst, "ce", sched, shots=100_000, seed=2)
     assert res.metrics["consistent_5sigma"]
     assert set(res.metrics["counts"]) == set(enumerate_feasible(3))
+
+
+def test_histogram_ce_builds_no_label_map():
+    # the n <= 7 label-width refusal needs no n**n label map (6.6 MB at n = 7,
+    # kept for the rest of the process by its cache)
+    subspace_to_full_labels.cache_clear()
+    feasible_histogram(synthetic_instance(3, seed=1, high=5), "ce",
+                       AngleSchedule.single(0.4, 0.3), shots=100, seed=2)
+    assert subspace_to_full_labels.cache_info().currsize == 0
 
 
 def test_histogram_zero_shots():
@@ -298,7 +307,7 @@ def test_grid_search_holds_under_four_states():
     # one state plus the cost phase's or the mixer's chunk temporaries: each
     # gamma's phased state is freed before the next one is made, and the
     # projection copies nothing (about 2.6 states; 3.6 with a mixed copy)
-    cost = build_cost(synthetic_instance(4, seed=1))
+    cost = synthetic_instance(4, seed=1)
     cost.cost_vector()
     tracemalloc.start()
     try:
@@ -359,7 +368,7 @@ def test_grid_surface_matches_run_generic(n, precision):
     # phasing once per gamma must not change a single bit of any grid point:
     # each is the projection of a freshly phased |+>; the projection matches
     # run_generic's mixer in test_fullspace.test_projection_matches_full_mixer
-    cost = build_cost(synthetic_instance(n, seed=5, high=3))
+    cost = synthetic_instance(n, seed=5, high=3)
     grid = GridSpec(4, 3)
     res = grid_search_generic(cost, grid, precision)
     dtype = {"f64": np.complex128, "f32": np.complex64}[precision]
@@ -372,15 +381,14 @@ def test_grid_surface_matches_run_generic(n, precision):
 def test_lattice_cap_names_size():
     from feasmass.instance import CapacityError, load_instance
     from pathlib import Path
-    wi4 = load_instance(Path(__file__).resolve().parent.parent / "instances" / "wi4.txt")
-    cost = build_cost(wi4)
+    cost = load_instance(Path(__file__).resolve().parent.parent / "instances" / "wi4.txt")
     with pytest.raises(CapacityError, match="consider --tie-break false$"):
         lattice_feasible_masses(cost, 0.7, tie_break=True)
 
 
 def test_l4_grid_mean_is_grid_size_independent():
     # any L >= 2*spread+1 reproduces the same (continuous) angle average
-    cost = build_cost(synthetic_instance(2, seed=3, high=3))
+    cost = synthetic_instance(2, seed=3, high=3)
     a = phase_block_l4_means(cost, [0.4, 0.9], 2 * cost.spread + 1)
     b = phase_block_l4_means(cost, [0.4, 0.9], 4 * cost.spread + 3)
     assert a == pytest.approx(b, abs=1e-14)
@@ -389,11 +397,10 @@ def test_l4_grid_mean_is_grid_size_independent():
 @pytest.mark.parametrize("n,seed,high", [(2, 1, 3), (2, 2, 3), (2, 3, 3), (3, 1, 5)])
 @pytest.mark.parametrize("scale,pad", [(2, 1), (4, 3)], ids=["2spread+1", "4spread+3"])
 def test_l4_sweep_matches_phase_block_oracle(n, seed, high, scale, pad):
-    inst = synthetic_instance(n, seed=seed, high=high)
-    cost = build_cost(inst)
+    cost = synthetic_instance(n, seed=seed, high=high)
     L = scale * cost.spread + pad
     betas = [0.0, math.pi / 8, 0.9]
-    res = l4_sweep(inst, betas)
+    res = l4_sweep(cost, betas)
     assert res.params["L"] >= 2 * cost.spread + 1
     for beta, ref in zip(betas, phase_block_l4_means(cost, betas, L)):
         assert abs(res.metrics["per_beta"][beta]["mean"] - ref) <= 1e-13 * ref
@@ -402,7 +409,7 @@ def test_l4_sweep_matches_phase_block_oracle(n, seed, high, scale, pad):
 def test_l4_sweep_matches_simulated_grid_mean():
     # independent of both lattice kernels: full circuits at every grid angle
     inst = synthetic_instance(2, seed=2, high=3)
-    L = 2 * build_cost(inst).spread + 1
+    L = 2 * inst.spread + 1
     for beta in (0.4, 1.2):
         direct = np.mean([fourth_moment(run_generic(
             inst, AngleSchedule.single(2 * math.pi * k / L, beta))) for k in range(L)])

@@ -11,7 +11,7 @@ from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer,
                                 feasible_mass, fourth_moment, init_plus,
                                 mixed_feasible_mass, mixer_kernel_rows, norm_squared,
                                 run_generic, sample_counts)
-from feasmass.instance import CapacityError, build_cost, load_instance, synthetic_instance
+from feasmass.instance import CapacityError, load_instance, synthetic_instance
 
 from oracles import cumsum_copy_sample_counts, kron_mixer
 
@@ -86,8 +86,7 @@ def test_init_plus_capacity():
 
 
 def test_cost_phase_identity_cases():
-    inst = synthetic_instance(2, seed=0, high=3)
-    cost = build_cost(inst)
+    cost = synthetic_instance(2, seed=0, high=3)
     st = init_plus(4)
     ref = st.copy()
     apply_cost_phase(st, cost.cost_vector(), 0.0)
@@ -102,13 +101,12 @@ def test_cost_phase_rejects_wrong_table_length():
     with pytest.raises(ValueError, match="length"):
         apply_cost_phase(st, np.zeros(8, dtype=np.int64), 0.5)
     with pytest.raises(ValueError, match="length"):
-        apply_cost_phase(st, build_cost(synthetic_instance(3)).cost_vector(), 0.5)
+        apply_cost_phase(st, synthetic_instance(3).cost_vector(), 0.5)
     assert np.array_equal(st, ref)
 
 
 def test_cost_phase_preserves_moduli_exactly():
-    inst = synthetic_instance(3, seed=1, high=5)
-    cost = build_cost(inst)
+    cost = synthetic_instance(3, seed=1, high=5)
     rng = np.random.default_rng(2)
     st = rng.normal(size=512) + 1j * rng.normal(size=512)
     before = np.abs(st.copy())
@@ -122,8 +120,8 @@ WI3 = Path(__file__).resolve().parent.parent / "instances" / "wi3.txt"
 def phase_tables():
     """(label, table, takes the level table): integer tables with fewer and
     with more levels than entries, minima other than 0, and a float table."""
-    few = build_cost(synthetic_instance(4, high=1)).cost_vector()
-    many = build_cost(load_instance(WI3)).cost_vector()
+    few = synthetic_instance(4, high=1).cost_vector()
+    many = load_instance(WI3).cost_vector()
     return [("few-levels", few, True), ("few-levels-shifted-up", few + 1000, True),
             ("few-levels-negative", few - 700, True), ("many-levels", many, False),
             ("many-levels-int32", many.astype(np.int32) - 5, False),
@@ -297,7 +295,7 @@ PROJECTION_TOL = {np.complex128: 1e-13, np.complex64: 1e-5}   # relative
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_projection_matches_full_mixer(n, dtype):
-    cost = build_cost(synthetic_instance(n, seed=3, high=5))
+    cost = synthetic_instance(n, seed=3, high=5)
     states = {"random": unit_state(np.random.default_rng(n), 1 << (n * n)).astype(dtype),
               "phased": apply_cost_phase(init_plus(n * n, dtype), cost.cost_vector(), 0.7)}
     for label, st in states.items():
@@ -312,7 +310,7 @@ def test_projection_matches_full_mixer(n, dtype):
 def test_projection_matches_full_mixer_n5_f32():
     # 2**25 complex64 amplitudes (256 MiB), mixed in place: the second
     # sampled beta is checked through R(b1) = R(b1 - b0) R(b0)
-    cost = build_cost(synthetic_instance(5, seed=1, high=9))
+    cost = synthetic_instance(5, seed=1, high=9)
     st = apply_cost_phase(init_plus(25, np.complex64), cost.cost_vector(), 0.4)
     del cost
     b0, b1 = np.random.default_rng(5).uniform(0.0, math.pi, size=2).tolist()
@@ -352,8 +350,7 @@ def test_run_generic_norm():
 
 
 def test_run_generic_matches_direct_sum_n2():
-    inst = synthetic_instance(2, seed=7, high=3)
-    cost = build_cost(inst)
+    cost = synthetic_instance(2, seed=7, high=3)
     gamma, beta = 0.4, 0.3
     st = run_generic(cost, AngleSchedule.single(gamma, beta))
     table = cost.cost_vector()
@@ -471,14 +468,13 @@ def test_run_generic_capacity_guard():
 def test_cost_phase_partition_independent(monkeypatch):
     # chunked processing must be bitwise identical to one whole-array pass
     import feasmass.fullspace as fs
-    inst = synthetic_instance(3, seed=1, high=5)
-    cost = build_cost(inst)
+    cost = synthetic_instance(3, seed=1, high=5)
     rng = np.random.default_rng(6)
     st = rng.normal(size=512) + 1j * rng.normal(size=512)
     whole = st.copy()
     apply_cost_phase(whole, cost.cost_vector(), 0.83)
     tabled = np.tile(st, 128)   # 2**16 amplitudes for the n = 4 level table
-    few = build_cost(synthetic_instance(4, high=1)).cost_vector()
+    few = synthetic_instance(4, high=1).cost_vector()
     tabled_whole = apply_cost_phase(tabled.copy(), few, 0.83)
     chunked = st.copy()
     monkeypatch.setattr(fs, "_CHUNK", 37)

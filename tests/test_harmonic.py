@@ -11,7 +11,7 @@ from feasmass.harmonic import (dyadic_convolve, feasible_mass_via_plancherel, kr
                                permutation_spectrum, popcounts,
                                row_spectrum_closed_form, sphere_indicator,
                                sphere_spectrum, walsh_transform, _fwht_inplace)
-from feasmass.instance import build_cost, synthetic_instance
+from feasmass.instance import synthetic_instance
 
 from oracles import inverse_walsh_transform
 
@@ -189,8 +189,7 @@ def test_plancherel_matches_direct_random_state():
 
 
 def test_plancherel_matches_direct_on_grid_n2():
-    inst = synthetic_instance(2, seed=8, high=3)
-    cost = build_cost(inst)
+    cost = synthetic_instance(2, seed=8, high=3)
     worst = 0.0
     for g in np.linspace(0, math.pi, 6):
         for b in np.linspace(0, math.pi, 6):

@@ -57,8 +57,10 @@ def test_load_shipped_instances():
         inst = load_instance(INSTANCES / f"{name}.txt")
         assert inst.n == n
         assert inst.num_qubits == n * n
-        d = inst.dist_array()
+        d = inst.dist
         assert (d == d.T).all() and (np.diag(d) == 0).all()
+        assert d.dtype == np.int64 and not d.flags.writeable
+        assert type(inst.penalty_weight) is int   # the config JSON writes it
 
 
 def test_make_instance_validation():
@@ -109,38 +111,45 @@ def test_enumerate_order_is_lexicographic():
 
 
 def test_cost_all_zero_dist():
-    inst = make_instance([[0, 0], [0, 0]])
-    cost = build_cost(inst)
+    cost = make_instance([[0, 0], [0, 0]])
     assert cost_value(cost, 0) == 4  # all four one-hot sums are off by one
 
 
 def test_cost_identity_tour():
-    inst = make_instance([[0, 5], [5, 0]])
-    cost = build_cost(inst)
+    cost = make_instance([[0, 5], [5, 0]])
     y = parse_bitstring("1001")
     assert cost_value(cost, y) == 10  # zero penalty, tour 5 + 5
 
 
 def test_cost_feasible_has_zero_penalty():
-    inst = synthetic_instance(3, seed=4, high=5)
-    cost = build_cost(inst)
-    bare = replace(build_cost(inst), include_penalty=False)
+    cost = synthetic_instance(3, seed=4, high=5)
+    bare = replace(cost, include_penalty=False)
     for x in enumerate_feasible(3):
         assert cost_value(cost, x) == cost_value(bare, x)
 
 
+def test_replaced_cost_builds_its_own_table():
+    # dataclasses.replace must not carry over a table built for other fields
+    cost = build_cost(synthetic_instance(3, seed=1))
+    cost.cost_vector()
+    bare = replace(cost, include_penalty=False)
+    assert np.array_equal(bare.cost_vector(), broadcast_dense_cost(
+        3, cost.dist, cost.penalty_weight, False, np.int64))
+    doubled = replace(cost, dist=cost.dist * 2)
+    assert np.array_equal(doubled.cost_vector(), broadcast_dense_cost(
+        3, cost.dist * 2, cost.penalty_weight, True, np.int64))
+
+
 def test_cost_vector_matches_scalar():
     for n in (2, 3):
-        inst = synthetic_instance(n, seed=1, high=5)
-        cost = build_cost(inst)
+        cost = synthetic_instance(n, seed=1, high=5)
         vec = cost.cost_vector()
         for y in range(1 << (n * n)):
             assert int(vec[y]) == cost_value(cost, y)
 
 
 def test_cost_vector_matches_scalar_n4_sampled():
-    inst = synthetic_instance(4, seed=2, high=9)
-    cost = build_cost(inst)
+    cost = synthetic_instance(4, seed=2, high=9)
     vec = cost.cost_vector()
     rng = np.random.default_rng(0)
     for y in rng.integers(0, 1 << 16, size=300):
@@ -149,20 +158,19 @@ def test_cost_vector_matches_scalar_n4_sampled():
 
 def test_cost_nonnegative_integer_lattice():
     inst = synthetic_instance(3, seed=5, high=5)
-    vec = build_cost(inst).cost_vector()
+    vec = inst.cost_vector()
     assert vec.min() >= 0
     assert np.issubdtype(vec.dtype, np.integer)
 
 
 def test_tie_broken_vector_is_injective():
     inst = synthetic_instance(2, seed=3, high=3)
-    tb = build_cost(inst).tie_broken_vector()
+    tb = inst.tie_broken_vector()
     assert len(np.unique(tb)) == len(tb)
 
 
 def test_spread_exact_small():
-    inst = synthetic_instance(3, seed=1, high=5)
-    cost = build_cost(inst)
+    cost = synthetic_instance(3, seed=1, high=5)
     vec = cost.cost_vector()
     assert cost.spread == int(vec.max() - vec.min())
 
@@ -172,7 +180,7 @@ def test_int32_cost_table_refuses_overflow_n5():
     # past the int32 table; the guard fires before the 2**25 build
     dist = np.full((5, 5), 3_000_000)
     np.fill_diagonal(dist, 0)
-    cost = build_cost(make_instance(dist))
+    cost = make_instance(dist)
     assert cost_value(cost, (1 << 25) - 1) == 2_700_000_160
     with pytest.raises(CapacityError, match="overflows"):
         cost.cost_vector()
@@ -186,7 +194,7 @@ def test_full_table_guard_reports_the_all_ones_cost(n, d):
     # for n >= 3 the guard's sum of largest terms is the all-ones cost
     dist = np.full((n, n), d)
     np.fill_diagonal(dist, 0)
-    cost = build_cost(make_instance(dist))
+    cost = make_instance(dist)
     top = cost_value(cost, (1 << (n * n)) - 1)
     dtype = "int32" if n == 5 else "int64"
     with pytest.raises(CapacityError, match=f"largest cost {top} overflows the {dtype} "
@@ -198,7 +206,7 @@ def test_full_table_guard_reports_the_all_ones_cost(n, d):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("include_penalty", [True, False])
 def test_slab_cost_build_matches_broadcast_oracle(n, seed, include_penalty):
-    cost = replace(build_cost(synthetic_instance(n, seed=seed)), include_penalty=include_penalty)
+    cost = replace(synthetic_instance(n, seed=seed), include_penalty=include_penalty)
     want = broadcast_dense_cost(n, cost.dist, cost.penalty_weight, include_penalty, np.int64)
     got = cost.cost_vector()
     assert got.dtype == np.int64
@@ -211,7 +219,7 @@ def test_slab_cost_build_matches_broadcast_oracle_asymmetric(n):
     # round only shows on an asymmetric matrix
     dist = np.random.default_rng(n).integers(1, 50, size=(n, n))
     np.fill_diagonal(dist, 0)
-    cost = build_cost(make_instance(dist))
+    cost = make_instance(dist)
     want = broadcast_dense_cost(n, cost.dist, cost.penalty_weight, True, np.int64)
     assert np.array_equal(cost.cost_vector(), want)
 
@@ -221,12 +229,11 @@ def test_slab_cost_build_n5_int32_sampled(off_diagonal):
     # 2,385,000 puts the all-ones cost at 2,146,500,160, just under the int32
     # maximum, so partial sums wrap; the finished table must still be exact
     if off_diagonal is None:
-        inst = synthetic_instance(5, seed=3)
+        cost = synthetic_instance(5, seed=3)
     else:
         dist = np.full((5, 5), off_diagonal)
         np.fill_diagonal(dist, 0)
-        inst = make_instance(dist)
-    cost = build_cost(inst)
+        cost = make_instance(dist)
     vec = cost.cost_vector()
     assert vec.dtype == np.int32
     top = (1 << 25) - 1
@@ -243,9 +250,8 @@ def test_baseline_fraction_arithmetic():
 def test_big_m_separates_infeasible_strings():
     # with the default weight every infeasible label costs strictly more
     # than its bare tour value, and more than any feasible tour
-    inst = synthetic_instance(2, seed=6, high=3)
-    cost = build_cost(inst)
-    bare = replace(build_cost(inst), include_penalty=False)
+    cost = synthetic_instance(2, seed=6, high=3)
+    bare = replace(cost, include_penalty=False)
     max_tour = max(cost_value(cost, x) for x in enumerate_feasible(2))
     for y in range(16):
         if is_permutation_feasible(y, 2):

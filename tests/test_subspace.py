@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from scipy.linalg import expm
 
 from feasmass.fullspace import AngleSchedule, feasible_mass, run_generic
-from feasmass.instance import (CapacityError, _dense_cost, build_cost, enumerate_feasible,
+from feasmass.instance import (CapacityError, _dense_cost, enumerate_feasible,
                                feasible_subspace_indices, make_instance,
                                synthetic_instance)
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
@@ -58,7 +58,7 @@ def test_init_w_product_values():
 
 def test_subspace_cost_matches_full_cost():
     for n in (2, 3):
-        cost = build_cost(synthetic_instance(n, seed=1, high=5))
+        cost = synthetic_instance(n, seed=1, high=5)
         table = subspace_cost_table(cost)
         labels = subspace_to_full_labels(n)
         full = cost.cost_vector()
@@ -72,7 +72,7 @@ def one_hot_costs(draw):
     dist = np.array(draw(hs.lists(hs.integers(0, 10 ** 12), min_size=n * n,
                                   max_size=n * n))).reshape(n, n)
     np.fill_diagonal(dist, 0)
-    return replace(build_cost(make_instance(dist)), include_penalty=draw(hs.booleans()))
+    return replace(make_instance(dist), include_penalty=draw(hs.booleans()))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -92,7 +92,7 @@ def test_subspace_cost_table_sampled_asymmetric(n):
     rng = np.random.default_rng(n)
     dist = rng.integers(0, 10 ** 9, size=(n, n))
     np.fill_diagonal(dist, 0)
-    cost = build_cost(make_instance(dist))
+    cost = make_instance(dist)
     table = subspace_cost_table(cost)
     ks = rng.integers(0, n ** n, size=300).tolist()
     assert [int(table[k]) for k in ks] == [cost_value(cost, label(k, n)) for k in ks]
@@ -104,7 +104,7 @@ def test_subspace_cost_table_refuses_int64_overflow(n, d):
     # tables wrapped negative at n=4 and held wrong entries at n=7
     dist = np.full((n, n), d)
     np.fill_diagonal(dist, 0)
-    cost = build_cost(make_instance(dist))
+    cost = make_instance(dist)
     top = cost.penalty_weight * n * (n - 1) + n * d
     with pytest.raises(CapacityError, match=f"largest cost {top} overflows the int64 "
                                             f"cost table at n={n}"):
@@ -115,7 +115,7 @@ def test_subspace_cost_table_refused_before_allocation():
     import tracemalloc
     dist = np.full((8, 8), 10 ** 17)
     np.fill_diagonal(dist, 0)
-    cost = build_cost(make_instance(dist))
+    cost = make_instance(dist)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
@@ -133,7 +133,7 @@ UNDER_BOUND = (np.iinfo(np.int64).max - 6) // 21
 def test_subspace_cost_table_just_under_the_bound_is_exact():
     for d, fits in ((UNDER_BOUND, True), (UNDER_BOUND + 1, False)):
         dist = np.array([[0, d, 1], [2, 0, d], [d, 3, 0]])
-        cost = build_cost(make_instance(dist))
+        cost = make_instance(dist)
         if not fits:
             with pytest.raises(CapacityError, match="overflows"):
                 subspace_cost_table(cost)
@@ -158,7 +158,7 @@ def uniform_dist(n: int, d: int) -> np.ndarray:
                                          (uniform_dist(8, INT32_BOUND_N8), np.int32),
                                          (uniform_dist(8, INT32_BOUND_N8 + 1), np.int64)])
 def test_subspace_cost_table_n8_int32_equals_int64_build(dist, dtype):
-    cost = build_cost(make_instance(dist))
+    cost = make_instance(dist)
     table = subspace_cost_table(cost)
     assert table.dtype == dtype
     wide = _dense_cost(1 << np.arange(8), np.asarray(cost.dist, dtype=np.int64).T,
@@ -167,9 +167,8 @@ def test_subspace_cost_table_n8_int32_equals_int64_build(dist, dtype):
 
 
 def test_subspace_cost_phase_feasible_is_tour_only():
-    inst = synthetic_instance(3, seed=2, high=5)
-    cost = build_cost(inst)
-    bare = replace(build_cost(inst), include_penalty=False)
+    cost = synthetic_instance(3, seed=2, high=5)
+    bare = replace(cost, include_penalty=False)
     table = subspace_cost_table(cost)
     gamma = 0.9
     st = init_w_product(3)
@@ -181,7 +180,7 @@ def test_subspace_cost_phase_feasible_is_tour_only():
 
 
 def test_subspace_cost_phase_norm_exact():
-    cost = build_cost(synthetic_instance(3, seed=1, high=5))
+    cost = synthetic_instance(3, seed=1, high=5)
     st = init_w_product(3)
     before = np.abs(st.copy())
     apply_subspace_cost_phase(st, subspace_cost_table(cost), 1.7)
@@ -191,7 +190,7 @@ def test_subspace_cost_phase_norm_exact():
 def test_subspace_cost_phase_partition_independent(monkeypatch):
     # chunked processing must be bitwise identical to one whole-array pass
     import feasmass.fullspace as fs
-    table = subspace_cost_table(build_cost(synthetic_instance(4, seed=3, high=7)))
+    table = subspace_cost_table(synthetic_instance(4, seed=3, high=7))
     rng = np.random.default_rng(8)
     st = rng.standard_normal(4 ** 4) + 1j * rng.standard_normal(4 ** 4)
     whole = apply_subspace_cost_phase(st.copy(), table, 0.61)
@@ -204,7 +203,7 @@ def test_subspace_cost_phase_partition_independent(monkeypatch):
 def test_subspace_cost_phase_is_direct_exp_bitwise(n, tabled):
     # n = 3 has more cost levels than its 27 entries (direct exp); n = 7 has
     # 2,372 levels for 7**7 entries (level table): both give exp's bits
-    table = subspace_cost_table(build_cost(synthetic_instance(n, seed=1)))
+    table = subspace_cost_table(synthetic_instance(n, seed=1))
     assert (int(table.max() - table.min()) + 1 < table.size) == tabled
     rng = np.random.default_rng(n)
     st = rng.standard_normal(n ** n) + 1j * rng.standard_normal(n ** n)
