@@ -35,11 +35,6 @@ def l4_envelope(num_qubits: int, beta: float) -> float:
     return num_qubits * math.log(0.5 + 0.25 * math.sin(2 * beta) ** 2)
 
 
-def l4_feasible_envelope(n: int, beta: float) -> float:
-    """ln of sqrt(n!) * (1/2 + sin^2(2b)/4)**(N/2), the Cauchy-Schwarz route."""
-    return 0.5 * log_factorial(n) + 0.5 * n * n * math.log(0.5 + 0.25 * math.sin(2 * beta) ** 2)
-
-
 def lightcone_1d_bound(n: int, p: int) -> float:
     """ln of [(2p+1) 2**-(n-1)]**n (path-coupled rows)."""
     if p < 0:
@@ -54,20 +49,13 @@ def lightcone_degree_bound(n: int, p: int, delta_row: float, C: float) -> float:
     return n * (math.log(C) + p * math.log(delta_row) - (n - 1) * math.log(2))
 
 
-def alpha_star(delta_row: float) -> float:
-    """Depth-fraction threshold ln2/ln(delta_row); +inf at delta_row = 1."""
-    if delta_row < 1:
-        raise ValueError("delta_row must be >= 1")
-    if delta_row == 1:
-        return math.inf
-    return math.log(2) / math.log(delta_row)
-
-
 def transfer_factor(n: int) -> tuple:
-    """(ln(2**(n**2)/n**n), ln(sqrt(2 pi n) e**n)): exact factor and Stirling floor."""
+    """(ln(2**(n**2)/n**n), ln(sqrt(2 pi n) e**n)): exact factor and Stirling
+    floor.  The exact factor is the master ratio with no light-cone loss
+    (alpha = 0) and c_CE = 1."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    exact = n * n * math.log(2) - n * math.log(n)
+    exact = ratio_master(n, 0.0, 1.0, 1.0)
     floor = 0.5 * math.log(2 * math.pi * n) + n
     return exact, floor
 
@@ -78,15 +66,6 @@ def ratio_master(n: int, alpha: float, delta_row: float, c_ce: float) -> float:
         raise ValueError("c_ce must be >= 1")
     return (n * n * (math.log(2) - alpha * math.log(delta_row))
             - n * math.log(n) + math.log(c_ce))
-
-
-def low_degree_window_size(num_bits: int, d: int) -> tuple:
-    """(exact count of masks with popcount <= d, the (eN/d)**d cap)."""
-    if d > num_bits or d < 0:
-        raise ValueError("cutoff out of range")
-    exact = sum(math.comb(num_bits, r) for r in range(d + 1))
-    bound = 1.0 if d == 0 else (math.e * num_bits / d) ** d
-    return exact, bound
 
 
 # ---------------------------------------------------------------------------

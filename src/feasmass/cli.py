@@ -81,12 +81,6 @@ def _parse_list(text: str) -> str:
     return text
 
 
-def _bitstrings(labels, N: int) -> list:
-    """Basis labels rendered with bit k at string position k (left to right)."""
-    bits = ((np.array(labels, dtype=np.int64)[:, None] >> np.arange(N)) & 1) + ord("0")
-    return bits.astype(np.uint8).view(f"S{N}").ravel().astype(str).tolist()
-
-
 def _parse_bool(text: str) -> bool:
     val = text.strip().lower()
     if val in ("1", "true", "yes", "on"):
@@ -181,66 +175,35 @@ def cmd_run(args) -> int:
     if out.exists() and not out.is_dir():
         raise FileExistsError(errno.EEXIST, "File exists", str(out))
     stem = f"{args.experiment}_{chash}"
-    violation = False
+    run = {
+        "avg": lambda: experiments.exact_angle_average(inst, args.beta, tie_break=args.tie_break),
+        "markov": lambda: experiments.markov_fraction(inst, args.beta, args.t,
+                                                      tie_break=args.tie_break),
+        "l4": lambda: experiments.l4_sweep(inst, [float(x) for x in args.beta_list.split(",")]),
+        "grid": lambda: experiments.grid_search_generic(inst, grid, precision=args.precision),
+        "transfer": lambda: experiments.parameter_transfer(inst, grid, precision=args.precision),
+        "hist": lambda: experiments.feasible_histogram(
+            inst, args.method, _schedule_from(args), args.shots, args.seed,
+            normalized=args.normalized_mixer, precision=args.precision),
+        "depth": lambda: experiments.ce_depth_sweep(inst, args.depth, grid,
+                                                    normalized=args.normalized_mixer),
+        "twirl": lambda: experiments.twirl_existence_experiment(
+            inst, _schedule_from(args), normalized=args.normalized_mixer),
+    }[args.experiment]
 
     t0 = time.perf_counter()
-    if args.experiment == "avg":
-        res = experiments.exact_angle_average(inst, args.beta, tie_break=args.tie_break)
-        violation = args.tie_break and res.metrics["deviation"] > 1e-10
-    elif args.experiment == "markov":
-        res = experiments.markov_fraction(inst, args.beta, args.t,
-                                          tie_break=args.tie_break)
-        violation = not res.metrics["satisfied"]
-    elif args.experiment == "l4":
-        betas = [float(x) for x in args.beta_list.split(",")]
-        res = experiments.l4_sweep(inst, betas)
-        rows = [(b, d["mean"], d["envelope"], int(d["satisfied"]))
-                for b, d in res.metrics["per_beta"].items()]
-        _write_csv(out / f"{stem}.csv", chash, "beta,mean_l4,envelope,satisfied", rows)
-        violation = not all(d["satisfied"] for d in res.metrics["per_beta"].values())
-    elif args.experiment == "grid":
-        search = experiments.grid_search_generic(inst, grid, precision=args.precision)
-        rows = [(g, b, search.surface[i, j])
-                for i, g in enumerate(search.gammas)
-                for j, b in enumerate(search.betas)]
-        _write_csv(out / f"{stem}.csv", chash, "gamma,beta,p_feas", rows)
-        res = ExperimentResult(
-            name="grid_search", instance=inst.name,
-            params={"grid": list(args.grid)},
-            metrics={"best_gamma": search.best_gamma, "best_beta": search.best_beta,
-                     "p_max": search.best_mass})
-    elif args.experiment == "transfer":
-        res = experiments.parameter_transfer(inst, grid, precision=args.precision)
-        violation = not res.metrics["satisfied"]
-    elif args.experiment == "hist":
-        res = experiments.feasible_histogram(
-            inst, args.method, _schedule_from(args), args.shots, args.seed,
-            normalized=args.normalized_mixer, precision=args.precision)
-        labels, counts = zip(*sorted(res.metrics["counts"].items()))
-        res.metrics["counts"] = dict(zip(_bitstrings(labels, inst.n * inst.n), counts))
-        _write_csv(out / f"{stem}.csv", chash, "bitstring,count", res.metrics["counts"].items())
-        violation = args.shots > 0 and not res.metrics["consistent_5sigma"]
-    elif args.experiment == "depth":
-        res = experiments.ce_depth_sweep(inst, args.depth, grid, normalized=args.normalized_mixer)
-        rows = [(d["p"], d["best_mass"]) for d in res.metrics["per_depth"]]
-        _write_csv(out / f"{stem}.csv", chash, "p,best_p_feas", rows)
-        violation = not res.metrics["monotone"]
-    elif args.experiment == "twirl":
-        sched = _schedule_from(args)
-        res = experiments.twirl_existence_experiment(
-            inst, sched, normalized=args.normalized_mixer)
-        violation = not res.metrics["satisfied"]
-    else:
-        raise _usage_error(f"unknown experiment {args.experiment!r}")
+    res = run()
     wall_clock = time.perf_counter() - t0
 
+    if res.table:
+        _write_csv(out / f"{stem}.csv", chash, *res.table)
     _write_jsonl(out / f"{stem}.jsonl", config, chash, res)
     print(f"wall clock      {_fmt(wall_clock)} s")
     print(f"config hash     {chash}")
     for key, val in res.metrics.items():
         if isinstance(val, (int, float, bool, str)):
             print(f"{key:<15s} {_fmt(val)}")
-    if violation:
+    if res.violated:
         print("CONTRACT VIOLATION (see metrics above)")
         return EXIT_CONTRACT
     return EXIT_OK
@@ -462,7 +425,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         rc = args.func(args)
-    except (OSError, InstanceFormatError, ValueError) as exc:
+    except (OSError, InstanceFormatError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except SystemExit as exc:

@@ -13,7 +13,7 @@ gamma.  The generic grid ends each walk in the one-hot row projection
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,12 +62,16 @@ class GridSpec:
 
 @dataclass
 class ExperimentResult:
-    """Named metrics of one experiment run."""
+    """What one run writes: the record (name, instance, params, metrics and
+    seed), the CSV ``table`` as (header, rows), or () for no CSV, and whether
+    the run ``violated`` its contract."""
 
     name: str
     instance: str
-    params: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
+    params: dict
+    metrics: dict
+    table: tuple
+    violated: bool
     seed: int | None = None
 
     def to_json_dict(self) -> dict:
@@ -149,7 +153,8 @@ def exact_angle_average(cost: DiagonalCost, beta: float,
     return ExperimentResult(
         name="exact_angle_average", instance=cost.name,
         params={"beta": beta, "tie_break": tie_break},
-        metrics={"mean": mean, "baseline": base, "deviation": abs(mean - base)})
+        metrics={"mean": mean, "baseline": base, "deviation": abs(mean - base)},
+        table=(), violated=tie_break and abs(mean - base) > 1e-10)
 
 
 def markov_fraction(cost: DiagonalCost, beta: float, t: float,
@@ -160,11 +165,12 @@ def markov_fraction(cost: DiagonalCost, beta: float, t: float,
     masses = lattice_feasible_masses(cost, beta, tie_break=tie_break)
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     frac = float(np.mean(masses >= t * base))
+    satisfied = frac <= 1.0 / t + 1e-12
     return ExperimentResult(
         name="markov_fraction", instance=cost.name,
         params={"beta": beta, "t": t, "L": len(masses), "tie_break": tie_break},
-        metrics={"fraction": frac, "bound": 1.0 / t,
-                 "satisfied": frac <= 1.0 / t + 1e-12})
+        metrics={"fraction": frac, "bound": 1.0 / t, "satisfied": satisfied},
+        table=(), violated=not satisfied)
 
 
 def l4_sweep(cost: DiagonalCost, betas) -> ExperimentResult:
@@ -188,7 +194,10 @@ def l4_sweep(cost: DiagonalCost, betas) -> ExperimentResult:
     return ExperimentResult(
         name="l4_sweep", instance=cost.name,
         params={"L": L, "betas": [float(b) for b in betas]},
-        metrics={"per_beta": per_beta})
+        metrics={"per_beta": per_beta},
+        table=("beta,mean_l4,envelope,satisfied",
+               [(b, d["mean"], d["envelope"], int(d["satisfied"])) for b, d in per_beta.items()]),
+        violated=not all(d["satisfied"] for d in per_beta.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -221,36 +230,28 @@ def _sweep(fresh, phase, mix, mass, final, grid: GridSpec, p_max: int):
         del phased   # before the next gamma's fresh state
 
 
-@dataclass
-class GridSearchResult:
-    gammas: np.ndarray
-    betas: np.ndarray
-    surface: np.ndarray      # shape (len(gammas), len(betas))
-    best_gamma: float
-    best_beta: float
-    best_mass: float
-
-
 def grid_search_generic(cost: DiagonalCost, grid: GridSpec,
-                        precision: str = "f64") -> GridSearchResult:
+                        precision: str = "f64") -> ExperimentResult:
     """Single-layer feasible mass at every grid point by the one-hot row
-    projection; lexicographically-first argmax by (gamma index, beta index).
-    The argmax is re-run as a whole circuit, an independent oracle: masses
-    over 1e-12 apart, relative (1e-5 in f32), raise ValueError."""
-    gammas, betas = grid.gammas(), grid.betas()
+    projection, one table row per point in walk order; the argmax is the
+    first maximum in that order.  It is re-run as a whole circuit, an
+    independent oracle: masses over 1e-12 apart, relative (1e-5 in f32),
+    raise ValueError."""
     table = cost.cost_vector()
     fresh = lambda: init_plus(cost.num_qubits, dtype=_DTYPES[precision])
     phase = lambda state, g: apply_cost_phase(state, table, g)
     walk = _sweep(fresh, phase, None, None,
                   lambda phased, b: mixed_feasible_mass(phased, b, cost.n), grid, 1)
-    surface = np.reshape([mass for _, mass in walk], (len(gammas), len(betas)))
-    gi, bi = np.unravel_index(int(np.argmax(surface)), surface.shape)
-    best, g, b = float(surface[gi, bi]), float(gammas[gi]), float(betas[bi])
+    rows = [(g, b, mass) for ((g, b),), mass in walk]
+    g, b, best = max(rows, key=lambda row: row[2])
     check = feasible_mass(apply_x_mixer(phase(fresh(), g), b), cost.n)
     if abs(check - best) > {"f64": 1e-12, "f32": 1e-5}[precision] * abs(check):
         raise ValueError(f"grid argmax ({g}, {b}): projected mass {best!r}, circuit {check!r}")
-    return GridSearchResult(gammas=gammas, betas=betas, surface=surface,
-                            best_gamma=g, best_beta=b, best_mass=best)
+    return ExperimentResult(
+        name="grid_search", instance=cost.name,
+        params={"grid": [grid.gamma_points, grid.beta_points]},
+        metrics={"best_gamma": g, "best_beta": b, "p_max": best},
+        table=("gamma,beta,p_feas", rows), violated=False)
 
 
 def parameter_transfer(cost: DiagonalCost, grid: GridSpec,
@@ -262,25 +263,33 @@ def parameter_transfer(cost: DiagonalCost, grid: GridSpec,
     In this layered order (cost phase first) the ratio is a measurement, not
     a theorem, and ``satisfied`` must be False whenever factor * p_gen_max > 1.
     """
-    search = grid_search_generic(cost, grid, precision)
-    ce_state = run_ce(cost, AngleSchedule.single(search.best_gamma, search.best_beta),
+    best = grid_search_generic(cost, grid, precision).metrics
+    ce_state = run_ce(cost, AngleSchedule.single(best["best_gamma"], best["best_beta"]),
                       normalized=False)
     p_ce = subspace_feasible_mass(ce_state)
     n = cost.n
     factor = 2.0 ** (n * n) / float(n) ** n
-    ratio = p_ce / search.best_mass if search.best_mass > 0 else math.inf
+    ratio = p_ce / best["p_max"] if best["p_max"] > 0 else math.inf
+    satisfied = ratio >= factor
     return ExperimentResult(
         name="parameter_transfer", instance=cost.name,
         params={"grid": [grid.gamma_points, grid.beta_points],
                 "gamma_range": list(grid.gamma_range),
                 "beta_range": list(grid.beta_range), "precision": precision},
-        metrics={"p_gen_max": search.best_mass, "gamma_star": search.best_gamma,
-                 "beta_star": search.best_beta, "p_ce": p_ce, "ratio": ratio,
-                 "factor": factor, "satisfied": ratio >= factor})
+        metrics={"p_gen_max": best["p_max"], "gamma_star": best["best_gamma"],
+                 "beta_star": best["best_beta"], "p_ce": p_ce, "ratio": ratio,
+                 "factor": factor, "satisfied": satisfied},
+        table=(), violated=not satisfied)
 
 
 # ---------------------------------------------------------------------------
 # shot histograms
+
+def _bitstrings(labels, N: int) -> list:
+    """Basis labels rendered with bit k at string position k (left to right)."""
+    bits = ((np.array(labels, dtype=np.int64)[:, None] >> np.arange(N)) & 1) + ord("0")
+    return bits.astype(np.uint8).view(f"S{N}").ravel().astype(str).tolist()
+
 
 def binomial_consistent(count: int, shots: int, p: float) -> bool:
     """Whether ``count`` lies within 5 sigma of the binomial mean shots*p."""
@@ -291,7 +300,8 @@ def binomial_consistent(count: int, shots: int, p: float) -> bool:
 def feasible_histogram(cost: DiagonalCost, method: str, schedule: AngleSchedule,
                        shots: int, seed: int, normalized: bool = True,
                        precision: str = "f64") -> ExperimentResult:
-    """Sample the chosen ansatz and count feasible outcomes per tour label."""
+    """Sample the chosen ansatz and count feasible outcomes per tour, keyed
+    by bitstring in ascending label order."""
     n = cost.n
     if method == "generic":
         state = run_generic(cost, schedule, precision)
@@ -305,23 +315,25 @@ def feasible_histogram(cost: DiagonalCost, method: str, schedule: AngleSchedule,
     else:
         raise ValueError(f"unknown method {method!r}")
     labels, counts = sample_counts(state, shots, seed)
+    del state   # the largest array: freed before the labels are rendered
     # labels ascend; a feasible label above the last one meets the -1 pad
     at = np.searchsorted(labels, feasible)
     seen = np.append(labels, -1)[at] == feasible
-    feas_counts = dict(zip(enumerate_feasible(n),
-                           np.where(seen, np.append(counts, 0)[at], 0).tolist()))
-    feas_total = sum(feas_counts.values())
+    tours, tour_counts = zip(*sorted(zip(enumerate_feasible(n),
+                                         np.where(seen, np.append(counts, 0)[at], 0).tolist())))
+    feas_counts = dict(zip(_bitstrings(tours, n * n), tour_counts))
+    feas_total = sum(tour_counts)
     frac = feas_total / shots if shots else 0.0
+    consistent = binomial_consistent(feas_total, shots, p_exact) if shots else True
     return ExperimentResult(
         name="feasible_histogram", instance=cost.name,
         params={"method": method, "shots": shots,
                 "gammas": list(schedule.gammas), "betas": list(schedule.betas),
                 "normalized_mixer": normalized},
         metrics={"statevector_mass": p_exact, "feasible_fraction": frac,
-                 "feasible_total": feas_total,
-                 "consistent_5sigma": (binomial_consistent(feas_total, shots, p_exact)
-                                       if shots else True),
+                 "feasible_total": feas_total, "consistent_5sigma": consistent,
                  "counts": feas_counts},
+        table=("bitstring,count", list(feas_counts.items())), violated=not consistent,
         seed=seed)
 
 
@@ -358,13 +370,14 @@ def ce_depth_sweep(cost: DiagonalCost, p_max: int, grid: GridSpec,
             best[len(angles) - 1] = (mass, angles)
     per_depth = [{"p": p, "best_mass": mass, "angles": [list(a) for a in angles]}
                  for p, (mass, angles) in enumerate(best, start=1)]
+    monotone = all(deeper[0] >= shallower[0] - 1e-15 for shallower, deeper in zip(best, best[1:]))
     return ExperimentResult(
         name="ce_depth_sweep", instance=cost.name,
         params={"p_max": p_max, "grid": [grid.gamma_points, grid.beta_points],
                 "normalized_mixer": normalized},
-        metrics={"per_depth": per_depth,
-                 "monotone": all(per_depth[i + 1]["best_mass"] >= per_depth[i]["best_mass"] - 1e-15
-                                 for i in range(len(per_depth) - 1))})
+        metrics={"per_depth": per_depth, "monotone": monotone},
+        table=("p,best_p_feas", [(d["p"], d["best_mass"]) for d in per_depth]),
+        violated=not monotone)
 
 
 def twirl_existence_experiment(cost: DiagonalCost, schedule: AngleSchedule,
@@ -382,13 +395,14 @@ def twirl_existence_experiment(cost: DiagonalCost, schedule: AngleSchedule,
     mean = twirl_average(state)
     _, best_p = best_block_relabeling(state, target)
     bound = 1.0 / float(n) ** n
+    satisfied = abs(mean - bound) <= 1e-12 and best_p >= bound - 1e-12
     return ExperimentResult(
         name="twirl_existence", instance=cost.name,
         params={"target": list(target), "gammas": list(schedule.gammas),
                 "betas": list(schedule.betas), "normalized_mixer": normalized},
         metrics={"mean": mean, "best": best_p, "bound": bound,
-                 "mean_error": abs(mean - bound),
-                 "satisfied": abs(mean - bound) <= 1e-12 and best_p >= bound - 1e-12})
+                 "mean_error": abs(mean - bound), "satisfied": satisfied},
+        table=(), violated=not satisfied)
 
 
 def envelope_excess_report(cost: DiagonalCost, grid: GridSpec) -> ExperimentResult:
@@ -398,10 +412,11 @@ def envelope_excess_report(cost: DiagonalCost, grid: GridSpec) -> ExperimentResu
     instances."""
     if cost.n > 3:
         raise ValueError("envelope report capped at n=3")
-    search = grid_search_generic(cost, grid)
+    best = grid_search_generic(cost, grid).metrics
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     return ExperimentResult(
         name="envelope_excess", instance=cost.name,
         params={"grid": [grid.gamma_points, grid.beta_points]},
-        metrics={"max_over_baseline": search.best_mass / base,
-                 "best_gamma": search.best_gamma, "best_beta": search.best_beta})
+        metrics={"max_over_baseline": best["p_max"] / base,
+                 "best_gamma": best["best_gamma"], "best_beta": best["best_beta"]},
+        table=(), violated=False)

@@ -101,13 +101,6 @@ def sphere_indicator(n: int, w: int) -> np.ndarray:
     return (popcounts(n) == w).astype(np.float64)
 
 
-def low_degree_mass(spectrum: np.ndarray, d: int) -> float:
-    """Spectral energy on frequency masks of popcount <= d."""
-    n = num_bits_of(len(spectrum))
-    sel = popcounts(n) <= d
-    return float(np.sum(np.abs(spectrum[sel]) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # permutation indicator
 

@@ -172,6 +172,11 @@ def inverse_walsh_transform(spectrum) -> np.ndarray:
     return signs @ spec
 
 
+def low_degree_mass(spectrum, d: int) -> float:
+    """Spectral energy on frequency masks of popcount <= d, mask by mask."""
+    return float(sum(abs(c) ** 2 for mask, c in enumerate(spectrum) if mask.bit_count() <= d))
+
+
 def tuple_to_label(symbols, n: int) -> int:
     """Full-space basis label with bit b*n + j_b set per block."""
     return sum(1 << (b * n + int(j)) for b, j in enumerate(symbols))

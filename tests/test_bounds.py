@@ -19,15 +19,6 @@ def test_l4_envelope_values():
     assert bounds.l4_envelope(9, math.pi / 8) == pytest.approx(9 * math.log(0.625))
 
 
-def test_l4_feasible_envelope_values():
-    got = bounds.l4_feasible_envelope(3, math.pi / 4)
-    assert got == pytest.approx(0.5 * math.log(6) + 4.5 * math.log(0.75))
-    got = bounds.l4_feasible_envelope(2, 0.0)
-    assert got == pytest.approx(0.5 * math.log(2) - 2 * math.log(2))
-    # the beta=0 Cauchy-Schwarz value sits above the baseline's log
-    assert bounds.l4_feasible_envelope(3, 0.0) > bounds.uniform_baseline(3)
-
-
 def test_lightcone_1d_values():
     assert bounds.lightcone_1d_bound(3, 1) == pytest.approx(3 * math.log(3 / 4))
     assert bounds.lightcone_1d_bound(4, 0) == pytest.approx(-12 * math.log(2))
@@ -56,12 +47,6 @@ def test_lightcone_degree_reduces_to_1d():
             bounds.lightcone_1d_bound(6, p), abs=1e-12)
 
 
-def test_alpha_star():
-    assert bounds.alpha_star(2.0) == 1.0
-    assert bounds.alpha_star(4.0) == pytest.approx(0.5)
-    assert bounds.alpha_star(1.0) == math.inf
-
-
 def test_transfer_factor_values():
     exact, floor = bounds.transfer_factor(3)
     assert exact == pytest.approx(math.log(512 / 27), abs=1e-12)
@@ -79,18 +64,6 @@ def test_ratio_master():
     got = bounds.ratio_master(10, 0.2, 3.0, 1.0)
     assert got == pytest.approx(100 * (math.log(2) - 0.2 * math.log(3))
                                 - 10 * math.log(10))
-
-
-def test_low_degree_window_size():
-    assert bounds.low_degree_window_size(9, 1) == (10, pytest.approx(9 * math.e))
-    exact, cap = bounds.low_degree_window_size(16, 2)
-    assert exact == 137
-    assert exact <= cap
-    assert bounds.low_degree_window_size(5, 0)[0] == 1
-    for N in (8, 16, 20):
-        for d in range(0, 5):
-            exact, cap = bounds.low_degree_window_size(N, d)
-            assert exact <= cap
 
 
 def test_stirling_floor_violations_are_exactly_small_n():

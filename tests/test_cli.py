@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from feasmass import experiments
-from feasmass.cli import _bitstrings, main
-from feasmass.experiments import GridSpec
+from feasmass.cli import main
+from feasmass.experiments import GridSpec, _bitstrings
 from feasmass.instance import enumerate_feasible, load_instance, synthetic_instance
 
 from oracles import bitstring_str
@@ -134,6 +135,42 @@ def test_run_transfer_violation_exits_2(tmp_path, capsys):
     else:
         assert rc == 2
         assert "CONTRACT VIOLATION" in out
+
+
+def _one_over_call_count():
+    calls = []
+    def mass(state):
+        calls.append(None)
+        return 1.0 / len(calls)
+    return mass
+
+
+_real_kernel_rows = experiments.mixer_kernel_rows
+_only_label_0 = lambda state, shots, seed: (np.array([0]), np.array([1000]))
+
+
+@pytest.mark.parametrize("argv,name,fake,patched_rc", [
+    (["avg"], "mixer_kernel_rows", lambda *a: _real_kernel_rows(*a) * (1 + 1e-6), 2),
+    (["avg", "--tie-break", "false"], "mixer_kernel_rows",
+     lambda *a: _real_kernel_rows(*a) * (1 + 1e-6), 0),
+    (["markov"], "lattice_feasible_masses", lambda *a, **k: np.ones(8), 2),
+    (["l4"], "fourth_moment", lambda a: 1e9, 2),
+    (["hist", "--method", "ce", "--shots", "1000"], "sample_counts", _only_label_0, 2),
+    (["hist", "--method", "ce", "--shots", "0"], "sample_counts", _only_label_0, 0),
+    (["depth", "--depth", "2", "--grid", "2x2"], "subspace_feasible_mass", None, 2),
+    (["twirl"], "twirl_average", lambda state: 0.0, 2),
+])
+def test_run_exits_2_exactly_on_its_contract_verdict(tmp_path, capsys, monkeypatch,
+                                                     argv, name, fake, patched_rc):
+    # each run's contract holds at n = 2; one experiments global faked to
+    # break it must turn exit 0 into exit 2, except where the contract waives
+    # the check (no tie-break for avg, no shots for hist)
+    args = ["run", *argv, "--n", "2"]
+    assert run_cli(args + ["--out", str(tmp_path / "real")]) == 0
+    assert "CONTRACT VIOLATION" not in capsys.readouterr().out
+    monkeypatch.setattr(experiments, name, fake or _one_over_call_count())
+    assert run_cli(args + ["--out", str(tmp_path / "fake")]) == patched_rc
+    assert ("CONTRACT VIOLATION" in capsys.readouterr().out) == (patched_rc == 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
@@ -444,7 +481,7 @@ def test_run_avg_tie_broken_past_int64_exits_1(tmp_path, capsys):
 def test_run_grid_refuses_a_corrupted_projection(tmp_path, capsys, monkeypatch):
     # the argmax is re-run as a full circuit; a projection that doubles every
     # mass is caught there, before any file is written
-    true = experiments.grid_search_generic(load_instance(WI3), GridSpec(3, 3)).best_mass
+    true = experiments.grid_search_generic(load_instance(WI3), GridSpec(3, 3)).metrics["p_max"]
     real = experiments.mixed_feasible_mass
     monkeypatch.setattr(experiments, "mixed_feasible_mass",
                         lambda st, b, n: 2 * real(st, b, n))
@@ -454,6 +491,23 @@ def test_run_grid_refuses_a_corrupted_projection(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert err.startswith("error: grid argmax (") and f"projected mass {2 * true!r}," in err
     assert float(err.split("circuit ")[1]) == pytest.approx(true, rel=1e-12)
+    assert not out.exists()
+
+
+def test_failed_allocation_exits_1(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError (as _ArrayMemoryError) when a request such as
+    # --shots 100000000000 cannot be allocated; it is bad input like any other
+    def refuse(state, shots, seed):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                          "(100000000000,) and data type float64")
+    monkeypatch.setattr(experiments, "sample_counts", refuse)
+    out = tmp_path / "out"
+    rc = run_cli(["run", "hist", "--n", "2", "--method", "ce", "--shots", "1000",
+                  "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: Unable to allocate 745. GiB") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from feasmass import experiments
-from feasmass.experiments import (GridSpec, ce_depth_sweep, envelope_excess_report,
-                                  exact_angle_average, feasible_histogram,
+from feasmass.experiments import (GridSpec, _bitstrings, ce_depth_sweep,
+                                  envelope_excess_report, exact_angle_average, feasible_histogram,
                                   grid_search_generic, l4_sweep,
                                   lattice_feasible_masses, markov_fraction,
                                   parameter_transfer, twirl_existence_experiment)
@@ -135,21 +135,23 @@ def test_l4_sweep_under_envelope():
 def test_grid_search_degenerate_grid_is_baseline():
     inst = synthetic_instance(3, seed=1, high=5)
     res = grid_search_generic(inst, GridSpec(1, 1, (0.0, 0.0), (0.0, 0.0)))
-    assert res.best_mass == pytest.approx(6 / 512, abs=1e-15)
-    assert res.best_gamma == 0.0 and res.best_beta == 0.0
+    assert res.metrics["p_max"] == pytest.approx(6 / 512, abs=1e-15)
+    assert res.metrics["best_gamma"] == 0.0 and res.metrics["best_beta"] == 0.0
 
 
 def test_grid_search_deterministic_and_lexicographic():
     inst = synthetic_instance(2, seed=4, high=3)
     a = grid_search_generic(inst, GridSpec(5, 5))
     b = grid_search_generic(inst, GridSpec(5, 5))
-    assert np.array_equal(a.surface, b.surface)
-    assert (a.best_gamma, a.best_beta) == (b.best_gamma, b.best_beta)
+    assert np.array_equal(a.table[1], b.table[1])
+    assert (a.metrics["best_gamma"], a.metrics["best_beta"]) == (b.metrics["best_gamma"],
+                                                                 b.metrics["best_beta"])
     # the mixer at beta=pi is (-1)^N times the identity, exactly like beta=0,
     # so a {0, pi} beta grid produces tied maxima and the first index wins
     tied = grid_search_generic(inst, GridSpec(1, 2, (0.9, 0.9), (0.0, math.pi)))
-    assert tied.surface[0, 0] == pytest.approx(tied.surface[0, 1], abs=1e-15)
-    assert tied.best_beta == 0.0
+    (_, _, first), (_, _, second) = tied.table[1]
+    assert first == pytest.approx(second, abs=1e-15)
+    assert tied.metrics["best_beta"] == 0.0
 
 
 def test_parameter_transfer_equality_case():
@@ -182,7 +184,7 @@ def test_histogram_ce_consistency_and_keys():
     sched = AngleSchedule.single(0.4, 0.3)
     res = feasible_histogram(inst, "ce", sched, shots=100_000, seed=2)
     assert res.metrics["consistent_5sigma"]
-    assert set(res.metrics["counts"]) == set(enumerate_feasible(3))
+    assert set(res.metrics["counts"]) == set(_bitstrings(enumerate_feasible(3), 9))
 
 
 def test_histogram_ce_builds_no_label_map():
@@ -282,7 +284,7 @@ def test_grid_search_refuses_a_projection_off_the_circuit(monkeypatch, precision
     # round-off (1e-12 relative in f64, 1e-5 in f32) is refused, within it not
     tol = {"f64": 1e-12, "f32": 1e-5}[precision]
     inst, grid = synthetic_instance(2, seed=1, high=3), GridSpec(3, 2)
-    exact = grid_search_generic(inst, grid, precision).best_mass
+    exact = grid_search_generic(inst, grid, precision).metrics["p_max"]
     for scale, refused in ((1 + tol / 4, False), (1 + 4 * tol, True)):
         monkeypatch.setattr(experiments, "mixed_feasible_mass",
                             lambda st, b, n, s=scale: s * mixed_feasible_mass(st, b, n))
@@ -290,7 +292,7 @@ def test_grid_search_refuses_a_projection_off_the_circuit(monkeypatch, precision
             with pytest.raises(ValueError, match="projected mass .* circuit"):
                 grid_search_generic(inst, grid, precision)
         else:
-            assert grid_search_generic(inst, grid, precision).best_mass == pytest.approx(
+            assert grid_search_generic(inst, grid, precision).metrics["p_max"] == pytest.approx(
                 exact, rel=tol)
 
 
@@ -375,7 +377,7 @@ def test_grid_surface_matches_run_generic(n, precision):
     table = cost.cost_vector()
     expected = [[mixed_feasible_mass(apply_cost_phase(init_plus(n * n, dtype), table, g), b, n)
                  for b in grid.betas()] for g in grid.gammas()]
-    assert np.array_equal(res.surface, np.array(expected))
+    assert np.array_equal([mass for _, _, mass in res.table[1]], np.ravel(expected))
 
 
 def test_lattice_cap_names_size():

@@ -7,13 +7,13 @@ from feasmass import harmonic
 from feasmass.fullspace import AngleSchedule, feasible_mass, mixer_kernel_rows, run_generic
 from feasmass.harmonic import (dyadic_convolve, feasible_mass_via_plancherel, krawtchouk,
                                krawtchouk_orthogonality_check, krawtchouk_table,
-                               low_degree_mass, mixer_walsh_multiplier,
+                               mixer_walsh_multiplier,
                                permutation_spectrum, popcounts,
                                row_spectrum_closed_form, sphere_indicator,
                                sphere_spectrum, walsh_transform, _fwht_inplace)
 from feasmass.instance import synthetic_instance
 
-from oracles import inverse_walsh_transform
+from oracles import inverse_walsh_transform, low_degree_mass
 
 
 def test_constant_function_is_dc():

@@ -10,20 +10,13 @@ from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "feasmass"
 
-# Definitions with no CLI consumer yet.  The set may only shrink: each one
-# either gets a consumer or moves to tests/oracles.py.
-KNOWN_UNREACHABLE = {
-    "bounds.alpha_star", "bounds.l4_feasible_envelope", "bounds.low_degree_window_size",
-    "bounds.ratio_master", "harmonic.low_degree_mass",
-}
-
 # Defaulted parameters plus defaulted dataclass fields in ``src``: each is a
-# knob a caller can turn.  The count may only shrink, like the set above.
-MAX_KNOBS = 29
+# knob a caller can turn.  The count may only shrink.
+MAX_KNOBS = 27
 
 # Summed line count of src/feasmass/*.py, as ``wc -l`` counts it.  It may
 # only shrink too.
-MAX_SRC_LINES = 1912
+MAX_SRC_LINES = 1862
 
 
 def _defined_names(stmt) -> list:
@@ -88,7 +81,7 @@ def reachable_from(root: str, edges: dict) -> set:
 def test_every_definition_is_reachable_from_cli_main():
     defs, edges = name_graph()
     unreachable = defs - reachable_from("cli.main", edges)
-    assert unreachable <= KNOWN_UNREACHABLE, sorted(unreachable - KNOWN_UNREACHABLE)
+    assert not unreachable, sorted(unreachable)
 
 
 def _is_dataclass(node) -> bool:
