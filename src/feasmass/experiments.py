@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .fullspace import (_DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer,
+from .fullspace import (_DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels,
                         feasible_mass, fourth_moment, init_plus, mixed_feasible_mass,
                         mixer_kernel_rows, run_generic, sample_counts)
 from .instance import (CapacityError, DiagonalCost, enumerate_feasible, feasible_indices,
@@ -34,7 +34,7 @@ MAX_LATTICE_POINTS = 3_000_000
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Angle grid: point counts and closed ranges (radians) per axis."""
+    """Angle grid: point counts and closed ranges (radians) per axis, listed by axes()."""
 
     gamma_points: int
     beta_points: int
@@ -51,13 +51,9 @@ class GridSpec:
             if count > 1 and hi == lo:
                 raise ValueError("range must have positive length for more than one point")
 
-    def gammas(self) -> np.ndarray:
-        lo, hi = self.gamma_range
-        return np.linspace(lo, hi, self.gamma_points)
-
-    def betas(self) -> np.ndarray:
-        lo, hi = self.beta_range
-        return np.linspace(lo, hi, self.beta_points)
+    def axes(self) -> tuple:
+        return (np.linspace(*self.gamma_range, self.gamma_points).tolist(),
+                np.linspace(*self.beta_range, self.beta_points).tolist())
 
 
 @dataclass
@@ -203,9 +199,9 @@ def l4_sweep(cost: DiagonalCost, betas) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # angle sweeps, grid search and parameter transfer
 
-def _sweep(fresh, phase, mix, mass, final, grid: GridSpec, p_max: int):
+def _sweep(fresh, phase, mix, mass, final, axes: tuple, p_max: int):
     """Yield (angles, mass) for every circuit of depth 1..p_max whose layers
-    take their (gamma, beta) from ``grid``, depth first in grid order.
+    take their (gamma, beta) from ``axes``, depth first in grid order.
 
     ``fresh()`` makes a parent state: the initial state, or a copy of the
     mixed state one layer up; ``phase`` and ``mix`` act in place.  Each gamma
@@ -216,15 +212,15 @@ def _sweep(fresh, phase, mix, mass, final, grid: GridSpec, p_max: int):
     name: a closure that calls itself is a reference cycle, which would keep
     the caller's cost table alive until the next garbage collection.
     """
-    for g in grid.gammas().tolist():
+    for g in axes[0]:
         phased = phase(fresh(), g)
-        for b in grid.betas().tolist():
+        for b in axes[1]:
             if p_max == 1:
                 yield ((g, b),), final(phased, b)
                 continue
             state = mix(phased.copy(), b)
             yield ((g, b),), mass(state)
-            for angles, deeper in _sweep(state.copy, phase, mix, mass, final, grid, p_max - 1):
+            for angles, deeper in _sweep(state.copy, phase, mix, mass, final, axes, p_max - 1):
                 yield ((g, b),) + angles, deeper
             del state   # before the next beta's copy: one mixed state at a time
         del phased   # before the next gamma's fresh state
@@ -237,11 +233,11 @@ def grid_search_generic(cost: DiagonalCost, grid: GridSpec,
     first maximum in that order.  It is re-run as a whole circuit, an
     independent oracle: masses over 1e-12 apart, relative (1e-5 in f32),
     raise ValueError."""
-    table = cost.cost_vector()
+    levels = cost_levels(cost.cost_vector())
     fresh = lambda: init_plus(cost.num_qubits, dtype=_DTYPES[precision])
-    phase = lambda state, g: apply_cost_phase(state, table, g)
+    phase = lambda state, g: apply_cost_phase(state, levels, g)
     walk = _sweep(fresh, phase, None, None,
-                  lambda phased, b: mixed_feasible_mass(phased, b, cost.n), grid, 1)
+                  lambda phased, b: mixed_feasible_mass(phased, b, cost.n), grid.axes(), 1)
     rows = [(g, b, mass) for ((g, b),), mass in walk]
     g, b, best = max(rows, key=lambda row: row[2])
     check = feasible_mass(apply_x_mixer(phase(fresh(), g), b), cost.n)
@@ -356,16 +352,16 @@ def ce_depth_sweep(cost: DiagonalCost, p_max: int, grid: GridSpec,
                          f"--grid {grid.gamma_points}x{grid.beta_points}")
     if cost.n > 4:
         raise ValueError("depth sweep capped at n=4")
-    if grid.gammas()[0] != 0.0 or grid.betas()[0] != 0.0:
+    if grid.gamma_range[0] != 0.0 or grid.beta_range[0] != 0.0:   # each axis's first point
         raise ValueError("per-layer grids must contain the zero angle")
-    table = subspace_cost_table(cost)
+    levels = cost_levels(subspace_cost_table(cost))
     mix = lambda state, b: apply_block_xy_mixer(state, cost.n, b, normalized)
     best = [(-1.0, None)] * p_max
     for angles, mass in _sweep(lambda: init_w_product(cost.n),
-                               lambda state, g: apply_subspace_cost_phase(state, table, g),
+                               lambda state, g: apply_subspace_cost_phase(state, levels, g),
                                mix, subspace_feasible_mass,
                                lambda phased, b: subspace_feasible_mass(mix(phased.copy(), b)),
-                               grid, p_max):
+                               grid.axes(), p_max):
         if mass > best[len(angles) - 1][0]:
             best[len(angles) - 1] = (mass, angles)
     per_depth = [{"p": p, "best_mass": mass, "angles": [list(a) for a in angles]}

@@ -2,12 +2,13 @@
 
 States are 1-D complex ndarrays of length 2**N indexed by the basis label
 (bit k = qubit k), mutated in place and returned; complex64 halves N = 25 to
-256 MiB.  Every mixer matrix comes from mixer_kernel_rows: the X mixer takes
-its real blocks conj(P) K conj(P), the feasible mass after the mixer only its
-one-hot rows (mixed_feasible_mass), so a grid search mixes no state per point.
-Full-space passes take _CHUNK entries at a time, so none makes a full-state
-temporary; the |+> fill, the cost phase, the X mixer and the norms spread
-their chunks over the CPUs (_chunks).  No result depends on either thread count.
+256 MiB.  A cost phase gathers one complex128 exp per level (cost_levels).
+Every mixer matrix comes from mixer_kernel_rows: the X mixer takes its real
+blocks conj(P) K conj(P), the feasible mass after the mixer only its one-hot
+rows (mixed_feasible_mass).  Full-space passes take _CHUNK entries at a time,
+so none makes a full-state temporary; the |+> fill, the cost phase, the X
+mixer and the norms spread their chunks over the CPUs (_chunks).  No result
+depends on either thread count.
 """
 from __future__ import annotations
 
@@ -73,26 +74,29 @@ def _chunks(fn, size: int) -> list:
     return [fn(lo) for lo in starts] if len(starts) < 2 else list(_pool().map(fn, starts))
 
 
-def apply_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """Multiply amplitude y by exp(-i*gamma*table[y]).  An integer table with
-    fewer levels (max - min + 1) than entries has each level exponentiated once
-    (in complex128, as each entry is otherwise) and gathered: the same bits."""
-    if table.shape != state.shape:
-        raise ValueError("cost table length does not match state size")
-    levels = None
-    if np.issubdtype(table.dtype, np.integer):
-        low, high = int(table.min()), int(table.max())
-        if high - low + 1 < table.size:
-            levels = np.empty(high - low + 1, dtype=state.dtype)
-            _chunks(lambda lo: np.exp(
-                (-1j * gamma) * np.arange(low + lo, min(low + lo + _CHUNK, high + 1)),
-                out=levels[lo:lo + _CHUNK]), levels.size)
+def cost_levels(table: np.ndarray) -> tuple:
+    """(index, levels), built once per table for apply_cost_phase.  An integer
+    table with fewer levels (max - min + 1) than entries indexes (low, high)
+    itself; any other, its sorted distinct values, by the least unsigned dtype."""
+    low, high = (int(table.min()), int(table.max())) if table.dtype.kind in "iu" else (0, math.inf)
+    if high - low + 1 < table.size:
+        return table, (low, high)
+    values, inverse = np.unique(table, return_inverse=True)
+    return inverse.astype(np.min_scalar_type(values.size - 1)), values
 
-    def apply(lo):
-        t = table[lo:lo + _CHUNK]
-        phase = levels[t - low] if levels is not None else np.exp(p := (-1j * gamma) * t, out=p)
-        state[lo:lo + _CHUNK] *= phase.astype(state.dtype, copy=False)
-    _chunks(apply, state.size)
+
+def apply_cost_phase(state: np.ndarray, levels: tuple, gamma: float) -> np.ndarray:
+    """Multiply amplitude y by exp(-i*gamma*cost[y]), levels from cost_levels."""
+    index, values = levels
+    if index.shape != state.shape:
+        raise ValueError("cost table length does not match state size")
+    low, high = values if isinstance(values, tuple) else (0, values.size - 1)
+    level = ((lambda lo: np.arange(low + lo, min(low + lo + _CHUNK, high + 1)))
+             if isinstance(values, tuple) else (lambda lo: values[lo:lo + _CHUNK]))
+    phases = np.empty(high - low + 1, dtype=state.dtype)
+    _chunks(lambda lo: np.exp((-1j * gamma) * level(lo), out=phases[lo:lo + _CHUNK]), phases.size)
+    _chunks(lambda lo: np.multiply(state[lo:lo + _CHUNK], phases.take(index[lo:lo + _CHUNK] - low),
+                                   out=state[lo:lo + _CHUNK]), state.size)
     return state
 
 
@@ -151,10 +155,10 @@ def mixer_kernel_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarra
 
 def run_generic(cost: DiagonalCost, schedule: AngleSchedule, precision: str = "f64") -> np.ndarray:
     """Depth-p generic QAOA: alternate cost phase and X mixer from |+>^N."""
-    table = cost.cost_vector()
+    levels = cost_levels(cost.cost_vector())
     state = init_plus(cost.num_qubits, dtype=_DTYPES[precision])
     for gamma, beta in zip(schedule.gammas, schedule.betas):
-        apply_cost_phase(state, table, gamma)
+        apply_cost_phase(state, levels, gamma)
         apply_x_mixer(state, beta)
     return state
 

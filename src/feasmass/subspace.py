@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, init_plus,
+from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels, init_plus,
                         norm_squared)
 from .instance import CapacityError, DiagonalCost, _dense_cost, feasible_subspace_indices
 
@@ -76,9 +76,9 @@ def subspace_cost_table(cost: DiagonalCost) -> np.ndarray:
                        (np.int32, np.int64) if n == 8 else (np.int64,))
 
 
-def apply_subspace_cost_phase(state: np.ndarray, table: np.ndarray, gamma: float) -> np.ndarray:
-    """Multiply amplitude k by exp(-i*gamma*table[k]): the full-space kernel."""
-    return apply_cost_phase(state, table, gamma)
+def apply_subspace_cost_phase(state: np.ndarray, levels: tuple, gamma: float) -> np.ndarray:
+    """Multiply amplitude k by exp(-i*gamma*cost[k]): the full-space kernel."""
+    return apply_cost_phase(state, levels, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def apply_block_xy_mixer(state: np.ndarray, n: int, beta: float,
     ep = complex(np.exp(-1j * beta * lam_p))
     arr = state.reshape([n] * n)
     for axis in range(n):
-        m = arr.mean(axis=axis, keepdims=True)
+        m = np.add.reduce(arr, axis, keepdims=True) / n   # arr.mean's sum and divide
         arr *= ep
         arr += (eu - ep) * m
     return state
@@ -111,10 +111,10 @@ def apply_block_xy_mixer(state: np.ndarray, n: int, beta: float,
 
 def run_ce(cost: DiagonalCost, schedule: AngleSchedule, normalized: bool = True) -> np.ndarray:
     """Depth-p CE-QAOA: alternate cost phase and block mixer from the W product."""
-    table = subspace_cost_table(cost)
+    levels = cost_levels(subspace_cost_table(cost))
     state = init_w_product(cost.n)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
-        apply_subspace_cost_phase(state, table, gamma)
+        apply_subspace_cost_phase(state, levels, gamma)
         apply_block_xy_mixer(state, cost.n, beta, normalized)
     return state
 
@@ -190,10 +190,10 @@ def overlap_generic_ce(cost: DiagonalCost, gamma: float, beta: float) -> complex
         raise CapacityError(f"overlap capped at n={MAX_EMBED_SIZE}")
     gen = init_plus(cost.num_qubits)
     apply_x_mixer(gen, beta)
-    apply_cost_phase(gen, cost.cost_vector(), gamma)
+    apply_cost_phase(gen, cost_levels(cost.cost_vector()), gamma)
     ce = init_w_product(n)
     apply_block_xy_mixer(ce, n, beta, normalized=False)
-    apply_subspace_cost_phase(ce, subspace_cost_table(cost), gamma)
+    apply_subspace_cost_phase(ce, cost_levels(subspace_cost_table(cost)), gamma)
     return complex(np.vdot(ce, project_to_subspace(gen, n)))
 
 

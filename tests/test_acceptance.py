@@ -22,7 +22,7 @@ from feasmass import bounds
 from feasmass.experiments import (GridSpec, ce_depth_sweep, feasible_histogram,
                                   lattice_feasible_masses, parameter_transfer,
                                   twirl_existence_experiment)
-from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer,
+from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels,
                                 feasible_mass, init_plus, mixer_kernel_rows)
 from feasmass.harmonic import (dyadic_convolve, feasible_mass_via_plancherel,
                                krawtchouk_orthogonality_check,
@@ -87,10 +87,10 @@ def _commuting_layer(cost, table, gamma, beta):
     n = cost.n
     gen = init_plus(cost.num_qubits)
     apply_x_mixer(gen, beta)
-    apply_cost_phase(gen, cost.cost_vector(), gamma)
+    apply_cost_phase(gen, cost_levels(cost.cost_vector()), gamma)
     ce = init_w_product(n)
     apply_block_xy_mixer(ce, n, beta, normalized=False)
-    apply_subspace_cost_phase(ce, table, gamma)
+    apply_subspace_cost_phase(ce, cost_levels(table), gamma)
     return gen, ce
 
 
@@ -100,7 +100,7 @@ def test_criterion_03_parameter_transfer_inequality():
     failures = []
     cases = [load_instance(INSTANCES / "wi3.txt"), synthetic_instance(4, seed=1, high=9)]
     grid = GridSpec(10, 10)
-    gammas, betas = grid.gammas(), grid.betas()
+    gammas, betas = grid.axes()
     for cost in cases:
         n = cost.n
         factor = 2.0 ** (n * n) / float(n) ** n

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from feasmass.experiments import (GridSpec, _bitstrings, ce_depth_sweep,
                                   grid_search_generic, l4_sweep,
                                   lattice_feasible_masses, markov_fraction,
                                   parameter_transfer, twirl_existence_experiment)
-from feasmass.fullspace import (AngleSchedule, apply_cost_phase, fourth_moment,
+from feasmass.fullspace import (AngleSchedule, apply_cost_phase, cost_levels, fourth_moment,
                                 init_plus, mixed_feasible_mass, run_generic)
-from feasmass.instance import synthetic_instance
+from feasmass.instance import load_instance, synthetic_instance
 from feasmass.subspace import run_ce, subspace_feasible_mass, subspace_to_full_labels
 
 from oracles import phase_block_l4_means, phase_matmul_lattice_masses
@@ -26,8 +27,8 @@ def test_gridspec_validation():
     with pytest.raises(ValueError):
         GridSpec(3, 3, gamma_range=(0.5, 0.5))
     g = GridSpec(3, 2, gamma_range=(0.0, 1.0))
-    assert list(g.gammas()) == [0.0, 0.5, 1.0]
-    assert list(GridSpec(1, 1, (0.3, 0.3), (0.0, 0.0)).gammas()) == [0.3]
+    assert g.axes()[0] == [0.0, 0.5, 1.0]
+    assert GridSpec(1, 1, (0.3, 0.3), (0.0, 0.0)).axes()[0] == [0.3]
 
 
 def test_exact_average_matches_baseline():
@@ -270,11 +271,12 @@ def _count_calls(monkeypatch, *names):
 @pytest.mark.parametrize("gp,bp", [(1, 1), (3, 2)])
 def test_grid_search_phases_once_per_gamma(monkeypatch, gp, bp):
     # one projection per point; the argmax check adds one phase, the only
-    # mixer and the only full feasible mass
-    counts = _count_calls(monkeypatch, "apply_cost_phase", "apply_x_mixer",
+    # mixer and the only full feasible mass; every phase reads one build of
+    # the cost levels
+    counts = _count_calls(monkeypatch, "cost_levels", "apply_cost_phase", "apply_x_mixer",
                           "feasible_mass", "mixed_feasible_mass")
     grid_search_generic(synthetic_instance(2, seed=1, high=3), GridSpec(gp, bp))
-    assert counts == {"apply_cost_phase": gp + 1, "apply_x_mixer": 1,
+    assert counts == {"cost_levels": 1, "apply_cost_phase": gp + 1, "apply_x_mixer": 1,
                       "feasible_mass": 1, "mixed_feasible_mass": gp * bp}
 
 
@@ -297,27 +299,33 @@ def test_grid_search_refuses_a_projection_off_the_circuit(monkeypatch, precision
 
 
 def test_depth_sweep_phases_once_per_gamma(monkeypatch):
-    # depth 1: 3 phases, 9 mixers; each of the 9 depth-1 states: 3 and 9 more
-    counts = _count_calls(monkeypatch, "apply_subspace_cost_phase",
+    # depth 1: 3 phases, 9 mixers; each of the 9 depth-1 states: 3 and 9 more;
+    # one build of the cost levels for all of them
+    counts = _count_calls(monkeypatch, "cost_levels", "apply_subspace_cost_phase",
                           "apply_block_xy_mixer", "subspace_feasible_mass")
     ce_depth_sweep(synthetic_instance(3, seed=2, high=5), 2, GridSpec(3, 3))
-    assert counts == {"apply_subspace_cost_phase": 3 + 9 * 3,
+    assert counts == {"cost_levels": 1, "apply_subspace_cost_phase": 3 + 9 * 3,
                       "apply_block_xy_mixer": 90, "subspace_feasible_mass": 90}
+
+
+WI4 = Path(__file__).resolve().parent.parent / "instances" / "wi4.txt"
 
 
 def test_grid_search_holds_under_four_states():
     # one state plus the cost phase's or the mixer's chunk temporaries: each
     # gamma's phased state is freed before the next one is made, and the
-    # projection copies nothing (about 2.6 states; 3.6 with a mixed copy)
-    cost = synthetic_instance(4, seed=1)
-    cost.cost_vector()
-    tracemalloc.start()
-    try:
-        grid_search_generic(cost, GridSpec(3, 2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 2 ** 16 * 16, f"peak {peak / (2 ** 16 * 16):.2f} states"
+    # projection copies nothing (about 2.6 states; 3.6 with a mixed copy).
+    # wi4's costs take the distinct-values path: its levels (a uint16 index
+    # and 5,049 values) and their gather add about 0.3 states
+    for cost in (synthetic_instance(4, seed=1), load_instance(WI4)):
+        cost.cost_vector()
+        tracemalloc.start()
+        try:
+            grid_search_generic(cost, GridSpec(3, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 16 * 16, f"{cost.name}: peak {peak / (2 ** 16 * 16):.2f} states"
 
 
 def test_grid_search_frees_its_cost_on_return():
@@ -374,10 +382,30 @@ def test_grid_surface_matches_run_generic(n, precision):
     grid = GridSpec(4, 3)
     res = grid_search_generic(cost, grid, precision)
     dtype = {"f64": np.complex128, "f32": np.complex64}[precision]
-    table = cost.cost_vector()
-    expected = [[mixed_feasible_mass(apply_cost_phase(init_plus(n * n, dtype), table, g), b, n)
-                 for b in grid.betas()] for g in grid.gammas()]
+    levels = cost_levels(cost.cost_vector())
+    expected = [[mixed_feasible_mass(apply_cost_phase(init_plus(n * n, dtype), levels, g), b, n)
+                 for b in grid.axes()[1]] for g in grid.axes()[0]]
     assert np.array_equal([mass for _, _, mass in res.table[1]], np.ravel(expected))
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_wi4_grid_surface_matches_per_entry_exp(precision):
+    # wi4 has 5,049 distinct costs over a range of 1.3 million, so its phases
+    # gather from the distinct values; every grid point must keep the bits of
+    # exp taken per entry of the table, as the phase computed it before levels
+    cost = load_instance(WI4)
+    table = cost.cost_vector()
+    assert cost_levels(table)[0].dtype == np.uint16
+    grid = GridSpec(3, 3)
+    res = grid_search_generic(cost, grid, precision)
+    dtype = {"f64": np.complex128, "f32": np.complex64}[precision]
+    gammas, betas = grid.axes()
+    expected = []
+    for g in gammas:
+        phase = np.exp((-1j * g) * table).astype(dtype)
+        phased = init_plus(16, dtype) * phase
+        expected += [mixed_feasible_mass(phased, b, 4) for b in betas]
+    assert np.array_equal([mass for _, _, mass in res.table[1]], expected)
 
 
 def test_lattice_cap_names_size():

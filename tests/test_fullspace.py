@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer,
+from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels,
                                 feasible_mass, fourth_moment, init_plus,
                                 mixed_feasible_mass, mixer_kernel_rows, norm_squared,
                                 run_generic, sample_counts)
@@ -89,9 +89,9 @@ def test_cost_phase_identity_cases():
     cost = synthetic_instance(2, seed=0, high=3)
     st = init_plus(4)
     ref = st.copy()
-    apply_cost_phase(st, cost.cost_vector(), 0.0)
+    apply_cost_phase(st, cost_levels(cost.cost_vector()), 0.0)
     assert np.array_equal(st, ref)
-    apply_cost_phase(st, np.zeros(16), 1.3)
+    apply_cost_phase(st, cost_levels(np.zeros(16)), 1.3)
     assert np.allclose(st, ref, atol=1e-15)
 
 
@@ -99,9 +99,9 @@ def test_cost_phase_rejects_wrong_table_length():
     st = init_plus(4)
     ref = st.copy()
     with pytest.raises(ValueError, match="length"):
-        apply_cost_phase(st, np.zeros(8, dtype=np.int64), 0.5)
+        apply_cost_phase(st, cost_levels(np.zeros(8, dtype=np.int64)), 0.5)
     with pytest.raises(ValueError, match="length"):
-        apply_cost_phase(st, synthetic_instance(3).cost_vector(), 0.5)
+        apply_cost_phase(st, cost_levels(synthetic_instance(3).cost_vector()), 0.5)
     assert np.array_equal(st, ref)
 
 
@@ -110,7 +110,7 @@ def test_cost_phase_preserves_moduli_exactly():
     rng = np.random.default_rng(2)
     st = rng.normal(size=512) + 1j * rng.normal(size=512)
     before = np.abs(st.copy())
-    apply_cost_phase(st, cost.cost_vector(), 0.73)
+    apply_cost_phase(st, cost_levels(cost.cost_vector()), 0.73)
     assert np.allclose(np.abs(st), before, rtol=0, atol=1e-15)
 
 
@@ -118,7 +118,7 @@ WI3 = Path(__file__).resolve().parent.parent / "instances" / "wi3.txt"
 
 
 def phase_tables():
-    """(label, table, takes the level table): integer tables with fewer and
+    """(label, table, indexes a level range): integer tables with fewer and
     with more levels than entries, minima other than 0, and a float table."""
     few = synthetic_instance(4, high=1).cost_vector()
     many = load_instance(WI3).cost_vector()
@@ -131,25 +131,28 @@ def phase_tables():
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 @pytest.mark.parametrize("gamma", [0.4, 2.5952287138350463, 1e-3, -37.1])
 def test_cost_phase_paths_match_direct_exp_bitwise(dtype, gamma):
-    # the level table must give exactly the bits of exp per amplitude
+    # both level paths, the range and the distinct values, must give exactly
+    # the bits of exp per amplitude
     for label, table, tabled in phase_tables():
         levels = int(table.max() - table.min()) + 1
         assert (np.issubdtype(table.dtype, np.integer) and levels < table.size) == tabled, label
+        assert isinstance(cost_levels(table)[1], tuple) == tabled, label
         rng = np.random.default_rng(table.size)
         st = (rng.normal(size=table.size) + 1j * rng.normal(size=table.size)).astype(dtype)
         phase = np.exp((-1j * gamma) * table).astype(dtype)
         # phase is named: numpy may evaluate st * <temporary> as temporary * st,
         # and complex * (FMA) is not commutative bit for bit
         want = st * phase
-        got = apply_cost_phase(st.copy(), table, gamma)
+        got = apply_cost_phase(st.copy(), cost_levels(table), gamma)
         assert got.dtype == dtype
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), label
 
 
 def test_cost_phase_level_range_spans_first_and_last_chunk(monkeypatch):
-    # the level range comes from one (min, max) per chunk; the extremes sit in
-    # the first and in the ragged last chunk, either way round, so a range
-    # from any one chunk indexes past the level table or off its start
+    # the level range comes from one (min, max) scan of the whole table; the
+    # extremes sit in the first and in the ragged last chunk, either way
+    # round, so a range from any one chunk indexes past the level table or
+    # off its start
     import feasmass.fullspace as fs
     monkeypatch.setattr(fs, "_CHUNK", 64)
     rng = np.random.default_rng(3)
@@ -158,7 +161,26 @@ def test_cost_phase_level_range_spans_first_and_last_chunk(monkeypatch):
         table = rng.integers(0, 30, size=1000)
         table[5], table[-3] = first, last
         want = st * np.exp((-1j * 0.7) * table)
-        assert np.array_equal(apply_cost_phase(st.copy(), table, 0.7), want), (first, last)
+        assert np.array_equal(apply_cost_phase(st.copy(), cost_levels(table), 0.7), want), \
+            (first, last)
+
+
+def test_cost_levels_keep_a_range_or_the_distinct_values():
+    # a range table is its own index, not a copy, and of its range keeps only
+    # (low, high): no array of the range's length (3.5 million levels on
+    # wi5).  Any other table keeps its sorted distinct values and the inverse
+    # index in the least unsigned dtype that counts them.
+    for label, table, tabled in phase_tables():
+        index, levels = cost_levels(table)
+        if tabled:
+            assert index is table and np.shares_memory(index, table), label
+            assert levels == (int(table.min()), int(table.max())), label
+            assert [type(v) for v in levels] == [int, int], label
+        else:
+            assert np.array_equal(levels, np.unique(table)), label
+            assert np.array_equal(levels[index], table), label
+            assert index.dtype == np.min_scalar_type(levels.size - 1), label
+            assert index.dtype.kind == "u" and not np.shares_memory(index, table), label
 
 
 def test_x_mixer_blocks_are_real_p_m_p():
@@ -297,7 +319,8 @@ PROJECTION_TOL = {np.complex128: 1e-13, np.complex64: 1e-5}   # relative
 def test_projection_matches_full_mixer(n, dtype):
     cost = synthetic_instance(n, seed=3, high=5)
     states = {"random": unit_state(np.random.default_rng(n), 1 << (n * n)).astype(dtype),
-              "phased": apply_cost_phase(init_plus(n * n, dtype), cost.cost_vector(), 0.7)}
+              "phased": apply_cost_phase(init_plus(n * n, dtype), cost_levels(cost.cost_vector()),
+                                         0.7)}
     for label, st in states.items():
         before = st.copy()
         for beta in (0.0, 0.3, math.pi / 4, math.pi / 2, 3.0):
@@ -311,7 +334,7 @@ def test_projection_matches_full_mixer_n5_f32():
     # 2**25 complex64 amplitudes (256 MiB), mixed in place: the second
     # sampled beta is checked through R(b1) = R(b1 - b0) R(b0)
     cost = synthetic_instance(5, seed=1, high=9)
-    st = apply_cost_phase(init_plus(25, np.complex64), cost.cost_vector(), 0.4)
+    st = apply_cost_phase(init_plus(25, np.complex64), cost_levels(cost.cost_vector()), 0.4)
     del cost
     b0, b1 = np.random.default_rng(5).uniform(0.0, math.pi, size=2).tolist()
     want0, want1 = mixed_feasible_mass(st, b0, 5), mixed_feasible_mass(st, b1, 5)
@@ -472,13 +495,13 @@ def test_cost_phase_partition_independent(monkeypatch):
     rng = np.random.default_rng(6)
     st = rng.normal(size=512) + 1j * rng.normal(size=512)
     whole = st.copy()
-    apply_cost_phase(whole, cost.cost_vector(), 0.83)
-    tabled = np.tile(st, 128)   # 2**16 amplitudes for the n = 4 level table
-    few = synthetic_instance(4, high=1).cost_vector()
+    apply_cost_phase(whole, cost_levels(cost.cost_vector()), 0.83)
+    tabled = np.tile(st, 128)   # 2**16 amplitudes for the n = 4 level range
+    few = cost_levels(synthetic_instance(4, high=1).cost_vector())
     tabled_whole = apply_cost_phase(tabled.copy(), few, 0.83)
     chunked = st.copy()
     monkeypatch.setattr(fs, "_CHUNK", 37)
-    apply_cost_phase(chunked, cost.cost_vector(), 0.83)
+    apply_cost_phase(chunked, cost_levels(cost.cost_vector()), 0.83)
     assert np.array_equal(whole, chunked)
     # the level table is built and gathered 37 entries at a time too
     assert np.array_equal(apply_cost_phase(tabled, few, 0.83), tabled_whole)

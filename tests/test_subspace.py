@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.linalg import expm
 
-from feasmass.fullspace import AngleSchedule, feasible_mass, run_generic
+from feasmass.fullspace import AngleSchedule, cost_levels, feasible_mass, run_generic
 from feasmass.instance import (CapacityError, _dense_cost, enumerate_feasible,
                                feasible_subspace_indices, make_instance,
                                synthetic_instance)
@@ -172,7 +172,7 @@ def test_subspace_cost_phase_feasible_is_tour_only():
     table = subspace_cost_table(cost)
     gamma = 0.9
     st = init_w_product(3)
-    apply_subspace_cost_phase(st, table, gamma)
+    apply_subspace_cost_phase(st, cost_levels(table), gamma)
     for perm in itertools.permutations(range(3)):
         idx = index(perm, 3)
         expected = 3.0 ** -1.5 * np.exp(-1j * gamma * cost_value(bare, tuple_to_label(perm, 3)))
@@ -183,26 +183,26 @@ def test_subspace_cost_phase_norm_exact():
     cost = synthetic_instance(3, seed=1, high=5)
     st = init_w_product(3)
     before = np.abs(st.copy())
-    apply_subspace_cost_phase(st, subspace_cost_table(cost), 1.7)
+    apply_subspace_cost_phase(st, cost_levels(subspace_cost_table(cost)), 1.7)
     assert np.allclose(np.abs(st), before, rtol=0, atol=1e-15)
 
 
 def test_subspace_cost_phase_partition_independent(monkeypatch):
     # chunked processing must be bitwise identical to one whole-array pass
     import feasmass.fullspace as fs
-    table = subspace_cost_table(synthetic_instance(4, seed=3, high=7))
+    levels = cost_levels(subspace_cost_table(synthetic_instance(4, seed=3, high=7)))
     rng = np.random.default_rng(8)
     st = rng.standard_normal(4 ** 4) + 1j * rng.standard_normal(4 ** 4)
-    whole = apply_subspace_cost_phase(st.copy(), table, 0.61)
+    whole = apply_subspace_cost_phase(st.copy(), levels, 0.61)
     monkeypatch.setattr(fs, "_CHUNK", 37)
-    chunked = apply_subspace_cost_phase(st.copy(), table, 0.61)
+    chunked = apply_subspace_cost_phase(st.copy(), levels, 0.61)
     assert np.array_equal(whole, chunked)
 
 
 @pytest.mark.parametrize("n, tabled", [(3, False), (7, True)])
 def test_subspace_cost_phase_is_direct_exp_bitwise(n, tabled):
-    # n = 3 has more cost levels than its 27 entries (direct exp); n = 7 has
-    # 2,372 levels for 7**7 entries (level table): both give exp's bits
+    # n = 3 has more cost levels than its 27 entries (distinct values); n = 7
+    # has 2,372 levels for 7**7 entries (level range): both give exp's bits
     table = subspace_cost_table(synthetic_instance(n, seed=1))
     assert (int(table.max() - table.min()) + 1 < table.size) == tabled
     rng = np.random.default_rng(n)
@@ -211,7 +211,7 @@ def test_subspace_cost_phase_is_direct_exp_bitwise(n, tabled):
     # phase is named: numpy may evaluate st * <temporary> as temporary * st,
     # and complex * (FMA) is not commutative bit for bit
     want = st * phase
-    got = apply_subspace_cost_phase(st.copy(), table, 0.4)
+    got = apply_subspace_cost_phase(st.copy(), cost_levels(table), 0.4)
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
