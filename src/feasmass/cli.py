@@ -27,8 +27,7 @@ from . import bounds, experiments, harmonic
 from .experiments import ExperimentResult, GridSpec
 from .fullspace import AngleSchedule, feasible_mass, mixer_kernel_rows, run_generic
 from .instance import DiagonalCost, InstanceFormatError, load_instance, synthetic_instance
-from .subspace import (block_mixer_eigenvalues, leakage_gram, leakage_spectrum,
-                       overlap_generic_ce)
+from .subspace import block_mixer_eigenvalues, leakage_gram, leakage_spectrum, overlap_generic_ce
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,9 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _parse_grid(text: str) -> tuple:
@@ -109,9 +106,7 @@ def _config_hash(config: dict) -> str:
 
 
 def _write_jsonl(path: Path, config: dict, chash: str, result: ExperimentResult):
-    record = dict(result.to_json_dict())
-    record["config"] = config
-    record["config_hash"] = chash
+    record = dict(result.to_json_dict(), config=config, config_hash=chash)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -120,8 +115,7 @@ def _write_jsonl(path: Path, config: dict, chash: str, result: ExperimentResult)
 def _write_csv(path: Path, chash: str, header: str, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
-        fh.write(f"# config {chash}\n")
-        fh.write(header + "\n")
+        fh.write(f"# config {chash}\n{header}\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -214,23 +208,17 @@ def cmd_run(args) -> int:
 
 class _Battery:
     def __init__(self):
-        self.lines = []
-        self.failed = False
+        self.lines, self.failed = [], False
 
     def record(self, name: str, ok: bool, detail: str = "", warn_only: bool = False):
         status = "PASS" if ok else "WARN" if warn_only else "FAIL"
         self.failed |= status == "FAIL"
         self.lines.append(f"{status:<5s} {name:<58s} {detail}")
 
-    def emit(self):
-        for line in self.lines:
-            print(line)
-
 
 def _verify_harmonic(bat: _Battery):
     for n in range(2, 13):
-        bat.record(f"krawtchouk orthogonality n={n}",
-                   harmonic.krawtchouk_orthogonality_check(n))
+        bat.record(f"krawtchouk orthogonality n={n}", harmonic.krawtchouk_orthogonality_check(n))
     for n in (2, 6, 12):
         spec = harmonic.walsh_transform(harmonic.sphere_indicator(n, 1))
         expect = (n - 2 * harmonic.popcounts(n)) * 2.0 ** (-n)
@@ -250,8 +238,7 @@ def _verify_harmonic(bat: _Battery):
     beta = 0.83
     K = mixer_kernel_rows(np.arange(16), beta, 4)
     lhs = harmonic.walsh_transform(K @ f)
-    lam = np.array([harmonic.mixer_walsh_multiplier(4, s, beta)
-                    for s in harmonic.popcounts(4)])
+    lam = np.array([harmonic.mixer_walsh_multiplier(4, s, beta) for s in harmonic.popcounts(4)])
     err = float(np.abs(lhs - lam * harmonic.walsh_transform(f)).max())
     bat.record("mixer walsh multiplier N=4", err <= 1e-10, f"max err {_fmt(err)}")
     for n in (2, 3):
@@ -287,8 +274,7 @@ def _verify_twirl(bat: _Battery):
         inst = synthetic_instance(n, seed=2, high=5)
         bound = 1.0 / float(n) ** n
         for gamma, beta in ((0.4, 0.3), (1.1, 0.7), (2.0, 1.9)):
-            res = experiments.twirl_existence_experiment(
-                inst, AngleSchedule.single(gamma, beta))
+            res = experiments.twirl_existence_experiment(inst, AngleSchedule.single(gamma, beta))
             bat.record(f"twirl mean = 1/{n}^{n} at angles ({gamma},{beta})",
                        res.metrics["mean_error"] <= 1e-12,
                        f"err {_fmt(res.metrics['mean_error'])}")
@@ -319,8 +305,7 @@ def _verify_twirl(bat: _Battery):
         worst = 0.0
         for _ in range(5):
             g, b = rng.uniform(0, math.pi, size=2)
-            ov = overlap_generic_ce(inst, g, b)
-            worst = max(worst, abs(abs(ov) - target))
+            worst = max(worst, abs(abs(overlap_generic_ce(inst, g, b)) - target))
         bat.record(f"projector overlap modulus n={n}", worst <= 1e-10,
                    f"max err {_fmt(worst)}")
 
@@ -336,8 +321,7 @@ def _verify_bounds(bat: _Battery):
     for p in (0, 1, 2):
         n = 6
         c = (2 * p + 1) / 2.0 ** p
-        diff = abs(bounds.lightcone_degree_bound(n, p, 2.0, c)
-                   - bounds.lightcone_1d_bound(n, p))
+        diff = abs(bounds.lightcone_degree_bound(n, p, 2.0, c) - bounds.lightcone_1d_bound(n, p))
         bat.record(f"lightcone degree bound reduces to 1d at p={p}",
                    diff <= 1e-12, f"|diff| {_fmt(diff)}")
     try:
@@ -364,7 +348,7 @@ def cmd_verify(args) -> int:
         _verify_twirl(bat)
     if args.suite in ("bounds", "all"):
         _verify_bounds(bat)
-    bat.emit()
+    print(*bat.lines, sep="\n")
     return EXIT_CONTRACT if bat.failed else EXIT_OK
 
 
@@ -389,15 +373,12 @@ def build_parser() -> _Parser:
     run.add_argument("--n", type=int, help="synthetic instance size")
     run.add_argument("--grid", type=_parse_grid, default=(10, 10),
                      metavar="GxB", help="grid points per axis (default 10x10)")
-    run.add_argument("--range-gamma", type=_parse_range, default=(0.0, math.pi),
-                     metavar="LO:HI")
-    run.add_argument("--range-beta", type=_parse_range, default=(0.0, math.pi),
-                     metavar="LO:HI")
+    run.add_argument("--range-gamma", type=_parse_range, default=(0.0, math.pi), metavar="LO:HI")
+    run.add_argument("--range-beta", type=_parse_range, default=(0.0, math.pi), metavar="LO:HI")
     run.add_argument("--shots", type=int, default=0)
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--depth", type=int, default=1)
-    run.add_argument("--normalized-mixer", type=_parse_bool, default=True,
-                     metavar="BOOL")
+    run.add_argument("--normalized-mixer", type=_parse_bool, default=True, metavar="BOOL")
     run.add_argument("--precision", choices=["f64", "f32"], default="f64")
     run.add_argument("--beta", type=_parse_finite, default=0.7,
                      help="single mixer angle (avg/markov)")

@@ -6,9 +6,10 @@ The lattice grids (markov, l4) share one kernel: a mixer kernel row
 scattered onto the integer cost lattice transforms by one FFT to that label's
 amplitude at every grid angle; avg takes the energy of the scattered rows
 (Parseval) instead.  Both angle grids, the generic grid search and the CE
-depth sweep, share one depth-first walk (``_sweep``) that phases once per
-gamma.  The generic grid ends each walk in the one-hot row projection
-(fullspace.mixed_feasible_mass) and re-runs its argmax as a whole circuit.
+depth sweep, share one depth-first walker (``_walk``) over a layer per
+ansatz.  The generic layer phases a fresh |+> once per gamma and projects it
+per beta (fullspace.mixed_feasible_mass); its argmax is re-run as a whole
+circuit.  The CE layer mixes every (gamma, beta) child of a state as one batch.
 """
 from __future__ import annotations
 
@@ -19,13 +20,13 @@ import numpy as np
 
 from . import bounds
 from .fullspace import (_DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels,
-                        feasible_mass, fourth_moment, init_plus, mixed_feasible_mass,
-                        mixer_kernel_rows, run_generic, sample_counts)
+                        feasible_mass, fourth_moment, init_plus, level_phases,
+                        mixed_feasible_mass, mixer_kernel_rows, run_generic, sample_counts)
 from .instance import (CapacityError, DiagonalCost, enumerate_feasible, feasible_indices,
                        feasible_subspace_indices)
-from .subspace import (_check_label_bits, apply_block_xy_mixer, apply_subspace_cost_phase,
-                       best_block_relabeling, init_w_product, run_ce, subspace_cost_table,
-                       subspace_feasible_mass, twirl_average)
+from .subspace import (_check_label_bits, apply_block_xy_mixer, best_block_relabeling,
+                       init_w_product, run_ce, subspace_cost_table, subspace_feasible_mass,
+                       twirl_average)
 
 MAX_LATTICE_POINTS = 3_000_000
 """Largest lattice grid.  Grid lengths are 5-smooth; an n=4 run peaks near
@@ -199,31 +200,14 @@ def l4_sweep(cost: DiagonalCost, betas) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # angle sweeps, grid search and parameter transfer
 
-def _sweep(fresh, phase, mix, mass, final, axes: tuple, p_max: int):
-    """Yield (angles, mass) for every circuit of depth 1..p_max whose layers
-    take their (gamma, beta) from ``axes``, depth first in grid order.
-
-    ``fresh()`` makes a parent state: the initial state, or a copy of the
-    mixed state one layer up; ``phase`` and ``mix`` act in place.  Each gamma
-    phases one parent.  Above the last layer each beta mixes a copy of it for
-    ``mass`` and the layers below, so a walk holds two states per layer; on
-    the last, ``final(phased, beta)`` gives the mass after the mixer and
-    leaves ``phased`` unchanged.  Deeper layers recurse through the module
-    name: a closure that calls itself is a reference cycle, which would keep
-    the caller's cost table alive until the next garbage collection.
-    """
-    for g in axes[0]:
-        phased = phase(fresh(), g)
-        for b in axes[1]:
-            if p_max == 1:
-                yield ((g, b),), final(phased, b)
-                continue
-            state = mix(phased.copy(), b)
-            yield ((g, b),), mass(state)
-            for angles, deeper in _sweep(state.copy, phase, mix, mass, final, axes, p_max - 1):
-                yield ((g, b),) + angles, deeper
-            del state   # before the next beta's copy: one mixed state at a time
-        del phased   # before the next gamma's fresh state
+def _walk(layer, parent, p_max: int):
+    """(angles, mass) of every circuit of depth 1..p_max, depth first in grid order, from
+    ``layer(parent)``'s ((gamma, beta), mass, child) in grid order.  It recurses by module
+    name: a closure calling itself would be a cycle keeping the caller's tables alive."""
+    for angles, mass, child in layer(parent):
+        yield (angles,), mass
+        for deeper, m in _walk(layer, child, p_max - 1) if p_max > 1 else ():
+            yield (angles,) + deeper, m
 
 
 def grid_search_generic(cost: DiagonalCost, grid: GridSpec,
@@ -235,12 +219,16 @@ def grid_search_generic(cost: DiagonalCost, grid: GridSpec,
     raise ValueError."""
     levels = cost_levels(cost.cost_vector())
     fresh = lambda: init_plus(cost.num_qubits, dtype=_DTYPES[precision])
-    phase = lambda state, g: apply_cost_phase(state, levels, g)
-    walk = _sweep(fresh, phase, None, None,
-                  lambda phased, b: mixed_feasible_mass(phased, b, cost.n), grid.axes(), 1)
-    rows = [(g, b, mass) for ((g, b),), mass in walk]
+    gammas, betas = grid.axes()
+
+    def layer(_):   # p = 1: each gamma phases a fresh |+>, each beta projects it
+        for g in gammas:
+            phased = apply_cost_phase(fresh(), levels, g)
+            yield from (((g, b), mixed_feasible_mass(phased, b, cost.n), None) for b in betas)
+            del phased   # before the next gamma's fresh state
+    rows = [(g, b, mass) for ((g, b),), mass in _walk(layer, None, 1)]
     g, b, best = max(rows, key=lambda row: row[2])
-    check = feasible_mass(apply_x_mixer(phase(fresh(), g), b), cost.n)
+    check = feasible_mass(apply_x_mixer(apply_cost_phase(fresh(), levels, g), b), cost.n)
     if abs(check - best) > {"f64": 1e-12, "f32": 1e-5}[precision] * abs(check):
         raise ValueError(f"grid argmax ({g}, {b}): projected mass {best!r}, circuit {check!r}")
     return ExperimentResult(
@@ -355,13 +343,17 @@ def ce_depth_sweep(cost: DiagonalCost, p_max: int, grid: GridSpec,
     if grid.gamma_range[0] != 0.0 or grid.beta_range[0] != 0.0:   # each axis's first point
         raise ValueError("per-layer grids must contain the zero angle")
     levels = cost_levels(subspace_cost_table(cost))
-    mix = lambda state, b: apply_block_xy_mixer(state, cost.n, b, normalized)
+    gammas, betas = grid.axes()
+    phases = np.stack([p.take(levels[0] - low) for p, low in
+                       (level_phases(levels, g, np.complex128) for g in gammas)])
+    points, beta_rows = [(g, b) for g in gammas for b in betas], np.tile(betas, len(gammas))
+
+    def layer(parent):   # every child of parent: one (G*B, n**n) batch, one mixer, one mass
+        batch = np.repeat(parent * phases, len(betas), axis=0)
+        apply_block_xy_mixer(batch, cost.n, beta_rows, normalized)
+        return zip(points, subspace_feasible_mass(batch).tolist(), batch)
     best = [(-1.0, None)] * p_max
-    for angles, mass in _sweep(lambda: init_w_product(cost.n),
-                               lambda state, g: apply_subspace_cost_phase(state, levels, g),
-                               mix, subspace_feasible_mass,
-                               lambda phased, b: subspace_feasible_mass(mix(phased.copy(), b)),
-                               grid.axes(), p_max):
+    for angles, mass in _walk(layer, init_w_product(cost.n), p_max):
         if mass > best[len(angles) - 1][0]:
             best[len(angles) - 1] = (mass, angles)
     per_depth = [{"p": p, "best_mass": mass, "angles": [list(a) for a in angles]}

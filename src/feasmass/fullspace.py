@@ -2,7 +2,7 @@
 
 States are 1-D complex ndarrays of length 2**N indexed by the basis label
 (bit k = qubit k), mutated in place and returned; complex64 halves N = 25 to
-256 MiB.  A cost phase gathers one complex128 exp per level (cost_levels).
+256 MiB.  A cost phase gathers one complex128 exp per level (level_phases).
 Every mixer matrix comes from mixer_kernel_rows: the X mixer takes its real
 blocks conj(P) K conj(P), the feasible mass after the mixer only its one-hot
 rows (mixed_feasible_mass).  Full-space passes take _CHUNK entries at a time,
@@ -67,9 +67,10 @@ def _pool():
 def _chunks(fn, size: int) -> list:
     """[fn(lo) for lo in range(0, size, _CHUNK)] in chunk order, on the pool
     when there is more than one chunk (numpy releases the GIL); an exception
-    in any chunk propagates.  fn calls no traced public function, and each of
-    its matmuls stays below OpenBLAS's threading size (m*n*k = 2**16 complex,
-    2**20 real), so no pool thread wakes a BLAS thread."""
+    in any chunk propagates; the CE block mixer's items call it too.  fn calls
+    no traced public function, and each of its matmuls stays below OpenBLAS's
+    threading size (m*n*k = 2**16 complex, 2**20 real), so no pool thread
+    wakes a BLAS thread."""
     starts = range(0, size, _CHUNK)
     return [fn(lo) for lo in starts] if len(starts) < 2 else list(_pool().map(fn, starts))
 
@@ -85,18 +86,28 @@ def cost_levels(table: np.ndarray) -> tuple:
     return inverse.astype(np.min_scalar_type(values.size - 1)), values
 
 
-def apply_cost_phase(state: np.ndarray, levels: tuple, gamma: float) -> np.ndarray:
-    """Multiply amplitude y by exp(-i*gamma*cost[y]), levels from cost_levels."""
-    index, values = levels
-    if index.shape != state.shape:
-        raise ValueError("cost table length does not match state size")
+def level_phases(levels: tuple, gamma: float, dtype) -> tuple:
+    """(phases, low): exp(-i*gamma*level) for every level of cost_levels, one
+    complex128 exp each cast to dtype, in chunks on the pool; index entry j
+    reads phases[j - low], and low is 0 for distinct values."""
+    values = levels[1]
     low, high = values if isinstance(values, tuple) else (0, values.size - 1)
     level = ((lambda lo: np.arange(low + lo, min(low + lo + _CHUNK, high + 1)))
              if isinstance(values, tuple) else (lambda lo: values[lo:lo + _CHUNK]))
-    phases = np.empty(high - low + 1, dtype=state.dtype)
+    phases = np.empty(high - low + 1, dtype=dtype)
     _chunks(lambda lo: np.exp((-1j * gamma) * level(lo), out=phases[lo:lo + _CHUNK]), phases.size)
-    _chunks(lambda lo: np.multiply(state[lo:lo + _CHUNK], phases.take(index[lo:lo + _CHUNK] - low),
-                                   out=state[lo:lo + _CHUNK]), state.size)
+    return phases, low
+
+
+def apply_cost_phase(state: np.ndarray, levels: tuple, gamma: float) -> np.ndarray:
+    """Multiply amplitude y by exp(-i*gamma*cost[y]), levels from cost_levels."""
+    index = levels[0]
+    if index.shape != state.shape:
+        raise ValueError("cost table length does not match state size")
+    phases, low = level_phases(levels, gamma, state.dtype)   # no index copy at low 0
+    _chunks(lambda lo: np.multiply(state[lo:lo + _CHUNK], phases.take(
+        index[lo:lo + _CHUNK] - low if low else index[lo:lo + _CHUNK]), out=state[lo:lo + _CHUNK]),
+        state.size)
     return state
 
 

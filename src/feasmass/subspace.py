@@ -1,16 +1,17 @@
 """CE-QAOA simulation inside the n**n block-one-hot manifold.
 
-A subspace state is a 1-D complex ndarray of length n**n.  Flat index and
-symbol tuple are related by C-order ravel over shape (n,)*n (np.ravel_multi_index
-and np.unravel_index), i.e. block 0 is the most significant digit:
-index(j_1..j_n) = sum_b j_b * n**(n-1-b).  Block b maps to full-space bits
-[b*n, (b+1)*n); symbol j in block b sets bit b*n + j.
+A subspace state is a 1-D complex ndarray of length n**n; the block mixer and
+the feasible mass also take a (rows, n**n) batch, one state per row (the mixer
+runs more than one _CHUNK in slabs on the thread pool).  Flat index and symbol tuple
+are related by C-order ravel over shape (n,)*n: block 0 is the most significant
+digit, index(j_1..j_n) = sum_b j_b * n**(n-1-b).  Block b maps to full-space
+bits [b*n, (b+1)*n); symbol j in block b sets bit b*n + j.
 
 The cost table is the full-space cost builder run over one-hot rows
-(instance._dense_cost), so both tables come from one formula.  The block
-mixer sector, the relabeling twirl and the leakage spectrum are closed forms;
-their brute-force versions (dense Pauli sum, relabeling enumeration, dense
-sector unitary and manifold mixer, full-space embedding) are test oracles.
+(instance._dense_cost), so both tables come from one formula.  The block mixer
+sector, the relabeling twirl and the leakage spectrum are closed forms; their
+brute-force versions (dense Pauli sum, relabeling enumeration, dense sector
+unitary, manifold mixer and per-axis pass, full-space embedding) are test oracles.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import math
 
 import numpy as np
 
+from . import fullspace
 from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels, init_plus,
                         norm_squared)
 from .instance import CapacityError, DiagonalCost, _dense_cost, feasible_subspace_indices
@@ -41,12 +43,10 @@ def _check_label_bits(n: int) -> None:
 def subspace_to_full_labels(n: int) -> np.ndarray:
     """Bijection subspace index -> full-space label, as an index array."""
     _check_label_bits(n)
-    # block b sets bit b*n + j_b; block b is axis b of the C-order [n]*n tensor
     out = np.zeros([n] * n, dtype=np.int64)
-    for b in range(n):
-        shape = [1] * n
-        shape[b] = n
-        out += (np.int64(1) << (b * n + np.arange(n, dtype=np.int64))).reshape(shape)
+    for b in range(n):   # block b sets bit b*n + j_b, j_b on axis b (trailing 1s put it there)
+        bits = np.int64(1) << (b * n + np.arange(n, dtype=np.int64))
+        out += bits.reshape((-1,) + (1,) * (n - 1 - b))
     return out.reshape(-1)
 
 
@@ -91,21 +91,43 @@ def block_mixer_eigenvalues(n: int, normalized: bool) -> tuple:
     return 2.0 * (n - 1) * scale, -2.0 * scale
 
 
-def apply_block_xy_mixer(state: np.ndarray, n: int, beta: float,
-                         normalized: bool = True) -> np.ndarray:
-    """Per-block sector exponential via the two-eigenspace closed form.
+def apply_block_xy_mixer(state: np.ndarray, n: int, beta, normalized: bool = True) -> np.ndarray:
+    """Per-block sector exponential via the two-eigenspace closed form on a
+    C-contiguous (rows, n**n) batch, one beta per row (or a 1-D state).
 
     exp(-i b H_sec) = e^{-i b l_perp} I + (e^{-i b l_unif} - e^{-i b l_perp}) P_unif,
-    so one mean along each block axis suffices.
+    so one mean along each block axis suffices, axis 0 first.  Through
+    fullspace._chunks, the t trailing axes (n**t <= _CHUNK) go in slabs of
+    whole rows, after any leading ones in stripes of two or more columns (one
+    reduces in another order): the same bits at any _CHUNK and thread count.
+    The means go to one array made here, so no pool thread allocates them.
     """
-    lam_u, lam_p = block_mixer_eigenvalues(n, normalized)
-    eu = complex(np.exp(-1j * beta * lam_u))
-    ep = complex(np.exp(-1j * beta * lam_p))
-    arr = state.reshape([n] * n)
-    for axis in range(n):
-        m = np.add.reduce(arr, axis, keepdims=True) / n   # arr.mean's sum and divide
-        arr *= ep
-        arr += (eu - ep) * m
+    b = -1j * np.asarray(beta, dtype=np.float64).reshape(-1, 1)
+    eu, ep = (np.exp(b * lam) for lam in block_mixer_eigenvalues(n, normalized))
+    de, chunk, means = eu - ep, fullspace._CHUNK, np.empty(state.size // n, dtype=state.dtype)
+    t = max(t for t in range(1, n + 1) if n ** t <= chunk)
+    lead, tail = n ** (n - t), n ** t
+
+    def mix(block, e, d, axes, at):   # block's means in means[at:at + block.size // n]
+        for axis in axes:
+            m = means[at:at + block.size // n].reshape(
+                block.shape[:axis] + (1,) + block.shape[axis + 1:])
+            np.add.reduce(block, axis, keepdims=True, out=m)
+            block *= e
+            block += np.multiply(d, np.divide(m, n, out=m), out=m)   # arr.mean's sum and divide
+    if t < n:   # leading axes: each row in s column stripes
+        v, s = state.reshape((-1,) + (n,) * (n - t) + (tail,)), tail // max(2, chunk // lead)
+
+        def stripe(lo):
+            r, c = divmod(lo // chunk, s)
+            cols = slice(c * tail // s, (c + 1) * tail // s)
+            at = (r * tail + cols.start) * lead // n   # after the stripes before it
+            mix(v[r, ..., cols], ep[r, 0], de[r, 0], range(n - t), at)
+        fullspace._chunks(stripe, len(v) * s * chunk)
+    rows, h = state.reshape((-1,) + (n,) * t), chunk // tail
+    e, d = (np.repeat(x, lead).reshape((-1,) + (1,) * t) for x in (ep, de))
+    fullspace._chunks(lambda lo: mix(rows[(i := lo // chunk * h):i + h], e[i:i + h], d[i:i + h],
+                                     range(1, t + 1), i * tail // n), -(-len(rows) // h) * chunk)
     return state
 
 
@@ -119,16 +141,15 @@ def run_ce(cost: DiagonalCost, schedule: AngleSchedule, normalized: bool = True)
     return state
 
 
-def subspace_feasible_mass(state: np.ndarray) -> float:
-    """Probability on all-distinct symbol tuples."""
-    n = _infer_n(state.shape[0])
-    return float(np.sum(np.abs(state[feasible_subspace_indices(n)]) ** 2))
+def subspace_feasible_mass(state: np.ndarray):
+    """Probability on all-distinct symbol tuples: a float, or one per batch row."""
+    n = _infer_n(state.shape[-1])
+    mass = np.sum(np.abs(state[..., feasible_subspace_indices(n)]) ** 2, axis=-1)
+    return float(mass) if state.ndim == 1 else mass
 
 
 def _infer_n(dim: int) -> int:
-    n = 2
-    while n ** n < dim:
-        n += 1
+    n = next(n for n in itertools.count(2) if n ** n >= dim)
     if n ** n != dim:
         raise ValueError(f"length {dim} is not of the form n**n")
     return n
@@ -168,11 +189,6 @@ def best_block_relabeling(state: np.ndarray, target):
 # ---------------------------------------------------------------------------
 # bridge to the full space
 
-def project_to_subspace(full_state: np.ndarray, n: int) -> np.ndarray:
-    """Gather the one-hot-sector amplitudes of a full state (subspace order)."""
-    return np.array(full_state[subspace_to_full_labels(n)], dtype=np.complex128)
-
-
 def overlap_generic_ce(cost: DiagonalCost, gamma: float, beta: float) -> complex:
     """Subspace-projected overlap between one CE layer and one generic layer.
 
@@ -194,7 +210,7 @@ def overlap_generic_ce(cost: DiagonalCost, gamma: float, beta: float) -> complex
     ce = init_w_product(n)
     apply_block_xy_mixer(ce, n, beta, normalized=False)
     apply_subspace_cost_phase(ce, cost_levels(subspace_cost_table(cost)), gamma)
-    return complex(np.vdot(ce, project_to_subspace(gen, n)))
+    return complex(np.vdot(ce, gen[subspace_to_full_labels(n)]))   # its one-hot sector
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 
-from feasmass.fullspace import apply_x_mixer, fourth_moment, mixer_kernel_rows
+from feasmass.fullspace import apply_x_mixer, cost_levels, fourth_moment, mixer_kernel_rows
 from feasmass.instance import CapacityError, feasible_indices, feasible_subspace_indices
-from feasmass.subspace import block_mixer_eigenvalues, subspace_to_full_labels
+from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
+                               block_mixer_eigenvalues, init_w_product, subspace_cost_table,
+                               subspace_feasible_mass, subspace_to_full_labels)
 
 MAX_EMBED_SIZE = 4   # embedding needs the 2**(n*n) space too
 
@@ -107,6 +109,52 @@ def block_mixer_unitary(n: int, beta: float, normalized: bool = True) -> np.ndar
     proj = np.full((n, n), 1.0 / n)
     return (np.exp(-1j * beta * lam_p) * (np.eye(n) - proj)
             + np.exp(-1j * beta * lam_u) * proj)
+
+
+def axiswise_block_mixer(state: np.ndarray, n: int, beta: float,
+                         normalized: bool = True) -> np.ndarray:
+    """The block mixer on one whole n**n state, one block axis after another
+    (axis 0 first), each as one mean and two whole-array updates: the
+    per-element operations of the batched kernel, in its order, unchunked."""
+    lam_u, lam_p = block_mixer_eigenvalues(n, normalized)
+    eu = complex(np.exp(-1j * beta * lam_u))
+    ep = complex(np.exp(-1j * beta * lam_p))
+    arr = state.reshape([n] * n)
+    for axis in range(n):
+        m = np.add.reduce(arr, axis, keepdims=True) / n
+        arr *= ep
+        arr += (eu - ep) * m
+    return state
+
+
+def per_state_depth_walk(cost, p_max: int, grid, normalized: bool) -> list:
+    """(best mass, angles) per depth 1..p_max by the depth-first walk over
+    single states: each gamma phases a copy of its parent, each beta mixes a
+    copy of that and takes its feasible mass; the first maximum in grid order
+    wins."""
+    levels = cost_levels(subspace_cost_table(cost))
+    gammas, betas = grid.axes()
+    best = [(-1.0, None)] * p_max
+
+    def walk(parent, prefix):
+        for g in gammas:
+            phased = apply_subspace_cost_phase(parent.copy(), levels, g)
+            for b in betas:
+                state = apply_block_xy_mixer(phased.copy(), cost.n, b, normalized)
+                angles = prefix + ((g, b),)
+                mass = subspace_feasible_mass(state)
+                if mass > best[len(angles) - 1][0]:
+                    best[len(angles) - 1] = (mass, angles)
+                if len(angles) < p_max:
+                    walk(state, angles)
+
+    walk(init_w_product(cost.n), ())
+    return best
+
+
+def project_to_subspace(full_state: np.ndarray, n: int) -> np.ndarray:
+    """Gather the one-hot-sector amplitudes of a full state (subspace order)."""
+    return np.array(full_state[subspace_to_full_labels(n)], dtype=np.complex128)
 
 
 def embed_to_full(state: np.ndarray, n: int) -> np.ndarray:

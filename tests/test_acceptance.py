@@ -32,10 +32,11 @@ from feasmass.harmonic import (dyadic_convolve, feasible_mass_via_plancherel,
 from feasmass.instance import feasible_indices, load_instance, synthetic_instance
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                                init_w_product, overlap_generic_ce,
-                               project_to_subspace, run_ce, subspace_cost_table,
+                               run_ce, subspace_cost_table,
                                subspace_feasible_mass)
 
-from oracles import block_mixer_unitary, enumerated_twirl, pauli_block_sector
+from oracles import (block_mixer_unitary, enumerated_twirl, pauli_block_sector,
+                     project_to_subspace)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 

@@ -99,12 +99,13 @@ def test_traced_sweeps_fire_the_layer_spans(traced_runs):
     # the argmax check's phase, mixer and mass
     assert (grid.get("fullspace.apply_cost_phase"), grid.get("fullspace.apply_x_mixer"),
             grid.get("fullspace.feasible_mass")) == (3, 1, 1)
-    # depth 2 on 2x2: 2 + 4*2 phases (each delegates to the full-space
-    # kernel) and 4 + 4*4 mixers and masses
+    # depth 2 on 2x2: one batched mixer and one batched mass for the W
+    # product's 4 children, then one each for every child's 4; the phase
+    # rows are gathered once per gamma from the levels, with no phase call
     assert (depth.get("subspace.apply_subspace_cost_phase"),
             depth.get("fullspace.apply_cost_phase"),
             depth.get("subspace.apply_block_xy_mixer"),
-            depth.get("subspace.subspace_feasible_mass")) == (10, 10, 20, 20)
+            depth.get("subspace.subspace_feasible_mass")) == (None, None, 5, 5)
 
 
 def test_grid_n4_analogue_fires_its_predicted_spans(traced_runs):

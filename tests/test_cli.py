@@ -138,10 +138,12 @@ def test_run_transfer_violation_exits_2(tmp_path, capsys):
 
 
 def _one_over_call_count():
+    # one mass per row of a batch: 1 for every child of the first parent,
+    # then 1/2, 1/3, ... for each later parent's children
     calls = []
     def mass(state):
         calls.append(None)
-        return 1.0 / len(calls)
+        return np.full(state.shape[:-1], 1.0 / len(calls))
     return mass
 
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -18,7 +19,7 @@ from feasmass.fullspace import (AngleSchedule, apply_cost_phase, cost_levels, fo
 from feasmass.instance import load_instance, synthetic_instance
 from feasmass.subspace import run_ce, subspace_feasible_mass, subspace_to_full_labels
 
-from oracles import phase_block_l4_means, phase_matmul_lattice_masses
+from oracles import per_state_depth_walk, phase_block_l4_means, phase_matmul_lattice_masses
 
 
 def test_gridspec_validation():
@@ -131,6 +132,21 @@ def test_l4_sweep_under_envelope():
     res = l4_sweep(inst, [math.pi / 8, math.pi / 4])
     for d in res.metrics["per_beta"].values():
         assert d["mean"] <= d["envelope"] + 1e-9
+
+
+def test_l4_envelope_breach_at_small_beta_is_measured():
+    # a measurement, not a contract: l4 averages over the raw, degenerate
+    # lattice, where coinciding cost differences keep resonant quadruples,
+    # and the envelope is the average of independent one-qubit phases.  Every
+    # synthetic n = 3 seed from 1 to 12 (and wi3) passes it at beta = 0.05 and
+    # 0.1, which criterion 05's betas (0, pi/8, pi/4, 3 pi/8) do not sample
+    res = l4_sweep(synthetic_instance(3, seed=1), [0.05, 0.1])
+    per = res.metrics["per_beta"]
+    assert res.violated and not any(d["satisfied"] for d in per.values())
+    assert per[0.1]["mean"] == pytest.approx(0.002451742235, rel=1e-9)
+    assert per[0.1]["envelope"] == pytest.approx(0.002328707907, rel=1e-9)
+    assert per[0.05]["mean"] == pytest.approx(0.002096732693, rel=1e-9)
+    assert per[0.05]["envelope"] == pytest.approx(0.002042489632, rel=1e-9)
 
 
 def test_grid_search_degenerate_grid_is_baseline():
@@ -299,13 +315,64 @@ def test_grid_search_refuses_a_projection_off_the_circuit(monkeypatch, precision
 
 
 def test_depth_sweep_phases_once_per_gamma(monkeypatch):
-    # depth 1: 3 phases, 9 mixers; each of the 9 depth-1 states: 3 and 9 more;
-    # one build of the cost levels for all of them
-    counts = _count_calls(monkeypatch, "cost_levels", "apply_subspace_cost_phase",
-                          "apply_block_xy_mixer", "subspace_feasible_mass")
+    # one build of the cost levels and one phase vector per gamma for the
+    # whole walk; one batched mixer and one batched mass per parent: the W
+    # product, then each of the 9 depth-1 children
+    counts = _count_calls(monkeypatch, "cost_levels", "level_phases", "apply_block_xy_mixer",
+                          "subspace_feasible_mass")
     ce_depth_sweep(synthetic_instance(3, seed=2, high=5), 2, GridSpec(3, 3))
-    assert counts == {"cost_levels": 1, "apply_subspace_cost_phase": 3 + 9 * 3,
-                      "apply_block_xy_mixer": 90, "subspace_feasible_mass": 90}
+    assert counts == {"cost_levels": 1, "level_phases": 3, "apply_block_xy_mixer": 10,
+                      "subspace_feasible_mass": 10}
+
+
+DEPTH_GRIDS = {"zero": (1, 1, (0.0, 0.0), (0.0, 0.0)), "4x4": (4, 4), "6x5": (6, 5)}
+
+
+@functools.cache
+def _per_state_walk(n, grid, normalized):
+    return per_state_depth_walk(synthetic_instance(n, seed=2, high=5), 3,
+                                GridSpec(*DEPTH_GRIDS[grid]), normalized)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("grid", DEPTH_GRIDS)
+@pytest.mark.parametrize("p_max", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_depth_sweep_matches_per_state_walk(n, p_max, grid, normalized):
+    # the batched walk against the depth-first walk over single states: the
+    # same argmax angles, and the same masses bit for bit up to n = 3.  At
+    # n = 4 a batch sums its 24 feasible entries per row in another order
+    # than the 1-D sum, which moves a mass by an ulp or two
+    got = ce_depth_sweep(synthetic_instance(n, seed=2, high=5), p_max,
+                         GridSpec(*DEPTH_GRIDS[grid]), normalized).metrics["per_depth"]
+    want = _per_state_walk(n, grid, normalized)[:p_max]
+    assert [d["angles"] for d in got] == [[list(a) for a in angles] for _, angles in want]
+    for d, (mass, _) in zip(got, want):
+        if n <= 3:
+            assert d["best_mass"] == mass
+        else:
+            assert abs(d["best_mass"] - mass) <= 1e-15 * mass
+
+
+def test_depth_walk_holds_one_batch_per_layer():
+    # n = 4, 6x6: each layer keeps its (36, 256) batch while the children
+    # below it are walked, so each layer past the first adds one batch (and
+    # the walk's frames and angle tuples) to the peak: 2.4, 3.4 and 4.4
+    # batches at p = 1, 2, 3.  At p = 1 that is the batch, the phase rows and
+    # the mixer's means plus numpy's reduction buffer of 8,192 entries
+    cost = synthetic_instance(4, seed=1)
+    ce_depth_sweep(cost, 1, GridSpec(1, 1, (0.0, 0.0), (0.0, 0.0)))   # index caches
+    peaks = []
+    for p_max in (1, 3):
+        tracemalloc.start()
+        try:
+            ce_depth_sweep(cost, p_max, GridSpec(6, 6))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    batch = 36 * 4 ** 4 * 16
+    assert peaks[0] < 3 * batch, f"p = 1: peak {peaks[0] / batch:.2f} batches"
+    assert peaks[1] - peaks[0] < 2.1 * batch, f"p = 3: {(peaks[1] - peaks[0]) / batch:.2f} more"
 
 
 WI4 = Path(__file__).resolve().parent.parent / "instances" / "wi4.txt"

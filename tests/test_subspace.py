@@ -17,13 +17,13 @@ from feasmass.instance import (CapacityError, _dense_cost, enumerate_feasible,
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                                best_block_relabeling, block_mixer_eigenvalues,
                                init_w_product, leakage_gram, leakage_spectrum,
-                               overlap_generic_ce, project_to_subspace, run_ce,
+                               overlap_generic_ce, run_ce,
                                subspace_cost_table, subspace_feasible_mass,
                                subspace_to_full_labels, twirl_average)
 
-from oracles import (block_mixer_sector, block_mixer_unitary, cost_value,
+from oracles import (axiswise_block_mixer, block_mixer_sector, block_mixer_unitary, cost_value,
                      dense_leakage_gram, embed_to_full, enumerated_twirl,
-                     pauli_block_sector, tuple_to_label)
+                     pauli_block_sector, project_to_subspace, tuple_to_label)
 
 
 def index(symbols, n: int) -> int:
@@ -220,6 +220,63 @@ def test_block_mixer_zero_angle():
     ref = st.copy()
     apply_block_xy_mixer(st, 3, 0.0, normalized=True)
     assert np.allclose(st, ref, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_block_mixer_batch_is_single_calls_bitwise(n, normalized):
+    # one beta per row; 30 rows of n = 5 are two slabs of 20 and 10 rows
+    rng = np.random.default_rng(n)
+    betas = rng.uniform(-1.0, 3.0, 30)
+    batch = rng.standard_normal((30, n ** n)) + 1j * rng.standard_normal((30, n ** n))
+    want = np.stack([apply_block_xy_mixer(row.copy(), n, b, normalized)
+                     for row, b in zip(batch, betas)])
+    got = apply_block_xy_mixer(batch.copy(), n, betas, normalized)
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_block_mixer_slabs_match_axiswise_oracle_bitwise(monkeypatch, n, chunk, workers):
+    # in slabs of whole rows (and, at n = 7 or at 64-entry chunks, leading
+    # axes in column stripes first) on the pool, against one whole-array
+    # pass per axis: the same bits at either chunk size and worker count.
+    # A two-row batch, one beta per row, is checked at the default chunk
+    # (at 64 entries n = 7 makes 16,807 slabs per row)
+    from concurrent.futures import ThreadPoolExecutor
+    import feasmass.fullspace as fs
+    if chunk:
+        monkeypatch.setattr(fs, "_CHUNK", chunk)
+    rng = np.random.default_rng(n)
+    st = rng.standard_normal(n ** n) + 1j * rng.standard_normal(n ** n)
+    pair = rng.standard_normal((2, n ** n)) + 1j * rng.standard_normal((2, n ** n))
+    normalized = workers == 1
+    used = []
+    with ThreadPoolExecutor(workers) as pool:
+        monkeypatch.setattr(fs, "_pool", lambda: used.append(1) or pool)
+        want = axiswise_block_mixer(st.copy(), n, 0.37, normalized)
+        got = apply_block_xy_mixer(st.copy(), n, 0.37, normalized)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        if not chunk:
+            want = np.stack([axiswise_block_mixer(row.copy(), n, b, normalized)
+                             for row, b in zip(pair, (2.1, -0.6))])
+            got = apply_block_xy_mixer(pair.copy(), n, [2.1, -0.6], normalized)
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    # the pool runs exactly the batches of more than one chunk
+    assert bool(used) == (n ** n > fs._CHUNK or (not chunk and 2 * n ** n > fs._CHUNK))
+
+
+def test_block_mixer_batch_of_one_chunk_stays_on_the_caller(monkeypatch):
+    # a depth walk's largest batch (36 rows of 4**4) and a 6**6 state each fit
+    # in one chunk: the pool is never asked for
+    import feasmass.fullspace as fs
+
+    def no_pool():
+        raise AssertionError("pool started")
+    monkeypatch.setattr(fs, "_pool", no_pool)
+    apply_block_xy_mixer(np.ones((36, 4 ** 4), dtype=complex), 4, np.linspace(0, 3, 36))
+    apply_block_xy_mixer(init_w_product(6), 6, 0.4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
