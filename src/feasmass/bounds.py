@@ -6,7 +6,7 @@ base-e log value; linear values appear only where they provably fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -14,9 +14,9 @@ class BoundReport:
     """One evaluated bound or inequality check."""
 
     name: str
-    params: dict = field(default_factory=dict)
-    value: float = math.nan
-    satisfied: bool | None = None
+    params: dict
+    value: float
+    satisfied: bool
 
 
 def log_factorial(n: int) -> float:
@@ -95,16 +95,13 @@ def verify_bounds() -> list:
     n_ratio_max, n_control_max, n_stirling_max = 50, 200, 60
     reports = []
     ratio_ok = all(injective_ratio_inequality_holds(n) for n in range(2, n_ratio_max + 1))
-    reports.append(BoundReport("injective_ratio_inequality",
-                               {"n_max": n_ratio_max}, value=math.nan,
-                               satisfied=ratio_ok))
+    reports.append(BoundReport("injective_ratio_inequality", {"n_max": n_ratio_max},
+                               value=math.nan, satisfied=ratio_ok))
     for c_t in (0.1, 0.5, 1.0):
         start = control_threshold_start(c_t)
-        ok = all(control_inequality_holds(c_t, n)
-                 for n in range(start, n_control_max + 1))
+        ok = all(control_inequality_holds(c_t, n) for n in range(start, n_control_max + 1))
         reports.append(BoundReport("control_threshold",
-                                   {"c_t": c_t, "start": start,
-                                    "n_max": n_control_max},
+                                   {"c_t": c_t, "start": start, "n_max": n_control_max},
                                    value=math.nan, satisfied=ok))
     for n in range(2, n_stirling_max + 1):
         exact, floor = transfer_factor(n)

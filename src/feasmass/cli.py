@@ -63,6 +63,12 @@ def _parse_finite(text: str) -> float:
     return val
 
 
+def _parse_count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple:
     try:
         lo, hi = text.split(":")
@@ -375,8 +381,8 @@ def build_parser() -> _Parser:
                      metavar="GxB", help="grid points per axis (default 10x10)")
     run.add_argument("--range-gamma", type=_parse_range, default=(0.0, math.pi), metavar="LO:HI")
     run.add_argument("--range-beta", type=_parse_range, default=(0.0, math.pi), metavar="LO:HI")
-    run.add_argument("--shots", type=int, default=0)
-    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--shots", type=_parse_count, default=0)
+    run.add_argument("--seed", type=_parse_count, default=1)
     run.add_argument("--depth", type=int, default=1)
     run.add_argument("--normalized-mixer", type=_parse_bool, default=True, metavar="BOOL")
     run.add_argument("--precision", choices=["f64", "f32"], default="f64")

@@ -2,14 +2,15 @@
 searches, parameter transfer, shot histograms, depth sweeps and the twirl
 existence check.
 
-The lattice grids (markov, l4) share one kernel: a mixer kernel row
-scattered onto the integer cost lattice transforms by one FFT to that label's
-amplitude at every grid angle; avg takes the energy of the scattered rows
-(Parseval) instead.  Both angle grids, the generic grid search and the CE
-depth sweep, share one depth-first walker (``_walk``) over a layer per
-ansatz.  The generic layer phases a fresh |+> once per gamma and projects it
-per beta (fullspace.mixed_feasible_mass); its argmax is re-run as a whole
-circuit.  The CE layer mixes every (gamma, beta) child of a state as one batch.
+The angle averages (avg, markov, l4) bin every mixer kernel row onto the
+distinct costs in one place (``_binned_rows``).  avg sums the energy of the
+bins (Parseval); the lattice grids (markov, l4) lay each binned row on the
+integer cost lattice, where one FFT gives that label's amplitude at every grid
+angle.  Both angle grids, the generic grid search and the CE depth sweep,
+share one depth-first walker (``_walk``) over a layer per ansatz.  The generic
+layer phases a fresh |+> once per gamma and projects it per beta
+(fullspace.mixed_feasible_mass); its argmax is re-run as a whole circuit.  The
+CE layer mixes every (gamma, beta) child of a state as one batch.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .fullspace import (_DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels,
-                        feasible_mass, fourth_moment, init_plus, level_phases,
+from .fullspace import (_CHUNK, _DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer,
+                        cost_levels, feasible_mass, init_plus, level_phases,
                         mixed_feasible_mass, mixer_kernel_rows, run_generic, sample_counts)
 from .instance import (CapacityError, DiagonalCost, enumerate_feasible, feasible_indices,
                        feasible_subspace_indices)
@@ -89,47 +90,51 @@ def _smooth_length(span: int) -> int:
     return min(p << (-(-span // p) - 1).bit_length() for p in odd)
 
 
-def _lattice_costs(cost: DiagonalCost, tie_break: bool, order: int) -> tuple:
-    """Costs shifted onto the lattice 0..spread, and the grid length L: the
-    least 5-smooth L > order * spread (exact for phases that sum ``order``
-    cost differences), checked against the cap."""
-    h = cost.tie_broken_vector() if tie_break else cost.cost_vector().astype(np.int64)
-    h = h - h.min()
-    L = _smooth_length(order * int(h.max()) + 1)
+def _binned_rows(cost: DiagonalCost, tie_break: bool, rows: np.ndarray, beta: float) -> tuple:
+    """The distinct costs of the tie-broken or raw table, ascending, and a
+    generator that builds each kernel row 2**(-N/2) K[x], x in ``rows``, only
+    when iterated, binned onto those costs as a (Re, Im) bincount pair."""
+    if cost.n > 4:
+        raise ValueError("angle averaging capped at n=4")
+    h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
+    values, level = np.unique(h, return_inverse=True)
+    def bins():
+        N = cost.num_qubits
+        for row in mixer_kernel_rows(rows, float(beta), N) * 2.0 ** (-N / 2):
+            yield np.bincount(level, row.real), np.bincount(level, row.imag)
+    return values, bins()
+
+
+def _lattice_spectra(cost: DiagonalCost, tie_break: bool, rows: np.ndarray, beta: float,
+                     order: int) -> tuple:
+    """(L, spectra): per row x, the amplitude a_x after one layer from |+> at every
+    gamma_k = 2 pi k / L, k < L: its binned row laid at its costs in one reused buffer, FFTed.
+    L is the least 5-smooth length > order * spread (exact for phases that sum ``order``
+    cost differences), checked against the cap before any kernel row is built."""
+    values, bins = _binned_rows(cost, tie_break, rows, beta)
+    at = values - values[0]
+    L = _smooth_length(order * int(at[-1]) + 1)
     if L > MAX_LATTICE_POINTS:
         hint = " - consider --tie-break false" if tie_break else ""
         raise CapacityError(f"lattice grid needs {L} points (cap {MAX_LATTICE_POINTS}); "
                             f"large-spread instances are out of exact-averaging reach{hint}")
-    return h, L
-
-
-def _lattice_spectra(h: np.ndarray, rows: np.ndarray, beta: float, L: int):
-    """Per row x, the amplitude a_x after one layer from |+> at every grid
-    angle gamma_k = 2 pi k / L, k = 0..L-1 (one reused buffer).
-
-    The kernel row scattered onto the lattice (w_x(m) sums its entries over
-    labels of cost m) transforms by one length-L FFT to a_x, so memory
-    beside the kernel rows is O(L).
-    """
-    N = h.size.bit_length() - 1
-    w = np.empty(L, dtype=np.complex128)
-    for col in mixer_kernel_rows(rows, beta, N) * 2.0 ** (-N / 2):
-        w.real = np.bincount(h, weights=col.real, minlength=L)
-        w.imag = np.bincount(h, weights=col.imag, minlength=L)
-        np.fft.fft(w, out=w)
-        yield w
+    def spectra():
+        w = np.empty(L, dtype=np.complex128)
+        for re, im in bins:
+            w.fill(0)
+            w.real[at], w.imag[at] = re, im
+            np.fft.fft(w, out=w)
+            yield w
+    return L, spectra()
 
 
 def lattice_feasible_masses(cost: DiagonalCost, beta: float, tie_break: bool = True) -> np.ndarray:
-    """Feasible mass at every grid angle gamma_k = 2 pi k / L, k = 0..L-1, on
-    the integer cost lattice, split into single labels with ``tie_break``
-    (DiagonalCost.tie_broken_vector): any L > spread averages every nonzero
-    cost difference to zero exactly (L: see _lattice_costs)."""
-    if cost.n > 4:
-        raise ValueError("lattice averaging capped at n=4")
-    h, L = _lattice_costs(cost, tie_break, 1)
+    """Feasible mass at every grid angle gamma_k = 2 pi k / L, k < L, on the integer cost
+    lattice, split into single labels with ``tie_break`` (DiagonalCost.tie_broken_vector):
+    any L > spread averages every nonzero cost difference to zero exactly."""
+    L, spectra = _lattice_spectra(cost, tie_break, feasible_indices(cost.n), beta, 1)
     masses = np.zeros(L, dtype=np.float64)
-    for a in _lattice_spectra(h, feasible_indices(cost.n), float(beta), L):
+    for a in spectra:
         masses += a.real ** 2 + a.imag ** 2
     return masses
 
@@ -139,13 +144,8 @@ def exact_angle_average(cost: DiagonalCost, beta: float,
     """Angle mean of the single-layer feasible mass (contract: n!/2**(n**2)
     within 1e-10 on the tie-broken lattice).  Terms between distinct cost levels
     average out (Parseval): 2**-N sum_{x feasible, level} |sum_{y in level} K_xy|**2."""
-    if cost.n > 4:
-        raise ValueError("angle averaging capped at n=4")
-    h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
-    level = np.unique(h, return_inverse=True)[1]
-    mean = sum(float(np.sum(np.bincount(level, row.real) ** 2 + np.bincount(level, row.imag) ** 2))
-               for row in mixer_kernel_rows(feasible_indices(cost.n), float(beta), cost.num_qubits))
-    mean /= 2.0 ** cost.num_qubits
+    bins = _binned_rows(cost, tie_break, feasible_indices(cost.n), beta)[1]
+    mean = sum(float(np.sum(re ** 2 + im ** 2)) for re, im in bins)
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     return ExperimentResult(
         name="exact_angle_average", instance=cost.name,
@@ -180,11 +180,13 @@ def l4_sweep(cost: DiagonalCost, betas) -> ExperimentResult:
     """
     if cost.n > 3:
         raise ValueError("fourth-moment sweep capped at n=3")
-    h, L = _lattice_costs(cost, False, 2)
-    rows = np.arange(h.size)
-    per_beta = {}
+    rows = np.arange(1 << cost.num_qubits)
+    per_beta, L = {}, None
     for beta in betas:
-        mean = sum(fourth_moment(a) for a in _lattice_spectra(h, rows, beta, L)) / L
+        L, spectra = _lattice_spectra(cost, False, rows, beta, 2)
+        # |a|**4 in _CHUNK slices, so no temporary is as long as the spectrum
+        mean = sum(sum(float(np.sum((q := np.abs(a[lo:lo + _CHUNK]) ** 2) * q))
+                       for lo in range(0, L, _CHUNK)) for a in spectra) / L
         envelope = math.exp(bounds.l4_envelope(cost.num_qubits, beta))
         per_beta[float(beta)] = {"mean": mean, "envelope": envelope,
                                  "satisfied": mean <= envelope + 1e-9}

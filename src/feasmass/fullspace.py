@@ -7,7 +7,7 @@ Every mixer matrix comes from mixer_kernel_rows: the X mixer takes its real
 blocks conj(P) K conj(P), the feasible mass after the mixer only its one-hot
 rows (mixed_feasible_mass).  Full-space passes take _CHUNK entries at a time,
 so none makes a full-state temporary; the |+> fill, the cost phase, the X
-mixer and the norms spread their chunks over the CPUs (_chunks).  No result
+mixer and the norm spread their chunks over the CPUs (_chunks).  No result
 depends on either thread count.
 """
 from __future__ import annotations
@@ -198,12 +198,6 @@ def mixed_feasible_mass(state: np.ndarray, beta: float, n: int) -> float:
         for lo in range(0, v.shape[0], step):
             t[:, lo:lo + step] = (v[lo:lo + step] @ s).T
     return float(np.sum(np.abs(t.reshape(-1)[feasible_subspace_indices(n)]) ** 2))
-
-
-def fourth_moment(state: np.ndarray) -> float:
-    """sum_x |amps[x]|**4 as a*a, a = |amps[x]|**2, summed like norm_squared."""
-    return sum(_chunks(lambda lo: float(np.sum((a := np.abs(state[lo:lo + _CHUNK]) ** 2) * a)),
-                       state.size))
 
 
 def sample_counts(state: np.ndarray, shots: int, seed: int) -> tuple:

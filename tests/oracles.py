@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from feasmass.fullspace import apply_x_mixer, cost_levels, fourth_moment, mixer_kernel_rows
+from feasmass.experiments import _smooth_length
+from feasmass.fullspace import apply_x_mixer, cost_levels, mixer_kernel_rows
 from feasmass.instance import CapacityError, feasible_indices, feasible_subspace_indices
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                                block_mixer_eigenvalues, init_w_product, subspace_cost_table,
@@ -278,6 +279,58 @@ def cumsum_copy_sample_counts(state: np.ndarray, shots: int, seed: int) -> dict:
     u = np.random.Generator(np.random.Philox(seed)).random(shots)
     labels, counts = np.unique(np.searchsorted(cdf, u, side="right"), return_counts=True)
     return {int(l): int(c) for l, c in zip(labels, counts)}
+
+
+def fourth_moment(state: np.ndarray) -> float:
+    """sum_x |amps[x]|**4 as a*a, a = |amps[x]|**2, in one numpy sum."""
+    a = np.abs(state) ** 2
+    return float(np.sum(a * a))
+
+
+def label_lattice_costs(cost, tie_break: bool, order: int) -> tuple:
+    """Costs shifted onto the lattice 0..spread, and the least 5-smooth grid
+    length L > order * spread (no cap)."""
+    h = cost.tie_broken_vector() if tie_break else cost.cost_vector().astype(np.int64)
+    h = h - h.min()
+    return h, _smooth_length(order * int(h.max()) + 1)
+
+
+def label_lattice_spectra(h: np.ndarray, rows, beta: float, L: int):
+    """Per row x, a_x at every gamma_k = 2 pi k / L: the scaled kernel row
+    scattered onto the length-L lattice label by label (one bincount over all
+    2**N labels per part), then one in-place FFT, in one reused buffer."""
+    N = h.size.bit_length() - 1
+    w = np.empty(L, dtype=np.complex128)
+    for col in mixer_kernel_rows(rows, beta, N) * 2.0 ** (-N / 2):
+        w.real = np.bincount(h, weights=col.real, minlength=L)
+        w.imag = np.bincount(h, weights=col.imag, minlength=L)
+        np.fft.fft(w, out=w)
+        yield w
+
+
+def label_lattice_masses(cost, beta: float, tie_break: bool) -> np.ndarray:
+    """Feasible mass at every lattice angle, summed over label-scattered spectra."""
+    h, L = label_lattice_costs(cost, tie_break, 1)
+    masses = np.zeros(L, dtype=np.float64)
+    for a in label_lattice_spectra(h, feasible_indices(cost.n), float(beta), L):
+        masses += a.real ** 2 + a.imag ** 2
+    return masses
+
+
+def label_lattice_l4_mean(cost, beta: float) -> float:
+    """Grid mean of sum_x |a_x|**4 over the raw lattice at L > 2 * spread."""
+    h, L = label_lattice_costs(cost, False, 2)
+    return sum(fourth_moment(a) for a in label_lattice_spectra(h, np.arange(h.size), beta, L)) / L
+
+
+def unscaled_level_average(cost, beta: float, tie_break: bool) -> float:
+    """2**-N sum over feasible x and cost levels of |sum_{y in level} K_xy|**2,
+    the unscaled kernel rows binned by an np.unique level index."""
+    h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
+    level = np.unique(h, return_inverse=True)[1]
+    mean = sum(float(np.sum(np.bincount(level, row.real) ** 2 + np.bincount(level, row.imag) ** 2))
+               for row in mixer_kernel_rows(feasible_indices(cost.n), float(beta), cost.num_qubits))
+    return mean / 2.0 ** cost.num_qubits
 
 
 def phase_matmul_lattice_masses(cost, betas, L=None, tie_break=True) -> np.ndarray:

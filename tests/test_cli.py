@@ -156,7 +156,7 @@ _only_label_0 = lambda state, shots, seed: (np.array([0]), np.array([1000]))
     (["avg", "--tie-break", "false"], "mixer_kernel_rows",
      lambda *a: _real_kernel_rows(*a) * (1 + 1e-6), 0),
     (["markov"], "lattice_feasible_masses", lambda *a, **k: np.ones(8), 2),
-    (["l4"], "fourth_moment", lambda a: 1e9, 2),
+    (["l4"], "mixer_kernel_rows", lambda *a: _real_kernel_rows(*a) * 10, 2),
     (["hist", "--method", "ce", "--shots", "1000"], "sample_counts", _only_label_0, 2),
     (["hist", "--method", "ce", "--shots", "0"], "sample_counts", _only_label_0, 0),
     (["depth", "--depth", "2", "--grid", "2x2"], "subspace_feasible_mass", None, 2),
@@ -335,9 +335,9 @@ def test_x_mixer_bits_independent_of_blas_threads_and_pool_workers():
 
 
 def test_run_files_independent_of_pool_workers(tmp_path, monkeypatch):
-    # at 512-entry chunks every run spreads chunks over the pool (at least 3
-    # per pass: l4 on n = 3 sums spectra of L = 1350); one worker and two
-    # must write the same bytes
+    # at 512-entry chunks every run spreads chunks over the pool; one worker
+    # and two must write the same bytes (l4 sums its spectra on the calling
+    # thread, off the pool: test_l4_sweep_matches_label_scatter_oracle_bitwise)
     from concurrent.futures import ThreadPoolExecutor
     import feasmass.fullspace as fs
     monkeypatch.setattr(fs, "_CHUNK", 512)
@@ -346,7 +346,6 @@ def test_run_files_independent_of_pool_workers(tmp_path, monkeypatch):
         ["run", "hist", "--instance", WI4, "--method", "generic", "--precision", "f64"],
         ["run", "hist", "--n", "5", "--method", "ce"],
         ["run", "twirl", "--n", "6"],
-        ["run", "l4", "--n", "3"],
     ]
     written = {}
     for workers in (1, 2):
@@ -632,6 +631,36 @@ def test_run_non_finite_value_exits_1(tmp_path, capsys, flag, args):
     assert rc == 1
     assert f"error: argument --{flag}: expected a finite number" in err.splitlines()[-1]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,args", [
+    ("shots", ["hist", "--instance", WI4, "--method", "generic", "--shots", "-1"]),
+    ("shots", ["hist", "--n", "2", "--shots", "1.5"]),
+    ("seed", ["hist", "--instance", WI4, "--method", "generic", "--shots", "10", "--seed", "-1"]),
+    ("seed", ["avg", "--n", "2", "--seed", "-3000"]),
+    ("seed", ["twirl", "--n", "3", "--seed", "-1"]),
+    ("seed", ["avg", "--n", "2", "--seed=x"]),
+])
+def test_run_negative_count_exits_1_before_any_instance(tmp_path, capsys, monkeypatch, flag, args):
+    # shots and seeds are refused while the arguments are parsed, naming the
+    # flag, so no instance, table or state is built for them
+    import feasmass.cli as cli
+    def unreachable(*a, **k):
+        raise AssertionError("instance built")
+    monkeypatch.setattr(cli, "load_instance", unreachable)
+    monkeypatch.setattr(cli, "synthetic_instance", unreachable)
+    out = tmp_path / "new"
+    assert run_cli(["run", *args, "--out", str(out)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: argument --{flag}: expected a non-negative integer, got ")
+    assert not out.exists()
+
+
+def test_run_zero_seed_and_shots_still_run(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["run", "hist", "--n", "2", "--seed", "0", "--shots", "0",
+                    "--out", str(out)]) == 0
+    assert any(out.glob("hist_*.csv"))
 
 
 @pytest.mark.parametrize("flag,value,args", [

@@ -14,12 +14,14 @@ from feasmass.experiments import (GridSpec, _bitstrings, ce_depth_sweep,
                                   grid_search_generic, l4_sweep,
                                   lattice_feasible_masses, markov_fraction,
                                   parameter_transfer, twirl_existence_experiment)
-from feasmass.fullspace import (AngleSchedule, apply_cost_phase, cost_levels, fourth_moment,
-                                init_plus, mixed_feasible_mass, run_generic)
+from feasmass.fullspace import (AngleSchedule, apply_cost_phase, cost_levels, init_plus,
+                                mixed_feasible_mass, run_generic)
 from feasmass.instance import load_instance, synthetic_instance
 from feasmass.subspace import run_ce, subspace_feasible_mass, subspace_to_full_labels
 
-from oracles import per_state_depth_walk, phase_block_l4_means, phase_matmul_lattice_masses
+from oracles import (fourth_moment, label_lattice_l4_mean, label_lattice_masses,
+                     per_state_depth_walk, phase_block_l4_means, phase_matmul_lattice_masses,
+                     unscaled_level_average)
 
 
 def test_gridspec_validation():
@@ -107,6 +109,46 @@ def test_smooth_grid_mean_equals_spread_plus_one_grid_mean(n, seed, high, tie_br
     masses = lattice_feasible_masses(cost, 0.7, tie_break=tie_break)
     assert len(masses) == experiments._smooth_length(span)
     assert abs(masses.mean() - want) <= 1e-15
+
+
+WI4 = Path(__file__).resolve().parent.parent / "instances" / "wi4.txt"
+# lattice-ce's n = 3 instances (benchmark seeds 1 and 2) are synthetic seeds 7921 and 15847
+LEVEL_CASES = [(2, 1, 3), (2, 2, 5), (3, 1, 5), (3, 7921, 9), (3, 15847, 9)]
+
+
+@pytest.mark.parametrize("n,seed,high,tie_break",   # tie-broken n = 4 is past the lattice cap
+                         [(*c, t) for c in LEVEL_CASES for t in (True, False)] + [(4, 1, 9, False)])
+def test_lattice_masses_match_label_scatter_oracle_bitwise(n, seed, high, tie_break):
+    # each level bin sums its labels' kernel entries in label order, as the
+    # scatter of every label onto the lattice did, so the FFT sees the same bits
+    cost = synthetic_instance(n, seed=seed, high=high)
+    for beta in (0.0, 0.3, 0.7, 1.1):
+        got = lattice_feasible_masses(cost, beta, tie_break=tie_break)
+        assert got.tobytes() == label_lattice_masses(cost, beta, tie_break).tobytes()
+
+
+@pytest.mark.parametrize("n,seed,high", LEVEL_CASES)
+def test_l4_sweep_matches_label_scatter_oracle_bitwise(n, seed, high):
+    cost = synthetic_instance(n, seed=seed, high=high)
+    betas = [0.0, math.pi / 8, 0.392699, 0.9]
+    res = l4_sweep(cost, betas)
+    assert [res.metrics["per_beta"][b]["mean"] for b in betas] == [
+        label_lattice_l4_mean(cost, b) for b in betas]
+
+
+@pytest.mark.parametrize("tie_break", [True, False])
+@pytest.mark.parametrize("case", LEVEL_CASES + [(4, 1, 9), "wi4"])
+def test_angle_average_matches_unscaled_level_binning(case, tie_break):
+    # the rows are scaled by 2**(-N/2) before binning; at even N that is a
+    # power of two and moves no bit, at odd N it rounds within 4 ulp of the mean
+    cost = load_instance(WI4) if case == "wi4" else synthetic_instance(*case)
+    for beta in (0.0, 0.3, 0.7, 1.1):
+        got = exact_angle_average(cost, beta, tie_break=tie_break).metrics["mean"]
+        want = unscaled_level_average(cost, beta, tie_break)
+        if cost.num_qubits % 2 == 0:
+            assert got == want
+        else:
+            assert abs(got - want) <= 4 * np.spacing(want)
 
 
 def test_markov_fraction_bounds():
@@ -481,6 +523,17 @@ def test_lattice_cap_names_size():
     cost = load_instance(Path(__file__).resolve().parent.parent / "instances" / "wi4.txt")
     with pytest.raises(CapacityError, match="consider --tie-break false$"):
         lattice_feasible_masses(cost, 0.7, tie_break=True)
+
+
+def test_lattice_cap_is_checked_before_any_kernel_row(monkeypatch):
+    # L comes from the level values; the kernel rows are built only when the
+    # binned rows are read, so an over-cap grid builds none
+    from feasmass.instance import CapacityError
+    def unreachable(*a):
+        raise AssertionError("kernel rows built")
+    monkeypatch.setattr(experiments, "mixer_kernel_rows", unreachable)
+    with pytest.raises(CapacityError, match="85429687500 points"):
+        lattice_feasible_masses(load_instance(WI4), 0.7, tie_break=True)
 
 
 def test_l4_grid_mean_is_grid_size_independent():

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 
 from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels,
-                                feasible_mass, fourth_moment, init_plus,
+                                feasible_mass, init_plus,
                                 mixed_feasible_mass, mixer_kernel_rows, norm_squared,
                                 run_generic, sample_counts)
 from feasmass.instance import CapacityError, load_instance, synthetic_instance
 
-from oracles import cumsum_copy_sample_counts, kron_mixer
+from oracles import cumsum_copy_sample_counts, fourth_moment, kron_mixer
 
 
 @pytest.mark.parametrize("num_bits", [1, 2, 3, 4, 5])
