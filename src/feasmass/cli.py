@@ -113,13 +113,11 @@ def _config_hash(config: dict) -> str:
 
 def _write_jsonl(path: Path, config: dict, chash: str, result: ExperimentResult):
     record = dict(result.to_json_dict(), config=config, config_hash=chash)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, chash: str, header: str, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(f"# config {chash}\n{header}\n")
         for row in rows:
@@ -195,6 +193,7 @@ def cmd_run(args) -> int:
     res = run()
     wall_clock = time.perf_counter() - t0
 
+    out.mkdir(parents=True, exist_ok=True)
     if res.table:
         _write_csv(out / f"{stem}.csv", chash, *res.table)
     _write_jsonl(out / f"{stem}.jsonl", config, chash, res)

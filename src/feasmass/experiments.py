@@ -8,9 +8,9 @@ bins (Parseval); the lattice grids (markov, l4) lay each binned row on the
 integer cost lattice, where one FFT gives that label's amplitude at every grid
 angle.  Both angle grids, the generic grid search and the CE depth sweep,
 share one depth-first walker (``_walk``) over a layer per ansatz.  The generic
-layer phases a fresh |+> once per gamma and projects it per beta
-(fullspace.mixed_feasible_mass); its argmax is re-run as a whole circuit.  The
-CE layer mixes every (gamma, beta) child of a state as one batch.
+layer phases a fresh P|+> (the X mixer's frame) per gamma and projects it onto
+each beta's real rows, built once (fullspace.mixed_feasible_mass); its argmax is
+re-run from |+> as a whole circuit.  The CE layer mixes a state's children at once.
 """
 from __future__ import annotations
 
@@ -21,8 +21,9 @@ import numpy as np
 
 from . import bounds
 from .fullspace import (_CHUNK, _DTYPES, AngleSchedule, apply_cost_phase, apply_x_mixer,
-                        cost_levels, feasible_mass, init_plus, level_phases,
-                        mixed_feasible_mass, mixer_kernel_rows, run_generic, sample_counts)
+                        cost_levels, feasible_mass, init_p_plus, init_plus, level_phases,
+                        mixed_feasible_mass, mixer_kernel_rows, real_mixer_rows, run_generic,
+                        sample_counts)
 from .instance import (CapacityError, DiagonalCost, enumerate_feasible, feasible_indices,
                        feasible_subspace_indices)
 from .subspace import (_check_label_bits, apply_block_xy_mixer, best_block_relabeling,
@@ -219,18 +220,19 @@ def grid_search_generic(cost: DiagonalCost, grid: GridSpec,
     first maximum in that order.  It is re-run as a whole circuit, an
     independent oracle: masses over 1e-12 apart, relative (1e-5 in f32),
     raise ValueError."""
-    levels = cost_levels(cost.cost_vector())
-    fresh = lambda: init_plus(cost.num_qubits, dtype=_DTYPES[precision])
+    levels, n = cost_levels(cost.cost_vector()), cost.n
+    fresh = lambda init: init(cost.num_qubits, _DTYPES[precision])
     gammas, betas = grid.axes()
+    one_hot = [(b, real_mixer_rows(1 << np.arange(n), b, n)) for b in betas]   # once per grid
 
-    def layer(_):   # p = 1: each gamma phases a fresh |+>, each beta projects it
+    def layer(_):   # p = 1: each gamma phases a fresh P|+>, each beta projects it
         for g in gammas:
-            phased = apply_cost_phase(fresh(), levels, g)
-            yield from (((g, b), mixed_feasible_mass(phased, b, cost.n), None) for b in betas)
+            phased = apply_cost_phase(fresh(init_p_plus), levels, g)
+            yield from (((g, b), mixed_feasible_mass(phased, m, n), None) for b, m in one_hot)
             del phased   # before the next gamma's fresh state
     rows = [(g, b, mass) for ((g, b),), mass in _walk(layer, None, 1)]
     g, b, best = max(rows, key=lambda row: row[2])
-    check = feasible_mass(apply_x_mixer(apply_cost_phase(fresh(), levels, g), b), cost.n)
+    check = feasible_mass(apply_x_mixer(apply_cost_phase(fresh(init_plus), levels, g), b), n)
     if abs(check - best) > {"f64": 1e-12, "f32": 1e-5}[precision] * abs(check):
         raise ValueError(f"grid argmax ({g}, {b}): projected mass {best!r}, circuit {check!r}")
     return ExperimentResult(

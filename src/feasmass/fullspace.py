@@ -3,13 +3,13 @@
 States are 1-D complex ndarrays of length 2**N indexed by the basis label
 (bit k = qubit k), mutated in place and returned; complex64 halves N = 25 to
 256 MiB.  A cost phase gathers one complex128 exp per level (level_phases).
-Every mixer matrix comes from mixer_kernel_rows: the X mixer takes its real
-blocks conj(P) K conj(P), the feasible mass after the mixer only its one-hot
-rows (mixed_feasible_mass).  Full-space passes take _CHUNK entries at a time,
-so none makes a full-state temporary; the |+> fill, the cost phase, the X
-mixer and the norm spread their chunks over the CPUs (_chunks).  No result
-depends on either thread count.
-"""
+The X mixer is P M P, P = diag((-i)**popcount) exact (_p) and M = conj(P) K
+conj(P) real, K from mixer_kernel_rows (real_mixer_rows); the feasible mass
+after it takes M's one-hot rows on a state already times P (init_p_plus,
+mixed_feasible_mass).  Full-space passes take _CHUNK entries at a time, so
+none makes a full-state temporary; the fills, the cost phase, the X mixer,
+the projection and the norm spread their chunks over the CPUs (_chunks).
+No result depends on either thread count."""
 from __future__ import annotations
 
 import functools
@@ -25,7 +25,6 @@ MAX_FULL_QUBITS = 25
 _CHUNK = 1 << 16   # 512 KiB of complex64: one chunk stays in a 2 MiB L2
 _FUSE = 5   # qubits per fused mixer block: 2**5 x 2**5 matmuls
 _GEMM = 1 << 17   # m*n*k per mixer matmul: OpenBLAS threads real gemm from 2**20
-_PHASES = np.array([1, -1j, -1, 1j])   # (-i)**d by d % 4: exact
 _DTYPES = {"f64": np.complex128, "f32": np.complex64}
 
 
@@ -37,8 +36,7 @@ class AngleSchedule:
     betas: tuple
 
     def __post_init__(self):
-        g = tuple(float(x) for x in self.gammas)
-        b = tuple(float(x) for x in self.betas)
+        g, b = tuple(map(float, self.gammas)), tuple(map(float, self.betas))
         if len(g) != len(b) or not g:
             raise ValueError("gammas and betas must have equal positive length")
         object.__setattr__(self, "gammas", g)
@@ -56,6 +54,19 @@ def init_plus(num_qubits: int, dtype=np.complex128) -> np.ndarray:
     state = np.empty(1 << num_qubits, dtype=dtype)   # np.full's bits, filled chunk by chunk
     _chunks(lambda lo: state[lo:lo + _CHUNK].fill(2.0 ** (-num_qubits / 2)), state.size)
     return state
+
+
+def init_p_plus(num_qubits: int, dtype) -> np.ndarray:
+    """P|+>^N, |+>^N in the X mixer's frame (apply_x_mixer): init_plus times _p, exact."""
+    state, part = init_plus(num_qubits, dtype), lambda lo: state[lo:lo + _CHUNK]
+    _chunks(lambda lo: np.multiply(part(lo), _p(lo, part(lo).size, dtype), out=part(lo)),
+            state.size)
+    return state
+
+
+def _p(lo: int, size: int, dtype) -> np.ndarray:
+    """P = diag((-i)**popcount(x)), the X mixer's frame, at labels lo..lo+size-1: exact."""
+    return np.array([1, -1j, -1, 1j], dtype)[np.bitwise_count(np.arange(lo, lo + size)) & 3]
 
 
 @functools.cache
@@ -126,12 +137,11 @@ def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     num_qubits, real, flat = int(math.log2(state.shape[-1])), state.real.dtype, state.reshape(-1)
     sizes = [min(_FUSE, num_qubits - s) for s in range(0, num_qubits, _FUSE)]
     per_pass = (_CHUNK.bit_length() - 1) // _FUSE   # blocks per pass
-    m = {q: (np.outer(cp := _PHASES[np.bitwise_count(np.arange(1 << q)) % 4].conj(), cp)
-             * mixer_kernel_rows(np.arange(1 << q), beta, q)).real for q in set(sizes)}
+    m = {q: real_mixer_rows(np.arange(1 << q), beta, q) for q in set(sizes)}
     m = {q: (u.astype(real), np.kron(u, np.eye(2)).astype(real)) for q, u in m.items()}
     for i in range(0, len(sizes), per_pass):   # m is ready: pool callbacks call nothing traced
         a, k = sum(sizes[:i]), sum(sizes[i:i + per_pass])
-        p = _PHASES[np.bitwise_count(np.arange(1 << k)) % 4].astype(state.dtype)
+        p = _p(0, 1 << k, state.dtype)
         v, p = flat.reshape(-1, 1 << k, 1 << a), p[:, None] if a else p
         rows, width = max(1, _CHUNK >> (k + a)), min(1 << a, _CHUNK >> k)   # per item
 
@@ -164,6 +174,12 @@ def mixer_kernel_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarra
     return (math.cos(beta) ** (num_bits - d)) * ((-1j * math.sin(beta)) ** d)
 
 
+def real_mixer_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarray:
+    """These rows of the X mixer's real factor M = conj(P) K conj(P), K = mixer_kernel_rows."""
+    cp = _p(0, 1 << num_bits, np.complex128).conj()
+    return (cp[rows, None] * cp * mixer_kernel_rows(rows, beta, num_bits)).real
+
+
 def run_generic(cost: DiagonalCost, schedule: AngleSchedule, precision: str = "f64") -> np.ndarray:
     """Depth-p generic QAOA: alternate cost phase and X mixer from |+>^N."""
     levels = cost_levels(cost.cost_vector())
@@ -179,25 +195,26 @@ def feasible_mass(state: np.ndarray, n: int) -> float:
     return float(np.sum(np.abs(state[feasible_indices(n)]) ** 2))
 
 
-def mixed_feasible_mass(state: np.ndarray, beta: float, n: int) -> float:
-    """feasible_mass(apply_x_mixer(state.copy(), beta), n) without the mixer.
-
-    Only the n one-hot rows of R(beta)^{(x)n} reach a feasible row.  Each row
-    block in turn, the contiguous one first, meets that n x 2**n slice in
-    matmuls under 2**16 multiply-adds (OpenBLAS runs those on one thread),
-    and its n results go first, so the next row is contiguous.  Row 0 ends
-    least significant in the n**n result; digit reversal maps permutations
-    onto themselves, so the manifold's index map picks the n! amplitudes.
-    """
-    s = mixer_kernel_rows(1 << np.arange(n), beta, n).astype(state.dtype).T
-    step = max(1, ((1 << 16) - 1) // (n << n))
-    t = state
+def mixed_feasible_mass(state: np.ndarray, rows: np.ndarray, n: int) -> float:
+    """feasible_mass(apply_x_mixer(conj(P) state, beta), n) without the mixer, for
+    a state in the mixer's frame (init_p_plus) and M's one-hot rows
+    real_mixer_rows(1 << arange(n), beta, n): P only phases, and no other row
+    of M reaches a feasible label.  Row n-1, the most significant, goes first:
+    each stage is a real (n, 2**n) @ (2**n, rest) matmul on the float view, in
+    slabs under _GEMM multiply-adds and _CHUNK-column items on the pool, whose n
+    results lead, so the next row is contiguous.  Row 0 ends least significant
+    in the n**n result, where the manifold's index map picks the n! amplitudes."""
+    real, b, t = state.real.dtype, 1, state.reshape(-1).view(state.real.dtype)
+    m, span = rows.astype(real), 1 << ((_GEMM // (n << n)).bit_length() - 1)   # floats per slab
     for _ in range(n):
-        v = t.reshape(-1, 1 << n)
-        t = np.empty((n, v.shape[0]), dtype=state.dtype)
-        for lo in range(0, v.shape[0], step):
-            t[:, lo:lo + step] = (v[lo:lo + step] @ s).T
-    return float(np.sum(np.abs(t.reshape(-1)[feasible_subspace_indices(n)]) ** 2))
+        v = t.reshape(b, 1 << n, -1)
+        t = np.empty((b, n, w := v.shape[2]), dtype=real)
+        slabs = lambda x: x.reshape(*x.shape[:2], -1, min(span, x.shape[2])).swapaxes(1, 2)
+        _chunks(lambda lo: np.matmul(m, slabs(v[..., 2 * lo:2 * (lo + _CHUNK)]),
+                                     out=slabs(t[..., 2 * lo:2 * (lo + _CHUNK)])), w // 2)
+        b *= n
+    amps = t.reshape(-1).view(state.dtype)
+    return float(np.sum(np.abs(amps[feasible_subspace_indices(n)]) ** 2))
 
 
 def sample_counts(state: np.ndarray, shots: int, seed: int) -> tuple:
@@ -207,10 +224,8 @@ def sample_counts(state: np.ndarray, shots: int, seed: int) -> tuple:
     the CDF, accumulated in place from the running total of the slices before
     it, serves the run of uniforms in it: one sequential float64 cumsum.
     """
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
     size = state.shape[0]
-    u = np.random.Generator(np.random.Philox(seed)).random(shots)
+    u = np.random.Generator(np.random.Philox(seed)).random(shots)   # ValueError if shots < 0
     u.sort()
     idx = np.empty(shots, dtype=np.int64)
     cdf = np.empty(min(_CHUNK, size), dtype=np.float64)
@@ -228,7 +243,8 @@ def sample_counts(state: np.ndarray, shots: int, seed: int) -> tuple:
         stop = start + int(np.searchsorted(u[start:], c[-1], side="left"))
         idx[start:stop] = lo + np.searchsorted(c, u[start:stop], side="right")
         start = stop
-    return np.unique(idx, return_counts=True)
+    edges = np.flatnonzero(np.diff(idx, prepend=-1))   # idx is sorted: count its runs
+    return idx[edges], np.diff(edges, append=shots)
 
 
 def norm_squared(state: np.ndarray) -> float:

@@ -33,14 +33,9 @@ def num_bits_of(length: int) -> int:
 
 def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     """Unnormalized in-place Walsh-Hadamard butterfly; applied twice = 2**N * I."""
-    h = 1
-    size = a.shape[0]
-    while h < size:
-        v = a.reshape(-1, 2, h)
-        x = v[:, 0, :].copy()
-        v[:, 0, :] = x + v[:, 1, :]
-        v[:, 1, :] = x - v[:, 1, :]
-        h *= 2
+    for k in range(a.shape[0].bit_length() - 1):   # both sides are made before either lands
+        v = a.reshape(-1, 2, 1 << k)
+        v[:, 0], v[:, 1] = v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]
     return a
 
 
@@ -50,9 +45,7 @@ def walsh_transform(values) -> np.ndarray:
     n = num_bits_of(a.shape[0])
     if n > MAX_TRANSFORM_BITS:
         raise CapacityError(f"transform capped at {MAX_TRANSFORM_BITS} bits, got {n}")
-    _fwht_inplace(a)
-    a *= 2.0 ** (-n)
-    return a
+    return np.multiply(_fwht_inplace(a), 2.0 ** (-n), out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +55,13 @@ def krawtchouk(n: int, w: int, r: int) -> int:
     """K_w(r) on n bits via the alternating binomial sum."""
     if not (0 <= w <= n and 0 <= r <= n):
         raise ValueError(f"indices out of range: n={n}, w={w}, r={r}")
-    return sum((-1) ** j * math.comb(r, j) * math.comb(n - r, w - j)
-               for j in range(0, w + 1))
+    return sum((-1) ** j * math.comb(r, j) * math.comb(n - r, w - j) for j in range(w + 1))
 
 
 @lru_cache(maxsize=None)
 def krawtchouk_table(n: int) -> tuple:
     """(n+1)x(n+1) integer table indexed [w][r]."""
-    return tuple(tuple(krawtchouk(n, w, r) for r in range(n + 1))
-                 for w in range(n + 1))
+    return tuple(tuple(krawtchouk(n, w, r) for r in range(n + 1)) for w in range(n + 1))
 
 
 def krawtchouk_orthogonality_check(n: int) -> bool:
@@ -79,21 +70,16 @@ def krawtchouk_orthogonality_check(n: int) -> bool:
         raise CapacityError("orthogonality check uses exact integers up to n=12")
     K = krawtchouk_table(n)
     binom = [math.comb(n, r) for r in range(n + 1)]
-    for w in range(n + 1):
-        for wp in range(n + 1):
-            s = sum(binom[r] * K[w][r] * K[wp][r] for r in range(n + 1))
-            expect = (1 << n) * binom[w] if w == wp else 0
-            if s != expect:
-                return False
-    return True
+    return all(sum(binom[r] * K[w][r] * K[wp][r] for r in range(n + 1))
+               == ((1 << n) * binom[w] if w == wp else 0)
+               for w in range(n + 1) for wp in range(n + 1))
 
 
 def sphere_spectrum(n: int, w: int) -> np.ndarray:
     """Spectrum of the Hamming-sphere indicator |x|=w: radially 2**-n K_w(|S|)."""
     if n > 16:
         raise CapacityError("sphere spectrum capped at n=16")
-    K = krawtchouk_table(n)[w]
-    profile = np.array(K, dtype=np.float64) * 2.0 ** (-n)
+    profile = np.array(krawtchouk_table(n)[w], dtype=np.float64) * 2.0 ** (-n)
     return profile[popcounts(n)].astype(np.complex128)
 
 
@@ -163,8 +149,6 @@ def feasible_mass_via_plancherel(state: np.ndarray, n: int) -> float:
     """P over the permutation set from the spectra of 1_perm and |amps|^2."""
     if n > 4:
         raise CapacityError("Plancherel route capped at n=4")
-    N = n * n
-    p = np.abs(np.asarray(state)) ** 2
-    p_hat = walsh_transform(p)
+    p_hat = walsh_transform(np.abs(np.asarray(state)) ** 2)
     pi_hat = permutation_spectrum(n).full
-    return float(np.real((1 << N) * np.sum(np.conj(pi_hat) * p_hat)))
+    return float(np.real((1 << n * n) * np.sum(np.conj(pi_hat) * p_hat)))

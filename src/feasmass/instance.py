@@ -118,8 +118,7 @@ def synthetic_instance(n: int, seed: int = 0, high: int = 9) -> DiagonalCost:
     """Deterministic symmetric instance with integer entries in [1, high]."""
     rng = np.random.default_rng(seed + 1009 * n)
     d = rng.integers(1, high + 1, size=(n, n))
-    d = (d + d.T) // 2
-    d = np.maximum(d, 1)
+    d = np.maximum((d + d.T) // 2, 1)
     np.fill_diagonal(d, 0)
     return make_instance(d, name=f"synthetic-n{n}-s{seed}")
 

@@ -281,6 +281,18 @@ def cumsum_copy_sample_counts(state: np.ndarray, shots: int, seed: int) -> dict:
     return {int(l): int(c) for l, c in zip(labels, counts)}
 
 
+def x_frame(state: np.ndarray, conj: bool) -> np.ndarray:
+    """state times P = diag((-i)**popcount(x)), or conj(P), the X mixer's
+    frame: in place, 2**16 labels at a time, from the table [1, -i, -1, i]."""
+    phases = np.array([1, -1j, -1, 1j], dtype=state.dtype)
+    phases = phases.conj() if conj else phases
+    flat = state.reshape(-1)
+    for lo in range(0, flat.size, 1 << 16):
+        part = flat[lo:lo + (1 << 16)]
+        part *= phases[np.bitwise_count(np.arange(lo, lo + part.size)) % 4]
+    return state
+
+
 def fourth_moment(state: np.ndarray) -> float:
     """sum_x |amps[x]|**4 as a*a, a = |amps[x]|**2, in one numpy sum."""
     a = np.abs(state) ** 2

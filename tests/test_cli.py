@@ -269,6 +269,8 @@ def test_run_files_independent_of_blas_threads(tmp_path):
         ["run", "hist", "--instance", WI4, "--method", "generic", "--precision", "f32"],
         ["run", "hist", "--instance", WI4, "--method", "generic"],
         ["run", "grid", "--instance", WI4, "--grid", "4x4"],
+        ["run", "grid", "--instance", WI4, "--grid", "4x4", "--precision", "f32"],
+        ["run", "transfer", "--n", "4", "--grid", "4x4"],   # exits 2 by design
         ["run", "twirl", "--n", "6"],
         ["run", "twirl", "--n", "7"],
         ["run", "avg", "--n", "3", "--beta", "0.7"],
@@ -276,8 +278,8 @@ def test_run_files_independent_of_blas_threads(tmp_path):
     ]
     script = ("import json, sys\n"
               "from feasmass.cli import main\n"
-              "for i, args in enumerate(json.loads(sys.argv[2])):\n"
-              "    assert main(args + ['--out', f'{sys.argv[1]}/{i}']) == 0\n")
+              "print(json.dumps([main(args + ['--out', f'{sys.argv[1]}/{i}'])\n"
+              "                  for i, args in enumerate(json.loads(sys.argv[2]))]))\n")
     written = {}
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -285,6 +287,8 @@ def test_run_files_independent_of_blas_threads(tmp_path):
         proc = subprocess.run([sys.executable, "-c", script, str(out), json.dumps(commands)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+        codes = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [2 if args[1] == "transfer" else 0 for args in commands], codes
         written[threads] = {str(p.relative_to(out)): p.read_bytes()
                             for p in sorted(out.rglob("*")) if p.is_file()}
     assert len(written["1"]) >= len(commands)
@@ -296,8 +300,9 @@ def test_x_mixer_bits_independent_of_blas_threads_and_pool_workers():
     # 2**16 states above; every mix at 1 and 2 BLAS threads (one interpreter
     # each) and 1 and 2 pool workers must give the same bytes.  The threads
     # that exist after numpy's import are OpenBLAS's; once their start-up spin
-    # has settled, no mixer matmul may be large enough to wake them (read from
-    # Linux /proc, where it exists)
+    # has settled, no mixer or projection matmul may be large enough to wake
+    # them (read from Linux /proc, where it exists).  The projections run at
+    # N = 16 in f64 (one item) and N = 25 in f32 (column slabs on the pool)
     script = ("import hashlib, json, os, time, numpy as np\n"
               "from concurrent.futures import ThreadPoolExecutor\n"
               "import feasmass.fullspace as fs\n"
@@ -308,6 +313,7 @@ def test_x_mixer_bits_independent_of_blas_threads_and_pool_workers():
               ".rsplit(')', 1)[1].split()[11:13])) for t in blas)\n"
               "rng = np.random.default_rng(20)\n"
               "st = rng.standard_normal(1 << 20) + 1j * rng.standard_normal(1 << 20)\n"
+              "framed = {4: st[:1 << 16].copy(), 5: np.tile(st.astype('complex64'), 32)}\n"
               "before = -1\n"
               "while before != (before := ticks()):\n"
               "    time.sleep(0.2)\n"
@@ -318,6 +324,9 @@ def test_x_mixer_bits_independent_of_blas_threads_and_pool_workers():
               "        for dtype in ('complex64', 'complex128'):\n"
               "            mixed = fs.apply_x_mixer(st.astype(dtype), 0.83)\n"
               "            out[f'{dtype} {workers}'] = hashlib.sha256(mixed.tobytes()).hexdigest()\n"
+              "        for n, x in framed.items():\n"
+              "            rows = fs.real_mixer_rows(1 << np.arange(n), 0.83, n)\n"
+              "            out[f'mass {n} {workers}'] = fs.mixed_feasible_mass(x, rows, n)\n"
               "print(json.dumps([out, len(used), ticks() - before]))\n")
     digests = {}
     for threads in ("1", "2"):
@@ -329,7 +338,7 @@ def test_x_mixer_bits_independent_of_blas_threads_and_pool_workers():
         assert pooled >= 8   # two passes per mix, four mixes
         assert blas_ticks <= 1, (threads, blas_ticks)   # CPU ticks of OpenBLAS's threads
         digests.update({f"{key} {threads}": val for key, val in out.items()})
-    for dtype in ("complex64", "complex128"):
+    for dtype in ("complex64", "complex128", "mass 4", "mass 5"):
         assert len({val for key, val in digests.items() if key.startswith(dtype)}) == 1, digests
     assert digests["complex64 1 1"] != digests["complex128 1 1"]
 

@@ -14,14 +14,14 @@ from feasmass.experiments import (GridSpec, _bitstrings, ce_depth_sweep,
                                   grid_search_generic, l4_sweep,
                                   lattice_feasible_masses, markov_fraction,
                                   parameter_transfer, twirl_existence_experiment)
-from feasmass.fullspace import (AngleSchedule, apply_cost_phase, cost_levels, init_plus,
-                                mixed_feasible_mass, run_generic)
+from feasmass.fullspace import (AngleSchedule, apply_cost_phase, cost_levels, feasible_mass,
+                                init_plus, mixed_feasible_mass, real_mixer_rows, run_generic)
 from feasmass.instance import load_instance, synthetic_instance
 from feasmass.subspace import run_ce, subspace_feasible_mass, subspace_to_full_labels
 
 from oracles import (fourth_moment, label_lattice_l4_mean, label_lattice_masses,
                      per_state_depth_walk, phase_block_l4_means, phase_matmul_lattice_masses,
-                     unscaled_level_average)
+                     unscaled_level_average, x_frame)
 
 
 def test_gridspec_validation():
@@ -485,14 +485,16 @@ def test_result_json_excludes_wall_clock():
 @pytest.mark.parametrize("n", [2, 3])
 def test_grid_surface_matches_run_generic(n, precision):
     # phasing once per gamma must not change a single bit of any grid point:
-    # each is the projection of a freshly phased |+>; the projection matches
+    # each is the projection of a freshly phased P|+>; the projection matches
     # run_generic's mixer in test_fullspace.test_projection_matches_full_mixer
     cost = synthetic_instance(n, seed=5, high=3)
     grid = GridSpec(4, 3)
     res = grid_search_generic(cost, grid, precision)
     dtype = {"f64": np.complex128, "f32": np.complex64}[precision]
     levels = cost_levels(cost.cost_vector())
-    expected = [[mixed_feasible_mass(apply_cost_phase(init_plus(n * n, dtype), levels, g), b, n)
+    expected = [[mixed_feasible_mass(apply_cost_phase(x_frame(init_plus(n * n, dtype), False),
+                                                      levels, g),
+                                     real_mixer_rows(1 << np.arange(n), b, n), n)
                  for b in grid.axes()[1]] for g in grid.axes()[0]]
     assert np.array_equal([mass for _, _, mass in res.table[1]], np.ravel(expected))
 
@@ -512,9 +514,26 @@ def test_wi4_grid_surface_matches_per_entry_exp(precision):
     expected = []
     for g in gammas:
         phase = np.exp((-1j * g) * table).astype(dtype)
-        phased = init_plus(16, dtype) * phase
-        expected += [mixed_feasible_mass(phased, b, 4) for b in betas]
+        phased = x_frame(init_plus(16, dtype), False) * phase
+        expected += [mixed_feasible_mass(phased, real_mixer_rows(1 << np.arange(4), b, 4), 4)
+                     for b in betas]
     assert np.array_equal([mass for _, _, mass in res.table[1]], expected)
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_grid_surface_matches_whole_circuits_off_quarter_turns(precision):
+    # every point against feasible_mass(run_generic(...)), the whole circuit
+    # from |+>: on [0, pi] grids with integer costs the phases at multiples of
+    # pi/2 are real or imaginary, and there a projection in the wrong frame
+    # can read the same masses, so these ranges avoid them
+    tol = {"f64": 1e-12, "f32": 1e-5}[precision]
+    grid = GridSpec(3, 3, gamma_range=(0.1, 0.9), beta_range=(0.2, 1.3))
+    for cost in (synthetic_instance(2, seed=5, high=3), synthetic_instance(3, seed=5, high=3),
+                 load_instance(WI4)):
+        res = grid_search_generic(cost, grid, precision)
+        for g, b, mass in res.table[1]:
+            want = feasible_mass(run_generic(cost, AngleSchedule.single(g, b), precision), cost.n)
+            assert abs(mass - want) <= tol * want, (cost.name, g, b)
 
 
 def test_lattice_cap_names_size():

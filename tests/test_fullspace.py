@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 
 from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels,
-                                feasible_mass, init_plus,
+                                feasible_mass, init_p_plus, init_plus,
                                 mixed_feasible_mass, mixer_kernel_rows, norm_squared,
-                                run_generic, sample_counts)
+                                real_mixer_rows, run_generic, sample_counts)
 from feasmass.instance import CapacityError, load_instance, synthetic_instance
 
-from oracles import cumsum_copy_sample_counts, fourth_moment, kron_mixer
+from oracles import cumsum_copy_sample_counts, fourth_moment, kron_mixer, x_frame
 
 
 @pytest.mark.parametrize("num_bits", [1, 2, 3, 4, 5])
@@ -189,10 +189,13 @@ def test_x_mixer_blocks_are_real_p_m_p():
     # swaps re and im with a sign
     import feasmass.fullspace as fs
     for k in range(1, 6):
-        cp = fs._PHASES[np.bitwise_count(np.arange(1 << k)) % 4].conj()
+        cp = fs._p(0, 1 << k, np.complex128).conj()
         for beta in (0.0, 0.37, 1.2, math.pi / 2, 2.9, -0.8):
             blk = np.outer(cp, cp) * mixer_kernel_rows(np.arange(1 << k), beta, k)
             assert np.all(blk.imag == 0), (k, beta)
+            assert np.array_equal(real_mixer_rows(np.arange(1 << k), beta, k), blk.real)
+            one_hot = 1 << np.arange(k)
+            assert np.array_equal(real_mixer_rows(one_hot, beta, k), blk.real[one_hot])
             c, s = math.cos(beta), math.sin(beta)
             m = np.ones((1, 1))
             for _ in range(k):
@@ -206,7 +209,7 @@ def test_x_mixer_blocks_are_real_p_m_p():
         want = np.empty_like(st)
         want.real = np.choose(d, [re, im, -re, -im])
         want.imag = np.choose(d, [im, -re, -im, re])
-        got = st * fs._PHASES[d].astype(dtype)
+        got = st * fs._p(0, 1 << 10, dtype)
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), dtype
 
 
@@ -314,33 +317,48 @@ def test_x_mixer_batch_matches_rows(dtype, monkeypatch):
 PROJECTION_TOL = {np.complex128: 1e-13, np.complex64: 1e-5}   # relative
 
 
+def one_hot(beta, n):
+    return real_mixer_rows(1 << np.arange(n), beta, n)
+
+
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_projection_matches_full_mixer(n, dtype):
+def test_projection_matches_full_mixer(n, dtype, monkeypatch):
+    # the projection takes the state in the mixer's frame, P times it; at
+    # 64-entry chunks its stages run in many items of narrow slabs
+    import feasmass.fullspace as fs
+    default = fs._CHUNK
     cost = synthetic_instance(n, seed=3, high=5)
     states = {"random": unit_state(np.random.default_rng(n), 1 << (n * n)).astype(dtype),
               "phased": apply_cost_phase(init_plus(n * n, dtype), cost_levels(cost.cost_vector()),
                                          0.7)}
     for label, st in states.items():
-        before = st.copy()
+        framed = x_frame(st.copy(), False)
+        before = framed.copy()
         for beta in (0.0, 0.3, math.pi / 4, math.pi / 2, 3.0):
             want = feasible_mass(apply_x_mixer(st.copy(), beta), n)
-            got = mixed_feasible_mass(st, beta, n)
-            assert abs(got - want) <= PROJECTION_TOL[dtype] * want, (label, beta)
-        assert np.array_equal(st, before), label   # the input is left as it was
+            for chunk in (default, 1 << 6):
+                monkeypatch.setattr(fs, "_CHUNK", chunk)
+                got = mixed_feasible_mass(framed, one_hot(beta, n), n)
+                assert abs(got - want) <= PROJECTION_TOL[dtype] * want, (label, beta, chunk)
+            monkeypatch.setattr(fs, "_CHUNK", default)
+        assert np.array_equal(framed, before), label   # the input is left as it was
 
 
 def test_projection_matches_full_mixer_n5_f32():
     # 2**25 complex64 amplitudes (256 MiB), mixed in place: the second
-    # sampled beta is checked through R(b1) = R(b1 - b0) R(b0)
+    # sampled beta is checked through R(b1) = R(b1 - b0) R(b0).  The state
+    # moves in and out of the mixer's frame in place
     cost = synthetic_instance(5, seed=1, high=9)
     st = apply_cost_phase(init_plus(25, np.complex64), cost_levels(cost.cost_vector()), 0.4)
     del cost
     b0, b1 = np.random.default_rng(5).uniform(0.0, math.pi, size=2).tolist()
-    want0, want1 = mixed_feasible_mass(st, b0, 5), mixed_feasible_mass(st, b1, 5)
-    apply_x_mixer(st, b0)
+    x_frame(st, False)
+    want0, want1 = (mixed_feasible_mass(st, one_hot(b, 5), 5) for b in (b0, b1))
+    apply_x_mixer(x_frame(st, True), b0)
     assert abs(feasible_mass(st, 5) - want0) <= 1e-5 * want0
-    assert abs(mixed_feasible_mass(st, b1 - b0, 5) - want1) <= 1e-5 * want1
+    assert abs(mixed_feasible_mass(x_frame(st, False), one_hot(b1 - b0, 5), 5)
+               - want1) <= 1e-5 * want1
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -349,7 +367,22 @@ def test_projection_matches_full_mixer_n5_f32():
 def test_projection_equals_full_mixer_property(n, beta, seed, dtype):
     st = unit_state(np.random.default_rng(seed), 1 << (n * n)).astype(dtype)
     want = feasible_mass(apply_x_mixer(st.copy(), beta), n)
-    assert abs(mixed_feasible_mass(st, beta, n) - want) <= PROJECTION_TOL[dtype] * want
+    got = mixed_feasible_mass(x_frame(st, False), one_hot(beta, n), n)
+    assert abs(got - want) <= PROJECTION_TOL[dtype] * want
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("num_qubits", [1, 4, 9, 16, 17])
+def test_p_plus_is_plus_times_p_bitwise(dtype, num_qubits, monkeypatch):
+    # exactly init_plus(N) * (-i)**popcount, signed zeros too, at odd and even
+    # N, one chunk or several
+    import feasmass.fullspace as fs
+    want = x_frame(init_plus(num_qubits, dtype), False)
+    for chunk in (fs._CHUNK, 1 << 12):
+        monkeypatch.setattr(fs, "_CHUNK", chunk)
+        got = init_p_plus(num_qubits, dtype)
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), chunk
 
 
 def test_run_generic_zero_angles_is_uniform():
@@ -436,6 +469,8 @@ def test_sampling_returns_sorted_int64_arrays():
     assert counts.sum() == 5_000
     labels, counts = sample_counts(st, 0, seed=4)
     assert labels.shape == counts.shape == (0,)
+    with pytest.raises(ValueError):   # numpy's own refusal of a negative count
+        sample_counts(st, -1, seed=4)
 
 
 def test_sampling_in_place_cdf_matches_copying_cdf():
