@@ -5,8 +5,8 @@ States are 1-D complex ndarrays of length 2**N indexed by the basis label
 256 MiB.  A cost phase gathers one complex128 exp per level (level_phases).
 The X mixer is P M P, P = diag((-i)**popcount) exact (_p) and M = conj(P) K
 conj(P) real, K from mixer_kernel_rows (real_mixer_rows); the feasible mass
-after it takes M's one-hot rows on a state already times P (init_p_plus,
-mixed_feasible_mass).  Full-space passes take _CHUNK entries at a time, so
+after it takes M's one-hot rows for a group of betas on a state already times
+P, such as P|+> refilled by _p (mixed_feasible_mass).  Passes take _CHUNK entries, so
 none makes a full-state temporary; the fills, the cost phase, the X mixer,
 the projection and the norm spread their chunks over the CPUs (_chunks).
 No result depends on either thread count."""
@@ -56,17 +56,17 @@ def init_plus(num_qubits: int, dtype=np.complex128) -> np.ndarray:
     return state
 
 
-def init_p_plus(num_qubits: int, dtype) -> np.ndarray:
-    """P|+>^N, |+>^N in the X mixer's frame (apply_x_mixer): init_plus times _p, exact."""
-    state, part = init_plus(num_qubits, dtype), lambda lo: state[lo:lo + _CHUNK]
-    _chunks(lambda lo: np.multiply(part(lo), _p(lo, part(lo).size, dtype), out=part(lo)),
-            state.size)
-    return state
-
-
-def _p(lo: int, size: int, dtype) -> np.ndarray:
-    """P = diag((-i)**popcount(x)), the X mixer's frame, at labels lo..lo+size-1: exact."""
-    return np.array([1, -1j, -1, 1j], dtype)[np.bitwise_count(np.arange(lo, lo + size)) & 3]
+def _p(out: np.ndarray, scale: float) -> np.ndarray:
+    """Fill out (2**k entries) with scale * P, P = diag((-i)**popcount) the X mixer's
+    frame, with the bits of np.full(scale) * [1, -i, -1, i][popcount & 3], P|+>^k at
+    2**(-k/2): rows of the (-1, 2**low) view copy the low row turned popcount(row) times."""
+    low = min((out.size.bit_length() - 1) // 2, _CHUNK.bit_length() - 1)
+    quarter = np.full(4, scale, out.dtype) * np.array([1, -1j, -1, 1j], out.dtype)
+    turns = quarter[(np.arange(4)[:, None] + np.bitwise_count(np.arange(1 << low))) & 3]
+    high, rows = np.bitwise_count(np.arange(out.size >> low)) & 3, out.reshape(-1, 1 << low)
+    part = lambda x, lo: x[lo >> low:(lo + _CHUNK) >> low]   # "clip": take buffers out on "raise"
+    _chunks(lambda lo: turns.take(part(high, lo), 0, part(rows, lo), "clip"), out.size)
+    return out
 
 
 @functools.cache
@@ -88,13 +88,16 @@ def _chunks(fn, size: int) -> list:
 
 def cost_levels(table: np.ndarray) -> tuple:
     """(index, levels), built once per table for apply_cost_phase.  An integer
-    table with fewer levels (max - min + 1) than entries indexes (low, high)
-    itself; any other, its sorted distinct values, by the least unsigned dtype."""
+    table with fewer levels (max - min + 1) than entries indexes (low, high) itself;
+    any other, its sorted distinct values by the least unsigned dtype, from one argsort."""
     low, high = (int(table.min()), int(table.max())) if table.dtype.kind in "iu" else (0, math.inf)
     if high - low + 1 < table.size:
         return table, (low, high)
-    values, inverse = np.unique(table, return_inverse=True)
-    return inverse.astype(np.min_scalar_type(values.size - 1)), values
+    ranked = table[order := np.argsort(table)]
+    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    index = np.empty(table.size, np.min_scalar_type(np.count_nonzero(new) - 1))
+    index[order] = np.cumsum(new, dtype=index.dtype) - 1   # wraps in step with the dtype
+    return index, ranked[new]
 
 
 def level_phases(levels: tuple, gamma: float, dtype) -> tuple:
@@ -125,9 +128,9 @@ def apply_cost_phase(state: np.ndarray, levels: tuple, gamma: float) -> np.ndarr
 def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     """exp(-i*beta*X) on every qubit as P M P: P = diag((-i)**popcount(x)) is
     exact to apply, M = [[cos b, sin b], [sin b, -cos b]]^{(x)N} is real.
-    N splits into blocks of _FUSE qubits and one of the rest, each M taken
-    from conj(P) mixer_kernel_rows conj(P).  A pass mixes qubits [a, a+k), as
-    many blocks as fit, in _CHUNK-entry items of the (-1, 2**k, 2**a) view:
+    N splits into ceil(N/_FUSE) near-equal blocks (4+4+4+4 at N = 16), each M from
+    conj(P) mixer_kernel_rows conj(P).  A pass mixes qubits [a, a+k), as many
+    blocks as fit in _CHUNK, in _CHUNK-entry items of the (-1, 2**k, 2**a) view:
     times P, a real matmul per block on the float view, times P.  A C-contiguous
     (rows, 2**N) batch is mixed row by row.  No bit depends on either thread
     count, nor on _CHUNK from 2**13 up (narrower stripes round differently).
@@ -135,13 +138,13 @@ def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     if _CHUNK & (_CHUNK - 1) or _CHUNK < 1 << _FUSE:
         raise ValueError(f"_CHUNK must be a power of two of at least 2**{_FUSE}, got {_CHUNK}")
     num_qubits, real, flat = int(math.log2(state.shape[-1])), state.real.dtype, state.reshape(-1)
-    sizes = [min(_FUSE, num_qubits - s) for s in range(0, num_qubits, _FUSE)]
-    per_pass = (_CHUNK.bit_length() - 1) // _FUSE   # blocks per pass
+    sizes = [len(b) for b in np.array_split(range(num_qubits), -(-num_qubits // _FUSE))]
+    per_pass = (_CHUNK.bit_length() - 1) // sizes[0]   # whole blocks per pass: the largest first
     m = {q: real_mixer_rows(np.arange(1 << q), beta, q) for q in set(sizes)}
     m = {q: (u.astype(real), np.kron(u, np.eye(2)).astype(real)) for q, u in m.items()}
     for i in range(0, len(sizes), per_pass):   # m is ready: pool callbacks call nothing traced
         a, k = sum(sizes[:i]), sum(sizes[i:i + per_pass])
-        p = _p(0, 1 << k, state.dtype)
+        p = _p(np.empty(1 << k, np.complex64), 1.0)   # exact in complex64, half the bytes
         v, p = flat.reshape(-1, 1 << k, 1 << a), p[:, None] if a else p
         rows, width = max(1, _CHUNK >> (k + a)), min(1 << a, _CHUNK >> k)   # per item
 
@@ -176,7 +179,7 @@ def mixer_kernel_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarra
 
 def real_mixer_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarray:
     """These rows of the X mixer's real factor M = conj(P) K conj(P), K = mixer_kernel_rows."""
-    cp = _p(0, 1 << num_bits, np.complex128).conj()
+    cp = _p(np.empty(1 << num_bits, np.complex128), 1.0).conj()
     return (cp[rows, None] * cp * mixer_kernel_rows(rows, beta, num_bits)).real
 
 
@@ -195,26 +198,23 @@ def feasible_mass(state: np.ndarray, n: int) -> float:
     return float(np.sum(np.abs(state[feasible_indices(n)]) ** 2))
 
 
-def mixed_feasible_mass(state: np.ndarray, rows: np.ndarray, n: int) -> float:
-    """feasible_mass(apply_x_mixer(conj(P) state, beta), n) without the mixer, for
-    a state in the mixer's frame (init_p_plus) and M's one-hot rows
-    real_mixer_rows(1 << arange(n), beta, n): P only phases, and no other row
-    of M reaches a feasible label.  Row n-1, the most significant, goes first:
-    each stage is a real (n, 2**n) @ (2**n, rest) matmul on the float view, in
-    slabs under _GEMM multiply-adds and _CHUNK-column items on the pool, whose n
-    results lead, so the next row is contiguous.  Row 0 ends least significant
-    in the n**n result, where the manifold's index map picks the n! amplitudes."""
-    real, b, t = state.real.dtype, 1, state.reshape(-1).view(state.real.dtype)
-    m, span = rows.astype(real), 1 << ((_GEMM // (n << n)).bit_length() - 1)   # floats per slab
-    for _ in range(n):
-        v = t.reshape(b, 1 << n, -1)
-        t = np.empty((b, n, w := v.shape[2]), dtype=real)
-        slabs = lambda x: x.reshape(*x.shape[:2], -1, min(span, x.shape[2])).swapaxes(1, 2)
+def mixed_feasible_mass(state: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """feasible_mass(apply_x_mixer(conj(P) state, beta), n) for G betas, no mixer: the
+    state in the mixer's frame (_p), a (G, n, 2**n) stack of M's one-hot rows (P only
+    phases; no other row reaches a feasible label).  Row n-1 goes first: per beta, a real
+    (n, 2**n) @ (2**n, rest) matmul on the float view, in slabs under _GEMM and _CHUNK
+    items on the pool, its n results leading; the first stage reads each slab once for
+    all G, and no bit depends on G.  Row 0 ends least significant for the n! index map."""
+    real, t, group = state.real.dtype, state.reshape(-1).view(state.real.dtype), len(rows)
+    m, span = rows.astype(real)[:, None, None], 1 << ((_GEMM // (n << n)).bit_length() - 1)
+    for stage in range(n):   # (G or 1, b, 2**n, w) @ -> (G, b, n, w), w floats per row
+        v = t.reshape(group if stage else 1, -1, 1 << n, 2 << n * (n - 1 - stage))
+        t = np.empty((group, v.shape[1], n, w := v.shape[3]), dtype=real)
+        slabs = lambda x: x.reshape(*x.shape[:3], -1, min(span, x.shape[3])).swapaxes(2, 3)
         _chunks(lambda lo: np.matmul(m, slabs(v[..., 2 * lo:2 * (lo + _CHUNK)]),
                                      out=slabs(t[..., 2 * lo:2 * (lo + _CHUNK)])), w // 2)
-        b *= n
-    amps = t.reshape(-1).view(state.dtype)
-    return float(np.sum(np.abs(amps[feasible_subspace_indices(n)]) ** 2))
+    amps, feasible = t.reshape(group, -1).view(state.dtype), feasible_subspace_indices(n)
+    return np.array([float(np.sum(np.abs(a[feasible]) ** 2)) for a in amps])   # 1-D sums
 
 
 def sample_counts(state: np.ndarray, shots: int, seed: int) -> tuple:

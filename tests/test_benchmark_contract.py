@@ -74,14 +74,17 @@ HIST_WI3 = ["run", "hist", "--instance", str(ROOT / "instances" / "wi3.txt"), "-
 @pytest.fixture(scope="module")
 def traced_runs():
     """(exit code, span counts, tracer stack depth after, live threads after)
-    of ``grid`` on wi3, ``depth``, ``transfer``, then ``hist`` as generic-n5
-    runs it but on wi3, at the default chunk size and at 64 entries (so the
-    chunk passes go to the thread pool), then ``markov``, each run under the
+    of ``grid`` on wi3, ``depth``, ``transfer``, ``grid`` on wi4 (n = 4: two
+    betas per projection), then ``hist`` as generic-n5 runs it but on wi3, at
+    the default chunk size and at 64 entries (so the chunk passes go to the
+    thread pool, which then stays), then ``markov``, each run under the
     benchmark's tracer in one subprocess."""
     commands = [[None, ["run", "grid", "--instance", str(ROOT / "instances" / "wi3.txt"),
                         "--grid", "2x2"]],
                 [None, ["run", "depth", "--n", "2", "--depth", "2", "--grid", "2x2"]],
                 [None, ["run", "transfer", "--n", "2", "--grid", "2x2"]],
+                [None, ["run", "grid", "--instance", str(ROOT / "instances" / "wi4.txt"),
+                        "--grid", "2x3"]],
                 [None, HIST_WI3], [64, HIST_WI3],
                 [None, ["run", "markov", "--n", "2", "--beta", "0.7", "--t", "4"]]]
     proc = subprocess.run(
@@ -120,11 +123,25 @@ def test_grid_n4_analogue_fires_its_predicted_spans(traced_runs):
     assert [threads for *_, threads in traced_runs[:3]] == [1, 1, 1]
 
 
+def test_grouped_grid_fires_the_grid_n4_spans(traced_runs):
+    # the wi3 and n = 2 analogues project one beta per call; wi4 is the
+    # grid-n4 workload's instance, whose projections take two betas at once.
+    # With transfer's subspace.run_ce it fires every predicted span, its betas
+    # (0, pi/2, pi) are all quarter turns, so one whole circuit is re-run, and
+    # its one-chunk state starts no pool thread
+    rc, grid, stack, threads = traced_runs[3]
+    assert rc == 0 and stack == 0 and threads == 1
+    predicted = _load("workloads").PREDICTED_SPANS["grid-n4"]
+    assert [span for span in predicted if span not in set(grid) | set(traced_runs[2][1])] == []
+    assert (grid.get("fullspace.apply_cost_phase"), grid.get("fullspace.apply_x_mixer"),
+            grid.get("fullspace.feasible_mass")) == (3, 1, 1)
+
+
 def test_generic_n5_analogue_fires_its_predicted_spans(traced_runs):
     # hist on wi3 as the generic-n5 workload runs it on wi5; a worker that
     # crashed, a predicted span that never fired or a tracer left with open
     # spans each fail the traced benchmark run
-    (rc, hist, stack, threads), (pooled_rc, pooled, pooled_stack, pooled_threads) = traced_runs[3:5]
+    (rc, hist, stack, threads), (pooled_rc, pooled, pooled_stack, pooled_threads) = traced_runs[4:6]
     assert rc == 0 and stack == 0 and threads == 1
     predicted = _load("workloads").PREDICTED_SPANS["generic-n5"]
     assert [span for span in predicted if span not in hist] == []
@@ -137,7 +154,7 @@ def test_generic_n5_analogue_fires_its_predicted_spans(traced_runs):
 def test_traced_markov_runs_the_lattice_probe(traced_runs):
     # markov is the only command whose traced run reads the cost through the
     # lattice probe (its n, penalty weight, dist bytes and penalty flag)
-    rc, markov, stack, _ = traced_runs[5]
+    rc, markov, stack, _ = traced_runs[6]
     assert rc == 0 and stack == 0
     assert markov["experiments.lattice_feasible_masses"] >= 1
     assert markov["instance.tie_broken_vector"] >= 1

@@ -302,7 +302,8 @@ def test_x_mixer_bits_independent_of_blas_threads_and_pool_workers():
     # that exist after numpy's import are OpenBLAS's; once their start-up spin
     # has settled, no mixer or projection matmul may be large enough to wake
     # them (read from Linux /proc, where it exists).  The projections run at
-    # N = 16 in f64 (one item) and N = 25 in f32 (column slabs on the pool)
+    # N = 16 in f64 (one item) and N = 25 in f32 (column slabs on the pool),
+    # one beta alone and three in one group
     script = ("import hashlib, json, os, time, numpy as np\n"
               "from concurrent.futures import ThreadPoolExecutor\n"
               "import feasmass.fullspace as fs\n"
@@ -325,8 +326,10 @@ def test_x_mixer_bits_independent_of_blas_threads_and_pool_workers():
               "            mixed = fs.apply_x_mixer(st.astype(dtype), 0.83)\n"
               "            out[f'{dtype} {workers}'] = hashlib.sha256(mixed.tobytes()).hexdigest()\n"
               "        for n, x in framed.items():\n"
-              "            rows = fs.real_mixer_rows(1 << np.arange(n), 0.83, n)\n"
-              "            out[f'mass {n} {workers}'] = fs.mixed_feasible_mass(x, rows, n)\n"
+              "            rows = np.stack([fs.real_mixer_rows(1 << np.arange(n), b, n)\n"
+              "                             for b in (0.83, 0.2, 2.9)])\n"
+              "            out[f'mass {n} {workers}'] = fs.mixed_feasible_mass(x, rows[:1], n)[0]\n"
+              "            out[f'grouped {n} {workers}'] = fs.mixed_feasible_mass(x, rows, n).tolist()\n"
               "print(json.dumps([out, len(used), ticks() - before]))\n")
     digests = {}
     for threads in ("1", "2"):
@@ -338,8 +341,9 @@ def test_x_mixer_bits_independent_of_blas_threads_and_pool_workers():
         assert pooled >= 8   # two passes per mix, four mixes
         assert blas_ticks <= 1, (threads, blas_ticks)   # CPU ticks of OpenBLAS's threads
         digests.update({f"{key} {threads}": val for key, val in out.items()})
-    for dtype in ("complex64", "complex128", "mass 4", "mass 5"):
-        assert len({val for key, val in digests.items() if key.startswith(dtype)}) == 1, digests
+    for dtype in ("complex64", "complex128", "mass 4", "mass 5", "grouped 4", "grouped 5"):
+        assert len({str(val) for key, val in digests.items() if key.startswith(dtype)}) == 1, digests
+    assert all(digests[f"grouped {n} 1 1"][0] == digests[f"mass {n} 1 1"] for n in (4, 5))
     assert digests["complex64 1 1"] != digests["complex128 1 1"]
 
 

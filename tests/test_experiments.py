@@ -356,6 +356,17 @@ def test_grid_search_refuses_a_projection_off_the_circuit(monkeypatch, precision
                 exact, rel=tol)
 
 
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_grid_search_refuses_a_wrong_frame_off_the_quarter_turns(monkeypatch, precision):
+    # phasing |+> in place of P|+> reads the right mass wherever beta is a
+    # multiple of pi/2.  On GridSpec(4, 3) every beta is one, so no check can
+    # see it; on GridSpec(3, 5) the wrong frame's argmax sits at beta = 0, and
+    # the best point off the quarter turns, re-run as a whole circuit, refuses it
+    monkeypatch.setattr(experiments, "_p", lambda state, scale: (state.fill(scale), state)[1])
+    with pytest.raises(ValueError, match=r"^grid point \(.*: projected mass .*, circuit "):
+        grid_search_generic(synthetic_instance(2, seed=5, high=3), GridSpec(3, 5), precision)
+
+
 def test_depth_sweep_phases_once_per_gamma(monkeypatch):
     # one build of the cost levels and one phase vector per gamma for the
     # whole walk; one batched mixer and one batched mass per parent: the W
@@ -421,20 +432,23 @@ WI4 = Path(__file__).resolve().parent.parent / "instances" / "wi4.txt"
 
 
 def test_grid_search_holds_under_four_states():
-    # one state plus the cost phase's or the mixer's chunk temporaries: each
-    # gamma's phased state is freed before the next one is made, and the
-    # projection copies nothing (about 2.6 states; 3.6 with a mixed copy).
-    # wi4's costs take the distinct-values path: its levels (a uint16 index
-    # and 5,049 values) and their gather add about 0.3 states
-    for cost in (synthetic_instance(4, seed=1), load_instance(WI4)):
+    # one state plus the cost phase's or the mixer's chunk temporaries: every
+    # gamma refills one P|+> buffer, freed before the whole circuits, and a
+    # projection of two betas (24 betas: twelve groups) adds half a state for
+    # its first stage (about 2.65 states; 3.6 with a mixed copy).  wi4's costs
+    # take the distinct-values path: its levels (a uint16 index and 5,049
+    # values) and their gather add about 0.15 states
+    for cost, grid in itertools.product((synthetic_instance(4, seed=1), load_instance(WI4)),
+                                        (GridSpec(3, 2), GridSpec(2, 24))):
         cost.cost_vector()
         tracemalloc.start()
         try:
-            grid_search_generic(cost, GridSpec(3, 2))
+            grid_search_generic(cost, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2 ** 16 * 16, f"{cost.name}: peak {peak / (2 ** 16 * 16):.2f} states"
+        assert peak < 3 * 2 ** 16 * 16, (f"{cost.name} {grid.beta_points} betas: "
+                                         f"peak {peak / (2 ** 16 * 16):.2f} states")
 
 
 def test_grid_search_frees_its_cost_on_return():
@@ -492,10 +506,10 @@ def test_grid_surface_matches_run_generic(n, precision):
     res = grid_search_generic(cost, grid, precision)
     dtype = {"f64": np.complex128, "f32": np.complex64}[precision]
     levels = cost_levels(cost.cost_vector())
-    expected = [[mixed_feasible_mass(apply_cost_phase(x_frame(init_plus(n * n, dtype), False),
-                                                      levels, g),
-                                     real_mixer_rows(1 << np.arange(n), b, n), n)
-                 for b in grid.axes()[1]] for g in grid.axes()[0]]
+    one_hot = np.stack([real_mixer_rows(1 << np.arange(n), b, n) for b in grid.axes()[1]])
+    expected = [mixed_feasible_mass(apply_cost_phase(x_frame(init_plus(n * n, dtype), False),
+                                                     levels, g), one_hot, n)
+                for g in grid.axes()[0]]
     assert np.array_equal([mass for _, _, mass in res.table[1]], np.ravel(expected))
 
 
@@ -515,8 +529,8 @@ def test_wi4_grid_surface_matches_per_entry_exp(precision):
     for g in gammas:
         phase = np.exp((-1j * g) * table).astype(dtype)
         phased = x_frame(init_plus(16, dtype), False) * phase
-        expected += [mixed_feasible_mass(phased, real_mixer_rows(1 << np.arange(4), b, 4), 4)
-                     for b in betas]
+        expected += mixed_feasible_mass(phased, np.stack(
+            [real_mixer_rows(1 << np.arange(4), b, 4) for b in betas]), 4).tolist()
     assert np.array_equal([mass for _, _, mass in res.table[1]], expected)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels,
-                                feasible_mass, init_p_plus, init_plus,
+                                feasible_mass, init_plus,
                                 mixed_feasible_mass, mixer_kernel_rows, norm_squared,
                                 real_mixer_rows, run_generic, sample_counts)
 from feasmass.instance import CapacityError, load_instance, synthetic_instance
@@ -189,7 +189,7 @@ def test_x_mixer_blocks_are_real_p_m_p():
     # swaps re and im with a sign
     import feasmass.fullspace as fs
     for k in range(1, 6):
-        cp = fs._p(0, 1 << k, np.complex128).conj()
+        cp = fs._p(np.empty(1 << k, np.complex128), 1.0).conj()
         for beta in (0.0, 0.37, 1.2, math.pi / 2, 2.9, -0.8):
             blk = np.outer(cp, cp) * mixer_kernel_rows(np.arange(1 << k), beta, k)
             assert np.all(blk.imag == 0), (k, beta)
@@ -209,7 +209,7 @@ def test_x_mixer_blocks_are_real_p_m_p():
         want = np.empty_like(st)
         want.real = np.choose(d, [re, im, -re, -im])
         want.imag = np.choose(d, [im, -re, -im, re])
-        got = st * fs._p(0, 1 << 10, dtype)
+        got = st * fs._p(np.empty(1 << 10, dtype), 1.0)
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), dtype
 
 
@@ -317,15 +317,17 @@ def test_x_mixer_batch_matches_rows(dtype, monkeypatch):
 PROJECTION_TOL = {np.complex128: 1e-13, np.complex64: 1e-5}   # relative
 
 
-def one_hot(beta, n):
-    return real_mixer_rows(1 << np.arange(n), beta, n)
+def one_hot(betas, n):
+    """The stacked one-hot rows of M for these betas, shape (G, n, 2**n)."""
+    return np.stack([real_mixer_rows(1 << np.arange(n), b, n) for b in betas])
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_projection_matches_full_mixer(n, dtype, monkeypatch):
-    # the projection takes the state in the mixer's frame, P times it; at
-    # 64-entry chunks its stages run in many items of narrow slabs
+    # the projection takes the state in the mixer's frame, P times it, and all
+    # five betas at once; at 64-entry chunks its stages run in many items of
+    # narrow slabs
     import feasmass.fullspace as fs
     default = fs._CHUNK
     cost = synthetic_instance(n, seed=3, high=5)
@@ -335,13 +337,15 @@ def test_projection_matches_full_mixer(n, dtype, monkeypatch):
     for label, st in states.items():
         framed = x_frame(st.copy(), False)
         before = framed.copy()
-        for beta in (0.0, 0.3, math.pi / 4, math.pi / 2, 3.0):
-            want = feasible_mass(apply_x_mixer(st.copy(), beta), n)
-            for chunk in (default, 1 << 6):
-                monkeypatch.setattr(fs, "_CHUNK", chunk)
-                got = mixed_feasible_mass(framed, one_hot(beta, n), n)
-                assert abs(got - want) <= PROJECTION_TOL[dtype] * want, (label, beta, chunk)
-            monkeypatch.setattr(fs, "_CHUNK", default)
+        betas = (0.0, 0.3, math.pi / 4, math.pi / 2, 3.0)
+        want = [feasible_mass(apply_x_mixer(st.copy(), beta), n) for beta in betas]
+        for chunk in (default, 1 << 6):
+            monkeypatch.setattr(fs, "_CHUNK", chunk)
+            got = mixed_feasible_mass(framed, one_hot(betas, n), n)
+            assert got.shape == (len(betas),), (label, chunk)
+            for beta, g, w in zip(betas, got, want):
+                assert abs(g - w) <= PROJECTION_TOL[dtype] * w, (label, beta, chunk)
+        monkeypatch.setattr(fs, "_CHUNK", default)
         assert np.array_equal(framed, before), label   # the input is left as it was
 
 
@@ -354,10 +358,10 @@ def test_projection_matches_full_mixer_n5_f32():
     del cost
     b0, b1 = np.random.default_rng(5).uniform(0.0, math.pi, size=2).tolist()
     x_frame(st, False)
-    want0, want1 = (mixed_feasible_mass(st, one_hot(b, 5), 5) for b in (b0, b1))
+    want0, want1 = mixed_feasible_mass(st, one_hot((b0, b1), 5), 5)
     apply_x_mixer(x_frame(st, True), b0)
     assert abs(feasible_mass(st, 5) - want0) <= 1e-5 * want0
-    assert abs(mixed_feasible_mass(x_frame(st, False), one_hot(b1 - b0, 5), 5)
+    assert abs(mixed_feasible_mass(x_frame(st, False), one_hot([b1 - b0], 5), 5)[0]
                - want1) <= 1e-5 * want1
 
 
@@ -367,8 +371,23 @@ def test_projection_matches_full_mixer_n5_f32():
 def test_projection_equals_full_mixer_property(n, beta, seed, dtype):
     st = unit_state(np.random.default_rng(seed), 1 << (n * n)).astype(dtype)
     want = feasible_mass(apply_x_mixer(st.copy(), beta), n)
-    got = mixed_feasible_mass(x_frame(st, False), one_hot(beta, n), n)
+    got, = mixed_feasible_mass(x_frame(st, False), one_hot([beta], n), n)
     assert abs(got - want) <= PROJECTION_TOL[dtype] * want
+
+
+@pytest.mark.parametrize("n,dtype", [(4, np.complex128), (5, np.complex64)])
+def test_grouped_projection_is_per_beta_bitwise(n, dtype):
+    # a beta's mass does not depend on the group it is projected in: alone,
+    # in the grid's groups (2 betas at n = 4, 3 at n = 5) or all six at once.
+    # N = 25 runs its first stage in column slabs on the pool
+    rng = np.random.default_rng(n)
+    st = np.tile(unit_state(rng, 1 << 16).astype(dtype), 1 << (n * n - 16))
+    betas = rng.uniform(0.0, math.pi, size=6).tolist()
+    single = [mixed_feasible_mass(st, one_hot([b], n), n)[0] for b in betas]
+    for group in (max(1, (1 << n) // (2 * n)), 6):
+        got = np.concatenate([mixed_feasible_mass(st, one_hot(betas[i:i + group], n), n)
+                              for i in range(0, len(betas), group)])
+        assert got.dtype == np.float64 and np.array_equal(got, single), group
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
@@ -380,7 +399,7 @@ def test_p_plus_is_plus_times_p_bitwise(dtype, num_qubits, monkeypatch):
     want = x_frame(init_plus(num_qubits, dtype), False)
     for chunk in (fs._CHUNK, 1 << 12):
         monkeypatch.setattr(fs, "_CHUNK", chunk)
-        got = init_p_plus(num_qubits, dtype)
+        got = fs._p(np.empty(1 << num_qubits, dtype), 2.0 ** (-num_qubits / 2))
         assert got.dtype == dtype
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), chunk
 
