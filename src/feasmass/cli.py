@@ -138,7 +138,8 @@ def cmd_baseline(args) -> int:
     exact, floor = bounds.transfer_factor(n)
     print(f"ln transfer     {_fmt(exact)}   (stirling floor {_fmt(floor)})")
     for p in sorted({1, n // 2, n}):   # n >= 2, so every p >= 1
-        print(f"ln lightcone 1d p={p:<3d} {_fmt(bounds.lightcone_1d_bound(n, p))}")
+        print(f"ln lightcone 1d p={p:<3d} {_fmt(bounds.lightcone_1d_bound(n, p))}"
+              "   (path-coupled rows)")   # its hypothesis; the penalty couples all rows
     return EXIT_OK
 
 
@@ -151,8 +152,10 @@ def _schedule_from(args) -> AngleSchedule:
 
 def cmd_run(args) -> int:
     inst = _resolve_instance(args)
-    if args.experiment in ("depth", "twirl") and args.method != "ce":
-        raise _usage_error(f"run {args.experiment} simulates CE-QAOA only, got --method {args.method}")
+    method = {"hist": args.method or "ce", "depth": "ce", "twirl": "ce"}.get(args.experiment)
+    if args.method not in (None, method):   # depth and twirl run CE only, the others neither
+        why = "simulates CE-QAOA only" if method else "reads no --method"
+        raise _usage_error(f"run {args.experiment} {why}, got --method {args.method}")
     grid = GridSpec(gamma_points=args.grid[0], beta_points=args.grid[1],
                     gamma_range=args.range_gamma, beta_range=args.range_beta)
     config = {
@@ -164,7 +167,7 @@ def cmd_run(args) -> int:
         "seed": args.seed, "depth": args.depth,
         "normalized_mixer": args.normalized_mixer, "precision": args.precision,
         "beta": args.beta, "t": args.t, "tie_break": args.tie_break,
-        "method": args.method, "gamma": args.gamma, "beta_list": args.beta_list,
+        "method": method, "gamma": args.gamma, "beta_list": args.beta_list,
     }
     chash = _config_hash(config)
     # --out is made with the first file written, so a run that fails leaves
@@ -181,7 +184,7 @@ def cmd_run(args) -> int:
         "grid": lambda: experiments.grid_search_generic(inst, grid, precision=args.precision),
         "transfer": lambda: experiments.parameter_transfer(inst, grid, precision=args.precision),
         "hist": lambda: experiments.feasible_histogram(
-            inst, args.method, _schedule_from(args), args.shots, args.seed,
+            inst, method, _schedule_from(args), args.shots, args.seed,
             normalized=args.normalized_mixer, precision=args.precision),
         "depth": lambda: experiments.ce_depth_sweep(inst, args.depth, grid,
                                                     normalized=args.normalized_mixer),
@@ -390,7 +393,7 @@ def build_parser() -> _Parser:
     run.add_argument("--t", type=_parse_finite, default=4.0, help="markov threshold")
     run.add_argument("--tie-break", type=_parse_bool, default=True, metavar="BOOL",
                      help="refine the cost lattice to split degenerate levels")
-    run.add_argument("--method", choices=["generic", "ce"], default="ce")
+    run.add_argument("--method", choices=["generic", "ce"], help="hist's ansatz (default ce)")
     run.add_argument("--gamma", type=_parse_list, default="0.4",
                      help="comma-separated gammas (hist/twirl)")
     run.add_argument("--beta-list", type=_parse_list, default="0.3",

@@ -10,7 +10,8 @@ angle.  The generic grid search and the CE depth sweep share one depth-first
 walker (``_walk``).  The generic layer refills one P|+> buffer (the X mixer's
 frame) per gamma, phases it and projects it onto the betas' real rows, a group at
 a time (fullspace.mixed_feasible_mass); its argmax and best point off the quarter
-turns are re-run from |+> as whole circuits.  The CE layer mixes children at once."""
+turns are re-run from |+> as whole circuits.  The CE layer mixes children at once.
+A run checks its predicted peak (instance.run_bytes and its own arrays) first."""
 from __future__ import annotations
 
 import math
@@ -22,15 +23,11 @@ from . import bounds
 from .fullspace import (_CHUNK, _DTYPES, AngleSchedule, _p, apply_cost_phase, apply_x_mixer,
                         cost_levels, feasible_mass, init_plus, level_phases, mixed_feasible_mass,
                         mixer_kernel_rows, real_mixer_rows, run_generic, sample_counts)
-from .instance import (CapacityError, DiagonalCost, enumerate_feasible, feasible_indices,
-                       feasible_subspace_indices)
+from .instance import (CapacityError, DiagonalCost, check_bytes, enumerate_feasible,
+                       feasible_indices, feasible_subspace_indices, run_bytes)
 from .subspace import (_check_label_bits, apply_block_xy_mixer, best_block_relabeling,
                        init_w_product, run_ce, subspace_cost_table, subspace_feasible_mass,
                        twirl_average)
-
-MAX_LATTICE_POINTS = 3_000_000
-"""Largest lattice grid.  Grid lengths are 5-smooth; an n=4 run peaks near
-47 MiB + 68 B per point of RSS, 243 MiB at L = 3,000,000."""
 
 
 @dataclass(frozen=True)
@@ -89,49 +86,40 @@ def _smooth_length(span: int) -> int:
     return min(p << (-(-span // p) - 1).bit_length() for p in odd)
 
 
-def _binned_rows(cost: DiagonalCost, tie_break: bool, rows: np.ndarray, beta: float) -> tuple:
-    """The distinct costs of the tie-broken or raw table, ascending, and a
-    generator that builds each kernel row 2**(-N/2) K[x], x in ``rows``, only
-    when iterated, binned onto those costs as a (Re, Im) bincount pair."""
-    if cost.n > 4:
-        raise ValueError("angle averaging capped at n=4")
+def _binned_rows(cost: DiagonalCost, tie_break: bool, rows: np.ndarray, beta: float,
+                 order: int) -> tuple:
+    """(L, binned): each kernel row 2**(-N/2) K[x], x in ``rows``, built when iterated and binned
+    onto the distinct tie-broken or raw costs: at ``order`` 0 (L = 0) a (Re, Im) bincount pair,
+    else laid at its costs in one reused buffer and FFTed, a_x after one layer from |+> at every
+    gamma_k = 2 pi k / L, L the least 5-smooth length > order * spread (exact for phases that sum
+    ``order`` cost differences).  Rows are checked before the table, the grid before any row."""
+    N = cost.num_qubits   # uint8 distances, a float and a complex power per entry
+    check_bytes(kernel := 25 * len(rows) << N, f"a {len(rows)} x 2**{N} kernel row block")
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
     values, level = np.unique(h, return_inverse=True)
-    def bins():
-        N = cost.num_qubits
-        for row in mixer_kernel_rows(rows, float(beta), N) * 2.0 ** (-N / 2):
-            yield np.bincount(level, row.real), np.bincount(level, row.imag)
-    return values, bins()
-
-
-def _lattice_spectra(cost: DiagonalCost, tie_break: bool, rows: np.ndarray, beta: float,
-                     order: int) -> tuple:
-    """(L, spectra): per row x, the amplitude a_x after one layer from |+> at every
-    gamma_k = 2 pi k / L, k < L: its binned row laid at its costs in one reused buffer, FFTed.
-    L is the least 5-smooth length > order * spread (exact for phases that sum ``order``
-    cost differences), checked against the cap before any kernel row is built."""
-    values, bins = _binned_rows(cost, tie_break, rows, beta)
     at = values - values[0]
-    L = _smooth_length(order * int(at[-1]) + 1)
-    if L > MAX_LATTICE_POINTS:
-        hint = " - consider --tie-break false" if tie_break else ""
-        raise CapacityError(f"lattice grid needs {L} points (cap {MAX_LATTICE_POINTS}); "
-                            f"large-spread instances are out of exact-averaging reach{hint}")
-    def spectra():
+    L = _smooth_length(order * int(at[-1]) + 1) if order else 0
+    if L:
+        try:   # 72 B per point: the buffer, the FFT's, the masses and their squares
+            check_bytes(kernel + 72 * L, f"a lattice grid of {L} points")
+        except CapacityError as exc:   # with the flag that shrinks the spread
+            raise CapacityError(str(exc) + " - consider --tie-break false" * tie_break) from None
+    def binned():
         w = np.empty(L, dtype=np.complex128)
-        for re, im in bins:
-            w.fill(0)
-            w.real[at], w.imag[at] = re, im
-            np.fft.fft(w, out=w)
-            yield w
-    return L, spectra()
+        for row in mixer_kernel_rows(rows, float(beta), N) * 2.0 ** (-N / 2):
+            re, im = np.bincount(level, row.real), np.bincount(level, row.imag)
+            if order:
+                w.fill(0)
+                w.real[at], w.imag[at] = re, im
+            yield np.fft.fft(w, out=w) if order else (re, im)
+    return L, binned()
 
 
 def lattice_feasible_masses(cost: DiagonalCost, beta: float, tie_break: bool = True) -> np.ndarray:
     """Feasible mass at every grid angle gamma_k = 2 pi k / L, k < L, on the integer cost
     lattice, split into single labels with ``tie_break`` (DiagonalCost.tie_broken_vector):
     any L > spread averages every nonzero cost difference to zero exactly."""
-    L, spectra = _lattice_spectra(cost, tie_break, feasible_indices(cost.n), beta, 1)
+    L, spectra = _binned_rows(cost, tie_break, feasible_indices(cost.n), beta, 1)
     masses = np.zeros(L, dtype=np.float64)
     for a in spectra:
         masses += a.real ** 2 + a.imag ** 2
@@ -143,7 +131,7 @@ def exact_angle_average(cost: DiagonalCost, beta: float,
     """Angle mean of the single-layer feasible mass (contract: n!/2**(n**2)
     within 1e-10 on the tie-broken lattice).  Terms between distinct cost levels
     average out (Parseval): 2**-N sum_{x feasible, level} |sum_{y in level} K_xy|**2."""
-    bins = _binned_rows(cost, tie_break, feasible_indices(cost.n), beta)[1]
+    bins = _binned_rows(cost, tie_break, feasible_indices(cost.n), beta, 0)[1]
     mean = sum(float(np.sum(re ** 2 + im ** 2)) for re, im in bins)
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     return ExperimentResult(
@@ -177,12 +165,10 @@ def l4_sweep(cost: DiagonalCost, betas) -> ExperimentResult:
     average, degenerate quadruples included.  L is the least 5-smooth
     length there (wi3: 675,000), as for the feasible mass.
     """
-    if cost.n > 3:
-        raise ValueError("fourth-moment sweep capped at n=3")
     rows = np.arange(1 << cost.num_qubits)
     per_beta, L = {}, None
     for beta in betas:
-        L, spectra = _lattice_spectra(cost, False, rows, beta, 2)
+        L, spectra = _binned_rows(cost, False, rows, beta, 2)
         # |a|**4 in _CHUNK slices, so no temporary is as long as the spectrum
         mean = sum(sum(float(np.sum((q := np.abs(a[lo:lo + _CHUNK]) ** 2) * q))
                        for lo in range(0, L, _CHUNK)) for a in spectra) / L
@@ -218,11 +204,14 @@ def grid_search_generic(cost: DiagonalCost, grid: GridSpec,
     order.  It is re-run as a whole circuit, an independent oracle, and so is the best
     point off the quarter turns of beta, where a wrong frame reads the right masses:
     masses over 1e-12 apart, relative (1e-5 in f32), raise ValueError."""
-    levels, n, N = cost_levels(cost.cost_vector()), cost.n, cost.num_qubits
+    n, N, dtype = cost.n, cost.num_qubits, _DTYPES[precision]
     gammas, betas = grid.axes()
     group = max(1, (1 << n) // (2 * n))   # betas per projection: its stages <= half a state
+    check_bytes(run_bytes(cost, False, dtype) + (8 * len(betas) * n << n) + dtype().itemsize
+                * (min(group, len(betas)) * n << N - n), f"a {len(gammas)}x{len(betas)} grid")
+    levels = cost_levels(cost.cost_vector())   # above: one-hot rows, first projection stage
     one_hot = np.stack([real_mixer_rows(1 << np.arange(n), b, n) for b in betas])   # once per grid
-    state = np.empty(1 << N, dtype := _DTYPES[precision])
+    state = np.empty(1 << N, dtype)
 
     def layer(_):   # p = 1: each gamma phases P|+>, refilled in one buffer, and projects it
         for g in gammas:
@@ -289,13 +278,15 @@ def feasible_histogram(cost: DiagonalCost, method: str, schedule: AngleSchedule,
                        precision: str = "f64") -> ExperimentResult:
     """Sample the chosen ansatz and count feasible outcomes per tour, keyed
     by bitstring in ascending label order."""
-    n = cost.n
+    n, what = cost.n, f"{shots} shots of a {method} run at n={cost.n}"   # sampling: 32 B a shot
     if method == "generic":
+        check_bytes(run_bytes(cost, False, _DTYPES[precision]) + 32 * shots, what)
         state = run_generic(cost, schedule, precision)
         p_exact = feasible_mass(state, n)
         feasible = feasible_indices(n)
     elif method == "ce":
         _check_label_bits(n)   # int64 labels: refused before simulating
+        check_bytes(run_bytes(cost, True, np.complex128) + 32 * shots, what)
         state = run_ce(cost, schedule, normalized=normalized)
         p_exact = subspace_feasible_mass(state)
         feasible = feasible_subspace_indices(n)   # enumerate_feasible(n), in order
@@ -338,12 +329,12 @@ def ce_depth_sweep(cost: DiagonalCost, p_max: int, grid: GridSpec,
     which keeps the lexicographically-first argmax.
     """
     if not 1 <= p_max <= 3:
-        raise ValueError(f"depth sweep needs 1 <= p_max <= 3, got {p_max}")
+        raise ValueError(f"depth sweep needs 1 <= p_max <= 3, got {p_max} (over 3: run time)")
     if max(grid.gamma_points, grid.beta_points) > 6:
         raise ValueError(f"depth sweep grid capped at 6 points per angle, got "
-                         f"--grid {grid.gamma_points}x{grid.beta_points}")
+                         f"--grid {grid.gamma_points}x{grid.beta_points} (run time)")
     if cost.n > 4:
-        raise ValueError("depth sweep capped at n=4")
+        raise ValueError(f"depth sweep capped at n=4, got n={cost.n} (run time)")
     if grid.gamma_range[0] != 0.0 or grid.beta_range[0] != 0.0:   # each axis's first point
         raise ValueError("per-layer grids must contain the zero angle")
     levels = cost_levels(subspace_cost_table(cost))
@@ -378,10 +369,10 @@ def twirl_existence_experiment(cost: DiagonalCost, schedule: AngleSchedule,
     blockwise relabelings of the CE state (must equal 1/n**n) and its maximum
     (must reach 1/n**n).
 
-    Both come from closed forms (see subspace.twirl_average), exact for every
-    n up to the subspace cap.
+    Both come from closed forms (see subspace.twirl_average), exact at every n.
     """
-    n = cost.n
+    n = cost.n   # the run's peak and best_block_relabeling's |state|
+    check_bytes(run_bytes(cost, True, np.complex128) + 8 * n ** n, f"a twirl at n={n}")
     target = tuple(range(n))
     state = run_ce(cost, schedule, normalized=normalized)
     mean = twirl_average(state)
@@ -402,8 +393,6 @@ def envelope_excess_report(cost: DiagonalCost, grid: GridSpec) -> ExperimentResu
     The single-layer envelope P <= n!/2**N is an equality at beta = 0, so a
     grid holding beta = 0 has a max >= 1, but tuned angles exceed it on small
     instances."""
-    if cost.n > 3:
-        raise ValueError("envelope report capped at n=3")
     best = grid_search_generic(cost, grid).metrics
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     return ExperimentResult(

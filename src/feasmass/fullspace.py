@@ -9,7 +9,7 @@ after it takes M's one-hot rows for a group of betas on a state already times
 P, such as P|+> refilled by _p (mixed_feasible_mass).  Passes take _CHUNK entries, so
 none makes a full-state temporary; the fills, the cost phase, the X mixer,
 the projection and the norm spread their chunks over the CPUs (_chunks).
-No result depends on either thread count."""
+No result depends on either thread count.  A run checks its predicted peak first."""
 from __future__ import annotations
 
 import functools
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import CapacityError, DiagonalCost, feasible_indices, feasible_subspace_indices
+from .instance import (DiagonalCost, check_bytes, feasible_indices, feasible_subspace_indices,
+                       run_bytes)
 
-MAX_FULL_QUBITS = 25
 _CHUNK = 1 << 16   # 512 KiB of complex64: one chunk stays in a 2 MiB L2
 _FUSE = 5   # qubits per fused mixer block: 2**5 x 2**5 matmuls
 _GEMM = 1 << 17   # m*n*k per mixer matmul: OpenBLAS threads real gemm from 2**20
@@ -49,8 +49,6 @@ class AngleSchedule:
 
 def init_plus(num_qubits: int, dtype=np.complex128) -> np.ndarray:
     """|+>^N : every amplitude 2**(-N/2)."""
-    if num_qubits > MAX_FULL_QUBITS:
-        raise CapacityError(f"full space capped at {MAX_FULL_QUBITS} qubits, got {num_qubits}")
     state = np.empty(1 << num_qubits, dtype=dtype)   # np.full's bits, filled chunk by chunk
     _chunks(lambda lo: state[lo:lo + _CHUNK].fill(2.0 ** (-num_qubits / 2)), state.size)
     return state
@@ -185,6 +183,7 @@ def real_mixer_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarray:
 
 def run_generic(cost: DiagonalCost, schedule: AngleSchedule, precision: str = "f64") -> np.ndarray:
     """Depth-p generic QAOA: alternate cost phase and X mixer from |+>^N."""
+    check_bytes(run_bytes(cost, False, _DTYPES[precision]), f"a generic run at n={cost.n}")
     levels = cost_levels(cost.cost_vector())
     state = init_plus(cost.num_qubits, dtype=_DTYPES[precision])
     for gamma, beta in zip(schedule.gammas, schedule.betas):

@@ -3,7 +3,7 @@ sphere and permutation-indicator spectra.
 
 Normalization is fixed once for the whole package: the forward transform is
 f_hat(S) = 2**-N * sum_x f(x) * (-1)^(S.x), so Parseval reads
-sum_x |f|^2 = 2**N * sum_S |f_hat|^2.
+sum_x |f|^2 = 2**N * sum_S |f_hat|^2.  What makes 2**N entries checks its bytes first.
 """
 from __future__ import annotations
 
@@ -14,9 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instance import CapacityError, feasible_indices
-
-MAX_TRANSFORM_BITS = 20
+from .instance import CapacityError, check_bytes, feasible_indices
 
 
 def popcounts(num_bits: int) -> np.ndarray:
@@ -41,10 +39,9 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
 
 def walsh_transform(values) -> np.ndarray:
     """Forward transform under the 2**-N normalization."""
+    n = num_bits_of(len(values))
+    check_bytes(32 << n, f"a {n}-bit transform")   # a complex copy, two half-length sums
     a = np.array(values, dtype=np.complex128)
-    n = num_bits_of(a.shape[0])
-    if n > MAX_TRANSFORM_BITS:
-        raise CapacityError(f"transform capped at {MAX_TRANSFORM_BITS} bits, got {n}")
     return np.multiply(_fwht_inplace(a), 2.0 ** (-n), out=a)
 
 
@@ -67,7 +64,7 @@ def krawtchouk_table(n: int) -> tuple:
 def krawtchouk_orthogonality_check(n: int) -> bool:
     """Exact check of sum_r C(n,r) K_w(r) K_w'(r) = 2**n C(n,w) delta_ww'."""
     if n > 12:
-        raise CapacityError("orthogonality check uses exact integers up to n=12")
+        raise CapacityError("orthogonality check uses exact integers up to n=12 (run time)")
     K = krawtchouk_table(n)
     binom = [math.comb(n, r) for r in range(n + 1)]
     return all(sum(binom[r] * K[w][r] * K[wp][r] for r in range(n + 1))
@@ -77,8 +74,7 @@ def krawtchouk_orthogonality_check(n: int) -> bool:
 
 def sphere_spectrum(n: int, w: int) -> np.ndarray:
     """Spectrum of the Hamming-sphere indicator |x|=w: radially 2**-n K_w(|S|)."""
-    if n > 16:
-        raise CapacityError("sphere spectrum capped at n=16")
+    check_bytes(32 << n, f"the sphere spectrum at n={n}")   # int64 popcounts, floats, result
     profile = np.array(krawtchouk_table(n)[w], dtype=np.float64) * 2.0 ** (-n)
     return profile[popcounts(n)].astype(np.complex128)
 
@@ -110,8 +106,7 @@ def permutation_indicator(n: int) -> np.ndarray:
 
 def permutation_spectrum(n: int) -> PermutationSpectra:
     """Spectra of the permutation, row-one-hot and column-one-hot indicators."""
-    if n > 4:
-        raise CapacityError("permutation spectrum capped at n=4 (N=16)")
+    check_bytes(72 << n * n, f"the permutation spectra at n={n}")   # 2 kept, 1 transforming
     rows = [((1 << n) - 1) << (i * n) for i in range(n)]
     cols = [sum(1 << (i * n + j) for i in range(n)) for j in range(n)]
     return PermutationSpectra(full=walsh_transform(permutation_indicator(n)),
@@ -147,8 +142,6 @@ def mixer_walsh_multiplier(num_bits: int, s: int, beta: float) -> complex:
 
 def feasible_mass_via_plancherel(state: np.ndarray, n: int) -> float:
     """P over the permutation set from the spectra of 1_perm and |amps|^2."""
-    if n > 4:
-        raise CapacityError("Plancherel route capped at n=4")
+    pi_hat = permutation_spectrum(n).full   # the larger: checked before |amps|^2 is made
     p_hat = walsh_transform(np.abs(np.asarray(state)) ** 2)
-    pi_hat = permutation_spectrum(n).full
     return float(np.real((1 << n * n) * np.sum(np.conj(pi_hat) * p_hat)))

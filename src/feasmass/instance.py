@@ -18,12 +18,18 @@ from pathlib import Path
 
 import numpy as np
 
-MAX_ENUM_SIZE = 8          # factorial enumeration guard
-MAX_DENSE_COST_SIZE = 5    # full 2**(n*n) cost tables
+MAX_ENUM_SIZE = 8   # factorial enumeration guard (run time)
+MAX_BYTES = 2 ** 31   # the memory budget: a constant, so no host decides what is refused
 
 
 class CapacityError(ValueError):
-    """Requested size exceeds the configured desk-scale budget."""
+    """A run needs more memory than MAX_BYTES, or more than a fixed width or run time allows."""
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """The one memory cap: refuse a predicted peak (arrays at their largest) over MAX_BYTES."""
+    if nbytes > MAX_BYTES:
+        raise CapacityError(f"{what} needs {nbytes} bytes; memory capped at {MAX_BYTES} bytes")
 
 
 class InstanceFormatError(ValueError):
@@ -166,7 +172,7 @@ def load_instance(path) -> DiagonalCost:
 def enumerate_feasible(n: int) -> tuple:
     """All n! feasible labels, in lexicographic permutation order."""
     if n > MAX_ENUM_SIZE:
-        raise CapacityError(f"feasible enumeration capped at n={MAX_ENUM_SIZE}, got {n}")
+        raise CapacityError(f"feasible enumeration capped at n={MAX_ENUM_SIZE}, got {n} (run time)")
     return tuple(sum(1 << (pos * n + city) for pos, city in enumerate(perm))
                  for perm in itertools.permutations(range(n)))
 
@@ -186,35 +192,36 @@ def feasible_subspace_indices(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dense cost tables
 
-def _dense_cost(patterns, dist, A, include_penalty, dtypes):
-    """Cost table over every choice of one bit pattern from ``patterns`` per
-    row, row 0 the least significant digit: ``np.arange(2**n)`` gives the
-    full table indexed by label, ``1 << np.arange(n)`` the one-hot manifold.
-
-    The table over rows 0..k-1 is the first m**k entries of the table over
-    rows 0..k (m patterns), so each row block extends it in place by m slabs,
-    one per pattern of the new row, built straight in ``dtype``.
-
-    The column penalty is A*(n - sum_i |r_i| + 2 sum_{i<i'} |r_i & r_i'|):
-    the constant and the |r_i| part join the row term, the overlap part the
-    pair terms.  Before anything is allocated, the sum of each term's largest
-    value (n row terms, n(n-1)/2 overlaps, n tour steps, in Python ints; on the
-    full table at n >= 3, the all-ones cost) picks the first of ``dtypes`` that
-    holds it.  Every term then fits, and a partial sum that wraps still ends exact.
-    """
-    n, m = len(dist), len(patterns)
+def _cost_terms(patterns, dist, A, include_penalty, dtypes) -> tuple:
+    """(dtype, top, row, overlap, tour) for _dense_cost, nothing allocated.  The column penalty
+    A*(n - sum_i |r_i| + 2 sum_{i<i'} |r_i & r_i'|) joins the row term, A*(|r_i|-1)*(|r_i|-2),
+    and the pair terms, so no term is negative.  The n row, n(n-1)/2 overlap and n tour terms'
+    largest values summed in Python ints (on the full table at n >= 3, the all-ones cost) are
+    ``top``, which bounds every cost and picks the first of ``dtypes`` that holds it."""
+    n = len(dist)
     bits = ((patterns[:, None] >> np.arange(n)) & 1).astype(object)   # Python ints
     popc = bits.sum(axis=1)
     pen = int(A) if include_penalty else 0
-    row = pen * ((popc - 1) ** 2 - popc)
+    row = pen * (popc - 1) * (popc - 2)
     overlap = 2 * pen * (bits @ bits.T)
     tour = bits @ np.asarray(dist, dtype=object) @ bits.T   # [r_t, r_{t+1}]
-    top = pen * n + n * row.max() + n * (n - 1) // 2 * overlap.max() + n * tour.max()
+    top = n * row.max() + n * (n - 1) // 2 * overlap.max() + n * tour.max()
     if top > np.iinfo(dtypes[-1]).max:
         raise CapacityError(f"largest cost {top} overflows the {np.dtype(dtypes[-1]).name} "
                             f"cost table at n={n}; use smaller distances")
     dtype = next(t for t in dtypes if top <= np.iinfo(t).max)
-    row, overlap, tour = row.astype(dtype), overlap.astype(np.int64), tour.astype(np.int64)
+    return dtype, top, row.astype(dtype), overlap.astype(np.int64), tour.astype(np.int64)
+
+
+def _dense_cost(patterns, dist, A, include_penalty, dtypes):
+    """Cost table over every choice of one bit pattern from ``patterns`` per
+    row, row 0 the least significant digit: ``np.arange(2**n)`` gives the
+    full table indexed by label, ``1 << np.arange(n)`` the one-hot manifold.
+    The table over rows 0..k-1 is the first m**k entries of the table over
+    rows 0..k (m patterns), so each row block extends it in place by m slabs,
+    one per pattern of the new row, built straight in _cost_terms' dtype."""
+    n, m = len(dist), len(patterns)
+    dtype, _, row, overlap, tour = _cost_terms(patterns, dist, A, include_penalty, dtypes)
 
     def pair(j, k, r):
         # terms coupling row k (= r) to row j < k, over r_j on axis k-1-j: the
@@ -225,7 +232,7 @@ def _dense_cost(patterns, dist, A, include_penalty, dtypes):
         return vec.astype(dtype).reshape(shape)
 
     table = np.empty(m ** n, dtype=dtype)
-    table[:m] = row + dtype(pen * n)
+    table[:m] = row
     for k in range(1, n):
         prev = table[:m ** k].reshape([m] * k)
         for r in range(m - 1, -1, -1):   # slab 0 is prev: extended last, in place
@@ -236,16 +243,30 @@ def _dense_cost(patterns, dist, A, include_penalty, dtypes):
     return table
 
 
+def _table_args(cost: DiagonalCost, one_hot: bool) -> tuple:
+    """_dense_cost's arguments for ``cost``'s full table, int32 at n = 5 to halve 2**25 entries,
+    or with ``one_hot`` its CE table (subspace_cost_table), int32 at n = 8 if the costs fit."""
+    n, pen = cost.n, (cost.penalty_weight, cost.include_penalty)
+    if one_hot:
+        return 1 << np.arange(n), cost.dist.T, *pen, (np.int32, np.int64) if n == 8 else (np.int64,)
+    return np.arange(1 << n), cost.dist, *pen, (np.int32 if n == 5 else np.int64,)
+
+
 def build_cost(cost: DiagonalCost) -> DiagonalCost:
     """Build and keep ``cost``'s dense table over all 2**(n*n) labels (index =
-    integer label), int32 at n = 5 to halve the 2**25 table, int64 below, and
-    return ``cost``.  A table whose largest cost could pass the dtype is
-    refused (see _dense_cost)."""
+    integer label) and return ``cost``; a cost past the dtype is refused."""
     if cost._vector is None:
-        n = cost.n
-        if n > MAX_DENSE_COST_SIZE:
-            raise CapacityError(f"dense cost table capped at n={MAX_DENSE_COST_SIZE}, got {n}")
-        object.__setattr__(cost, "_vector", _dense_cost(
-            np.arange(1 << n), cost.dist, cost.penalty_weight, cost.include_penalty,
-            (np.int32 if n == 5 else np.int64,)))
+        object.__setattr__(cost, "_vector", _dense_cost(*_table_args(cost, False)))
     return cost
+
+
+def run_bytes(cost: DiagonalCost, one_hot: bool, dtype) -> int:
+    """Predicted peak of run_generic, or with ``one_hot`` run_ce, with ``dtype`` amplitudes,
+    from the terms alone: table, state, CE mixer means, and cost_levels with one level_phases:
+    top + 1 phases at most (costs lie in [0, top]), or a phase and a 4 B index per entry."""
+    args, itemsize = _table_args(cost, one_hot), np.dtype(dtype).itemsize
+    width, top = _cost_terms(*args)[:2]
+    size = len(args[0]) ** cost.n
+    levels = (top + 1) * itemsize if top + 1 < size else size * (4 + itemsize)
+    state = size * itemsize * (cost.n + 1) // cost.n if one_hot else size * itemsize
+    return size * np.dtype(width).itemsize + state + levels

@@ -8,7 +8,8 @@ digit, index(j_1..j_n) = sum_b j_b * n**(n-1-b).  Block b maps to full-space
 bits [b*n, (b+1)*n); symbol j in block b sets bit b*n + j.
 
 The cost table is the full-space cost builder run over one-hot rows
-(instance._dense_cost), so both tables come from one formula.  The block mixer
+(instance._dense_cost), so both tables come from one formula, and a run checks its
+predicted peak (instance.run_bytes) before the table is built.  The block mixer
 sector, the relabeling twirl and the leakage spectrum are closed forms; their
 brute-force versions (dense Pauli sum, relabeling enumeration, dense sector
 unitary, manifold mixer and per-axis pass, full-space embedding) are test oracles.
@@ -24,19 +25,17 @@ import numpy as np
 from . import fullspace
 from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels, init_plus,
                         norm_squared)
-from .instance import CapacityError, DiagonalCost, _dense_cost, feasible_subspace_indices
+from .instance import (CapacityError, DiagonalCost, _dense_cost, _table_args, check_bytes,
+                       feasible_subspace_indices, run_bytes)
 
-MAX_BLOCK_SIZE = 8   # n**n amplitudes
-MAX_EMBED_SIZE = 4   # the overlap needs the 2**(n*n) space too
 MAX_LABEL_BITS = 63  # full-space labels are int64
 
 
 def _check_label_bits(n: int) -> None:
-    """Labels carry n*n bits, so they fit int64 up to n = 7; only materializing
-    the full space (overlap_generic_ce) is capped lower, at n = 4."""
+    """Labels carry n*n bits, so they fit int64 up to n = 7."""
     if n * n > MAX_LABEL_BITS:
-        raise CapacityError(f"full-space labels need {n * n} bits; int64 labels "
-                            f"hold {MAX_LABEL_BITS} (n <= 7)")
+        raise CapacityError(f"full-space labels need {n * n} bits; capped at {MAX_LABEL_BITS} "
+                            "(labels are int64)")
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,8 +51,6 @@ def subspace_to_full_labels(n: int) -> np.ndarray:
 
 def init_w_product(n: int) -> np.ndarray:
     """Product of per-block uniform single-excitation states: all amps n**(-n/2)."""
-    if n > MAX_BLOCK_SIZE:
-        raise CapacityError(f"subspace capped at n={MAX_BLOCK_SIZE}, got {n}")
     return np.full(n ** n, float(n) ** (-n / 2), dtype=np.complex128)
 
 
@@ -67,13 +64,9 @@ def subspace_cost_table(cost: DiagonalCost) -> np.ndarray:
     The builder's row 0 is its least significant digit and the manifold's
     block 0 its most significant, so builder row i is block n-1-i and the
     tour, block b to b+1, runs from builder row i+1 to i: the builder's
-    forward tour over dist.T.  At n = 8 it is int32 (64 MiB) if the costs fit.
+    forward tour over dist.T (instance._table_args).
     """
-    n = cost.n
-    if n > MAX_BLOCK_SIZE:
-        raise CapacityError(f"subspace capped at n={MAX_BLOCK_SIZE}, got {n}")
-    return _dense_cost(1 << np.arange(n), cost.dist.T, cost.penalty_weight, cost.include_penalty,
-                       (np.int32, np.int64) if n == 8 else (np.int64,))
+    return _dense_cost(*_table_args(cost, True))
 
 
 def apply_subspace_cost_phase(state: np.ndarray, levels: tuple, gamma: float) -> np.ndarray:
@@ -133,6 +126,7 @@ def apply_block_xy_mixer(state: np.ndarray, n: int, beta, normalized: bool = Tru
 
 def run_ce(cost: DiagonalCost, schedule: AngleSchedule, normalized: bool = True) -> np.ndarray:
     """Depth-p CE-QAOA: alternate cost phase and block mixer from the W product."""
+    check_bytes(run_bytes(cost, True, np.complex128), f"a CE run at n={cost.n}")
     levels = cost_levels(subspace_cost_table(cost))
     state = init_w_product(cost.n)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
@@ -201,9 +195,9 @@ def overlap_generic_ce(cost: DiagonalCost, gamma: float, beta: float) -> complex
 
     The CE side uses the unnormalized block mixer.
     """
-    n = cost.n
-    if n > MAX_EMBED_SIZE:
-        raise CapacityError(f"overlap capped at n={MAX_EMBED_SIZE}")
+    n = cost.n   # both runs, the label map and the gathered sector
+    check_bytes(run_bytes(cost, False, np.complex128) + run_bytes(cost, True, np.complex128)
+                + 24 * n ** n, f"the overlap at n={n}")
     gen = init_plus(cost.num_qubits)
     apply_x_mixer(gen, beta)
     apply_cost_phase(gen, cost_levels(cost.cost_vector()), gamma)

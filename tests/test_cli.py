@@ -37,6 +37,14 @@ def test_baseline_table(capsys):
     assert "qubits          9" in out
 
 
+def test_baseline_lightcone_lines_name_their_hypothesis(capsys):
+    # the 1-D light-cone bound assumes path-coupled rows; the penalty couples
+    # every row, and synthetic n = 4 reaches 2.2x its p = 1 value
+    assert run_cli(["baseline", "--n", "4"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("ln lightcone")]
+    assert len(lines) == 3 and all(l.endswith("   (path-coupled rows)") for l in lines)
+
+
 def test_baseline_synthetic(capsys):
     rc = run_cli(["baseline", "--n", "2"])
     out = capsys.readouterr().out
@@ -375,13 +383,19 @@ def test_run_files_independent_of_pool_workers(tmp_path, monkeypatch):
     assert written[1] == written[2]
 
 
-def test_run_markov_lattice_cap_names_the_flag(tmp_path, capsys):
-    # tie-broken wi4 needs 85,429,687,500 grid points; the hint is a CLI flag
+def test_run_markov_lattice_cap_names_the_flag(tmp_path, capsys, monkeypatch):
+    # tie-broken wi4 needs 85,429,687,500 grid points at 72 B each beside the
+    # 24 kernel rows (25 B per entry), over the budget before any row is
+    # built; the hint is a CLI flag
+    def unreachable(*a):
+        raise AssertionError("kernel rows built")
+    monkeypatch.setattr(experiments, "mixer_kernel_rows", unreachable)
     out = tmp_path / "out"
     assert run_cli(["run", "markov", "--instance", WI4, "--out", str(out)]) == 1
+    nbytes = 72 * 85429687500 + 25 * 24 * 2 ** 16
     assert capsys.readouterr().err == (
-        "error: lattice grid needs 85429687500 points (cap 3000000); large-spread instances "
-        "are out of exact-averaging reach - consider --tie-break false\n")
+        f"error: a lattice grid of 85429687500 points needs {nbytes} bytes; memory capped at "
+        "2147483648 bytes - consider --tie-break false\n")
     assert not out.exists()
 
 
@@ -535,6 +549,34 @@ def test_run_ce_only_experiment_refuses_generic(tmp_path, capsys, experiment):
     assert capsys.readouterr().err == (f"error: run {experiment} simulates CE-QAOA only, "
                                        f"got --method generic\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["avg", "markov", "l4", "grid", "transfer"])
+def test_run_that_reads_no_method_refuses_it(tmp_path, capsys, experiment):
+    # these five runs ignore the ansatz, so a --method would only move the hash
+    out = tmp_path / "out"
+    rc = run_cli(["run", experiment, "--n", "2", "--grid", "2x2", "--method", "ce",
+                  "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: run {experiment} reads no --method, "
+                                       f"got --method ce\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, method", [
+    ("avg", None), ("markov", None), ("l4", None), ("grid", None), ("transfer", None),
+    ("hist", "ce"), ("depth", "ce"), ("twirl", "ce")])
+def test_config_records_method_only_where_read(tmp_path, experiment, method):
+    # hist, depth and twirl record ce when --method is omitted, the same bytes
+    # as with --method ce, so their hashes stay; the five others record null
+    args = ["run", experiment, "--n", "2", "--grid", "2x2"]
+    assert run_cli(args + ["--out", str(tmp_path / "a")]) in (0, 2)
+    record = json.loads(next((tmp_path / "a").glob("*.jsonl")).read_text())
+    assert record["config"]["method"] == method
+    if method:
+        assert run_cli(args + ["--method", "ce", "--out", str(tmp_path / "b")]) in (0, 2)
+        written = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in "ab"]
+        assert written[0] == written[1]
 
 
 def test_run_hist_files_independent_of_chunk(tmp_path, monkeypatch, capsys):

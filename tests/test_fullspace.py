@@ -80,9 +80,18 @@ def test_chunked_init_plus_is_np_full_bitwise(dtype, monkeypatch):
         assert np.array_equal(init_plus(num_qubits, dtype).view(np.uint8), want.view(np.uint8))
 
 
-def test_init_plus_capacity():
-    with pytest.raises(CapacityError):
-        init_plus(26)
+def test_init_plus_capacity(monkeypatch):
+    # the full space is capped by the memory budget, which the run checks
+    # before it makes its |+> state or its cost table: n = 6 is refused
+    import feasmass.fullspace as fs
+    import feasmass.instance as ins
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+    monkeypatch.setattr(fs, "init_plus", unreachable)
+    monkeypatch.setattr(ins, "_dense_cost", unreachable)
+    with pytest.raises(CapacityError, match=r"^a generic run at n=6 needs \d+ bytes; "
+                                            r"memory capped at 2147483648 bytes$"):
+        run_generic(synthetic_instance(6, seed=1, high=3), AngleSchedule.single(0.1, 0.1))
 
 
 def test_cost_phase_identity_cases():

@@ -211,6 +211,8 @@ def test_injective_ratio_and_control_inequalities():
 
 
 def test_transform_capacity_guard():
+    # 32 B per entry: 2**26 entries fill the 2 GiB budget and 2**27 pass it;
+    # the broadcast input holds one float, so the refusal allocates nothing
     from feasmass.instance import CapacityError
-    with pytest.raises(CapacityError):
-        walsh_transform(np.ones(1 << 21))
+    with pytest.raises(CapacityError, match="^a 27-bit transform needs 4294967296 bytes; memory"):
+        walsh_transform(np.broadcast_to(1.0, 1 << 27))

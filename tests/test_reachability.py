@@ -14,9 +14,13 @@ PKG = Path(__file__).resolve().parent.parent / "src" / "feasmass"
 # knob a caller can turn.  The count may only shrink.
 MAX_KNOBS = 24
 
+# The module-level MAX_* constants in ``src``: the one memory budget, in
+# bytes, and the two caps that are not memory (run time and label width).
+CAP_CONSTANTS = {"MAX_BYTES", "MAX_ENUM_SIZE", "MAX_LABEL_BITS"}
+
 # Summed line count of src/feasmass/*.py, as ``wc -l`` counts it.  It may
 # only shrink too.
-MAX_SRC_LINES = 1861
+MAX_SRC_LINES = 1860
 
 
 def _defined_names(stmt) -> list:
@@ -108,6 +112,12 @@ def knob_count() -> int:
 def test_defaulted_knobs_do_not_grow():
     count = knob_count()
     assert count <= MAX_KNOBS, f"{count} defaulted parameters and fields, cap {MAX_KNOBS}"
+
+
+def test_memory_caps_are_the_one_budget():
+    names = {name for path in PKG.glob("*.py") for stmt in ast.parse(path.read_text()).body
+             for name in _defined_names(stmt) if name.startswith("MAX_")}
+    assert names == CAP_CONSTANTS
 
 
 def test_src_lines_do_not_grow():

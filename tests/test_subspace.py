@@ -46,14 +46,21 @@ def test_label_map_matches_per_tuple_labels():
             assert labels[k] == label(int(k), n)
 
 
-def test_init_w_product_values():
+def test_init_w_product_values(monkeypatch):
     assert np.allclose(init_w_product(2), 0.5)
     assert np.allclose(init_w_product(3), 3.0 ** -1.5)
     st = init_w_product(5)
     assert st.shape == (3125,)
     assert abs(np.vdot(st, st).real - 1) < 1e-12
-    with pytest.raises(CapacityError):
-        init_w_product(9)
+    # the subspace is capped by the memory budget, which the run checks
+    # before it makes its W product or its cost table: n = 9 is refused
+    import feasmass.subspace as sub
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+    monkeypatch.setattr(sub, "init_w_product", unreachable)
+    monkeypatch.setattr(sub, "_dense_cost", unreachable)
+    with pytest.raises(CapacityError, match=r"^a CE run at n=9 needs \d+ bytes; memory capped"):
+        run_ce(synthetic_instance(9, seed=1), AngleSchedule.single(0.1, 0.1))
 
 
 def test_subspace_cost_matches_full_cost():
