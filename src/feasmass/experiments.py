@@ -1,6 +1,6 @@
 """Experiment orchestration: lattice angle averages, moment sweeps, grid
 searches, parameter transfer, shot histograms, depth sweeps and the twirl
-existence check.
+existence check.  Each checks its predicted peak (instance.check_run, its arrays) first.
 
 The angle averages (avg, markov, l4) bin every mixer kernel row onto the
 distinct costs in one place (``_binned_rows``).  avg sums the energy of the
@@ -10,8 +10,7 @@ angle.  The generic grid search and the CE depth sweep share one depth-first
 walker (``_walk``).  The generic layer refills one P|+> buffer (the X mixer's
 frame) per gamma, phases it and projects it onto the betas' real rows, a group at
 a time (fullspace.mixed_feasible_mass); its argmax and best point off the quarter
-turns are re-run from |+> as whole circuits.  The CE layer mixes children at once.
-A run checks its predicted peak (instance.run_bytes and its own arrays) first."""
+turns are re-run from |+> as whole circuits.  The CE layer mixes children at once."""
 from __future__ import annotations
 
 import math
@@ -23,8 +22,8 @@ from . import bounds
 from .fullspace import (_CHUNK, _DTYPES, AngleSchedule, _p, apply_cost_phase, apply_x_mixer,
                         cost_levels, feasible_mass, init_plus, level_phases, mixed_feasible_mass,
                         mixer_kernel_rows, real_mixer_rows, run_generic, sample_counts)
-from .instance import (CapacityError, DiagonalCost, check_bytes, enumerate_feasible,
-                       feasible_indices, feasible_subspace_indices, run_bytes)
+from .instance import (CapacityError, DiagonalCost, check_bytes, check_run, enumerate_feasible,
+                       feasible_indices, feasible_subspace_indices)
 from .subspace import (_check_label_bits, apply_block_xy_mixer, best_block_relabeling,
                        init_w_product, run_ce, subspace_cost_table, subspace_feasible_mass,
                        twirl_average)
@@ -86,40 +85,42 @@ def _smooth_length(span: int) -> int:
     return min(p << (-(-span // p) - 1).bit_length() for p in odd)
 
 
-def _binned_rows(cost: DiagonalCost, tie_break: bool, rows: np.ndarray, beta: float,
-                 order: int) -> tuple:
-    """(L, binned): each kernel row 2**(-N/2) K[x], x in ``rows``, built when iterated and binned
-    onto the distinct tie-broken or raw costs: at ``order`` 0 (L = 0) a (Re, Im) bincount pair,
-    else laid at its costs in one reused buffer and FFTed, a_x after one layer from |+> at every
-    gamma_k = 2 pi k / L, L the least 5-smooth length > order * spread (exact for phases that sum
-    ``order`` cost differences).  Rows are checked before the table, the grid before any row."""
+def _binned_rows(cost: DiagonalCost, tie_break: bool, rows, beta: float) -> tuple:
+    """(at, bins): the distinct tie-broken or raw costs less the least, and a generator building
+    each kernel row 2**(-N/2) K[x], x in ``rows``, when iterated, binned onto them as (Re, Im)."""
     N = cost.num_qubits   # uint8 distances, a float and a complex power per entry
-    check_bytes(kernel := 25 * len(rows) << N, f"a {len(rows)} x 2**{N} kernel row block")
+    check_bytes(25 * len(rows) << N, f"a {len(rows)} x 2**{N} kernel row block")   # then the table
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
     values, level = np.unique(h, return_inverse=True)
-    at = values - values[0]
-    L = _smooth_length(order * int(at[-1]) + 1) if order else 0
-    if L:
-        try:   # 72 B per point: the buffer, the FFT's, the masses and their squares
-            check_bytes(kernel + 72 * L, f"a lattice grid of {L} points")
-        except CapacityError as exc:   # with the flag that shrinks the spread
-            raise CapacityError(str(exc) + " - consider --tie-break false" * tie_break) from None
-    def binned():
-        w = np.empty(L, dtype=np.complex128)
+    def bins():
         for row in mixer_kernel_rows(rows, float(beta), N) * 2.0 ** (-N / 2):
-            re, im = np.bincount(level, row.real), np.bincount(level, row.imag)
-            if order:
-                w.fill(0)
-                w.real[at], w.imag[at] = re, im
-            yield np.fft.fft(w, out=w) if order else (re, im)
-    return L, binned()
+            yield np.bincount(level, row.real), np.bincount(level, row.imag)
+    return values - values[0], bins()
+
+
+def _lattice_spectra(cost: DiagonalCost, tie_break: bool, rows, beta: float, order: int) -> tuple:
+    """(L, spectra): per row x, a_x after one layer from |+> at every gamma_k = 2 pi k / L, its
+    row binned, laid at its costs in one reused buffer and FFTed; L > order * spread, 5-smooth."""
+    at, bins = _binned_rows(cost, tie_break, rows, beta)
+    L = _smooth_length(order * int(at[-1]) + 1)
+    try:   # 72 B per point: the buffer, the FFT's, the masses and their squares
+        check_bytes((25 * len(rows) << cost.num_qubits) + 72 * L, f"a lattice grid of {L} points")
+    except CapacityError as exc:   # with the flag that shrinks the spread
+        raise CapacityError(str(exc) + " - consider --tie-break false" * tie_break) from None
+    def spectra():
+        w = np.empty(L, dtype=np.complex128)
+        for re, im in bins:
+            w.fill(0)
+            w.real[at], w.imag[at] = re, im
+            yield np.fft.fft(w, out=w)
+    return L, spectra()
 
 
 def lattice_feasible_masses(cost: DiagonalCost, beta: float, tie_break: bool = True) -> np.ndarray:
     """Feasible mass at every grid angle gamma_k = 2 pi k / L, k < L, on the integer cost
     lattice, split into single labels with ``tie_break`` (DiagonalCost.tie_broken_vector):
     any L > spread averages every nonzero cost difference to zero exactly."""
-    L, spectra = _binned_rows(cost, tie_break, feasible_indices(cost.n), beta, 1)
+    L, spectra = _lattice_spectra(cost, tie_break, feasible_indices(cost.n), beta, 1)
     masses = np.zeros(L, dtype=np.float64)
     for a in spectra:
         masses += a.real ** 2 + a.imag ** 2
@@ -131,7 +132,7 @@ def exact_angle_average(cost: DiagonalCost, beta: float,
     """Angle mean of the single-layer feasible mass (contract: n!/2**(n**2)
     within 1e-10 on the tie-broken lattice).  Terms between distinct cost levels
     average out (Parseval): 2**-N sum_{x feasible, level} |sum_{y in level} K_xy|**2."""
-    bins = _binned_rows(cost, tie_break, feasible_indices(cost.n), beta, 0)[1]
+    bins = _binned_rows(cost, tie_break, feasible_indices(cost.n), beta)[1]
     mean = sum(float(np.sum(re ** 2 + im ** 2)) for re, im in bins)
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     return ExperimentResult(
@@ -165,10 +166,9 @@ def l4_sweep(cost: DiagonalCost, betas) -> ExperimentResult:
     average, degenerate quadruples included.  L is the least 5-smooth
     length there (wi3: 675,000), as for the feasible mass.
     """
-    rows = np.arange(1 << cost.num_qubits)
     per_beta, L = {}, None
     for beta in betas:
-        L, spectra = _binned_rows(cost, False, rows, beta, 2)
+        L, spectra = _lattice_spectra(cost, False, range(1 << cost.num_qubits), beta, 2)
         # |a|**4 in _CHUNK slices, so no temporary is as long as the spectrum
         mean = sum(sum(float(np.sum((q := np.abs(a[lo:lo + _CHUNK]) ** 2) * q))
                        for lo in range(0, L, _CHUNK)) for a in spectra) / L
@@ -207,8 +207,8 @@ def grid_search_generic(cost: DiagonalCost, grid: GridSpec,
     n, N, dtype = cost.n, cost.num_qubits, _DTYPES[precision]
     gammas, betas = grid.axes()
     group = max(1, (1 << n) // (2 * n))   # betas per projection: its stages <= half a state
-    check_bytes(run_bytes(cost, False, dtype) + (8 * len(betas) * n << n) + dtype().itemsize
-                * (min(group, len(betas)) * n << N - n), f"a {len(gammas)}x{len(betas)} grid")
+    check_run(cost, False, dtype, (8 * len(betas) * n << n) + dtype().itemsize
+              * (min(group, len(betas)) * n << N - n), f"a {len(gammas)}x{len(betas)} grid")
     levels = cost_levels(cost.cost_vector())   # above: one-hot rows, first projection stage
     one_hot = np.stack([real_mixer_rows(1 << np.arange(n), b, n) for b in betas])   # once per grid
     state = np.empty(1 << N, dtype)
@@ -280,14 +280,14 @@ def feasible_histogram(cost: DiagonalCost, method: str, schedule: AngleSchedule,
     by bitstring in ascending label order."""
     n, what = cost.n, f"{shots} shots of a {method} run at n={cost.n}"   # sampling: 32 B a shot
     if method == "generic":
-        check_bytes(run_bytes(cost, False, _DTYPES[precision]) + 32 * shots, what)
-        state = run_generic(cost, schedule, precision)
+        check_run(cost, False, _DTYPES[precision], 32 * shots, what)
+        state = run_generic(cost, schedule, precision)   # rechecks, for direct callers
         p_exact = feasible_mass(state, n)
         feasible = feasible_indices(n)
     elif method == "ce":
         _check_label_bits(n)   # int64 labels: refused before simulating
-        check_bytes(run_bytes(cost, True, np.complex128) + 32 * shots, what)
-        state = run_ce(cost, schedule, normalized=normalized)
+        check_run(cost, True, np.complex128, 32 * shots, what)
+        state = run_ce(cost, schedule, normalized=normalized)   # rechecks, for direct callers
         p_exact = subspace_feasible_mass(state)
         feasible = feasible_subspace_indices(n)   # enumerate_feasible(n), in order
     else:
@@ -372,7 +372,7 @@ def twirl_existence_experiment(cost: DiagonalCost, schedule: AngleSchedule,
     Both come from closed forms (see subspace.twirl_average), exact at every n.
     """
     n = cost.n   # the run's peak and best_block_relabeling's |state|
-    check_bytes(run_bytes(cost, True, np.complex128) + 8 * n ** n, f"a twirl at n={n}")
+    check_run(cost, True, np.complex128, 8 * n ** n, f"a twirl at n={n}")
     target = tuple(range(n))
     state = run_ce(cost, schedule, normalized=normalized)
     mean = twirl_average(state)

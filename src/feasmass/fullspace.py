@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import (DiagonalCost, check_bytes, feasible_indices, feasible_subspace_indices,
-                       run_bytes)
+from .instance import DiagonalCost, check_run, feasible_indices, feasible_subspace_indices
 
 _CHUNK = 1 << 16   # 512 KiB of complex64: one chunk stays in a 2 MiB L2
 _FUSE = 5   # qubits per fused mixer block: 2**5 x 2**5 matmuls
@@ -171,7 +170,7 @@ def mixer_kernel_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarra
     """Closed-form product-mixer elements (cos b)^(N-d) (-i sin b)^d, d the
     Hamming distance, for the given row labels against every column."""
     cols = np.arange(1 << num_bits, dtype=np.int64)
-    d = np.bitwise_count(np.bitwise_xor.outer(rows.astype(np.int64), cols))
+    d = np.bitwise_count(np.bitwise_xor.outer(np.asarray(rows, dtype=np.int64), cols))
     return (math.cos(beta) ** (num_bits - d)) * ((-1j * math.sin(beta)) ** d)
 
 
@@ -183,7 +182,7 @@ def real_mixer_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarray:
 
 def run_generic(cost: DiagonalCost, schedule: AngleSchedule, precision: str = "f64") -> np.ndarray:
     """Depth-p generic QAOA: alternate cost phase and X mixer from |+>^N."""
-    check_bytes(run_bytes(cost, False, _DTYPES[precision]), f"a generic run at n={cost.n}")
+    check_run(cost, False, _DTYPES[precision], 0, f"a generic run at n={cost.n}")
     levels = cost_levels(cost.cost_vector())
     state = init_plus(cost.num_qubits, dtype=_DTYPES[precision])
     for gamma, beta in zip(schedule.gammas, schedule.betas):

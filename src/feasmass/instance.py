@@ -26,10 +26,11 @@ class CapacityError(ValueError):
     """A run needs more memory than MAX_BYTES, or more than a fixed width or run time allows."""
 
 
-def check_bytes(nbytes: int, what: str) -> None:
+def check_bytes(nbytes: int, what: str) -> int:
     """The one memory cap: refuse a predicted peak (arrays at their largest) over MAX_BYTES."""
     if nbytes > MAX_BYTES:
         raise CapacityError(f"{what} needs {nbytes} bytes; memory capped at {MAX_BYTES} bytes")
+    return nbytes
 
 
 class InstanceFormatError(ValueError):
@@ -260,13 +261,13 @@ def build_cost(cost: DiagonalCost) -> DiagonalCost:
     return cost
 
 
-def run_bytes(cost: DiagonalCost, one_hot: bool, dtype) -> int:
-    """Predicted peak of run_generic, or with ``one_hot`` run_ce, with ``dtype`` amplitudes,
-    from the terms alone: table, state, CE mixer means, and cost_levels with one level_phases:
-    top + 1 phases at most (costs lie in [0, top]), or a phase and a 4 B index per entry."""
-    args, itemsize = _table_args(cost, one_hot), np.dtype(dtype).itemsize
-    width, top = _cost_terms(*args)[:2]
-    size = len(args[0]) ** cost.n
+def check_run(cost: DiagonalCost, one_hot: bool, dtype, extra: int, what: str) -> int:
+    """Check and return run_generic's, or with ``one_hot`` run_ce's, peak with ``dtype``
+    amplitudes plus ``extra`` B: table, state, CE mixer means, cost_levels with one level_phases
+    (top + 1 phases at most, or a phase and a 4 B index each).  The state goes before the terms."""
+    size, itemsize = (cost.n if one_hot else 1 << cost.n) ** cost.n, np.dtype(dtype).itemsize
+    check_bytes(size * itemsize + extra, what)   # a lower bound, before any term is summed
+    width, top = _cost_terms(*_table_args(cost, one_hot))[:2]
     levels = (top + 1) * itemsize if top + 1 < size else size * (4 + itemsize)
     state = size * itemsize * (cost.n + 1) // cost.n if one_hot else size * itemsize
-    return size * np.dtype(width).itemsize + state + levels
+    return check_bytes(size * np.dtype(width).itemsize + state + levels + extra, what)

@@ -9,7 +9,7 @@ bits [b*n, (b+1)*n); symbol j in block b sets bit b*n + j.
 
 The cost table is the full-space cost builder run over one-hot rows
 (instance._dense_cost), so both tables come from one formula, and a run checks its
-predicted peak (instance.run_bytes) before the table is built.  The block mixer
+predicted peak (instance.check_run) before the table is built.  The block mixer
 sector, the relabeling twirl and the leakage spectrum are closed forms; their
 brute-force versions (dense Pauli sum, relabeling enumeration, dense sector
 unitary, manifold mixer and per-axis pass, full-space embedding) are test oracles.
@@ -25,8 +25,8 @@ import numpy as np
 from . import fullspace
 from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels, init_plus,
                         norm_squared)
-from .instance import (CapacityError, DiagonalCost, _dense_cost, _table_args, check_bytes,
-                       feasible_subspace_indices, run_bytes)
+from .instance import (CapacityError, DiagonalCost, _dense_cost, _table_args, check_run,
+                       feasible_subspace_indices)
 
 MAX_LABEL_BITS = 63  # full-space labels are int64
 
@@ -126,7 +126,7 @@ def apply_block_xy_mixer(state: np.ndarray, n: int, beta, normalized: bool = Tru
 
 def run_ce(cost: DiagonalCost, schedule: AngleSchedule, normalized: bool = True) -> np.ndarray:
     """Depth-p CE-QAOA: alternate cost phase and block mixer from the W product."""
-    check_bytes(run_bytes(cost, True, np.complex128), f"a CE run at n={cost.n}")
+    check_run(cost, True, np.complex128, 0, f"a CE run at n={cost.n}")
     levels = cost_levels(subspace_cost_table(cost))
     state = init_w_product(cost.n)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
@@ -196,8 +196,8 @@ def overlap_generic_ce(cost: DiagonalCost, gamma: float, beta: float) -> complex
     The CE side uses the unnormalized block mixer.
     """
     n = cost.n   # both runs, the label map and the gathered sector
-    check_bytes(run_bytes(cost, False, np.complex128) + run_bytes(cost, True, np.complex128)
-                + 24 * n ** n, f"the overlap at n={n}")
+    ce = check_run(cost, True, np.complex128, 24 * n ** n, what := f"the overlap at n={n}")
+    check_run(cost, False, np.complex128, ce, what)
     gen = init_plus(cost.num_qubits)
     apply_x_mixer(gen, beta)
     apply_cost_phase(gen, cost_levels(cost.cost_vector()), gamma)

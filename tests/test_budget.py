@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,8 @@ WI5 = str(ROOT / "instances" / "wi5.txt")
 MIB = 1 << 20
 
 _MEASURE = """
-import json, resource, sys, tempfile
+import json, os, resource, sys, tempfile
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])   # the thread pool's size
 from feasmass import cli, instance
 check, calls = instance.check_bytes, []
 def record(nbytes, what):
@@ -52,9 +54,12 @@ def test_predicted_peak_matches_measured_rss(argv):
     # the largest prediction a run checks against the ru_maxrss rise over the
     # post-import baseline, one run per process; the pool threads' malloc
     # arenas and lazily imported modules add a few MiB beside the arrays.
+    # The tolerance was measured with 2 pool threads and 2 BLAS threads, so
+    # the run is held to 2 CPUs: each thread adds arenas and buffers.
     # Linux keeps ru_maxrss across exec, so a child of this large process
     # would start at its size: a small interpreter in between forks the run
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="2",
+               OMP_NUM_THREADS="2")
     spawn = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
     proc = subprocess.run([sys.executable, "-c", spawn, sys.executable, "-c", _MEASURE, "run",
                            *argv], env=env, capture_output=True, text=True, timeout=300)
@@ -82,6 +87,35 @@ def test_oversized_run_is_refused_before_its_table(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith(f"error: {what} needs ") and err.count("\n") == 1
     assert err.endswith(f" bytes; memory capped at {MAX_BYTES} bytes\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["grid", "--n", "14"], "a 10x10 grid"),
+    (["hist", "--n", "12", "--method", "generic"], "0 shots of a generic run at n=12"),
+    (["l4", "--n", "5"], "a 33554432 x 2**25 kernel row block"),
+    (["avg", "--n", "5"], "a 120 x 2**25 kernel row block"),
+])
+def test_far_oversized_run_is_refused_before_any_large_array(tmp_path, capsys, monkeypatch,
+                                                              argv, what):
+    # the state or the kernel rows alone are checked first: _cost_terms' object
+    # matrices (2**n x 2**n: 2 x 268M entries at n = 14) and an index array of
+    # 2**25 rows are large allocations of their own
+    monkeypatch.setattr(instance, "_cost_terms", _unreachable)
+    monkeypatch.setattr(instance, "_dense_cost", _unreachable)
+    monkeypatch.setattr(experiments, "mixer_kernel_rows", _unreachable)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        rc = main(["run", *argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} needs ") and err.count("\n") == 1
+    assert err.endswith(f" bytes; memory capped at {MAX_BYTES} bytes\n")
+    assert peak < 4 * MIB, peak
     assert not out.exists()
 
 
