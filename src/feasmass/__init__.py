@@ -2,11 +2,11 @@
 permutation-constrained problems."""
 
 from .fullspace import AngleSchedule
-from .instance import (DiagonalCost, build_cost, enumerate_feasible, load_instance,
+from .instance import (DiagonalCost, build_cost, feasible_indices, load_instance,
                        make_instance, synthetic_instance)
 
 __all__ = [
-    "AngleSchedule", "DiagonalCost", "build_cost", "enumerate_feasible", "load_instance",
+    "AngleSchedule", "DiagonalCost", "build_cost", "feasible_indices", "load_instance",
     "make_instance", "synthetic_instance",
 ]
 

@@ -22,11 +22,10 @@ from . import bounds
 from .fullspace import (_CHUNK, _DTYPES, AngleSchedule, _p, apply_cost_phase, apply_x_mixer,
                         cost_levels, feasible_mass, init_plus, level_phases, mixed_feasible_mass,
                         mixer_kernel_rows, real_mixer_rows, run_generic, sample_counts)
-from .instance import (CapacityError, DiagonalCost, check_bytes, check_run, enumerate_feasible,
+from .instance import (CapacityError, DiagonalCost, check_bytes, check_label_bits, check_run,
                        feasible_indices, feasible_subspace_indices)
-from .subspace import (_check_label_bits, apply_block_xy_mixer, best_block_relabeling,
-                       init_w_product, run_ce, subspace_cost_table, subspace_feasible_mass,
-                       twirl_average)
+from .subspace import (apply_block_xy_mixer, best_block_relabeling, init_w_product, run_ce,
+                       subspace_cost_table, subspace_feasible_mass, twirl_average)
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,7 @@ def _binned_rows(cost: DiagonalCost, tie_break: bool, rows, beta: float) -> tupl
     """(at, bins): the distinct tie-broken or raw costs less the least, and a generator building
     each kernel row 2**(-N/2) K[x], x in ``rows``, when iterated, binned onto them as (Re, Im)."""
     N = cost.num_qubits   # uint8 distances, a float and a complex power per entry
+    check_label_bits(cost.n)   # before len(rows): l4's range(2**N) has no length past 63 bits
     check_bytes(25 * len(rows) << N, f"a {len(rows)} x 2**{N} kernel row block")   # then the table
     h = cost.tie_broken_vector() if tie_break else cost.cost_vector()
     values, level = np.unique(h, return_inverse=True)
@@ -283,13 +283,13 @@ def feasible_histogram(cost: DiagonalCost, method: str, schedule: AngleSchedule,
         check_run(cost, False, _DTYPES[precision], 32 * shots, what)
         state = run_generic(cost, schedule, precision)   # rechecks, for direct callers
         p_exact = feasible_mass(state, n)
-        feasible = feasible_indices(n)
+        feasible = full = feasible_indices(n)
     elif method == "ce":
-        _check_label_bits(n)   # int64 labels: refused before simulating
+        full = feasible_indices(n)   # int64 labels: refused before simulating
         check_run(cost, True, np.complex128, 32 * shots, what)
         state = run_ce(cost, schedule, normalized=normalized)   # rechecks, for direct callers
         p_exact = subspace_feasible_mass(state)
-        feasible = feasible_subspace_indices(n)   # enumerate_feasible(n), in order
+        feasible = feasible_subspace_indices(n)   # in the order of full
     else:
         raise ValueError(f"unknown method {method!r}")
     labels, counts = sample_counts(state, shots, seed)
@@ -297,7 +297,7 @@ def feasible_histogram(cost: DiagonalCost, method: str, schedule: AngleSchedule,
     # labels ascend; a feasible label above the last one meets the -1 pad
     at = np.searchsorted(labels, feasible)
     seen = np.append(labels, -1)[at] == feasible
-    tours, tour_counts = zip(*sorted(zip(enumerate_feasible(n),
+    tours, tour_counts = zip(*sorted(zip(full.tolist(),
                                          np.where(seen, np.append(counts, 0)[at], 0).tolist())))
     feas_counts = dict(zip(_bitstrings(tours, n * n), tour_counts))
     feas_total = sum(tour_counts)

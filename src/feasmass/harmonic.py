@@ -142,6 +142,7 @@ def mixer_walsh_multiplier(num_bits: int, s: int, beta: float) -> complex:
 
 def feasible_mass_via_plancherel(state: np.ndarray, n: int) -> float:
     """P over the permutation set from the spectra of 1_perm and |amps|^2."""
-    pi_hat = permutation_spectrum(n).full   # the larger: checked before |amps|^2 is made
+    check_bytes(64 << n * n, f"the Plancherel route at n={n}")   # 2 spectra, a conj, a product
+    pi_hat = walsh_transform(permutation_indicator(n))
     p_hat = walsh_transform(np.abs(np.asarray(state)) ** 2)
     return float(np.real((1 << n * n) * np.sum(np.conj(pi_hat) * p_hat)))

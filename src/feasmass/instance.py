@@ -1,9 +1,9 @@
-"""The problem instance with its diagonal cost, and the permutation-feasibility test.
+"""The problem instance with its diagonal cost, and the permutation set.
 
 A problem of size ``n`` is encoded on ``N = n**2`` binary variables laid out
 row-major: bit ``i*n + j`` of a basis label says whether city ``j`` sits at
 tour position ``i``.  A label is feasible exactly when that 0/1 matrix is a
-permutation matrix.
+permutation matrix: a row of permutation_table, as an int64 label up to n = 7.
 
 Instance files are plain text: the first non-comment line holds ``n``, the
 next ``n`` lines hold ``n`` non-negative integers each.  Lines starting with
@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-MAX_ENUM_SIZE = 8   # factorial enumeration guard (run time)
 MAX_BYTES = 2 ** 31   # the memory budget: a constant, so no host decides what is refused
+MAX_LABEL_BITS = 63   # full-space labels are int64
 
 
 class CapacityError(ValueError):
@@ -31,6 +31,13 @@ def check_bytes(nbytes: int, what: str) -> int:
     if nbytes > MAX_BYTES:
         raise CapacityError(f"{what} needs {nbytes} bytes; memory capped at {MAX_BYTES} bytes")
     return nbytes
+
+
+def check_label_bits(n: int) -> None:
+    """The one label-width cap: labels carry n*n bits, so they fit int64 up to n = 7."""
+    if n * n > MAX_LABEL_BITS:
+        raise CapacityError(f"full-space labels need {n * n} bits; capped at {MAX_LABEL_BITS} "
+                            "(labels are int64)")
 
 
 class InstanceFormatError(ValueError):
@@ -167,27 +174,26 @@ def load_instance(path) -> DiagonalCost:
 
 
 # ---------------------------------------------------------------------------
-# bit-layout helpers
+# the permutation set
 
 @lru_cache(maxsize=None)
-def enumerate_feasible(n: int) -> tuple:
-    """All n! feasible labels, in lexicographic permutation order."""
-    if n > MAX_ENUM_SIZE:
-        raise CapacityError(f"feasible enumeration capped at n={MAX_ENUM_SIZE}, got {n} (run time)")
-    return tuple(sum(1 << (pos * n + city) for pos, city in enumerate(perm))
-                 for perm in itertools.permutations(range(n)))
+def permutation_table(n: int) -> np.ndarray:
+    """The n! permutations as a read-only lexicographic (n!, n) table: row k sends i to [k, i]."""
+    table = np.fromiter(itertools.permutations(range(n)), dtype=(np.int64, n))
+    table.flags.writeable = False
+    return table
 
 
 def feasible_indices(n: int) -> np.ndarray:
-    return np.array(enumerate_feasible(n), dtype=np.int64)
+    """The n! feasible int64 labels, in permutation_table's order; a width past int64 is refused."""
+    check_label_bits(n)
+    return (np.int64(1) << (permutation_table(n) + n * np.arange(n))).sum(axis=1)
 
 
 @lru_cache(maxsize=None)
 def feasible_subspace_indices(n: int) -> np.ndarray:
-    """Indices of the n! all-distinct symbol tuples (lexicographic order) in
-    the C-order [n]*n one-hot tensor."""
-    perms = np.fromiter(itertools.permutations(range(n)), dtype=(np.int64, n))
-    return np.ravel_multi_index(perms.T, (n,) * n)
+    """permutation_table's rows as C-order indices of the [n]*n one-hot tensor, in its order."""
+    return np.ravel_multi_index(permutation_table(n).T, (n,) * n)
 
 
 # ---------------------------------------------------------------------------

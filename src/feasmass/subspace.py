@@ -5,7 +5,8 @@ the feasible mass also take a (rows, n**n) batch, one state per row (the mixer
 runs more than one _CHUNK in slabs on the thread pool).  Flat index and symbol tuple
 are related by C-order ravel over shape (n,)*n: block 0 is the most significant
 digit, index(j_1..j_n) = sum_b j_b * n**(n-1-b).  Block b maps to full-space
-bits [b*n, (b+1)*n); symbol j in block b sets bit b*n + j.
+bits [b*n, (b+1)*n); symbol j in block b sets bit b*n + j: an int64 label up to
+n = 7 (instance.check_label_bits).  The permutations are instance.permutation_table's.
 
 The cost table is the full-space cost builder run over one-hot rows
 (instance._dense_cost), so both tables come from one formula, and a run checks its
@@ -25,23 +26,14 @@ import numpy as np
 from . import fullspace
 from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels, init_plus,
                         norm_squared)
-from .instance import (CapacityError, DiagonalCost, _dense_cost, _table_args, check_run,
-                       feasible_subspace_indices)
-
-MAX_LABEL_BITS = 63  # full-space labels are int64
-
-
-def _check_label_bits(n: int) -> None:
-    """Labels carry n*n bits, so they fit int64 up to n = 7."""
-    if n * n > MAX_LABEL_BITS:
-        raise CapacityError(f"full-space labels need {n * n} bits; capped at {MAX_LABEL_BITS} "
-                            "(labels are int64)")
+from .instance import (DiagonalCost, _dense_cost, _table_args, check_label_bits, check_run,
+                       feasible_subspace_indices, permutation_table)
 
 
 @functools.lru_cache(maxsize=None)
 def subspace_to_full_labels(n: int) -> np.ndarray:
     """Bijection subspace index -> full-space label, as an index array."""
-    _check_label_bits(n)
+    check_label_bits(n)
     out = np.zeros([n] * n, dtype=np.int64)
     for b in range(n):   # block b sets bit b*n + j_b, j_b on axis b (trailing 1s put it there)
         bits = np.int64(1) << (b * n + np.arange(n, dtype=np.int64))
@@ -232,6 +224,6 @@ def leakage_gram(n: int) -> np.ndarray:
     H the unnormalized block mixer, P the projector onto the permutations.
     Every block move from a permutation makes a collision, so it is
     8n(n-1) I + 16 T, T linking permutations one transposition apart."""
-    perms = np.array(list(itertools.permutations(range(n))))
+    perms = permutation_table(n)
     T = (perms[:, None] != perms).sum(axis=2) == 2
     return 8.0 * n * (n - 1) * np.eye(len(perms)) + 16.0 * T

@@ -11,7 +11,7 @@ import pytest
 from feasmass import experiments
 from feasmass.cli import main
 from feasmass.experiments import GridSpec, _bitstrings
-from feasmass.instance import enumerate_feasible, load_instance, synthetic_instance
+from feasmass.instance import feasible_indices, load_instance, synthetic_instance
 
 from oracles import bitstring_str
 
@@ -185,7 +185,7 @@ def test_run_exits_2_exactly_on_its_contract_verdict(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_bitstrings_match_scalar_oracle(n):
-    labels = sorted(enumerate_feasible(n))
+    labels = sorted(feasible_indices(n).tolist())
     assert _bitstrings(labels, n * n) == [bitstring_str(x, n) for x in labels]
 
 
@@ -407,6 +407,32 @@ def test_run_hist_ce_beyond_label_width_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "64 bits" in err
     assert not list(tmp_path.iterdir())
+
+
+WIDTH = "full-space labels need 64 bits; capped at 63 (labels are int64)"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["avg"], WIDTH),
+    (["markov"], WIDTH),
+    (["l4"], WIDTH),   # before its range(2**64) is counted
+    (["grid"], "a 10x10 grid needs 387381625547900747776 bytes; memory capped at 2147483648 "
+               "bytes"),
+    (["transfer"], "a 10x10 grid needs 387381625547900747776 bytes; memory capped at "
+                   "2147483648 bytes"),
+    (["hist", "--method", "generic"], "0 shots of a generic run at n=8 needs "
+                                      "295147905179352825856 bytes; memory capped at "
+                                      "2147483648 bytes"),
+    (["hist", "--method", "ce"], WIDTH),
+    (["depth", "--grid", "2x2"], "depth sweep capped at n=4, got n=8 (run time)"),
+], ids=["avg", "markov", "l4", "grid", "transfer", "hist-generic", "hist-ce", "depth"])
+def test_run_at_n8_exits_1_with_one_error_line(tmp_path, capsys, command, message):
+    # every run is refused by the label width, the byte budget or its own cap
+    # before it enumerates 64-bit labels
+    out = tmp_path / "out"
+    assert run_cli(["run", *command, "--n", "8", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_run_hist_int32_overflow_exits_1(tmp_path, capsys):

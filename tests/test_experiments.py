@@ -238,12 +238,12 @@ def test_histogram_generic_consistency():
 
 
 def test_histogram_ce_consistency_and_keys():
-    from feasmass.instance import enumerate_feasible
+    from feasmass.instance import feasible_indices
     inst = synthetic_instance(3, seed=1, high=5)
     sched = AngleSchedule.single(0.4, 0.3)
     res = feasible_histogram(inst, "ce", sched, shots=100_000, seed=2)
     assert res.metrics["consistent_5sigma"]
-    assert set(res.metrics["counts"]) == set(_bitstrings(enumerate_feasible(3), 9))
+    assert set(res.metrics["counts"]) == set(_bitstrings(feasible_indices(3).tolist(), 9))
 
 
 def test_histogram_ce_builds_no_label_map():

@@ -444,9 +444,9 @@ def test_run_generic_matches_direct_sum_n2():
 
 
 def test_feasible_mass_concentrated():
-    from feasmass.instance import enumerate_feasible
+    from feasmass.instance import feasible_indices
     st = np.zeros(512, dtype=complex)
-    st[enumerate_feasible(3)[0]] = 1.0
+    st[feasible_indices(3).tolist()[0]] = 1.0
     assert feasible_mass(st, 3) == 1.0
 
 

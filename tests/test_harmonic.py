@@ -199,6 +199,25 @@ def test_plancherel_matches_direct_on_grid_n2():
     assert worst <= 1e-10
 
 
+def test_plancherel_transforms_the_permutation_indicator_alone(monkeypatch):
+    # the same bits as through permutation_spectrum's full spectrum, with the
+    # row and column indicators never made
+    st = run_generic(synthetic_instance(3, seed=1, high=5), AngleSchedule.single(0.9, 0.4))
+    want = float(np.real((1 << 9) * np.sum(np.conj(permutation_spectrum(3).full)
+                                           * walsh_transform(np.abs(st) ** 2))))
+
+    def unreachable(*a):
+        raise AssertionError("row or column indicator made")
+    monkeypatch.setattr(harmonic, "_one_bit_each", unreachable)
+    assert feasible_mass_via_plancherel(st, 3) == want
+    # 64 B per label, checked before the indicator is made
+    monkeypatch.setattr(harmonic, "permutation_indicator", unreachable)
+    from feasmass.instance import CapacityError
+    with pytest.raises(CapacityError, match="^the Plancherel route at n=6 needs 4398046511104 "
+                                            "bytes; memory capped at 2147483648 bytes$"):
+        feasible_mass_via_plancherel(np.zeros(1), 6)
+
+
 def test_injective_ratio_and_control_inequalities():
     from feasmass.bounds import (control_inequality_holds,
                                  control_threshold_start,

@@ -8,8 +8,10 @@ import pytest
 
 from feasmass.instance import (CapacityError, InstanceDimensionError,
                                InstanceFormatError, build_cost,
-                               default_penalty_weight, enumerate_feasible,
-                               load_instance, make_instance, synthetic_instance)
+                               default_penalty_weight, feasible_indices,
+                               feasible_subspace_indices, load_instance, make_instance,
+                               synthetic_instance)
+from feasmass.subspace import leakage_gram, subspace_to_full_labels
 
 from oracles import (bits_to_matrix, bitstring_str, broadcast_dense_cost, cost_value,
                      is_permutation_feasible, parse_bitstring)
@@ -87,27 +89,36 @@ def test_feasibility_matches_brute_force():
         brute = [x for x in range(1 << (n * n))
                  if (bits_to_matrix(x, n).sum(axis=0) == 1).all()
                  and (bits_to_matrix(x, n).sum(axis=1) == 1).all()]
-        assert sorted(enumerate_feasible(n)) == brute
+        assert sorted(feasible_indices(n).tolist()) == brute
         assert all(is_permutation_feasible(x, n) for x in brute)
         others = set(range(1 << (n * n))) - set(brute)
         assert not any(is_permutation_feasible(x, n) for x in list(others)[:200])
 
 
 def test_enumerate_counts():
-    assert set(enumerate_feasible(2)) == {parse_bitstring("1001"), parse_bitstring("0110")}
-    assert len(enumerate_feasible(3)) == 6
-    assert len(enumerate_feasible(5)) == 120
-    with pytest.raises(CapacityError):
-        enumerate_feasible(9)
+    assert set(feasible_indices(2).tolist()) == {parse_bitstring("1001"), parse_bitstring("0110")}
+    assert len(feasible_indices(3).tolist()) == 6
+    assert len(feasible_indices(5).tolist()) == 120
+    with pytest.raises(CapacityError, match=r"^full-space labels need 64 bits; capped at 63 "
+                                            r"\(labels are int64\)$"):
+        feasible_indices(8)
 
 
 def test_enumerate_order_is_lexicographic():
-    feas = enumerate_feasible(3)
-    perms = []
-    for x in feas:
-        m = bits_to_matrix(x, 3)
-        perms.append(tuple(int(np.argmax(row)) for row in m))
-    assert perms == sorted(perms)
+    for n in range(2, 8):
+        feas = feasible_indices(n).tolist()
+        perms = []
+        for x in feas:
+            m = bits_to_matrix(x, n)
+            perms.append(tuple(int(np.argmax(row)) for row in m))
+        assert perms == sorted(perms)
+        # the subspace indices and the label map give the same labels, element for element
+        assert feas == subspace_to_full_labels(n)[feasible_subspace_indices(n)].tolist()
+        if n <= 6:   # the n = 7 Gram is 5040 x 5040 floats, about 200 MB
+            # the Gram's rows: permutations one transposition apart, in this order
+            p = np.array(perms)
+            moves = (p[:, None] != p).sum(axis=2) == 2
+            assert (leakage_gram(n) == 8.0 * n * (n - 1) * np.eye(len(p)) + 16.0 * moves).all()
 
 
 def test_cost_all_zero_dist():
@@ -124,7 +135,7 @@ def test_cost_identity_tour():
 def test_cost_feasible_has_zero_penalty():
     cost = synthetic_instance(3, seed=4, high=5)
     bare = replace(cost, include_penalty=False)
-    for x in enumerate_feasible(3):
+    for x in feasible_indices(3).tolist():
         assert cost_value(cost, x) == cost_value(bare, x)
 
 
@@ -252,7 +263,7 @@ def test_big_m_separates_infeasible_strings():
     # than its bare tour value, and more than any feasible tour
     cost = synthetic_instance(2, seed=6, high=3)
     bare = replace(cost, include_penalty=False)
-    max_tour = max(cost_value(cost, x) for x in enumerate_feasible(2))
+    max_tour = max(cost_value(cost, x) for x in feasible_indices(2).tolist())
     for y in range(16):
         if is_permutation_feasible(y, 2):
             assert cost_value(cost, y) == cost_value(bare, y)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from scipy.linalg import expm
 
 from feasmass.fullspace import AngleSchedule, cost_levels, feasible_mass, run_generic
-from feasmass.instance import (CapacityError, _dense_cost, enumerate_feasible,
+from feasmass.instance import (CapacityError, _dense_cost, feasible_indices,
                                feasible_subspace_indices, make_instance,
                                synthetic_instance)
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
@@ -522,4 +522,4 @@ def test_feasible_subspace_indices_match_permutations():
     idx = feasible_subspace_indices(3)
     assert len(idx) == 6
     labels = subspace_to_full_labels(3)[idx]
-    assert sorted(int(x) for x in labels) == sorted(enumerate_feasible(3))
+    assert sorted(int(x) for x in labels) == sorted(feasible_indices(3).tolist())
