@@ -69,6 +69,12 @@ def _parse_count(text: str) -> int:
     return int(text)
 
 
+def _parse_n(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple:
     try:
         lo, hi = text.split(":")
@@ -369,16 +375,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     base = sub.add_parser("baseline", help="print the bound table for an instance")
-    base.add_argument("--instance", help="instance file path")
-    base.add_argument("--n", type=int, help="synthetic instance size")
     base.set_defaults(func=cmd_baseline)
 
     run = sub.add_parser("run", help="execute one experiment")
     run.add_argument("experiment",
                      choices=["avg", "markov", "l4", "grid", "transfer",
                               "hist", "depth", "twirl"])
-    run.add_argument("--instance", help="instance file path")
-    run.add_argument("--n", type=int, help="synthetic instance size")
+    for command in (base, run):   # an instance from a file or a synthetic one of size n
+        command.add_argument("--instance", help="instance file path")
+        command.add_argument("--n", type=_parse_n, help="synthetic instance size")
     run.add_argument("--grid", type=_parse_grid, default=(10, 10),
                      metavar="GxB", help="grid points per axis (default 10x10)")
     run.add_argument("--range-gamma", type=_parse_range, default=(0.0, math.pi), metavar="LO:HI")

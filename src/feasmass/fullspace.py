@@ -6,10 +6,11 @@ States are 1-D complex ndarrays of length 2**N indexed by the basis label
 The X mixer is P M P, P = diag((-i)**popcount) exact (_p) and M = conj(P) K
 conj(P) real, K from mixer_kernel_rows (real_mixer_rows); the feasible mass
 after it takes M's one-hot rows for a group of betas on a state already times
-P, such as P|+> refilled by _p (mixed_feasible_mass).  Passes take _CHUNK entries, so
-none makes a full-state temporary; the fills, the cost phase, the X mixer,
-the projection and the norm spread their chunks over the CPUs (_chunks).
-No result depends on either thread count.  A run checks its predicted peak first."""
+P, such as P|+> refilled by _p (mixed_feasible_mass).  Shots are counted at given
+labels only (sample_counts).  Passes take _CHUNK entries, so none makes a full-state
+temporary; the fills, the cost phase, the X mixer, the projection, the sampler's masses
+and the norm spread their chunks over the CPUs (_chunks).  No result depends on either
+thread count.  A run checks its predicted peak first."""
 from __future__ import annotations
 
 import functools
@@ -215,34 +216,31 @@ def mixed_feasible_mass(state: np.ndarray, rows: np.ndarray, n: int) -> np.ndarr
     return np.array([float(np.sum(np.abs(a[feasible]) ** 2)) for a in amps])   # 1-D sums
 
 
-def sample_counts(state: np.ndarray, shots: int, seed: int) -> tuple:
-    """Inverse-CDF sampling with a counter-based (Philox) generator: the labels
-    that occurred, ascending, and their counts (int64), the same for a seed on
-    every run and platform.  The uniforms are sorted, so each _CHUNK slice of
-    the CDF, accumulated in place from the running total of the slices before
-    it, serves the run of uniforms in it: one sequential float64 cumsum.
-    """
-    size = state.shape[0]
+def sample_counts(state: np.ndarray, shots: int, seed: int, labels) -> np.ndarray:
+    """Shots on each of the distinct ``labels``, in their order (int64), by inverse-CDF
+    sampling of Philox uniforms, the same for a seed on every run and platform: label x
+    takes the uniforms in [sum_{y<x} |a_y|**2, sum_{y<=x} |a_y|**2), up to 1.0 at
+    x = size - 1.  One pass over the chunks sums |a|**2 (the real dtype, in float64) between
+    cuts at the labels' edges and the chunk starts, added up in label order: one-label pieces
+    give one sequential cumsum's bits, and a longer piece moves at round-off with _CHUNK (as a
+    norm does) but with no thread count.  The sorted uniforms take 8 B per shot."""
+    size, labels = state.shape[0], np.asarray(labels, dtype=np.int64)
+    top = int(labels.max(initial=-1)) + 1
+    if np.unique(labels).size < labels.size or labels.min(initial=0) < 0 or top > size:
+        raise ValueError(f"labels must be distinct and in [0, {size})")
     u = np.random.Generator(np.random.Philox(seed)).random(shots)   # ValueError if shots < 0
     u.sort()
-    idx = np.empty(shots, dtype=np.int64)
-    cdf = np.empty(min(_CHUNK, size), dtype=np.float64)
-    total, start = 0.0, 0
-    for lo in range(0, size, _CHUNK):
-        if start == shots:
-            break
-        c = cdf[:size - lo]
-        c[:] = np.abs(state[lo:lo + _CHUNK]) ** 2
-        c[0] += total
-        np.cumsum(c, out=c)
-        total = c[-1]
-        if lo + _CHUNK >= size:
-            c[-1] = 1.0
-        stop = start + int(np.searchsorted(u[start:], c[-1], side="left"))
-        idx[start:stop] = lo + np.searchsorted(c, u[start:stop], side="right")
-        start = stop
-    edges = np.flatnonzero(np.diff(idx, prepend=-1))   # idx is sorted: count its runs
-    return idx[edges], np.diff(edges, append=shots)
+    cuts = np.union1d(np.union1d(labels, labels + 1), range(0, top, _CHUNK))
+
+    def pieces(lo):   # the sums between this chunk's cuts
+        hi = min(lo + _CHUNK, top)
+        starts = cuts[np.searchsorted(cuts, lo):np.searchsorted(cuts, hi)] - lo
+        return np.add.reduceat(np.abs(state[lo:hi]) ** 2, starts, dtype=np.float64)
+    edges = np.cumsum(np.concatenate([[0.0], *_chunks(pieces, top)]))   # the mass below each cut
+    if top == size:
+        edges[-1] = 1.0
+    below, at = np.searchsorted(u, edges), np.searchsorted(cuts, labels)
+    return below[at + 1] - below[at]
 
 
 def norm_squared(state: np.ndarray) -> float:

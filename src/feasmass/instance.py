@@ -119,7 +119,8 @@ class DiagonalCost:
 
     @property
     def spread(self) -> int:
-        """Max pairwise cost difference, by an exact scan of the dense table."""
+        """Max pairwise cost difference, by an exact scan of the dense table.  No src code
+        calls it: benchmark/workloads.py:lattice_instance_seed picks its instances by it."""
         vec = self.cost_vector()
         return int(vec.max() - vec.min())
 

@@ -120,7 +120,7 @@ def test_far_oversized_run_is_refused_before_any_large_array(tmp_path, capsys, m
 
 
 def test_oversized_shots_are_refused_before_the_circuit(tmp_path, capsys, monkeypatch):
-    # 32 B per shot for the sampler's arrays: 1e11 shots are 3.2 TB, refused
+    # 8 B per shot for the sampler's uniforms: 1e11 shots are 800 GB, refused
     # before the circuit runs, not by numpy after it
     monkeypatch.setattr(experiments, "run_ce", _unreachable)
     out = tmp_path / "out"
@@ -128,7 +128,7 @@ def test_oversized_shots_are_refused_before_the_circuit(tmp_path, capsys, monkey
                "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: 100000000000 shots of a ce run at n=2 needs 32000")
+    assert err.startswith("error: 100000000000 shots of a ce run at n=2 needs 8000")
     assert err.endswith(f" bytes; memory capped at {MAX_BYTES} bytes\n")
     assert not out.exists()
 

@@ -156,7 +156,7 @@ def _one_over_call_count():
 
 
 _real_kernel_rows = experiments.mixer_kernel_rows
-_only_label_0 = lambda state, shots, seed: (np.array([0]), np.array([1000]))
+_no_feasible_shot = lambda state, shots, seed, labels: np.zeros(len(labels), np.int64)
 
 
 @pytest.mark.parametrize("argv,name,fake,patched_rc", [
@@ -165,8 +165,8 @@ _only_label_0 = lambda state, shots, seed: (np.array([0]), np.array([1000]))
      lambda *a: _real_kernel_rows(*a) * (1 + 1e-6), 0),
     (["markov"], "lattice_feasible_masses", lambda *a, **k: np.ones(8), 2),
     (["l4"], "mixer_kernel_rows", lambda *a: _real_kernel_rows(*a) * 10, 2),
-    (["hist", "--method", "ce", "--shots", "1000"], "sample_counts", _only_label_0, 2),
-    (["hist", "--method", "ce", "--shots", "0"], "sample_counts", _only_label_0, 0),
+    (["hist", "--method", "ce", "--shots", "1000"], "sample_counts", _no_feasible_shot, 2),
+    (["hist", "--method", "ce", "--shots", "0"], "sample_counts", _no_feasible_shot, 0),
     (["depth", "--depth", "2", "--grid", "2x2"], "subspace_feasible_mass", None, 2),
     (["twirl"], "twirl_average", lambda state: 0.0, 2),
 ])
@@ -551,7 +551,7 @@ def test_run_grid_refuses_a_corrupted_projection(tmp_path, capsys, monkeypatch):
 def test_failed_allocation_exits_1(tmp_path, capsys, monkeypatch):
     # numpy raises MemoryError (as _ArrayMemoryError) when a request such as
     # --shots 100000000000 cannot be allocated; it is bad input like any other
-    def refuse(state, shots, seed):
+    def refuse(state, shots, seed, labels):
         raise MemoryError("Unable to allocate 745. GiB for an array with shape "
                           "(100000000000,) and data type float64")
     monkeypatch.setattr(experiments, "sample_counts", refuse)
@@ -734,6 +734,23 @@ def test_run_negative_count_exits_1_before_any_instance(tmp_path, capsys, monkey
     assert run_cli(["run", *args, "--out", str(out)]) == 1
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(f"error: argument --{flag}: expected a non-negative integer, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "1", "-2", "x"])
+@pytest.mark.parametrize("command", ["run", "baseline"])
+def test_n_below_two_is_refused_while_parsing(tmp_path, capsys, monkeypatch, command, value):
+    # --n is an instance size, parsed before any instance is built: "0" is
+    # not read as a missing --n, and "-2" does not reach numpy's own refusal
+    import feasmass.cli as cli
+    def unreachable(*a, **k):
+        raise AssertionError("instance built")
+    monkeypatch.setattr(cli, "synthetic_instance", unreachable)
+    out = tmp_path / "new"
+    argv = ["run", "hist", "--out", str(out)] if command == "run" else ["baseline"]
+    assert run_cli([*argv, "--n", value]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: argument --n: expected an integer >= 2, got {value!r}"
     assert not out.exists()
 
 

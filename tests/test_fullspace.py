@@ -11,7 +11,7 @@ from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, 
                                 feasible_mass, init_plus,
                                 mixed_feasible_mass, mixer_kernel_rows, norm_squared,
                                 real_mixer_rows, run_generic, sample_counts)
-from feasmass.instance import CapacityError, load_instance, synthetic_instance
+from feasmass.instance import CapacityError, feasible_indices, load_instance, synthetic_instance
 
 from oracles import cumsum_copy_sample_counts, fourth_moment, kron_mixer, x_frame
 
@@ -444,7 +444,6 @@ def test_run_generic_matches_direct_sum_n2():
 
 
 def test_feasible_mass_concentrated():
-    from feasmass.instance import feasible_indices
     st = np.zeros(512, dtype=complex)
     st[feasible_indices(3).tolist()[0]] = 1.0
     assert feasible_mass(st, 3) == 1.0
@@ -459,7 +458,20 @@ def test_fourth_moment_extremes():
 
 
 def counts_dict(state, shots, seed):
-    return dict(zip(*(a.tolist() for a in sample_counts(state, shots, seed))))
+    """The sampler's counts over every label, as the oracle's {label: count} of those seen."""
+    counts = sample_counts(state, shots, seed, np.arange(state.size))
+    return {x: c for x, c in enumerate(counts.tolist()) if c}
+
+
+def assert_matches_oracle(state, shots, seed, subset_seed):
+    # every label: one-label pieces give the oracle's cumsum bits, so the
+    # counts are equal; then a random subset of labels in shuffled order
+    want = cumsum_copy_sample_counts(state, shots, seed)
+    assert counts_dict(state, shots, seed) == want
+    rng = np.random.default_rng(subset_seed)
+    subset = rng.permutation(state.size)[:rng.integers(1, state.size + 1)]
+    got = sample_counts(state, shots, seed, subset)
+    assert got.tolist() == [want.get(x, 0) for x in subset.tolist()]
 
 
 def test_sampling_basis_state():
@@ -467,6 +479,7 @@ def test_sampling_basis_state():
     st[5] = 1.0
     counts = counts_dict(st, 100, seed=3)
     assert counts == {5: 100}
+    assert_matches_oracle(st, 100, 3, 0)
 
 
 def test_sampling_uniform_within_5_sigma():
@@ -476,6 +489,7 @@ def test_sampling_uniform_within_5_sigma():
     sigma = math.sqrt(shots * 0.25 * 0.75)
     for x in range(4):
         assert abs(counts.get(x, 0) - shots * 0.25) <= 5 * sigma
+    assert_matches_oracle(st, shots, 1, 0)
 
 
 def test_sampling_deterministic():
@@ -487,24 +501,39 @@ def test_sampling_deterministic():
     assert a == b
     assert a != c
     assert counts_dict(st, 0, seed=1) == {}
+    for seed in (42, 43):
+        assert_matches_oracle(st, 10_000, seed, seed)
 
 
 def test_sampling_returns_sorted_int64_arrays():
+    # one int64 count per label, in the order the labels are given
     st = unit_state(np.random.default_rng(8), 1 << 6)
-    labels, counts = sample_counts(st, 5_000, seed=4)
-    assert labels.dtype == np.int64 and counts.dtype == np.int64
-    assert np.all(np.diff(labels) > 0) and counts.min() > 0
-    assert counts.sum() == 5_000
-    labels, counts = sample_counts(st, 0, seed=4)
-    assert labels.shape == counts.shape == (0,)
+    counts = sample_counts(st, 5_000, 4, np.arange(64))
+    assert counts.dtype == np.int64 and counts.shape == (64,)
+    assert counts.min() >= 0 and counts.sum() == 5_000
+    order = np.random.default_rng(1).permutation(64)
+    assert np.array_equal(sample_counts(st, 5_000, 4, order), counts[order])
+    assert np.array_equal(sample_counts(st, 5_000, 4, [9]), counts[[9]])
+    counts = sample_counts(st, 0, 4, np.arange(64))
+    assert counts.dtype == np.int64 and not counts.any()
+    assert sample_counts(st, 5_000, 4, []).shape == (0,)
     with pytest.raises(ValueError):   # numpy's own refusal of a negative count
-        sample_counts(st, -1, seed=4)
+        sample_counts(st, -1, 4, np.arange(64))
+    assert_matches_oracle(st, 5_000, 4, 4)
+
+
+@pytest.mark.parametrize("labels", [[-1], [0, 64], [3, 5, 3], [2**62]])
+def test_sampling_refuses_labels_out_of_range_or_repeated(labels):
+    st = unit_state(np.random.default_rng(8), 1 << 6)
+    with pytest.raises(ValueError, match=r"^labels must be distinct and in \[0, 64\)$"):
+        sample_counts(st, 10, 1, labels)
 
 
 def test_sampling_in_place_cdf_matches_copying_cdf():
     st = unit_state(np.random.default_rng(5), 1 << 10)
     for seed in (1, 2, 3):
         assert counts_dict(st, 20_000, seed) == cumsum_copy_sample_counts(st, 20_000, seed)
+        assert_matches_oracle(st, 20_000, seed, seed)
 
 
 def sampler_states():
@@ -526,6 +555,43 @@ def test_chunked_sampler_matches_copying_cdf_oracle(monkeypatch, chunk, shots):
         for seed in (1, 2):
             want = cumsum_copy_sample_counts(st, shots, seed)
             assert counts_dict(st, shots, seed) == want, (label, seed)
+            assert_matches_oracle(st, shots, seed, chunk + seed)
+
+
+def test_sampler_counts_independent_of_pool_workers(monkeypatch):
+    # a c64 state of 2**20 amplitudes, 16 chunks, summed over the feasible
+    # labels of n = 4 and a random subset: the same counts at 1 and 2 workers
+    from concurrent.futures import ThreadPoolExecutor
+    import feasmass.fullspace as fs
+    st = unit_state(np.random.default_rng(3), 1 << 20).astype(np.complex64)
+    labels = np.concatenate([feasible_indices(4),
+                             np.random.default_rng(4).choice(1 << 20, 500, replace=False)])
+    labels = np.unique(labels)
+    counts, used = {}, []
+    for workers in (1, 2):
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(fs, "_pool", lambda: used.append(1) or pool)
+            counts[workers] = sample_counts(st, 200_000, 5, labels)
+    assert used and np.array_equal(counts[1], counts[2])
+    assert counts[1].sum() > 0
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(bits=hs.integers(0, 9), seed=hs.integers(0, 2 ** 32 - 1), shots=hs.integers(0, 3_000),
+       chunk=hs.sampled_from([1, 7, 64, 1 << 16]), data=hs.data())
+def test_sampler_subset_counts_are_the_all_label_counts_property(bits, seed, shots, chunk, data):
+    # on any subset of labels, in any order, the counts are the all-label
+    # counts at those labels; the all-label counts sum to shots; one seed
+    # gives one histogram
+    import feasmass.fullspace as fs
+    st = unit_state(np.random.default_rng(seed), 1 << bits)
+    subset = data.draw(hs.lists(hs.integers(0, (1 << bits) - 1), unique=True))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fs, "_CHUNK", chunk)
+        every = sample_counts(st, shots, seed, np.arange(1 << bits))
+        assert every.sum() == shots
+        assert np.array_equal(sample_counts(st, shots, seed, np.arange(1 << bits)), every)
+        assert sample_counts(st, shots, seed, subset).tolist() == every[subset].tolist()
 
 
 def test_single_precision_mode_tracks_double():
