@@ -73,9 +73,7 @@ def ratio_master(n: int, alpha: float, delta_row: float, c_ce: float) -> float:
 
 def injective_ratio_inequality_holds(n: int) -> bool:
     """(n**n / n!)**2 > ((n+1)/n)**(n(n-1)), evaluated in log space."""
-    lhs = 2 * (n * math.log(n) - log_factorial(n))
-    rhs = n * (n - 1) * math.log((n + 1) / n)
-    return lhs > rhs
+    return 2 * (n * math.log(n) - log_factorial(n)) > n * (n - 1) * math.log((n + 1) / n)
 
 
 def control_threshold_start(c_t: float) -> int:

@@ -91,12 +91,11 @@ def _parse_list(text: str) -> str:
 
 
 def _parse_bool(text: str) -> bool:
-    val = text.strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+    val = {"1": True, "true": True, "yes": True, "on": True,
+           "0": False, "false": False, "no": False, "off": False}.get(text.strip().lower())
+    if val is None:
+        raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+    return val
 
 
 def _resolve_instance(args) -> DiagonalCost:
@@ -119,15 +118,12 @@ def _config_hash(config: dict) -> str:
 
 def _write_jsonl(path: Path, config: dict, chash: str, result: ExperimentResult):
     record = dict(result.to_json_dict(), config=config, config_hash=chash)
-    with path.open("w") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    path.write_text(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, chash: str, header: str, rows):
-    with path.open("w") as fh:
-        fh.write(f"# config {chash}\n{header}\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [f"# config {chash}", header] + [",".join(_fmt(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +131,12 @@ def _write_csv(path: Path, chash: str, header: str, rows):
 
 def cmd_baseline(args) -> int:
     inst = _resolve_instance(args)
-    n = inst.n
-    print(f"instance        {inst.name}")
-    print(f"n               {n}")
-    print(f"qubits          {n * n}")
-    print(f"feasible |Pi|   {math.factorial(n)}")
-    print(f"ln baseline     {_fmt(bounds.uniform_baseline(n))}")
-    exact, floor = bounds.transfer_factor(n)
-    print(f"ln transfer     {_fmt(exact)}   (stirling floor {_fmt(floor)})")
+    n, (exact, floor) = inst.n, bounds.transfer_factor(inst.n)
+    for label, value in (("instance", inst.name), ("n", n), ("qubits", n * n),
+                         ("feasible |Pi|", math.factorial(n)),
+                         ("ln baseline", _fmt(bounds.uniform_baseline(n))),
+                         ("ln transfer", f"{_fmt(exact)}   (stirling floor {_fmt(floor)})")):
+        print(f"{label:<15s} {value}")
     for p in sorted({1, n // 2, n}):   # n >= 2, so every p >= 1
         print(f"ln lightcone 1d p={p:<3d} {_fmt(bounds.lightcone_1d_bound(n, p))}"
               "   (path-coupled rows)")   # its hypothesis; the penalty couples all rows
@@ -229,6 +223,10 @@ class _Battery:
         self.failed |= status == "FAIL"
         self.lines.append(f"{status:<5s} {name:<58s} {detail}")
 
+    def close(self, name: str, got, want, tol: float):
+        err = float(np.abs(got - want).max())
+        self.record(name, err <= tol, f"max err {_fmt(err)}")
+
 
 def _verify_harmonic(bat: _Battery):
     for n in range(2, 13):
@@ -236,16 +234,12 @@ def _verify_harmonic(bat: _Battery):
     for n in (2, 6, 12):
         spec = harmonic.walsh_transform(harmonic.sphere_indicator(n, 1))
         expect = (n - 2 * harmonic.popcounts(n)) * 2.0 ** (-n)
-        err = float(np.abs(spec - expect).max())
-        bat.record(f"one-hot spectrum closed form n={n}", err <= 1e-12,
-                   f"max err {_fmt(err)}")
+        bat.close(f"one-hot spectrum closed form n={n}", spec, expect, 1e-12)
     for n in (4, 9, 12):
         for w in (0, 1, 2, n):
-            got = harmonic.sphere_spectrum(n, w)
             ref = harmonic.walsh_transform(harmonic.sphere_indicator(n, w))
-            err = float(np.abs(got - ref).max())
-            bat.record(f"sphere spectrum vs transform n={n} w={w}", err <= 1e-10,
-                       f"max err {_fmt(err)}")
+            bat.close(f"sphere spectrum vs transform n={n} w={w}", harmonic.sphere_spectrum(n, w),
+                      ref, 1e-10)
     # walsh multiplier against the dense kernel on 4 bits
     rng = np.random.default_rng(7)
     f = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -253,30 +247,20 @@ def _verify_harmonic(bat: _Battery):
     K = mixer_kernel_rows(np.arange(16), beta, 4)
     lhs = harmonic.walsh_transform(K @ f)
     lam = np.array([harmonic.mixer_walsh_multiplier(4, s, beta) for s in harmonic.popcounts(4)])
-    err = float(np.abs(lhs - lam * harmonic.walsh_transform(f)).max())
-    bat.record("mixer walsh multiplier N=4", err <= 1e-10, f"max err {_fmt(err)}")
+    bat.close("mixer walsh multiplier N=4", lhs, lam * harmonic.walsh_transform(f), 1e-10)
     for n in (2, 3):
         spectra = harmonic.permutation_spectrum(n)
-        closed = harmonic.row_spectrum_closed_form(n)
-        err = float(np.abs(spectra.row - closed).max())
-        bat.record(f"row-indicator spectrum factorization n={n}", err <= 1e-12,
-                   f"max err {_fmt(err)}")
-        conv = harmonic.dyadic_convolve(spectra.row, spectra.col)
-        err2 = float(np.abs(spectra.full - conv).max())
-        bat.record(f"permutation spectrum = row (*) col n={n}", err2 <= 1e-12,
-                   f"max err {_fmt(err2)}")
+        bat.close(f"row-indicator spectrum factorization n={n}", spectra.row,
+                  harmonic.row_spectrum_closed_form(n), 1e-12)
+        bat.close(f"permutation spectrum = row (*) col n={n}", spectra.full,
+                  harmonic.dyadic_convolve(spectra.row, spectra.col), 1e-12)
         total = (1 << (n * n)) * float(np.sum(np.abs(spectra.full) ** 2))
         bat.record(f"permutation spectral mass = n! (n={n})",
-                   abs(total - math.factorial(n)) <= 1e-9,
-                   f"mass {_fmt(total)}")
+                   abs(total - math.factorial(n)) <= 1e-9, f"mass {_fmt(total)}")
     for n in (2, 3):
-        inst = synthetic_instance(n, seed=1, high=5)
-        state = run_generic(inst, AngleSchedule.single(0.9, 0.4))
-        direct = feasible_mass(state, n)
-        plancherel = harmonic.feasible_mass_via_plancherel(state, n)
-        bat.record(f"plancherel feasible mass n={n}",
-                   abs(direct - plancherel) <= 1e-9,
-                   f"|diff| {_fmt(abs(direct - plancherel))}")
+        state = run_generic(synthetic_instance(n, seed=1, high=5), AngleSchedule.single(0.9, 0.4))
+        diff = abs(feasible_mass(state, n) - harmonic.feasible_mass_via_plancherel(state, n))
+        bat.record(f"plancherel feasible mass n={n}", diff <= 1e-9, f"|diff| {_fmt(diff)}")
     top = experiments.envelope_excess_report(   # >= 1: the grid holds beta = 0
         synthetic_instance(2, seed=1, high=5), GridSpec(8, 8)).metrics["max_over_baseline"]
     bat.record("strict-envelope excess: grid max P*2^N/n! >= 1 (n=2)", top >= 1 - 1e-12,
@@ -290,11 +274,9 @@ def _verify_twirl(bat: _Battery):
         for gamma, beta in ((0.4, 0.3), (1.1, 0.7), (2.0, 1.9)):
             res = experiments.twirl_existence_experiment(inst, AngleSchedule.single(gamma, beta))
             bat.record(f"twirl mean = 1/{n}^{n} at angles ({gamma},{beta})",
-                       res.metrics["mean_error"] <= 1e-12,
-                       f"err {_fmt(res.metrics['mean_error'])}")
+                       res.metrics["mean_error"] <= 1e-12, f"err {_fmt(res.metrics['mean_error'])}")
             bat.record(f"best relabeling >= 1/{n}^{n} at ({gamma},{beta})",
-                       res.metrics["best"] >= bound - 1e-12,
-                       f"best {_fmt(res.metrics['best'])}")
+                       res.metrics["best"] >= bound - 1e-12, f"best {_fmt(res.metrics['best'])}")
     for n in (3, 4):   # eigvalsh at n = 5 (120 x 120) wakes a BLAS thread that spins on
         spec, gram = leakage_spectrum(n), leakage_gram(n)
         closed = np.sort(np.repeat([e for _, e, _ in spec], [m for _, _, m in spec]))
@@ -302,26 +284,20 @@ def _verify_twirl(bat: _Battery):
         # the uniform vector's eigenvalue, that of (n), fixes the content's sign
         err = max(float(np.abs(closed - got).max()) if closed.size == got.size else math.inf,
                   float(np.abs(gram.sum(axis=1) - spec[0][1]).max()))
-        bat.record(f"leakage gram spectrum closed form n={n}", err <= 1e-10,
-                   f"max err {_fmt(err)}")
+        bat.record(f"leakage gram spectrum closed form n={n}", err <= 1e-10, f"max err {_fmt(err)}")
     # documented discrepancy: the per-block uniform eigenvalue is 2(n-1),
     # not (n-1); flagged as WARN, never FAIL.
     for n in (2, 3):
         lam_u, _ = block_mixer_eigenvalues(n, False)
-        matches_doc = abs(lam_u - (n - 1)) <= 1e-12
-        bat.record(f"documented sector eigenvalue convention n={n}",
-                   matches_doc, f"measured {_fmt(lam_u)} vs documented {n - 1}",
-                   warn_only=True)
+        bat.record(f"documented sector eigenvalue convention n={n}", abs(lam_u - (n - 1)) <= 1e-12,
+                   f"measured {_fmt(lam_u)} vs documented {n - 1}", warn_only=True)
     for n in (2, 3):
         inst = synthetic_instance(n, seed=3, high=5)
         target = float(n) ** (n / 2) / 2.0 ** (n * n / 2)
         rng = np.random.default_rng(5)
-        worst = 0.0
-        for _ in range(5):
-            g, b = rng.uniform(0, math.pi, size=2)
-            worst = max(worst, abs(abs(overlap_generic_ce(inst, g, b)) - target))
-        bat.record(f"projector overlap modulus n={n}", worst <= 1e-10,
-                   f"max err {_fmt(worst)}")
+        worst = max(abs(abs(overlap_generic_ce(inst, *rng.uniform(0, math.pi, size=2))) - target)
+                    for _ in range(5))
+        bat.record(f"projector overlap modulus n={n}", worst <= 1e-10, f"max err {_fmt(worst)}")
 
 
 def _verify_bounds(bat: _Battery):
@@ -332,10 +308,9 @@ def _verify_bounds(bat: _Battery):
                        f"exact-floor {_fmt(rep.value)}", warn_only=n < 5)
         else:
             bat.record(f"{rep.name} {rep.params}", bool(rep.satisfied))
-    for p in (0, 1, 2):
-        n = 6
-        c = (2 * p + 1) / 2.0 ** p
-        diff = abs(bounds.lightcone_degree_bound(n, p, 2.0, c) - bounds.lightcone_1d_bound(n, p))
+    for p in (0, 1, 2):   # n = 6, C = (2p + 1) / 2**p
+        diff = abs(bounds.lightcone_degree_bound(6, p, 2.0, (2 * p + 1) / 2.0 ** p)
+                   - bounds.lightcone_1d_bound(6, p))
         bat.record(f"lightcone degree bound reduces to 1d at p={p}",
                    diff <= 1e-12, f"|diff| {_fmt(diff)}")
     try:
@@ -356,12 +331,10 @@ def _verify_bounds(bat: _Battery):
 
 def cmd_verify(args) -> int:
     bat = _Battery()
-    if args.suite in ("harmonic", "all"):
-        _verify_harmonic(bat)
-    if args.suite in ("twirl", "all"):
-        _verify_twirl(bat)
-    if args.suite in ("bounds", "all"):
-        _verify_bounds(bat)
+    for suite, battery in (("harmonic", _verify_harmonic), ("twirl", _verify_twirl),
+                           ("bounds", _verify_bounds)):
+        if args.suite in (suite, "all"):
+            battery(bat)
     print(*bat.lines, sep="\n")
     return EXIT_CONTRACT if bat.failed else EXIT_OK
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds
 from .fullspace import (_CHUNK, _DTYPES, AngleSchedule, _p, apply_cost_phase, apply_x_mixer,
-                        cost_levels, feasible_mass, init_plus, level_phases, mixed_feasible_mass,
+                        cost_levels, feasible_mass, init_plus, mixed_feasible_mass,
                         mixer_kernel_rows, real_mixer_rows, run_generic, sample_counts)
 from .instance import (CapacityError, DiagonalCost, check_bytes, check_label_bits, check_run,
                        feasible_indices, feasible_subspace_indices)
@@ -67,11 +67,8 @@ class ExperimentResult:
     seed: int | None = None
 
     def to_json_dict(self) -> dict:
-        out = {"experiment": self.name, "instance": self.instance,
-               "params": self.params, "metrics": self.metrics}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        return {"experiment": self.name, "instance": self.instance, "params": self.params,
+                "metrics": self.metrics, **({} if self.seed is None else {"seed": self.seed})}
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +332,8 @@ def ce_depth_sweep(cost: DiagonalCost, p_max: int, grid: GridSpec,
         raise ValueError("per-layer grids must contain the zero angle")
     levels = cost_levels(subspace_cost_table(cost))
     gammas, betas = grid.axes()
-    phases = np.stack([p.take(levels[0] - low) for p, low in
-                       (level_phases(levels, g, np.complex128) for g in gammas)])
+    phases = np.stack([apply_cost_phase(np.ones(levels[0].size, complex), levels, g)
+                       for g in gammas])   # one row per gamma, by run_ce's own phase
     points, beta_rows = [(g, b) for g in gammas for b in betas], np.tile(betas, len(gammas))
 
     def layer(parent):   # every child of parent: one (G*B, n**n) batch, one mixer, one mass

@@ -1,28 +1,27 @@
 """Dense statevector simulation of generic QAOA on N = n**2 qubits.
 
-States are 1-D complex ndarrays of length 2**N indexed by the basis label
-(bit k = qubit k), mutated in place and returned; complex64 halves N = 25 to
-256 MiB.  A cost phase gathers one complex128 exp per level (level_phases).
-The X mixer is P M P, P = diag((-i)**popcount) exact (_p) and M = conj(P) K
-conj(P) real, K from mixer_kernel_rows (real_mixer_rows); the feasible mass
-after it takes M's one-hot rows for a group of betas on a state already times
-P, such as P|+> refilled by _p (mixed_feasible_mass).  Shots are counted at given
-labels only (sample_counts).  Passes take _CHUNK entries, so none makes a full-state
-temporary; the fills, the cost phase, the X mixer, the projection, the sampler's masses
-and the norm spread their chunks over the CPUs (_chunks).  No result depends on either
-thread count.  A run checks its predicted peak first."""
+States are 1-D complex ndarrays of length 2**N indexed by the basis label (bit k = qubit k),
+mutated in place and returned; complex64 halves N = 25 to 256 MiB.  A cost phase gathers exact
+exps (_exp) from one small table, or over a wide level range from digit tables (level_phases).
+The X mixer is P M P, P = diag((-i)**popcount) exact (_p) and M = conj(P) K conj(P) real, K
+from mixer_kernel_rows (real_mixer_rows); the feasible mass after it takes M's one-hot rows for
+a group of betas on a state already times P, such as P|+> refilled by _p (mixed_feasible_mass).
+Shots are counted at given labels only (sample_counts).  Passes take _CHUNK entries, so none
+makes a full-state temporary; the fills, the cost phase, the X mixer, the projection, the
+sampler's masses and the norm spread their chunks over the CPUs (_chunks).  No result depends
+on either thread count.  A run checks its predicted peak first."""
 from __future__ import annotations
 
-import functools
 import math
-import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import DiagonalCost, check_run, feasible_indices, feasible_subspace_indices
+from .instance import DiagonalCost, _pool, check_run, feasible_indices, feasible_subspace_indices
 
 _CHUNK = 1 << 16   # 512 KiB of complex64: one chunk stays in a 2 MiB L2
+_DIGIT = 16   # bits per digit table: a wider level range is gathered digit by digit
 _FUSE = 5   # qubits per fused mixer block: 2**5 x 2**5 matmuls
 _GEMM = 1 << 17   # m*n*k per mixer matmul: OpenBLAS threads real gemm from 2**20
 _DTYPES = {"f64": np.complex128, "f32": np.complex64}
@@ -67,12 +66,6 @@ def _p(out: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _pool():
-    from concurrent.futures import ThreadPoolExecutor   # 9 ms to import: on first use
-    return ThreadPoolExecutor(len(os.sched_getaffinity(0)))
-
-
 def _chunks(fn, size: int) -> list:
     """[fn(lo) for lo in range(0, size, _CHUNK)] in chunk order, on the pool
     when there is more than one chunk (numpy releases the GIL); an exception
@@ -98,28 +91,56 @@ def cost_levels(table: np.ndarray) -> tuple:
     return index, ranked[new]
 
 
+def _exp(values: np.ndarray, gamma: float, dtype) -> np.ndarray:
+    """exp(-i*gamma*c) per value, right to round-off in complex128 (see the README's cost phase)."""
+    halves = lambda x: (h := x * 134217729.0 - (x * 134217729.0 - x), x - h)   # 2**27 + 1
+    (gh, gl), out = halves(float(gamma)), 1
+    big = values.dtype.kind in "iu" and np.abs(values).max(initial=0) >= 2**32   # two parts
+    for x in (values - np.fmod(values, 2**32), np.fmod(values, 2**32)) if big else (values,):
+        p, (xh, xl) = gamma * (x := x.astype(np.float64)), halves(x)   # gamma*c = p + e exactly
+        e = ((gh * xh - p) + gh * xl + gl * xh) + gl * xl   # |e| < 2**-27: 1 - ie = exp(-ie)
+        out = out * np.exp(-1j * p) * (1 - 1j * e if abs(e).max() < 2**-27 else np.exp(-1j * e))
+    return out.astype(dtype, copy=False)
+
+
 def level_phases(levels: tuple, gamma: float, dtype) -> tuple:
-    """(phases, low): exp(-i*gamma*level) for every level of cost_levels, one
-    complex128 exp each cast to dtype, in chunks on the pool; index entry j
-    reads phases[j - low], and low is 0 for distinct values."""
-    values = levels[1]
-    low, high = values if isinstance(values, tuple) else (0, values.size - 1)
-    level = ((lambda lo: np.arange(low + lo, min(low + lo + _CHUNK, high + 1)))
-             if isinstance(values, tuple) else (lambda lo: values[lo:lo + _CHUNK]))
-    phases = np.empty(high - low + 1, dtype=dtype)
-    _chunks(lambda lo: np.exp((-1j * gamma) * level(lo), out=phases[lo:lo + _CHUNK]), phases.size)
-    return phases, low
+    """(tables, low): _exp's phases for index entry i at level i + low: over 2**_DIGIT levels one
+    table per digit of i, to multiply; else one (for wide distinct integers, low 0, via digits)."""
+    ranged, values = isinstance(levels[1], tuple), levels[1]
+    low, high = values if ranged else (int(values[0]), int(values[-1]))
+    bits = (high - low).bit_length() if ranged or values.dtype.kind in "iu" else 0
+    if not ranged and not _DIGIT < bits < 63:
+        return [_exp(values, gamma, dtype)], 0
+    width = -(-bits // (digits := max(1, -(-bits // _DIGIT))))   # d digits of ceil(bits / d)
+    tables = [_exp((np.arange(min(1 << width, ((high - low) >> width * k) + 1)) << width * k)
+                   + (0 if k else low), gamma, dtype if ranged else complex) for k in range(digits)]
+    return (tables, low) if ranged else ([_gather(np.ones(values.size, complex), values, tables,
+                                                  low).astype(dtype, copy=False)], 0)
 
 
 def apply_cost_phase(state: np.ndarray, levels: tuple, gamma: float) -> np.ndarray:
     """Multiply amplitude y by exp(-i*gamma*cost[y]), levels from cost_levels."""
-    index = levels[0]
-    if index.shape != state.shape:
+    if levels[0].shape != state.shape:
         raise ValueError("cost table length does not match state size")
-    phases, low = level_phases(levels, gamma, state.dtype)   # no index copy at low 0
-    _chunks(lambda lo: np.multiply(state[lo:lo + _CHUNK], phases.take(
-        index[lo:lo + _CHUNK] - low if low else index[lo:lo + _CHUNK]), out=state[lo:lo + _CHUNK]),
-        state.size)
+    return _gather(state, levels[0], *level_phases(levels, gamma, state.dtype))
+
+
+def _gather(state: np.ndarray, index: np.ndarray, tables: list, low: int) -> np.ndarray:
+    """state times prod_k tables[k][digit k of index - low], in per-call per-thread workspaces."""
+    width, top, spaces = tables[0].size.bit_length() - 1, len(tables) - 1, {}
+    def item(lo):
+        ws = spaces.get(t := threading.get_ident()) or spaces.setdefault(t, [np.empty(
+            min(_CHUNK, state.size), d) for d in (np.intp, state.dtype) * (2 if top else 1)])
+        j, phase, digit, factor = (w[:min(_CHUNK, state.size - lo)] for w in (ws * 2)[:4])
+        np.subtract(index[lo:lo + _CHUNK], low, out=j)
+        for k in range(top, -1, -1):   # "clip": take fills out unbuffered; digits are in range
+            if k:   # digit k leaves j, which keeps the digits below it
+                np.right_shift(j, width * k, out=digit)
+                np.bitwise_and(j, (1 << width * k) - 1, out=j)
+            tables[k].take(digit if k else j, 0, factor if k < top else phase, "clip")
+            _ = k < top and np.multiply(phase, factor, out=phase)
+        np.multiply(state[lo:lo + _CHUNK], phase, out=state[lo:lo + _CHUNK])
+    _chunks(item, state.size)
     return state
 
 
@@ -142,16 +163,19 @@ def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     m = {q: (u.astype(real), np.kron(u, np.eye(2)).astype(real)) for q, u in m.items()}
     for i in range(0, len(sizes), per_pass):   # m is ready: pool callbacks call nothing traced
         a, k = sum(sizes[:i]), sum(sizes[i:i + per_pass])
-        p = _p(np.empty(1 << k, np.complex64), 1.0)   # exact in complex64, half the bytes
-        v, p = flat.reshape(-1, 1 << k, 1 << a), p[:, None] if a else p
+        p, spaces, n = _p(np.empty(1 << k, np.complex64), 1.0), {}, min(_CHUNK, flat.size)
+        v, p = flat.reshape(-1, 1 << k, 1 << a), p[:, None] if a else p   # p exact in complex64
         rows, width = max(1, _CHUNK >> (k + a)), min(1 << a, _CHUNK >> k)   # per item
 
         def item(lo):
             o, c = divmod(lo // _CHUNK, (1 << a) // width)
             src = v[o * rows:(o + 1) * rows, :, c * width:(c + 1) * width]
             src = src if a else src[..., 0]   # p broadcast over a trailing 1 is slow
-            x = np.multiply(src, p, out=src if width == 1 << a else None)   # a stripe: copied
-            y, cols = np.empty_like(x), 2 * width   # floats below the block's qubits
+            if (ws := spaces.get(t := threading.get_ident())) is None:   # y, and x for a stripe
+                ws = spaces[t] = np.empty((1 + (width < 1 << a)) * n, flat.dtype)   # per thread
+            x = ws[n:n + src.size].reshape(src.shape) if width < 1 << a else src   # a stripe: copy
+            y, cols = ws[:x.size].reshape(x.shape), 2 * width   # floats below the block's qubits
+            np.multiply(src, p, out=x)
             for q in sizes[i:i + per_pass]:
                 f, g = x.reshape(-1).view(real), y.reshape(-1).view(real)
                 if cols == 2:   # re/im pairs fastest: (rows, 2**(q+1)) @ (M (x) I2)

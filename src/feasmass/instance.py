@@ -12,6 +12,7 @@ next ``n`` lines hold ``n`` non-negative integers each.  Lines starting with
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -31,6 +32,13 @@ def check_bytes(nbytes: int, what: str) -> int:
     if nbytes > MAX_BYTES:
         raise CapacityError(f"{what} needs {nbytes} bytes; memory capped at {MAX_BYTES} bytes")
     return nbytes
+
+
+@lru_cache(maxsize=None)
+def _pool():
+    """The thread pool of fullspace._chunks and _dense_cost, one worker per usable CPU."""
+    from concurrent.futures import ThreadPoolExecutor   # 9 ms to import: on first use
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0)))
 
 
 def check_label_bits(n: int) -> None:
@@ -227,7 +235,7 @@ def _dense_cost(patterns, dist, A, include_penalty, dtypes):
     full table indexed by label, ``1 << np.arange(n)`` the one-hot manifold.
     The table over rows 0..k-1 is the first m**k entries of the table over
     rows 0..k (m patterns), so each row block extends it in place by m slabs,
-    one per pattern of the new row, built straight in _cost_terms' dtype."""
+    one per pattern of the new row, built straight in _cost_terms' dtype (any order: integers)."""
     n, m = len(dist), len(patterns)
     dtype, _, row, overlap, tour = _cost_terms(patterns, dist, A, include_penalty, dtypes)
 
@@ -235,19 +243,16 @@ def _dense_cost(patterns, dist, A, include_penalty, dtypes):
         # terms coupling row k (= r) to row j < k, over r_j on axis k-1-j: the
         # overlap, the tour step j -> k, and for j = 0, k = n-1 the step back
         vec = overlap[r] + (tour[:, r] if j == k - 1 else 0) + (tour[r] if k - j == n - 1 else 0)
-        shape = [1] * k
-        shape[k - 1 - j] = m
-        return vec.astype(dtype).reshape(shape)
+        return vec.astype(dtype).reshape([m if a == k - 1 - j else 1 for a in range(k)])
 
     table = np.empty(m ** n, dtype=dtype)
     table[:m] = row
-    for k in range(1, n):
-        prev = table[:m ** k].reshape([m] * k)
-        for r in range(m - 1, -1, -1):   # slab 0 is prev: extended last, in place
-            slab = table[r * m ** k:(r + 1) * m ** k].reshape([m] * k)
-            np.add(prev, pair(k - 1, k, r) + row[r], out=slab)
-            for j in range(k - 1):
-                slab += pair(j, k, r)
+    for k in range(1, n):   # slabs m-1..1, on the pool from 2**14 entries, then slab 0 (prev)
+        prev, slabs = table[:m ** k].reshape([m] * k), table[:m ** (k + 1)].reshape([m] * (k + 1))
+        fill = lambda r: np.add(np.add(prev, pair(k - 1, k, r) + row[r], out=slabs[r]),
+                                sum(pair(j, k, r) for j in range(k - 1)), out=slabs[r])
+        list((_pool().map if m ** k >= 1 << 14 else map)(fill, range(m - 1, 0, -1)))
+        fill(0)
     return table
 
 
@@ -269,12 +274,14 @@ def build_cost(cost: DiagonalCost) -> DiagonalCost:
 
 
 def check_run(cost: DiagonalCost, one_hot: bool, dtype, extra: int, what: str) -> int:
-    """Check and return run_generic's, or with ``one_hot`` run_ce's, peak with ``dtype``
-    amplitudes plus ``extra`` B: table, state, CE mixer means, cost_levels with one level_phases
-    (top + 1 phases at most, or a phase and a 4 B index each).  The state goes before the terms."""
+    """Check and return run_generic's, or with ``one_hot`` run_ce's, peak with ``dtype`` amplitudes
+    plus ``extra`` B: table, state, CE mixer means, cost phase (README).  The state goes first."""
+    from .fullspace import _CHUNK, _DIGIT
     size, itemsize = (cost.n if one_hot else 1 << cost.n) ** cost.n, np.dtype(dtype).itemsize
     check_bytes(size * itemsize + extra, what)   # a lower bound, before any term is summed
     width, top = _cost_terms(*_table_args(cost, one_hot))[:2]
-    levels = (top + 1) * itemsize if top + 1 < size else size * (4 + itemsize)
+    phase = min(top + 1, 4 << _DIGIT) * itemsize if top + 1 < size else size * (20 + itemsize)
+    spaces = min(len(os.sched_getaffinity(0)), -(-size // _CHUNK)) * min(_CHUNK, size)   # at once
     state = size * itemsize * (cost.n + 1) // cost.n if one_hot else size * itemsize
-    return check_bytes(size * np.dtype(width).itemsize + state + levels + extra, what)
+    return check_bytes(size * np.dtype(width).itemsize + state + phase + extra + (spaces * (
+        8 + itemsize) << (min(top + 1, size - 1) > 1 << _DIGIT)), what)

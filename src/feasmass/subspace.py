@@ -128,9 +128,10 @@ def run_ce(cost: DiagonalCost, schedule: AngleSchedule, normalized: bool = True)
 
 
 def subspace_feasible_mass(state: np.ndarray):
-    """Probability on all-distinct symbol tuples: a float, or one per batch row."""
+    """Probability on all-distinct symbol tuples: a float, or per batch row, each row summed as
+    alone (take's rows are C-contiguous, where state[..., index]'s are not from n! = 8)."""
     n = _infer_n(state.shape[-1])
-    mass = np.sum(np.abs(state[..., feasible_subspace_indices(n)]) ** 2, axis=-1)
+    mass = np.sum(np.abs(state.take(feasible_subspace_indices(n), -1)) ** 2, axis=-1)
     return float(mass) if state.ndim == 1 else mass
 
 

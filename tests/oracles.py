@@ -29,6 +29,25 @@ def kron_mixer(beta: float, num_bits: int) -> np.ndarray:
     return out
 
 
+def mp_phases(values, gamma: float) -> np.ndarray:
+    """exp(-i*gamma*c) per value c at 40 digits (mpmath, exact int or float c and gamma),
+    rounded once to complex128: the cost phase's oracle.  One evaluation per distinct value."""
+    import mpmath
+    distinct, inverse = np.unique(np.asarray(values), return_inverse=True)
+    exact = int if distinct.dtype.kind in "iu" else float
+    with mpmath.workdps(40):
+        g = mpmath.mpf(float(gamma))
+        phases = np.array([complex(mpmath.expj(-g * mpmath.mpf(exact(v)))) for v in distinct],
+                          dtype=np.complex128)
+    return phases[inverse].reshape(np.shape(values))
+
+
+def phase_error(got: np.ndarray, state: np.ndarray, values, gamma: float) -> float:
+    """Largest |got - state * exp(-i*gamma*c)| / |state| over entries, against mp_phases."""
+    want = state.astype(np.complex128) * mp_phases(values, gamma)
+    return float(np.max(np.abs(got.astype(np.complex128) - want) / np.abs(state)))
+
+
 def cost_value(cost, y: int) -> int:
     """Cost of one label by bit arithmetic over rows and columns; exact integer."""
     n = cost.n

@@ -104,11 +104,11 @@ def test_traced_sweeps_fire_the_layer_spans(traced_runs):
             grid.get("fullspace.feasible_mass")) == (3, 1, 1)
     # depth 2 on 2x2: one batched mixer and one batched mass for the W
     # product's 4 children, then one each for every child's 4; the phase
-    # rows are gathered once per gamma from the levels, with no phase call
+    # rows are built once per gamma, by one cost phase on a row of ones
     assert (depth.get("subspace.apply_subspace_cost_phase"),
             depth.get("fullspace.apply_cost_phase"),
             depth.get("subspace.apply_block_xy_mixer"),
-            depth.get("subspace.subspace_feasible_mass")) == (None, None, 5, 5)
+            depth.get("subspace.subspace_feasible_mass")) == (None, 2, 5, 5)
 
 
 def test_grid_n4_analogue_fires_its_predicted_spans(traced_runs):

@@ -371,10 +371,10 @@ def test_depth_sweep_phases_once_per_gamma(monkeypatch):
     # one build of the cost levels and one phase vector per gamma for the
     # whole walk; one batched mixer and one batched mass per parent: the W
     # product, then each of the 9 depth-1 children
-    counts = _count_calls(monkeypatch, "cost_levels", "level_phases", "apply_block_xy_mixer",
+    counts = _count_calls(monkeypatch, "cost_levels", "apply_cost_phase", "apply_block_xy_mixer",
                           "subspace_feasible_mass")
     ce_depth_sweep(synthetic_instance(3, seed=2, high=5), 2, GridSpec(3, 3))
-    assert counts == {"cost_levels": 1, "level_phases": 3, "apply_block_xy_mixer": 10,
+    assert counts == {"cost_levels": 1, "apply_cost_phase": 3, "apply_block_xy_mixer": 10,
                       "subspace_feasible_mass": 10}
 
 

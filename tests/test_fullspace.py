@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 
 from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels,
-                                feasible_mass, init_plus,
+                                feasible_mass, init_plus, level_phases,
                                 mixed_feasible_mass, mixer_kernel_rows, norm_squared,
                                 real_mixer_rows, run_generic, sample_counts)
 from feasmass.instance import CapacityError, feasible_indices, load_instance, synthetic_instance
 
-from oracles import cumsum_copy_sample_counts, fourth_moment, kron_mixer, x_frame
+from oracles import (cumsum_copy_sample_counts, fourth_moment, kron_mixer, phase_error,
+                     x_frame)
 
 
 @pytest.mark.parametrize("num_bits", [1, 2, 3, 4, 5])
@@ -126,35 +127,43 @@ def test_cost_phase_preserves_moduli_exactly():
 WI3 = Path(__file__).resolve().parent.parent / "instances" / "wi3.txt"
 
 
+PHASE_TOL = {np.complex128: 4 * np.finfo(np.float64).eps, np.complex64: 2e-7}
+
+
 def phase_tables():
     """(label, table, indexes a level range): integer tables with fewer and
-    with more levels than entries, minima other than 0, and a float table."""
+    with more levels than entries, minima other than 0, a float table, ranges
+    of over 2**16 levels (two digit tables) and costs past 2**53."""
     few = synthetic_instance(4, high=1).cost_vector()
     many = load_instance(WI3).cost_vector()
+    wide = np.random.default_rng(17).integers(0, 100_000, size=1 << 17)
     return [("few-levels", few, True), ("few-levels-shifted-up", few + 1000, True),
             ("few-levels-negative", few - 700, True), ("many-levels", many, False),
             ("many-levels-int32", many.astype(np.int32) - 5, False),
-            ("float", few.astype(np.float64), False)]
+            ("float", few.astype(np.float64), False), ("two-digits", wide, True),
+            ("two-digits-past-2**53", wide + 2 ** 60, True),
+            ("many-levels-past-2**53", 2 ** 62 - many, False)]
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 @pytest.mark.parametrize("gamma", [0.4, 2.5952287138350463, 1e-3, -37.1])
 def test_cost_phase_paths_match_direct_exp_bitwise(dtype, gamma):
-    # both level paths, the range and the distinct values, must give exactly
-    # the bits of exp per amplitude
+    # every path (one table of a range or of the distinct values, or digit
+    # tables) must give the exact exp per amplitude to round-off: within 4 ulp
+    # in f64 and 2e-7 in f32 of mpmath at 40 digits, at 4,096 sampled entries
+    # and the extremes.  The direct np.exp((-1j*gamma)*c), whose bits this
+    # test once asked for, rounds gamma*c first and errs by |gamma*c|*2**-53
     for label, table, tabled in phase_tables():
         levels = int(table.max() - table.min()) + 1
         assert (np.issubdtype(table.dtype, np.integer) and levels < table.size) == tabled, label
         assert isinstance(cost_levels(table)[1], tuple) == tabled, label
         rng = np.random.default_rng(table.size)
         st = (rng.normal(size=table.size) + 1j * rng.normal(size=table.size)).astype(dtype)
-        phase = np.exp((-1j * gamma) * table).astype(dtype)
-        # phase is named: numpy may evaluate st * <temporary> as temporary * st,
-        # and complex * (FMA) is not commutative bit for bit
-        want = st * phase
         got = apply_cost_phase(st.copy(), cost_levels(table), gamma)
         assert got.dtype == dtype
-        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), label
+        at = np.union1d(rng.choice(table.size, min(table.size, 4096), replace=False),
+                        [table.argmin(), table.argmax()])
+        assert phase_error(got[at], st[at], table[at], gamma) <= PHASE_TOL[dtype], label
 
 
 def test_cost_phase_level_range_spans_first_and_last_chunk(monkeypatch):
@@ -169,9 +178,94 @@ def test_cost_phase_level_range_spans_first_and_last_chunk(monkeypatch):
     for first, last in ((-40, 77), (77, -40)):
         table = rng.integers(0, 30, size=1000)
         table[5], table[-3] = first, last
-        want = st * np.exp((-1j * 0.7) * table)
-        assert np.array_equal(apply_cost_phase(st.copy(), cost_levels(table), 0.7), want), \
-            (first, last)
+        got = apply_cost_phase(st.copy(), cost_levels(table), 0.7)
+        assert phase_error(got, st, table, 0.7) <= PHASE_TOL[np.complex128], (first, last)
+
+
+def two_digit_table(rng, first, last):
+    """2**17 costs in [0, 100,000) with ``first`` and ``last`` in the first and
+    the ragged last 64-entry chunk: a range of over 2**16 levels."""
+    table = rng.integers(0, 100_000, size=1 << 17)
+    table[5], table[-3] = first, last
+    return table
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_two_digit_phase_independent_of_chunk_and_workers(monkeypatch, dtype):
+    # 100,118 levels: j = c + 40 has 17 bits, two digits of 9 bits, so two
+    # tables of 512 and 196 entries; no bit depends on _CHUNK or on 1 against
+    # 2 pool workers, and the phases are mpmath's to round-off
+    import feasmass.fullspace as fs
+    from concurrent.futures import ThreadPoolExecutor
+    rng = np.random.default_rng(11)
+    for first, last in ((-40, 100_077), (100_077, -40)):
+        table = two_digit_table(rng, first, last)
+        levels = cost_levels(table)
+        tables, low = level_phases(levels, 0.7, dtype)
+        assert low == -40 and [t.size for t in tables] == [512, 196]
+        st = (rng.standard_normal(table.size) + 1j * rng.standard_normal(table.size)).astype(dtype)
+        runs = []
+        for workers, chunk in ((2, 1 << 16), (1, 1 << 16), (2, 64), (1, 64)):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(fs, "_pool", lambda: pool)
+                monkeypatch.setattr(fs, "_CHUNK", chunk)
+                runs.append(apply_cost_phase(st.copy(), levels, 0.7))
+        monkeypatch.undo()   # the default pool and _CHUNK again
+        for run in runs[1:]:
+            assert np.array_equal(run.view(np.uint8), runs[0].view(np.uint8)), (first, last)
+        at = np.union1d(rng.choice(table.size, 4096, replace=False), [5, table.size - 3])
+        assert phase_error(runs[0][at], st[at], table[at], 0.7) <= PHASE_TOL[dtype]
+
+
+def test_two_digit_phase_allocates_its_tables_and_workspaces_only(monkeypatch):
+    # at 2**10-entry chunks on two workers the call's traced peak is its two
+    # digit tables (708 complex128 entries), their build's temporaries, one
+    # workspace per worker (two intp and two complex128 entries per chunk
+    # entry) and the pool's bookkeeping for its 128 items (measured on items
+    # that do nothing): far below one array as long as the 100,118-level range,
+    # and none of it outlives the call
+    import tracemalloc
+    import feasmass.fullspace as fs
+    from concurrent.futures import ThreadPoolExecutor
+    table = two_digit_table(np.random.default_rng(12), -40, 100_077)
+    levels, st = cost_levels(table), np.ones(table.size, np.complex128)
+    monkeypatch.setattr(fs, "_CHUNK", 1 << 10)
+
+    def traced(fn):   # (peak, kept) bytes over the start
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return [m - base for m in tracemalloc.get_traced_memory()[::-1]]
+        finally:
+            tracemalloc.stop()
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(fs, "_pool", lambda: pool)
+        apply_cost_phase(st, levels, 0.7)   # both workers started
+        bookkeeping = traced(lambda: fs._chunks(lambda lo: None, st.size))[0]
+        peak, kept = traced(lambda: apply_cost_phase(st, levels, 0.7))
+    tables, workspaces = (512 + 196) * 16, 2 * (1 << 10) * (8 + 8 + 16 + 16)
+    build = 16 * 512 * 16   # at most 16 temporaries of the larger table at once
+    assert peak <= tables + workspaces + build + bookkeeping, (peak, bookkeeping)
+    assert peak < 100_118 * 16 // 2 and kept <= 4096, (peak, kept)
+
+
+def test_cost_phase_wi4_wi5_labels_match_mpmath():
+    # 2,000 sampled labels of each bundled table, through its own levels:
+    # wi4's 5,049 distinct values (one table) and wi5's 3.5 million-level
+    # range (two digit tables of 2,048 and 1,713 entries); the direct exp
+    # erred on wi5 by up to 8.9e-10
+    rng = np.random.default_rng(4)
+    for name, digits in (("wi4.txt", 1), ("wi5.txt", 2)):
+        table = load_instance(WI3.with_name(name)).cost_vector()
+        levels = cost_levels(table)
+        at = rng.choice(table.size, 2000, replace=False)
+        for dtype in (np.complex128, np.complex64):
+            st = np.ones(at.size, dtype)
+            for gamma in (0.4, 2.5952287138350463):
+                assert len(level_phases(levels, gamma, dtype)[0]) == digits
+                got = apply_cost_phase(st.copy(), (levels[0][at], levels[1]), gamma)
+                assert phase_error(got, st, table[at], gamma) <= PHASE_TOL[dtype], (name, gamma)
 
 
 def test_cost_levels_keep_a_range_or_the_distinct_values():
