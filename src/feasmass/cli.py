@@ -156,6 +156,9 @@ def cmd_run(args) -> int:
     if args.method not in (None, method):   # depth and twirl run CE only, the others neither
         why = "simulates CE-QAOA only" if method else "reads no --method"
         raise _usage_error(f"run {args.experiment} {why}, got --method {args.method}")
+    if args.precision == "f32" and (method == "ce" or args.experiment in ("avg", "markov", "l4")):
+        why = "simulates CE-QAOA" if method else "computes"   # only the generic runs read it
+        raise _usage_error(f"run {args.experiment} {why} in complex128 only, got --precision f32")
     grid = GridSpec(gamma_points=args.grid[0], beta_points=args.grid[1],
                     gamma_range=args.range_gamma, beta_range=args.range_beta)
     config = {

@@ -1,6 +1,6 @@
-"""Experiment orchestration: lattice angle averages, moment sweeps, grid
-searches, parameter transfer, shot histograms, depth sweeps and the twirl
-existence check.  Each checks its predicted peak (instance.check_run, its arrays) first.
+"""Experiment orchestration: lattice angle averages, moment sweeps, grid searches, parameter
+transfer, shot histograms, depth sweeps and the twirl existence check.  Each checks its predicted
+peak (instance.check_run, its arrays) first; the histogram takes one path for both ansätze.
 
 The angle averages (avg, markov, l4) bin every mixer kernel row onto the
 distinct costs in one place (``_binned_rows``).  avg sums the energy of the
@@ -245,8 +245,8 @@ def parameter_transfer(cost: DiagonalCost, grid: GridSpec,
     best = grid_search_generic(cost, grid, precision).metrics
     ce_state = run_ce(cost, AngleSchedule.single(best["best_gamma"], best["best_beta"]),
                       normalized=False)
-    p_ce = subspace_feasible_mass(ce_state)
     n = cost.n
+    p_ce = subspace_feasible_mass(ce_state, n)
     factor = 2.0 ** (n * n) / float(n) ** n
     ratio = p_ce / best["p_max"] if best["p_max"] > 0 else math.inf
     satisfied = ratio >= factor
@@ -273,23 +273,17 @@ def _bitstrings(labels, N: int) -> list:
 def feasible_histogram(cost: DiagonalCost, method: str, schedule: AngleSchedule,
                        shots: int, seed: int, normalized: bool = True,
                        precision: str = "f64") -> ExperimentResult:
-    """Sample the chosen ansatz and count feasible outcomes per tour, keyed
-    by bitstring in ascending label order."""
-    n, what = cost.n, f"{shots} shots of a {method} run at n={cost.n}"   # sampling: 8 B a shot
-    if method == "generic":
-        check_run(cost, False, _DTYPES[precision], 8 * shots, what)
-        state = run_generic(cost, schedule, precision)   # rechecks, for direct callers
-        p_exact = feasible_mass(state, n)
-        feasible = full = feasible_indices(n)
-    elif method == "ce":
-        full = feasible_indices(n)   # int64 labels: refused before simulating
-        check_run(cost, True, np.complex128, 8 * shots, what)
-        state = run_ce(cost, schedule, normalized=normalized)   # rechecks, for direct callers
-        p_exact = subspace_feasible_mass(state)
-        feasible = feasible_subspace_indices(n)   # in the order of full
-    else:
+    """Sample the chosen ansatz and count feasible outcomes per tour, keyed by bitstring in
+    ascending label order.  Both ansätze refuse in one order: the budget, the label width."""
+    if method not in ("generic", "ce"):
         raise ValueError(f"unknown method {method!r}")
-    counts = sample_counts(state, shots, seed, feasible)
+    n, ce = cost.n, method == "ce"
+    check_run(cost, ce, np.complex128 if ce else _DTYPES[precision], 8 * shots,   # 8 B a shot
+              f"{shots} shots of a {method} run at n={n}")   # each run rechecks, for direct callers
+    full = feasible_indices(n)   # int64 labels: refused before simulating
+    state = run_ce(cost, schedule, normalized) if ce else run_generic(cost, schedule, precision)
+    p_exact = (subspace_feasible_mass if ce else feasible_mass)(state, n)
+    counts = sample_counts(state, shots, seed, feasible_subspace_indices(n) if ce else full)
     del state   # the largest array: freed before the labels are rendered
     tours, tour_counts = zip(*sorted(zip(full.tolist(), counts.tolist())))
     feas_counts = dict(zip(_bitstrings(tours, n * n), tour_counts))
@@ -339,7 +333,7 @@ def ce_depth_sweep(cost: DiagonalCost, p_max: int, grid: GridSpec,
     def layer(parent):   # every child of parent: one (G*B, n**n) batch, one mixer, one mass
         batch = np.repeat(parent * phases, len(betas), axis=0)
         apply_block_xy_mixer(batch, cost.n, beta_rows, normalized)
-        return zip(points, subspace_feasible_mass(batch).tolist(), batch)
+        return zip(points, subspace_feasible_mass(batch, cost.n).tolist(), batch)
     best = [(-1.0, None)] * p_max
     for angles, mass in _walk(layer, init_w_product(cost.n), p_max):
         if mass > best[len(angles) - 1][0]:
@@ -368,7 +362,7 @@ def twirl_existence_experiment(cost: DiagonalCost, schedule: AngleSchedule,
     check_run(cost, True, np.complex128, 8 * n ** n, f"a twirl at n={n}")
     target = tuple(range(n))
     state = run_ce(cost, schedule, normalized=normalized)
-    mean = twirl_average(state)
+    mean = twirl_average(state, n)
     _, best_p = best_block_relabeling(state, target)
     bound = 1.0 / float(n) ** n
     satisfied = abs(mean - bound) <= 1e-12 and best_p >= bound - 1e-12

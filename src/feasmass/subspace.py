@@ -1,11 +1,11 @@
 """CE-QAOA simulation inside the n**n block-one-hot manifold.
 
-A subspace state is a 1-D complex ndarray of length n**n; the block mixer and
-the feasible mass also take a (rows, n**n) batch, one state per row (the mixer
-runs more than one _CHUNK in slabs on the thread pool).  Flat index and symbol tuple
-are related by C-order ravel over shape (n,)*n: block 0 is the most significant
-digit, index(j_1..j_n) = sum_b j_b * n**(n-1-b).  Block b maps to full-space
-bits [b*n, (b+1)*n); symbol j in block b sets bit b*n + j: an int64 label up to
+A subspace state is a 1-D complex ndarray of length n**n, passed with its n as a full-space
+state is (a relabeling target's length is its n); the block mixer and the feasible mass also
+take a (rows, n**n) batch, one state per row (the mixer runs more than one _CHUNK in slabs on
+the thread pool).  Flat index and symbol tuple are related by C-order ravel over shape (n,)*n:
+block 0 is the most significant digit, index(j_1..j_n) = sum_b j_b * n**(n-1-b).  Block b maps
+to full-space bits [b*n, (b+1)*n); symbol j in block b sets bit b*n + j: an int64 label up to
 n = 7 (instance.check_label_bits).  The permutations are instance.permutation_table's.
 
 The cost table is the full-space cost builder run over one-hot rows
@@ -127,25 +127,17 @@ def run_ce(cost: DiagonalCost, schedule: AngleSchedule, normalized: bool = True)
     return state
 
 
-def subspace_feasible_mass(state: np.ndarray):
+def subspace_feasible_mass(state: np.ndarray, n: int):
     """Probability on all-distinct symbol tuples: a float, or per batch row, each row summed as
     alone (take's rows are C-contiguous, where state[..., index]'s are not from n! = 8)."""
-    n = _infer_n(state.shape[-1])
     mass = np.sum(np.abs(state.take(feasible_subspace_indices(n), -1)) ** 2, axis=-1)
     return float(mass) if state.ndim == 1 else mass
-
-
-def _infer_n(dim: int) -> int:
-    n = next(n for n in itertools.count(2) if n ** n >= dim)
-    if n ** n != dim:
-        raise ValueError(f"length {dim} is not of the form n**n")
-    return n
 
 
 # ---------------------------------------------------------------------------
 # blockwise relabelings
 
-def twirl_average(state: np.ndarray) -> float:
+def twirl_average(state: np.ndarray, n: int) -> float:
     """Mean target-overlap probability over all blockwise relabelings.
 
     A relabeling P permutes symbols per block and |<t|P^dag|state>|^2 =
@@ -153,7 +145,6 @@ def twirl_average(state: np.ndarray) -> float:
     to every symbol equally often, so the mean is ||state||**2 / n**n for
     every target and every n.
     """
-    n = _infer_n(state.shape[0])
     return norm_squared(state) / float(n) ** n
 
 
@@ -161,9 +152,9 @@ def best_block_relabeling(state: np.ndarray, target):
     """Relabeling maximizing the target-overlap probability, and that probability.
 
     The maximum is max_j |state_j|**2 (at least the mean 1/n**n for a unit
-    state), reached by the per-block transposition of t_b and j_b.
+    state), reached by the per-block transposition of t_b and j_b; n is len(target).
     """
-    n = _infer_n(state.shape[0])
+    n = len(target)
     k = int(np.argmax(np.abs(state)))
     perms = []
     for t, j in zip(target, map(int, np.unravel_index(k, (n,) * n))):

@@ -8,6 +8,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from feasmass.experiments import _smooth_length
 from feasmass.fullspace import apply_x_mixer, cost_levels, mixer_kernel_rows
@@ -72,9 +73,9 @@ def cost_value(cost, y: int) -> int:
     return value
 
 
-def pauli_block_sector(n: int, normalized: bool) -> np.ndarray:
-    """Single-excitation sector of sum_{a<b} (X_a X_b + Y_a Y_b), restricted
-    from the dense 2**n Pauli sum (qubit 0 = least significant bit)."""
+def pauli_block_hamiltonian(n: int, normalized: bool) -> np.ndarray:
+    """sum_{a<b} (X_a X_b + Y_a Y_b) on one block's n qubits as a dense 2**n
+    Pauli sum (qubit 0 = least significant bit), divided by n-1 when normalized."""
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
     Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     dim = 1 << n
@@ -91,8 +92,13 @@ def pauli_block_sector(n: int, normalized: bool) -> np.ndarray:
             H += one_site(X, a) @ one_site(X, b) + one_site(Y, a) @ one_site(Y, b)
     if normalized:
         H /= (n - 1)
+    return H
+
+
+def pauli_block_sector(n: int, normalized: bool) -> np.ndarray:
+    """Single-excitation sector of pauli_block_hamiltonian, restricted from the dense sum."""
     weight1 = [1 << j for j in range(n)]
-    return H[np.ix_(weight1, weight1)].real.copy()
+    return pauli_block_hamiltonian(n, normalized)[np.ix_(weight1, weight1)].real.copy()
 
 
 def block_mixer_sector(n: int, normalized: bool) -> np.ndarray:
@@ -162,7 +168,7 @@ def per_state_depth_walk(cost, p_max: int, grid, normalized: bool) -> list:
             for b in betas:
                 state = apply_block_xy_mixer(phased.copy(), cost.n, b, normalized)
                 angles = prefix + ((g, b),)
-                mass = subspace_feasible_mass(state)
+                mass = subspace_feasible_mass(state, cost.n)
                 if mass > best[len(angles) - 1][0]:
                     best[len(angles) - 1] = (mass, angles)
                 if len(angles) < p_max:
@@ -184,6 +190,23 @@ def embed_to_full(state: np.ndarray, n: int) -> np.ndarray:
     full = np.zeros(1 << (n * n), dtype=np.complex128)
     full[subspace_to_full_labels(n)] = state
     return full
+
+
+def full_space_ce_circuit(cost, schedule, normalized: bool) -> np.ndarray:
+    """CE-QAOA on all n*n qubits: the embedded W product, then per layer the cost
+    phase np.exp(-i*gamma*C) over the dense table and expm(-i*beta*H) on each block's n
+    qubits, H = pauli_block_hamiltonian.  Block b holds qubits [b*n, (b+1)*n), axis
+    n-1-b of the state as a C-order (2**n,)*n tensor."""
+    n = cost.n
+    state, C = embed_to_full(init_w_product(n), n), cost.cost_vector()
+    H = pauli_block_hamiltonian(n, normalized)
+    for gamma, beta in zip(schedule.gammas, schedule.betas):
+        U = expm(-1j * beta * H)
+        blocks = (state * np.exp(-1j * gamma * C)).reshape((1 << n,) * n)
+        for axis in range(n):
+            blocks = np.moveaxis(np.tensordot(U, blocks, axes=(1, axis)), 0, axis)
+        state = blocks.reshape(-1)
+    return state
 
 
 def enumerated_twirl(state: np.ndarray, target) -> tuple:

@@ -118,7 +118,7 @@ def test_criterion_03_parameter_transfer_inequality():
             for j, b in enumerate(betas):
                 gen, ce = _commuting_layer(cost, table, g, b)
                 p_gen[i, j] = feasible_mass(gen, n)
-                p_ce[i, j] = subspace_feasible_mass(ce)
+                p_ce[i, j] = subspace_feasible_mass(ce, n)
                 proj = project_to_subspace(gen, n)
                 overlap = np.vdot(ce, proj)
                 amp_dev[i, j] = np.abs(proj - overlap / abs(overlap) * scale * ce).max()

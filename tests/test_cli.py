@@ -149,7 +149,7 @@ def _one_over_call_count():
     # one mass per row of a batch: 1 for every child of the first parent,
     # then 1/2, 1/3, ... for each later parent's children
     calls = []
-    def mass(state):
+    def mass(state, n):
         calls.append(None)
         return np.full(state.shape[:-1], 1.0 / len(calls))
     return mass
@@ -168,7 +168,7 @@ _no_feasible_shot = lambda state, shots, seed, labels: np.zeros(len(labels), np.
     (["hist", "--method", "ce", "--shots", "1000"], "sample_counts", _no_feasible_shot, 2),
     (["hist", "--method", "ce", "--shots", "0"], "sample_counts", _no_feasible_shot, 0),
     (["depth", "--depth", "2", "--grid", "2x2"], "subspace_feasible_mass", None, 2),
-    (["twirl"], "twirl_average", lambda state: 0.0, 2),
+    (["twirl"], "twirl_average", lambda state, n: 0.0, 2),
 ])
 def test_run_exits_2_exactly_on_its_contract_verdict(tmp_path, capsys, monkeypatch,
                                                      argv, name, fake, patched_rc):
@@ -435,6 +435,16 @@ def test_run_at_n8_exits_1_with_one_error_line(tmp_path, capsys, command, messag
     assert not out.exists()
 
 
+def test_run_hist_ce_at_n9_is_refused_by_the_budget_first(tmp_path, capsys):
+    # both ansätze refuse in one order, the budget before the label width: at n = 9
+    # the CE state is over the budget and its 81-bit labels over int64: the budget's line
+    out = tmp_path / "out"
+    assert run_cli(["run", "hist", "--n", "9", "--method", "ce", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: 0 shots of a ce run at n=9 needs 6198727824 "
+                                       "bytes; memory capped at 2147483648 bytes\n")
+    assert not out.exists()
+
+
 def test_run_hist_int32_overflow_exits_1(tmp_path, capsys):
     # a 5-city cost past the int32 table is refused before the state is built
     inst = tmp_path / "big5.txt"
@@ -603,6 +613,40 @@ def test_config_records_method_only_where_read(tmp_path, experiment, method):
         assert run_cli(args + ["--method", "ce", "--out", str(tmp_path / "b")]) in (0, 2)
         written = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in "ab"]
         assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("command, why", [
+    (["avg"], "computes"), (["markov"], "computes"), (["l4"], "computes"),
+    (["depth", "--grid", "2x2"], "simulates CE-QAOA"), (["twirl"], "simulates CE-QAOA"),
+    (["hist", "--method", "ce"], "simulates CE-QAOA")],
+    ids=["avg", "markov", "l4", "depth", "twirl", "hist-ce"])
+def test_run_that_reads_no_precision_refuses_f32(tmp_path, capsys, command, why):
+    # these runs compute in complex128 whatever --precision says, so an f32 would
+    # only be recorded in the config, and move its hash
+    out = tmp_path / "out"
+    assert run_cli(["run", *command, "--n", "2", "--precision", "f32", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: run {command[0]} {why} in complex128 only, "
+                                       "got --precision f32\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, metric", [
+    (["grid"], "p_max"), (["transfer"], "p_gen_max"),
+    (["hist", "--method", "generic", "--shots", "100"], "statevector_mass")],
+    ids=["grid", "transfer", "hist-generic"])
+def test_run_that_reads_precision_accepts_f32(tmp_path, command, metric):
+    # grid, transfer's generic grid and generic hist simulate in complex64 under f32:
+    # the config records it and the mass moves at f32 round-off
+    masses = {}
+    for precision in ("f32", "f64"):
+        out = tmp_path / precision
+        argv = ["run", *command, "--n", "3", "--grid", "4x4", "--precision", precision]
+        assert run_cli(argv + ["--out", str(out)]) in (0, 2)
+        record = json.loads(next(out.glob("*.jsonl")).read_text())
+        assert record["config"]["precision"] == precision
+        masses[precision] = record["metrics"][metric]
+    assert masses["f32"] != masses["f64"]
+    assert masses["f32"] == pytest.approx(masses["f64"], rel=1e-5)
 
 
 def test_run_hist_files_independent_of_chunk(tmp_path, monkeypatch, capsys):

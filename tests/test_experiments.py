@@ -271,6 +271,31 @@ def test_histogram_seed_determinism():
     assert a.metrics["counts"] == b.metrics["counts"]
 
 
+def test_histogram_refuses_an_unknown_method_first(monkeypatch):
+    # before the budget is checked or a label is made
+    def unreachable(*a, **k):
+        raise AssertionError("reached past the method check")
+    monkeypatch.setattr(experiments, "check_run", unreachable)
+    monkeypatch.setattr(experiments, "feasible_indices", unreachable)
+    with pytest.raises(ValueError, match="^unknown method 'qaoa'$"):
+        feasible_histogram(synthetic_instance(2, seed=1), "qaoa", AngleSchedule.single(0.4, 0.3),
+                           shots=10, seed=1)
+
+
+@pytest.mark.parametrize("method", ["generic", "ce"])
+def test_histogram_refuses_in_one_order_for_both_ansatze(monkeypatch, method):
+    # the budget with the shots, then the label width, then the run, for either ansatz
+    calls = []
+    for name in ("check_run", "feasible_indices", "run_generic", "run_ce"):
+        def logged(*args, _name=name, _orig=getattr(experiments, name), **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, logged)
+    feasible_histogram(synthetic_instance(3, seed=1, high=5), method,
+                       AngleSchedule.single(0.4, 0.3), shots=100, seed=2)
+    assert calls == ["check_run", "feasible_indices", f"run_{method}"]
+
+
 def test_depth_sweep_monotone():
     inst = synthetic_instance(2, seed=1, high=3)
     res = ce_depth_sweep(inst, 2, GridSpec(4, 4))
@@ -293,7 +318,7 @@ def test_depth_sweep_matches_per_circuit_run_ce(normalized):
         best = (-1.0, None)
         for combo in itertools.product(choices, repeat=p):
             sched = AngleSchedule(gammas=[c[0] for c in combo], betas=[c[1] for c in combo])
-            mass = subspace_feasible_mass(run_ce(inst, sched, normalized=normalized))
+            mass = subspace_feasible_mass(run_ce(inst, sched, normalized=normalized), 3)
             if mass > best[0]:
                 best = (mass, combo)
         assert got["best_mass"] == best[0]

@@ -22,7 +22,7 @@ from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                                subspace_to_full_labels, twirl_average)
 
 from oracles import (axiswise_block_mixer, block_mixer_sector, block_mixer_unitary, cost_value,
-                     dense_leakage_gram, embed_to_full, enumerated_twirl,
+                     dense_leakage_gram, embed_to_full, enumerated_twirl, full_space_ce_circuit,
                      pauli_block_sector, phase_error, project_to_subspace, tuple_to_label)
 
 
@@ -339,7 +339,7 @@ def test_run_ce_zero_angles_uniform():
     for n in (2, 3):
         inst = synthetic_instance(n, seed=1, high=5)
         st = run_ce(inst, AngleSchedule.single(0.0, 0.0))
-        assert subspace_feasible_mass(st) == pytest.approx(
+        assert subspace_feasible_mass(st, n) == pytest.approx(
             float(Fraction(math.factorial(n), n ** n)), abs=1e-14)
 
 
@@ -357,16 +357,16 @@ def test_run_ce_coarse_grid_beats_lower_bound():
     for g in np.linspace(0, math.pi, 4):
         for b in np.linspace(0, math.pi, 4):
             st = run_ce(inst, AngleSchedule.single(g, b))
-            best = max(best, subspace_feasible_mass(st))
+            best = max(best, subspace_feasible_mass(st, 3))
     assert best >= 1 / 27
 
 
 def test_subspace_feasible_mass_values():
-    assert subspace_feasible_mass(init_w_product(3)) == pytest.approx(2 / 9, abs=1e-14)
-    assert subspace_feasible_mass(init_w_product(5)) == pytest.approx(120 / 3125, abs=1e-13)
+    assert subspace_feasible_mass(init_w_product(3), 3) == pytest.approx(2 / 9, abs=1e-14)
+    assert subspace_feasible_mass(init_w_product(5), 5) == pytest.approx(120 / 3125, abs=1e-13)
     st = np.zeros(27, dtype=complex)
     st[index((0, 1, 2), 3)] = 1.0
-    assert subspace_feasible_mass(st) == 1.0
+    assert subspace_feasible_mass(st, 3) == 1.0
 
 
 def _ce_state(n, seed, high, gamma, beta):
@@ -376,10 +376,10 @@ def _ce_state(n, seed, high, gamma, beta):
 def test_twirl_mean_is_inverse_dimension():
     for gamma, beta in ((0.4, 0.3), (1.2, 0.9), (2.5, 1.7)):
         st = _ce_state(2, 1, 3, gamma, beta)
-        assert twirl_average(st) == pytest.approx(0.25, abs=1e-14)
+        assert twirl_average(st, 2) == pytest.approx(0.25, abs=1e-14)
     st3 = _ce_state(3, 1, 5, 0.8, 0.6)
-    assert abs(twirl_average(st3) - 1 / 27) <= 1e-12
-    assert abs(twirl_average(st3) - enumerated_twirl(st3, (0, 1, 2))[0]) <= 1e-12
+    assert abs(twirl_average(st3, 3) - 1 / 27) <= 1e-12
+    assert abs(twirl_average(st3, 3) - enumerated_twirl(st3, (0, 1, 2))[0]) <= 1e-12
 
 
 def test_twirl_identity_circuit_terms_uniform():
@@ -416,7 +416,7 @@ def test_twirl_closed_form_beyond_enumeration(n):
     rng = np.random.default_rng(n)
     blocks = [v / np.linalg.norm(v) for v in rng.normal(size=(n, n))]
     st = functools.reduce(np.multiply.outer, blocks).reshape(-1)
-    assert twirl_average(st) == pytest.approx(float(n) ** -n, rel=1e-12)
+    assert twirl_average(st, n) == pytest.approx(float(n) ** -n, rel=1e-12)
     target = tuple(range(n))[::-1]
     perms, prob = best_block_relabeling(st, target)
     assert prob == pytest.approx(math.prod(float(np.max(v ** 2)) for v in blocks),
@@ -438,7 +438,25 @@ def test_embed_preserves_feasible_mass():
         st = rng.normal(size=27) + 1j * rng.normal(size=27)
         st /= np.linalg.norm(st)
         full = embed_to_full(st, 3)
-        assert feasible_mass(full, 3) == pytest.approx(subspace_feasible_mass(st), abs=1e-12)
+        assert feasible_mass(full, 3) == pytest.approx(subspace_feasible_mass(st, 3), abs=1e-12)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_run_ce_is_the_full_space_circuit(n, normalized):
+    # the whole CE circuit on all n*n qubits (np.exp phases over the dense cost table, the
+    # dense Pauli block mixer by expm) never leaves the one-hot sector, where it is run_ce
+    rng = np.random.default_rng(10 * n + normalized)
+    cost = synthetic_instance(n, seed=n, high=9)
+    off_sector = np.ones(1 << n * n, dtype=bool)
+    off_sector[subspace_to_full_labels(n)] = False
+    for p in (1, 2, 3):
+        schedule = AngleSchedule(gammas=rng.uniform(0, math.pi, p),
+                                 betas=rng.uniform(0, math.pi, p))
+        full = full_space_ce_circuit(cost, schedule, normalized)
+        ce = embed_to_full(run_ce(cost, schedule, normalized), n)
+        assert np.abs(full - ce).max() <= 1e-12
+        assert not full[off_sector].any()
 
 
 def test_embed_round_trip_and_subspace_invariance():
