@@ -37,8 +37,7 @@ EXIT_CONTRACT = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        sys.exit(EXIT_USAGE)
+        raise _usage_error(message)
 
 
 def _fmt(x) -> str:
@@ -161,17 +160,14 @@ def cmd_run(args) -> int:
         raise _usage_error(f"run {args.experiment} {why} in complex128 only, got --precision f32")
     grid = GridSpec(gamma_points=args.grid[0], beta_points=args.grid[1],
                     gamma_range=args.range_gamma, beta_range=args.range_beta)
-    config = {
-        "command": args.experiment, "instance": inst.name,
-        "n": inst.n, "dist": inst.dist.tolist(),
-        "penalty_weight": inst.penalty_weight,
-        "grid": list(args.grid), "range_gamma": list(args.range_gamma),
-        "range_beta": list(args.range_beta), "shots": args.shots,
-        "seed": args.seed, "depth": args.depth,
-        "normalized_mixer": args.normalized_mixer, "precision": args.precision,
-        "beta": args.beta, "t": args.t, "tie_break": args.tie_break,
-        "method": method, "gamma": args.gamma, "beta_list": args.beta_list,
-    }
+    config = {"command": args.experiment, "instance": inst.name, "n": inst.n,
+              "dist": inst.dist.tolist(), "penalty_weight": inst.penalty_weight,
+              "grid": list(args.grid), "range_gamma": list(args.range_gamma),
+              "range_beta": list(args.range_beta), "shots": args.shots, "seed": args.seed,
+              "depth": args.depth, "normalized_mixer": args.normalized_mixer,
+              "precision": args.precision, "beta": args.beta, "t": args.t,
+              "tie_break": args.tie_break, "method": method, "gamma": args.gamma,
+              "beta_list": args.beta_list}
     chash = _config_hash(config)
     # --out is made with the first file written, so a run that fails leaves
     # none behind; a file in its place is refused before the run
@@ -194,7 +190,6 @@ def cmd_run(args) -> int:
         "twirl": lambda: experiments.twirl_existence_experiment(
             inst, _schedule_from(args), normalized=args.normalized_mixer),
     }[args.experiment]
-
     t0 = time.perf_counter()
     res = run()
     wall_clock = time.perf_counter() - t0
@@ -203,8 +198,7 @@ def cmd_run(args) -> int:
     if res.table:
         _write_csv(out / f"{stem}.csv", chash, *res.table)
     _write_jsonl(out / f"{stem}.jsonl", config, chash, res)
-    print(f"wall clock      {_fmt(wall_clock)} s")
-    print(f"config hash     {chash}")
+    print(f"wall clock      {_fmt(wall_clock)} s", f"config hash     {chash}", sep="\n")
     for key, val in res.metrics.items():
         if isinstance(val, (int, float, bool, str)):
             print(f"{key:<15s} {_fmt(val)}")
@@ -244,11 +238,9 @@ def _verify_harmonic(bat: _Battery):
             bat.close(f"sphere spectrum vs transform n={n} w={w}", harmonic.sphere_spectrum(n, w),
                       ref, 1e-10)
     # walsh multiplier against the dense kernel on 4 bits
-    rng = np.random.default_rng(7)
+    rng, beta = np.random.default_rng(7), 0.83
     f = rng.normal(size=16) + 1j * rng.normal(size=16)
-    beta = 0.83
-    K = mixer_kernel_rows(np.arange(16), beta, 4)
-    lhs = harmonic.walsh_transform(K @ f)
+    lhs = harmonic.walsh_transform(mixer_kernel_rows(np.arange(16), beta, 4) @ f)
     lam = np.array([harmonic.mixer_walsh_multiplier(4, s, beta) for s in harmonic.popcounts(4)])
     bat.close("mixer walsh multiplier N=4", lhs, lam * harmonic.walsh_transform(f), 1e-10)
     for n in (2, 3):
@@ -391,16 +383,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        rc = args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except (OSError, InstanceFormatError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return rc
 
 
 if __name__ == "__main__":

@@ -312,8 +312,9 @@ def ce_depth_sweep(cost: DiagonalCost, p_max: int, grid: GridSpec,
 
     The per-layer grid starts at zero angles, so depth p+1 contains every
     depth-p circuit extended by an identity layer; the maxima are
-    non-decreasing by construction.  The walk visits circuits in grid order,
-    which keeps the lexicographically-first argmax.
+    non-decreasing by construction.  The walk visits circuits in grid order
+    and keeps the first argmax: a later mass replaces it only when larger by
+    over 4 ulp (relative), so round-off ties keep the first circuit.
     """
     if not 1 <= p_max <= 3:
         raise ValueError(f"depth sweep needs 1 <= p_max <= 3, got {p_max} (over 3: run time)")
@@ -336,7 +337,7 @@ def ce_depth_sweep(cost: DiagonalCost, p_max: int, grid: GridSpec,
         return zip(points, subspace_feasible_mass(batch, cost.n).tolist(), batch)
     best = [(-1.0, None)] * p_max
     for angles, mass in _walk(layer, init_w_product(cost.n), p_max):
-        if mass > best[len(angles) - 1][0]:
+        if mass > best[len(angles) - 1][0] * (1 + 4 * np.finfo(float).eps):
             best[len(angles) - 1] = (mass, angles)
     per_depth = [{"p": p, "best_mass": mass, "angles": [list(a) for a in angles]}
                  for p, (mass, angles) in enumerate(best, start=1)]

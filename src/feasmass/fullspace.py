@@ -7,13 +7,13 @@ The X mixer is P M P, P = diag((-i)**popcount) exact (_p) and M = conj(P) K conj
 from mixer_kernel_rows (real_mixer_rows); the feasible mass after it takes M's one-hot rows for
 a group of betas on a state already times P, such as P|+> refilled by _p (mixed_feasible_mass).
 Shots are counted at given labels only (sample_counts).  Passes take _CHUNK entries, so none
-makes a full-state temporary; the fills, the cost phase, the X mixer, the projection, the
-sampler's masses and the norm spread their chunks over the CPUs (_chunks).  No result depends
-on either thread count.  A run checks its predicted peak first."""
+makes a full-state temporary; the fills, the cost phase, the X mixer (4-qubit blocks), the
+projection, the sampler's masses and the norm run on one pool item per CPU, each with one
+workspace (_items).  No bit depends on either thread count.  A run checks its peak first."""
 from __future__ import annotations
 
 import math
-import threading
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +22,7 @@ from .instance import DiagonalCost, _pool, check_run, feasible_indices, feasible
 
 _CHUNK = 1 << 16   # 512 KiB of complex64: one chunk stays in a 2 MiB L2
 _DIGIT = 16   # bits per digit table: a wider level range is gathered digit by digit
-_FUSE = 5   # qubits per fused mixer block: 2**5 x 2**5 matmuls
+_FUSE = 4   # qubits per fused mixer block: 2**4 x 2**4 matmuls
 _GEMM = 1 << 17   # m*n*k per mixer matmul: OpenBLAS threads real gemm from 2**20
 _DTYPES = {"f64": np.complex128, "f32": np.complex64}
 
@@ -67,14 +67,29 @@ def _p(out: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _chunks(fn, size: int) -> list:
-    """[fn(lo) for lo in range(0, size, _CHUNK)] in chunk order, on the pool
-    when there is more than one chunk (numpy releases the GIL); an exception
-    in any chunk propagates; the CE block mixer's items call it too.  fn calls
-    no traced public function, and each of its matmuls stays below OpenBLAS's
-    threading size (m*n*k = 2**16 complex, 2**20 real), so no pool thread
-    wakes a BLAS thread."""
+    """[fn(lo) for lo in range(0, size, _CHUNK)]: _items with no workspace."""
+    return _items(lambda ws, lo: fn(lo), size, lambda: None)
+
+
+def _items(fn, size: int, space) -> list:
+    """[fn(ws, lo) for lo in range(0, size, _CHUNK)] in chunk order, ws = space() made once per
+    item.  Past one chunk, at most one item per usable CPU runs on the pool (numpy releases the
+    GIL), each storing fn(ws, lo) at the index it takes from one shared iterator, so no bit
+    depends on which item runs a chunk; all items end, then an exception in a chunk propagates.
+    fn calls no traced public function, and each of its matmuls stays below OpenBLAS's threading
+    size (m*n*k = 2**16 complex, 2**20 real), so no pool thread wakes a BLAS thread."""
     starts = range(0, size, _CHUNK)
-    return [fn(lo) for lo in starts] if len(starts) < 2 else list(_pool().map(fn, starts))
+    out, at = [None] * len(starts), enumerate(starts)   # next(at) is one C call: atomic
+    def item():
+        ws = space()
+        for i, lo in at:
+            out[i] = fn(ws, lo)
+    if len(starts) < 2:
+        item()
+        return out
+    items = [_pool().submit(item) for _ in range(min(len(starts), len(os.sched_getaffinity(0))))]
+    _ = [f.exception() for f in items], [f.result() for f in items]   # all end, then any raises
+    return out
 
 
 def cost_levels(table: np.ndarray) -> tuple:
@@ -126,11 +141,9 @@ def apply_cost_phase(state: np.ndarray, levels: tuple, gamma: float) -> np.ndarr
 
 
 def _gather(state: np.ndarray, index: np.ndarray, tables: list, low: int) -> np.ndarray:
-    """state times prod_k tables[k][digit k of index - low], in per-call per-thread workspaces."""
-    width, top, spaces = tables[0].size.bit_length() - 1, len(tables) - 1, {}
-    def item(lo):
-        ws = spaces.get(t := threading.get_ident()) or spaces.setdefault(t, [np.empty(
-            min(_CHUNK, state.size), d) for d in (np.intp, state.dtype) * (2 if top else 1)])
+    """state times prod_k tables[k][digit k of index - low], in one workspace per pool item."""
+    width, top = tables[0].size.bit_length() - 1, len(tables) - 1
+    def item(ws, lo):
         j, phase, digit, factor = (w[:min(_CHUNK, state.size - lo)] for w in (ws * 2)[:4])
         np.subtract(index[lo:lo + _CHUNK], low, out=j)
         for k in range(top, -1, -1):   # "clip": take fills out unbuffered; digits are in range
@@ -140,20 +153,21 @@ def _gather(state: np.ndarray, index: np.ndarray, tables: list, low: int) -> np.
             tables[k].take(digit if k else j, 0, factor if k < top else phase, "clip")
             _ = k < top and np.multiply(phase, factor, out=phase)
         np.multiply(state[lo:lo + _CHUNK], phase, out=state[lo:lo + _CHUNK])
-    _chunks(item, state.size)
+    _items(item, state.size, lambda: [np.empty(min(_CHUNK, state.size), d)
+                                      for d in (np.intp, state.dtype) * (2 if top else 1)])
     return state
 
 
 def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     """exp(-i*beta*X) on every qubit as P M P: P = diag((-i)**popcount(x)) is
     exact to apply, M = [[cos b, sin b], [sin b, -cos b]]^{(x)N} is real.
-    N splits into ceil(N/_FUSE) near-equal blocks (4+4+4+4 at N = 16), each M from
-    conj(P) mixer_kernel_rows conj(P).  A pass mixes qubits [a, a+k), as many
-    blocks as fit in _CHUNK, in _CHUNK-entry items of the (-1, 2**k, 2**a) view:
-    times P, a real matmul per block on the float view, times P.  A C-contiguous
-    (rows, 2**N) batch is mixed row by row.  No bit depends on either thread
-    count, nor on _CHUNK from 2**13 up (narrower stripes round differently).
-    """
+    N splits into ceil(N/_FUSE) near-equal blocks, each M from conj(P)
+    mixer_kernel_rows conj(P).  A pass mixes qubits [a, a+k), as many blocks as
+    fit in _CHUNK, in _CHUNK-entry chunks of the (-1, 2**k, 2**a) view: times P,
+    a real matmul per block on the float view, times P (N = 16: 4+4+4+4 in one
+    pass; N = 25: 4+4+4+4, then 3+3+3).  A C-contiguous (rows, 2**N) batch is
+    mixed row by row.  No bit depends on either thread count, nor on _CHUNK from
+    2**13 up (measured to 2**18 at N = 6..20 and 25; narrower stripes round differently)."""
     if _CHUNK & (_CHUNK - 1) or _CHUNK < 1 << _FUSE:
         raise ValueError(f"_CHUNK must be a power of two of at least 2**{_FUSE}, got {_CHUNK}")
     num_qubits, real, flat = int(math.log2(state.shape[-1])), state.real.dtype, state.reshape(-1)
@@ -163,16 +177,14 @@ def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
     m = {q: (u.astype(real), np.kron(u, np.eye(2)).astype(real)) for q, u in m.items()}
     for i in range(0, len(sizes), per_pass):   # m is ready: pool callbacks call nothing traced
         a, k = sum(sizes[:i]), sum(sizes[i:i + per_pass])
-        p, spaces, n = _p(np.empty(1 << k, np.complex64), 1.0), {}, min(_CHUNK, flat.size)
+        p, n = _p(np.empty(1 << k, np.complex64), 1.0), min(_CHUNK, flat.size)
         v, p = flat.reshape(-1, 1 << k, 1 << a), p[:, None] if a else p   # p exact in complex64
         rows, width = max(1, _CHUNK >> (k + a)), min(1 << a, _CHUNK >> k)   # per item
 
-        def item(lo):
+        def item(ws, lo):   # ws holds y, and x for a stripe
             o, c = divmod(lo // _CHUNK, (1 << a) // width)
             src = v[o * rows:(o + 1) * rows, :, c * width:(c + 1) * width]
             src = src if a else src[..., 0]   # p broadcast over a trailing 1 is slow
-            if (ws := spaces.get(t := threading.get_ident())) is None:   # y, and x for a stripe
-                ws = spaces[t] = np.empty((1 + (width < 1 << a)) * n, flat.dtype)   # per thread
             x = ws[n:n + src.size].reshape(src.shape) if width < 1 << a else src   # a stripe: copy
             y, cols = ws[:x.size].reshape(x.shape), 2 * width   # floats below the block's qubits
             np.multiply(src, p, out=x)
@@ -187,7 +199,7 @@ def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
                               out=g.reshape(shape).swapaxes(1, 2))
                 x, y, cols = y, x, cols << q
             np.multiply(x, p, out=src)
-        _chunks(item, flat.size)
+        _items(item, flat.size, lambda: np.empty((1 + (width < 1 << a)) * n, flat.dtype))
     return state
 
 

@@ -278,7 +278,7 @@ def check_run(cost: DiagonalCost, one_hot: bool, dtype, extra: int, what: str) -
     plus ``extra`` B: table, state, CE mixer means, cost phase (README).  The state goes first."""
     from .fullspace import _CHUNK, _DIGIT
     size, itemsize = (cost.n if one_hot else 1 << cost.n) ** cost.n, np.dtype(dtype).itemsize
-    check_bytes(size * itemsize + extra, what)   # a lower bound, before any term is summed
+    check_bytes(size * itemsize, f"the state of {what}")   # first: before any term is summed
     width, top = _cost_terms(*_table_args(cost, one_hot))[:2]
     phase = min(top + 1, 4 << _DIGIT) * itemsize if top + 1 < size else size * (20 + itemsize)
     spaces = min(len(os.sched_getaffinity(0)), -(-size // _CHUNK)) * min(_CHUNK, size)   # at once

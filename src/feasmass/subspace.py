@@ -156,12 +156,9 @@ def best_block_relabeling(state: np.ndarray, target):
     """
     n = len(target)
     k = int(np.argmax(np.abs(state)))
-    perms = []
-    for t, j in zip(target, map(int, np.unravel_index(k, (n,) * n))):
-        p = list(range(n))
-        p[t], p[j] = j, t
-        perms.append(tuple(p))
-    return tuple(perms), float(abs(state[k]) ** 2)
+    at = map(int, np.unravel_index(k, (n,) * n))   # j_b per block
+    perms = tuple(tuple({t: j, j: t}.get(s, s) for s in range(n)) for t, j in zip(target, at))
+    return perms, float(abs(state[k]) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -153,11 +153,17 @@ def axiswise_block_mixer(state: np.ndarray, n: int, beta: float,
     return state
 
 
+def beats(mass: float, best: float) -> bool:
+    """A depth sweep's argmax rule: a later mass replaces the best only when
+    larger by over 4 ulp (relative), so round-off ties keep the first."""
+    return mass > best * (1 + 4 * np.finfo(float).eps)
+
+
 def per_state_depth_walk(cost, p_max: int, grid, normalized: bool) -> list:
     """(best mass, angles) per depth 1..p_max by the depth-first walk over
     single states: each gamma phases a copy of its parent, each beta mixes a
     copy of that and takes its feasible mass; the first maximum in grid order
-    wins."""
+    wins (beats)."""
     levels = cost_levels(subspace_cost_table(cost))
     gammas, betas = grid.axes()
     best = [(-1.0, None)] * p_max
@@ -169,7 +175,7 @@ def per_state_depth_walk(cost, p_max: int, grid, normalized: bool) -> list:
                 state = apply_block_xy_mixer(phased.copy(), cost.n, b, normalized)
                 angles = prefix + ((g, b),)
                 mass = subspace_feasible_mass(state, cost.n)
-                if mass > best[len(angles) - 1][0]:
+                if beats(mass, best[len(angles) - 1][0]):
                     best[len(angles) - 1] = (mass, angles)
                 if len(angles) < p_max:
                     walk(state, angles)

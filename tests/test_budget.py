@@ -79,13 +79,14 @@ def _unreachable(*args, **kwargs):
      "10 shots of a generic run at n=6"),
 ])
 def test_oversized_run_is_refused_before_its_table(tmp_path, capsys, monkeypatch, argv, what):
-    # at n = 9 the int64 CE table alone is 3.1 GB, at n = 6 the full one 512 GiB
+    # at n = 9 the int64 CE table alone is 3.1 GB, at n = 6 the full one 512 GiB;
+    # the run's state alone is refused, and the message says so
     monkeypatch.setattr(instance, "_dense_cost", _unreachable)
     monkeypatch.setattr(subspace, "_dense_cost", _unreachable)
     out = tmp_path / "out"
     assert main(["run", *argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {what} needs ") and err.count("\n") == 1
+    assert err.startswith(f"error: the state of {what} needs ") and err.count("\n") == 1
     assert err.endswith(f" bytes; memory capped at {MAX_BYTES} bytes\n")
     assert not out.exists()
 
@@ -100,7 +101,8 @@ def test_far_oversized_run_is_refused_before_any_large_array(tmp_path, capsys, m
                                                               argv, what):
     # the state or the kernel rows alone are checked first: _cost_terms' object
     # matrices (2**n x 2**n: 2 x 268M entries at n = 14) and an index array of
-    # 2**25 rows are large allocations of their own
+    # 2**25 rows are large allocations of their own; a run's state is named so
+    state = "the state of " if argv[0] in ("grid", "hist") else ""
     monkeypatch.setattr(instance, "_cost_terms", _unreachable)
     monkeypatch.setattr(instance, "_dense_cost", _unreachable)
     monkeypatch.setattr(experiments, "mixer_kernel_rows", _unreachable)
@@ -113,7 +115,7 @@ def test_far_oversized_run_is_refused_before_any_large_array(tmp_path, capsys, m
         tracemalloc.stop()
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {what} needs ") and err.count("\n") == 1
+    assert err.startswith(f"error: {state}{what} needs ") and err.count("\n") == 1
     assert err.endswith(f" bytes; memory capped at {MAX_BYTES} bytes\n")
     assert peak < 4 * MIB, peak
     assert not out.exists()

@@ -416,11 +416,11 @@ WIDTH = "full-space labels need 64 bits; capped at 63 (labels are int64)"
     (["avg"], WIDTH),
     (["markov"], WIDTH),
     (["l4"], WIDTH),   # before its range(2**64) is counted
-    (["grid"], "a 10x10 grid needs 387381625547900747776 bytes; memory capped at 2147483648 "
-               "bytes"),
-    (["transfer"], "a 10x10 grid needs 387381625547900747776 bytes; memory capped at "
-                   "2147483648 bytes"),
-    (["hist", "--method", "generic"], "0 shots of a generic run at n=8 needs "
+    (["grid"], "the state of a 10x10 grid needs 295147905179352825856 bytes; memory capped at "
+               "2147483648 bytes"),
+    (["transfer"], "the state of a 10x10 grid needs 295147905179352825856 bytes; memory capped "
+                   "at 2147483648 bytes"),
+    (["hist", "--method", "generic"], "the state of 0 shots of a generic run at n=8 needs "
                                       "295147905179352825856 bytes; memory capped at "
                                       "2147483648 bytes"),
     (["hist", "--method", "ce"], WIDTH),
@@ -440,8 +440,8 @@ def test_run_hist_ce_at_n9_is_refused_by_the_budget_first(tmp_path, capsys):
     # the CE state is over the budget and its 81-bit labels over int64: the budget's line
     out = tmp_path / "out"
     assert run_cli(["run", "hist", "--n", "9", "--method", "ce", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: 0 shots of a ce run at n=9 needs 6198727824 "
-                                       "bytes; memory capped at 2147483648 bytes\n")
+    assert capsys.readouterr().err == ("error: the state of 0 shots of a ce run at n=9 needs "
+                                       "6198727824 bytes; memory capped at 2147483648 bytes\n")
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from feasmass.fullspace import (AngleSchedule, apply_cost_phase, cost_levels, fe
 from feasmass.instance import load_instance, synthetic_instance
 from feasmass.subspace import run_ce, subspace_feasible_mass, subspace_to_full_labels
 
-from oracles import (fourth_moment, label_lattice_l4_mean, label_lattice_masses,
+from oracles import (beats, fourth_moment, label_lattice_l4_mean, label_lattice_masses,
                      per_state_depth_walk, phase_block_l4_means, phase_matmul_lattice_masses,
                      unscaled_level_average, x_frame)
 
@@ -309,7 +309,7 @@ def test_depth_sweep_monotone():
 @pytest.mark.parametrize("normalized", [True, False])
 def test_depth_sweep_matches_per_circuit_run_ce(normalized):
     # oracle: every circuit run from the W product, argmax taken in
-    # lexicographic order of the angle tuples
+    # lexicographic order of the angle tuples, round-off ties to the first
     inst = synthetic_instance(3, seed=2, high=5)
     res = ce_depth_sweep(inst, 2, GridSpec(3, 3), normalized=normalized)
     grid = np.linspace(0.0, math.pi, 3)
@@ -319,10 +319,36 @@ def test_depth_sweep_matches_per_circuit_run_ce(normalized):
         for combo in itertools.product(choices, repeat=p):
             sched = AngleSchedule(gammas=[c[0] for c in combo], betas=[c[1] for c in combo])
             mass = subspace_feasible_mass(run_ce(inst, sched, normalized=normalized), 3)
-            if mass > best[0]:
+            if beats(mass, best[0]):
                 best = (mass, combo)
         assert got["best_mass"] == best[0]
         assert got["angles"] == [list(c) for c in best[1]]
+
+
+@pytest.mark.parametrize("ulps", [1, 16])
+def test_depth_sweep_keeps_the_first_of_round_off_ties(monkeypatch, ulps):
+    # each layer's 4 children read 2/9 plus 0, 1, 2, 3 steps of ulps ulp (exact
+    # sums): a 1-ulp step is a round-off tie, so the first circuit (zero angles)
+    # stays where a strictly-larger rule reports the last child; 16-ulp steps
+    # win, and the first parent's last child is the first circuit at the top
+    step = ulps * np.spacing(2 / 9)
+    monkeypatch.setattr(experiments, "subspace_feasible_mass",
+                        lambda batch, n: 2 / 9 + step * np.arange(len(batch)))
+    per_depth = ce_depth_sweep(synthetic_instance(2, seed=1), 2,
+                               GridSpec(2, 2)).metrics["per_depth"]
+    zero, corner = [0.0, 0.0], [math.pi, math.pi]
+    want = [[zero], [zero, zero]] if ulps == 1 else [[corner], [zero, corner]]
+    assert [d["angles"] for d in per_depth] == want
+    assert [d["best_mass"] for d in per_depth] == [2 / 9 + (0 if ulps == 1 else 3 * step)] * 2
+
+
+def test_depth_sweep_n3_round_off_ties_keep_zero_angles():
+    # at n = 3 on a 4x4 grid every depth's maximum is the W product's 2/9 up
+    # to round-off; the first circuit, all angles zero, is reported at each
+    per_depth = ce_depth_sweep(synthetic_instance(3, seed=1), 3,
+                               GridSpec(4, 4)).metrics["per_depth"]
+    assert [d["angles"] for d in per_depth] == [[[0.0, 0.0]] * p for p in (1, 2, 3)]
+    assert all(d["best_mass"] == pytest.approx(2 / 9, rel=1e-15) for d in per_depth)
 
 
 def test_depth_sweep_zero_grid_constant():

@@ -90,7 +90,7 @@ def test_init_plus_capacity(monkeypatch):
         raise AssertionError("allocated before the budget check")
     monkeypatch.setattr(fs, "init_plus", unreachable)
     monkeypatch.setattr(ins, "_dense_cost", unreachable)
-    with pytest.raises(CapacityError, match=r"^a generic run at n=6 needs \d+ bytes; "
+    with pytest.raises(CapacityError, match=r"^the state of a generic run at n=6 needs \d+ bytes; "
                                             r"memory capped at 2147483648 bytes$"):
         run_generic(synthetic_instance(6, seed=1, high=3), AngleSchedule.single(0.1, 0.1))
 
@@ -318,9 +318,9 @@ def test_x_mixer_blocks_are_real_p_m_p():
 
 def test_x_mixer_refuses_chunks_it_cannot_split(monkeypatch):
     import feasmass.fullspace as fs
-    for chunk in (40, 3000, 16):
+    for chunk in (40, 3000, 8):
         monkeypatch.setattr(fs, "_CHUNK", chunk)
-        with pytest.raises(ValueError, match=f"power of two of at least 2\\*\\*5, got {chunk}$"):
+        with pytest.raises(ValueError, match=f"power of two of at least 2\\*\\*4, got {chunk}$"):
             apply_x_mixer(init_plus(6), 0.3)
 
 
@@ -387,9 +387,10 @@ def kernel_apply(st, beta, num_bits):
 
 @pytest.mark.parametrize("num_bits", range(1, 13))
 def test_fused_mixer_matches_kernel_oracle(num_bits, monkeypatch):
-    # N < 5, whole blocks (N = 5, 10) and a smaller last block; chunks of 2**6 and
-    # 2**11 force passes of at most 5 and 10 qubits and several column-stripe
-    # items per pass
+    # N < 4, whole 4-qubit blocks (N = 4, 8, 12), a smaller last block (4+3 at
+    # N = 7) and smaller blocks only (3+3+3 at N = 9); chunks of 2**6 and 2**11
+    # force passes of at most 6 and 11 qubits (one 4-qubit block, two) and
+    # several column-stripe items per pass
     import feasmass.fullspace as fs
     st = unit_state(np.random.default_rng(num_bits), 1 << num_bits)
     beta = 0.37 + 0.1 * num_bits
@@ -405,7 +406,7 @@ def test_fused_mixer_matches_kernel_oracle(num_bits, monkeypatch):
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 def test_x_mixer_batch_matches_rows(dtype, monkeypatch):
     # one chunk spans several rows (all of them at the default chunk size);
-    # N > 5, so every matmul has at least two rows in the batch and alone
+    # N > 4, so every matmul has at least two rows in the batch and alone
     import feasmass.fullspace as fs
     for rows, num_bits, chunk in ((7, 6, fs._CHUNK), (131, 9, fs._CHUNK), (131, 9, 1 << 12)):
         monkeypatch.setattr(fs, "_CHUNK", chunk)
@@ -668,6 +669,55 @@ def test_sampler_counts_independent_of_pool_workers(monkeypatch):
             counts[workers] = sample_counts(st, 200_000, 5, labels)
     assert used and np.array_equal(counts[1], counts[2])
     assert counts[1].sum() > 0
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_chunks_run_one_item_per_cpu_in_chunk_order(monkeypatch, workers):
+    # 40 chunks on a pool of one worker per usable CPU: at most that many items
+    # are submitted, each making one workspace; every chunk runs once, uneven
+    # chunk times still give the results in chunk order, and a chunk's
+    # exception propagates once every item has ended
+    import os
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+    import feasmass.fullspace as fs
+    monkeypatch.setattr(fs, "_CHUNK", 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+
+    class Counting(ThreadPoolExecutor):
+        def submit(self, *args):
+            submitted.append(1)
+            return super().submit(*args)
+
+    def chunk(ws, lo):
+        time.sleep(0.001 * (lo % 3))
+        ran.append(lo)
+        if lo == fail:
+            raise ValueError(f"chunk at {lo}")
+        return ws, lo // 8
+
+    def space():
+        spaces.append(object())
+        return spaces[-1]
+    with Counting(workers) as pool:
+        monkeypatch.setattr(fs, "_pool", lambda: pool)
+        for fail in (None, 8 * 17):
+            submitted, ran, spaces = [], [], []
+            if fail is None:
+                out = fs._items(chunk, 320, space)
+                assert [i for _, i in out] == list(range(40))
+                assert sorted(ran) == list(range(0, 320, 8))
+                assert {id(ws) for ws, _ in out} <= set(map(id, spaces))
+            else:
+                with pytest.raises(ValueError, match="chunk at 136"):
+                    fs._items(chunk, 320, space)
+                done = len(ran)
+                time.sleep(0.05)
+                assert len(ran) == done and len(set(ran)) == done and fail in ran
+            assert len(submitted) == len(spaces) == workers
+        submitted = []
+        assert fs._chunks(lambda lo: lo, 320) == list(range(0, 320, 8))
+        assert len(submitted) == workers
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -59,7 +59,8 @@ def test_init_w_product_values(monkeypatch):
         raise AssertionError("allocated before the budget check")
     monkeypatch.setattr(sub, "init_w_product", unreachable)
     monkeypatch.setattr(sub, "_dense_cost", unreachable)
-    with pytest.raises(CapacityError, match=r"^a CE run at n=9 needs \d+ bytes; memory capped"):
+    with pytest.raises(CapacityError,
+                       match=r"^the state of a CE run at n=9 needs \d+ bytes; memory capped"):
         run_ce(synthetic_instance(9, seed=1), AngleSchedule.single(0.1, 0.1))
 
 
