@@ -7,10 +7,10 @@ distinct costs in one place (``_binned_rows``).  avg sums the energy of the
 bins (Parseval); the lattice grids (markov, l4) lay each binned row on the
 integer cost lattice, where one FFT gives that label's amplitude at every grid
 angle.  The generic grid search and the CE depth sweep share one depth-first
-walker (``_walk``).  The generic layer refills one P|+> buffer (the X mixer's
-frame) per gamma, phases it and projects it onto the betas' real rows, a group at
-a time (fullspace.mixed_feasible_mass); its argmax and best point off the quarter
-turns are re-run from |+> as whole circuits.  The CE layer mixes children at once."""
+walker (``_walk``).  The generic layer refills one P|+> buffer (the X mixer's frame,
+as every generic state is) per gamma, phases it and projects it onto the betas' real
+rows, a group at a time (fullspace.mixed_feasible_mass); its argmax and best point off
+the quarter turns are re-run as whole circuits.  The CE layer mixes children at once."""
 from __future__ import annotations
 
 import math
@@ -196,11 +196,11 @@ def _walk(layer, parent, p_max: int):
 
 def grid_search_generic(cost: DiagonalCost, grid: GridSpec,
                         precision: str = "f64") -> ExperimentResult:
-    """Single-layer feasible mass at every grid point by the one-hot row projection,
-    one table row per point in walk order; the argmax is the first maximum in that
-    order.  It is re-run as a whole circuit, an independent oracle, and so is the best
-    point off the quarter turns of beta, where a wrong frame reads the right masses:
-    masses over 1e-12 apart, relative (1e-5 in f32), raise ValueError."""
+    """p = 1 feasible mass at every grid point by the one-hot row projection, one table row per
+    point in walk order; the argmax is the first maximum in that order.  It is re-run as a whole
+    circuit, sharing _p and R's rows with the projection (the tests' lab-frame oracle checks
+    those), and so is the best point off the quarter turns of beta, where a wrong frame reads
+    the right masses: masses over 1e-12 apart, relative (1e-5 in f32), raise ValueError."""
     n, N, dtype = cost.n, cost.num_qubits, _DTYPES[precision]
     gammas, betas = grid.axes()
     group = max(1, (1 << n) // (2 * n))   # betas per projection: its stages <= half a state

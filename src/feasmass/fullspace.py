@@ -1,15 +1,16 @@
 """Dense statevector simulation of generic QAOA on N = n**2 qubits.
 
 States are 1-D complex ndarrays of length 2**N indexed by the basis label (bit k = qubit k),
-mutated in place and returned; complex64 halves N = 25 to 256 MiB.  A cost phase gathers exact
-exps (_exp) from one small table, or over a wide level range from digit tables (level_phases).
-The X mixer is P M P, P = diag((-i)**popcount) exact (_p) and M = conj(P) K conj(P) real, K
-from mixer_kernel_rows (real_mixer_rows); the feasible mass after it takes M's one-hot rows for
-a group of betas on a state already times P, such as P|+> refilled by _p (mixed_feasible_mass).
-Shots are counted at given labels only (sample_counts).  Passes take _CHUNK entries, so none
-makes a full-state temporary; the fills, the cost phase, the X mixer (4-qubit blocks), the
-projection, the sampler's masses and the norm run on one pool item per CPU, each with one
-workspace (_items).  No bit depends on either thread count.  A run checks its peak first."""
+mutated in place and returned; complex64 halves N = 25 to 256 MiB.  Each is P times the lab
+state, P = diag((-i)**popcount) exact (_p), so moduli, masses and shots are the lab's: a run
+starts from P|+> (init_plus), and the X mixer is the real R = P K conj(P), K from
+mixer_kernel_rows (real_mixer_rows).  A cost phase commutes with P; it gathers exact exps (_exp)
+from one small table, or over a wide level range from digit tables (level_phases).  The feasible
+mass after a mixer takes R's one-hot rows for a group of betas (mixed_feasible_mass).  Shots are
+counted at given labels only (sample_counts).  Passes take _CHUNK entries, so none makes a
+full-state temporary; the fills, the cost phase, the X mixer (4-qubit blocks), the projection,
+the sampler's masses and the norm run on one pool item per CPU, each with one workspace
+(_items).  No bit depends on either thread count.  A run checks its peak first."""
 from __future__ import annotations
 
 import math
@@ -46,11 +47,9 @@ class AngleSchedule:
         return cls(gammas=(gamma,), betas=(beta,))
 
 
-def init_plus(num_qubits: int, dtype=np.complex128) -> np.ndarray:
-    """|+>^N : every amplitude 2**(-N/2)."""
-    state = np.empty(1 << num_qubits, dtype=dtype)   # np.full's bits, filled chunk by chunk
-    _chunks(lambda lo: state[lo:lo + _CHUNK].fill(2.0 ** (-num_qubits / 2)), state.size)
-    return state
+def init_plus(num_qubits: int, dtype) -> np.ndarray:
+    """|+>^N in the X mixer's frame: P|+>, amplitude 2**(-N/2) (-i)**popcount (_p)."""
+    return _p(np.empty(1 << num_qubits, dtype), 2.0 ** (-num_qubits / 2))
 
 
 def _p(out: np.ndarray, scale: float) -> np.ndarray:
@@ -159,46 +158,44 @@ def _gather(state: np.ndarray, index: np.ndarray, tables: list, low: int) -> np.
 
 
 def apply_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-i*beta*X) on every qubit as P M P: P = diag((-i)**popcount(x)) is
-    exact to apply, M = [[cos b, sin b], [sin b, -cos b]]^{(x)N} is real.
-    N splits into ceil(N/_FUSE) near-equal blocks, each M from conj(P)
-    mixer_kernel_rows conj(P).  A pass mixes qubits [a, a+k), as many blocks as
-    fit in _CHUNK, in _CHUNK-entry chunks of the (-1, 2**k, 2**a) view: times P,
-    a real matmul per block on the float view, times P (N = 16: 4+4+4+4 in one
-    pass; N = 25: 4+4+4+4, then 3+3+3).  A C-contiguous (rows, 2**N) batch is
-    mixed row by row.  No bit depends on either thread count, nor on _CHUNK from
-    2**13 up (measured to 2**18 at N = 6..20 and 25; narrower stripes round differently)."""
+    """exp(-i*beta*X) on every qubit of a state in its frame, with no phase multiply: the real
+    product R = [[cos b, sin b], [-sin b, cos b]]^{(x)N}, in ceil(N/_FUSE) near-equal blocks,
+    each from real_mixer_rows.  A pass mixes qubits [a, a+k), as many blocks as fit in _CHUNK,
+    in _CHUNK-entry chunks of the (-1, 2**k, 2**a) view: a real matmul per block on the float
+    view, from the state for whole rows, on a copy for a column stripe (N = 16: 4+4+4+4 in one
+    pass; N = 25: 4+4+4+4, then 3+3+3).  A C-contiguous (rows, 2**N) batch is mixed row by row.
+    No bit depends on either thread count, nor on _CHUNK from 2**10 up (measured from 2**6 to
+    2**18 at N = 6..20 in c64 and c128, and at N = 25 in c64 from 2**10: only c128 stripes two
+    entries wide, at 2**8 or 2**9, round differently)."""
     if _CHUNK & (_CHUNK - 1) or _CHUNK < 1 << _FUSE:
         raise ValueError(f"_CHUNK must be a power of two of at least 2**{_FUSE}, got {_CHUNK}")
     num_qubits, real, flat = int(math.log2(state.shape[-1])), state.real.dtype, state.reshape(-1)
     sizes = [len(b) for b in np.array_split(range(num_qubits), -(-num_qubits // _FUSE))]
     per_pass = (_CHUNK.bit_length() - 1) // sizes[0]   # whole blocks per pass: the largest first
-    m = {q: real_mixer_rows(np.arange(1 << q), beta, q) for q in set(sizes)}
-    m = {q: (u.astype(real), np.kron(u, np.eye(2)).astype(real)) for q, u in m.items()}
-    for i in range(0, len(sizes), per_pass):   # m is ready: pool callbacks call nothing traced
+    r = {q: real_mixer_rows(np.arange(1 << q), beta, q) for q in set(sizes)}
+    r = {q: (u.astype(real), np.kron(u.T, np.eye(2)).astype(real)) for q, u in r.items()}
+    for i in range(0, len(sizes), per_pass):   # r is ready: pool callbacks call nothing traced
         a, k = sum(sizes[:i]), sum(sizes[i:i + per_pass])
-        p, n = _p(np.empty(1 << k, np.complex64), 1.0), min(_CHUNK, flat.size)
-        v, p = flat.reshape(-1, 1 << k, 1 << a), p[:, None] if a else p   # p exact in complex64
+        v, n = flat.reshape(-1, 1 << k, 1 << a), min(_CHUNK, flat.size)
         rows, width = max(1, _CHUNK >> (k + a)), min(1 << a, _CHUNK >> k)   # per item
 
         def item(ws, lo):   # ws holds y, and x for a stripe
             o, c = divmod(lo // _CHUNK, (1 << a) // width)
             src = v[o * rows:(o + 1) * rows, :, c * width:(c + 1) * width]
-            src = src if a else src[..., 0]   # p broadcast over a trailing 1 is slow
             x = ws[n:n + src.size].reshape(src.shape) if width < 1 << a else src   # a stripe: copy
             y, cols = ws[:x.size].reshape(x.shape), 2 * width   # floats below the block's qubits
-            np.multiply(src, p, out=x)
+            _ = x is src or np.copyto(x, src)
             for q in sizes[i:i + per_pass]:
                 f, g = x.reshape(-1).view(real), y.reshape(-1).view(real)
-                if cols == 2:   # re/im pairs fastest: (rows, 2**(q+1)) @ (M (x) I2)
+                if cols == 2:   # re/im pairs fastest: (rows, 2**(q+1)) @ (R.T (x) I2)
                     shape = (-1, math.gcd(f.size >> (q + 1), _GEMM >> (2 * q + 2)), 2 << q)
-                    np.matmul(f.reshape(shape), m[q][1], out=g.reshape(shape))
+                    np.matmul(f.reshape(shape), r[q][1], out=g.reshape(shape))
                 else:
                     shape = (-1, 1 << q, cols // (span := min(cols, _GEMM >> (2 * q))), span)
-                    np.matmul(m[q][0], f.reshape(shape).swapaxes(1, 2),
+                    np.matmul(r[q][0], f.reshape(shape).swapaxes(1, 2),
                               out=g.reshape(shape).swapaxes(1, 2))
                 x, y, cols = y, x, cols << q
-            np.multiply(x, p, out=src)
+            _ = x is src or np.copyto(src, x)
         _items(item, flat.size, lambda: np.empty((1 + (width < 1 << a)) * n, flat.dtype))
     return state
 
@@ -212,13 +209,13 @@ def mixer_kernel_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarra
 
 
 def real_mixer_rows(rows: np.ndarray, beta: float, num_bits: int) -> np.ndarray:
-    """These rows of the X mixer's real factor M = conj(P) K conj(P), K = mixer_kernel_rows."""
-    cp = _p(np.empty(1 << num_bits, np.complex128), 1.0).conj()
-    return (cp[rows, None] * cp * mixer_kernel_rows(rows, beta, num_bits)).real
+    """These rows of the X mixer in its frame, R = P K conj(P), K = mixer_kernel_rows."""
+    p = _p(np.empty(1 << num_bits, np.complex128), 1.0)
+    return (p[rows, None] * p.conj() * mixer_kernel_rows(rows, beta, num_bits)).real
 
 
-def run_generic(cost: DiagonalCost, schedule: AngleSchedule, precision: str = "f64") -> np.ndarray:
-    """Depth-p generic QAOA: alternate cost phase and X mixer from |+>^N."""
+def run_generic(cost: DiagonalCost, schedule: AngleSchedule, precision: str) -> np.ndarray:
+    """Depth-p generic QAOA in the X mixer's frame: alternate cost phase and X mixer from |+>^N."""
     check_run(cost, False, _DTYPES[precision], 0, f"a generic run at n={cost.n}")
     levels = cost_levels(cost.cost_vector())
     state = init_plus(cost.num_qubits, dtype=_DTYPES[precision])
@@ -234,12 +231,12 @@ def feasible_mass(state: np.ndarray, n: int) -> float:
 
 
 def mixed_feasible_mass(state: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """feasible_mass(apply_x_mixer(conj(P) state, beta), n) for G betas, no mixer: the
-    state in the mixer's frame (_p), a (G, n, 2**n) stack of M's one-hot rows (P only
-    phases; no other row reaches a feasible label).  Row n-1 goes first: per beta, a real
-    (n, 2**n) @ (2**n, rest) matmul on the float view, in slabs under _GEMM and _CHUNK
-    items on the pool, its n results leading; the first stage reads each slab once for
-    all G, and no bit depends on G.  Row 0 ends least significant for the n! index map."""
+    """feasible_mass(apply_x_mixer(state, beta), n) for G betas, no mixer: a (G, n, 2**n)
+    stack of R's one-hot rows, from real_mixer_rows (no other row reaches a feasible
+    label).  Row n-1 goes first: per beta, a real (n, 2**n) @ (2**n, rest) matmul on the
+    float view, in slabs under _GEMM and _CHUNK items on the pool, its n results leading;
+    the first stage reads each slab once for all G, and no bit depends on G.  Row 0 ends
+    least significant for the n! index map."""
     real, t, group = state.real.dtype, state.reshape(-1).view(state.real.dtype), len(rows)
     m, span = rows.astype(real)[:, None, None], 1 << ((_GEMM // (n << n)).bit_length() - 1)
     for stage in range(n):   # (G or 1, b, 2**n, w) @ -> (G, b, n, w), w floats per row

@@ -170,14 +170,16 @@ def load_instance(path) -> DiagonalCost:
                 tokens.append((lineno, val))
     if not tokens:
         raise InstanceFormatError(f"{path}: empty instance file")
-    n = tokens[0][1]
+    (first, n), body = tokens[0], tokens[1:]
     if n < 2:
-        raise InstanceFormatError(f"{path}:{tokens[0][0]}: city count must be >= 2, got {n}")
-    body = tokens[1:]
-    if len(body) != n * n:
-        lineno = body[-1][0] if body else tokens[0][0]
+        raise InstanceFormatError(f"{path}:{first}: city count must be >= 2, got {n}")
+    if len(body) != n * n:   # named at the last number read
         raise InstanceDimensionError(
-            f"{path}:{lineno}: expected {n}x{n}={n * n} matrix entries, got {len(body)}")
+            f"{path}:{tokens[-1][0]}: expected {n}x{n}={n * n} matrix entries, got {len(body)}")
+    for k, (lineno, v) in enumerate(body):   # make_instance's entry checks, with the line
+        if v < 0 or v and k % (n + 1) == 0:
+            raise InstanceFormatError(f"{path}:{lineno}: entry {divmod(k, n)} is {v}; distances "
+                                      "are non-negative, with a zero diagonal")
     d = np.array([v for _, v in body], dtype=np.int64).reshape(n, n)
     return make_instance(d, name=path.stem)
 

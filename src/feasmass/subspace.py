@@ -179,13 +179,13 @@ def overlap_generic_ce(cost: DiagonalCost, gamma: float, beta: float) -> complex
     n = cost.n   # both runs, the label map and the gathered sector
     ce = check_run(cost, True, np.complex128, 24 * n ** n, what := f"the overlap at n={n}")
     check_run(cost, False, np.complex128, ce, what)
-    gen = init_plus(cost.num_qubits)
+    gen = init_plus(cost.num_qubits, np.complex128)   # in the X mixer's frame
     apply_x_mixer(gen, beta)
     apply_cost_phase(gen, cost_levels(cost.cost_vector()), gamma)
     ce = init_w_product(n)
     apply_block_xy_mixer(ce, n, beta, normalized=False)
     apply_subspace_cost_phase(ce, cost_levels(subspace_cost_table(cost)), gamma)
-    return complex(np.vdot(ce, gen[subspace_to_full_labels(n)]))   # its one-hot sector
+    return complex(np.vdot(ce, gen[subspace_to_full_labels(n)]) * 1j ** n)   # P = (-i)**n there
 
 
 # ---------------------------------------------------------------------------

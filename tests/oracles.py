@@ -341,6 +341,13 @@ def x_frame(state: np.ndarray, conj: bool) -> np.ndarray:
     return state
 
 
+def lab_x_mixer(state: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-i*beta*X) on every qubit of a lab-frame state, in place: conj(P) R P,
+    with this module's P (x_frame) around apply_x_mixer's real R = P K conj(P).  In a
+    (rows, 2**N) batch the row's bits add one phase per row, which conj(P) takes off."""
+    return x_frame(apply_x_mixer(x_frame(state, False), beta), True)
+
+
 def fourth_moment(state: np.ndarray) -> float:
     """sum_x |amps[x]|**4 as a*a, a = |amps[x]|**2, in one numpy sum."""
     a = np.abs(state) ** 2
@@ -424,7 +431,7 @@ def phase_matmul_lattice_masses(cost, betas, L=None, tie_break=True) -> np.ndarr
 def phase_block_l4_means(cost, betas, L) -> list:
     """Grid mean of sum_x |a_x|**4 over gamma_k = 2 pi k / L per beta, from
     (angles x 2**N) phase blocks of the raw lattice costs run through the
-    batched X mixer, 2**22 amplitudes at a time."""
+    batched lab mixer, 2**22 amplitudes at a time."""
     N = cost.num_qubits
     h = cost.cost_vector().astype(np.int64)
     h = h - h.min()
@@ -437,7 +444,7 @@ def phase_block_l4_means(cost, betas, L) -> list:
             kb = ks[lo:lo + chunk]
             units = (kb[:, None] * h[None, :]) % L
             amps = np.exp((-2j * math.pi / L) * units) * 2.0 ** (-N / 2)
-            apply_x_mixer(amps, beta)
+            lab_x_mixer(amps, beta)
             total += fourth_moment(amps)
         means.append(total / L)
     return means

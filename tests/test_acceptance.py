@@ -86,7 +86,7 @@ def test_criterion_02_twirl_identity():
 def _commuting_layer(cost, table, gamma, beta):
     """One p=1 layer per ansatz, mixer first, built as overlap_generic_ce does."""
     n = cost.n
-    gen = init_plus(cost.num_qubits)
+    gen = init_plus(cost.num_qubits, np.complex128)
     apply_x_mixer(gen, beta)
     apply_cost_phase(gen, cost_levels(cost.cost_vector()), gamma)
     ce = init_w_product(n)
@@ -235,7 +235,7 @@ def test_criterion_07_harmonic_battery():
         ok &= float(np.abs(spectra.full - conv).max()) <= 1e-12
         from feasmass.fullspace import feasible_mass, run_generic
         inst = synthetic_instance(n, seed=1, high=5)
-        st = run_generic(inst, AngleSchedule.single(0.9, 0.4))
+        st = run_generic(inst, AngleSchedule.single(0.9, 0.4), "f64")
         ok &= abs(feasible_mass_via_plancherel(st, n) - feasible_mass(st, n)) <= 1e-9
     assert report(7, "harmonic battery", bool(ok))
 

@@ -652,16 +652,8 @@ def test_run_that_reads_precision_accepts_f32(tmp_path, command, metric):
 def test_run_hist_files_independent_of_chunk(tmp_path, monkeypatch, capsys):
     # whole runs through the level-table phase (all distances 1: 409 levels
     # for 2**16 labels), the direct phase (wi4) and CE write the same bytes
-    # when the cost phase and the sampler take 64 entries at a time.  The X
-    # mixer keeps its default blocks: BLAS rounds a 2-row matmul differently.
+    # when the cost phase, the X mixer and the sampler take 64 entries at a time
     import feasmass.fullspace as fs
-    mixer, default_chunk = fs.apply_x_mixer, fs._CHUNK
-
-    def mixer_at_default_chunk(state, beta):
-        with monkeypatch.context() as m:
-            m.setattr(fs, "_CHUNK", default_chunk)
-            return mixer(state, beta)
-
     few = tmp_path / "ones4.txt"
     few.write_text("4\n" + "\n".join(" ".join("0" if i == j else "1" for j in range(4))
                                       for i in range(4)) + "\n")
@@ -679,7 +671,6 @@ def test_run_hist_files_independent_of_chunk(tmp_path, monkeypatch, capsys):
 
     default = files("default")
     monkeypatch.setattr(fs, "_CHUNK", 64)
-    monkeypatch.setattr(fs, "apply_x_mixer", mixer_at_default_chunk)
     assert files("chunk64") == default
     assert len(default) == 2 * len(runs)
 

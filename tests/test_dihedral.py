@@ -109,9 +109,9 @@ angles = hs.lists(hs.floats(0.0, math.pi), min_size=4, max_size=4).map(
 @given(costs_and_moves([2, 3]), angles)
 def test_generic_states_are_dihedral(case, schedule):
     cost, k, reverse = case
-    state = run_generic(cost, schedule)
+    state = run_generic(cost, schedule, "f64")
     moved = state[full_label_map(cost.n, k, reverse)]
-    want = run_generic(transposed(cost), schedule) if reverse else state
+    want = run_generic(transposed(cost), schedule, "f64") if reverse else state
     assert np.abs(moved - want).max() <= 1e-13
     if _symmetric(cost):
         assert np.abs(moved - state).max() <= 1e-13

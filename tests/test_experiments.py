@@ -15,13 +15,13 @@ from feasmass.experiments import (GridSpec, _bitstrings, ce_depth_sweep,
                                   lattice_feasible_masses, markov_fraction,
                                   parameter_transfer, twirl_existence_experiment)
 from feasmass.fullspace import (AngleSchedule, apply_cost_phase, cost_levels, feasible_mass,
-                                init_plus, mixed_feasible_mass, real_mixer_rows, run_generic)
+                                mixed_feasible_mass, real_mixer_rows, run_generic)
 from feasmass.instance import load_instance, synthetic_instance
 from feasmass.subspace import run_ce, subspace_feasible_mass, subspace_to_full_labels
 
-from oracles import (beats, fourth_moment, label_lattice_l4_mean, label_lattice_masses,
-                     per_state_depth_walk, phase_block_l4_means, phase_matmul_lattice_masses,
-                     unscaled_level_average, x_frame)
+from oracles import (beats, fourth_moment, lab_x_mixer, label_lattice_l4_mean,
+                     label_lattice_masses, per_state_depth_walk, phase_block_l4_means,
+                     phase_matmul_lattice_masses, unscaled_level_average, x_frame)
 
 
 def test_gridspec_validation():
@@ -551,16 +551,16 @@ def test_result_json_excludes_wall_clock():
 def test_grid_surface_matches_run_generic(n, precision):
     # phasing once per gamma must not change a single bit of any grid point:
     # each is the projection of a freshly phased P|+>; the projection matches
-    # run_generic's mixer in test_fullspace.test_projection_matches_full_mixer
+    # the lab-frame mixer in test_fullspace.test_projection_matches_full_mixer
     cost = synthetic_instance(n, seed=5, high=3)
     grid = GridSpec(4, 3)
     res = grid_search_generic(cost, grid, precision)
     dtype = {"f64": np.complex128, "f32": np.complex64}[precision]
     levels = cost_levels(cost.cost_vector())
     one_hot = np.stack([real_mixer_rows(1 << np.arange(n), b, n) for b in grid.axes()[1]])
-    expected = [mixed_feasible_mass(apply_cost_phase(x_frame(init_plus(n * n, dtype), False),
-                                                     levels, g), one_hot, n)
-                for g in grid.axes()[0]]
+    plus = np.full(1 << (n * n), 2.0 ** (-n * n / 2), dtype)
+    expected = [mixed_feasible_mass(apply_cost_phase(x_frame(plus.copy(), False), levels, g),
+                                    one_hot, n) for g in grid.axes()[0]]
     assert np.array_equal([mass for _, _, mass in res.table[1]], np.ravel(expected))
 
 
@@ -579,7 +579,7 @@ def test_wi4_grid_surface_matches_per_entry_exp(precision):
     expected = []
     for g in gammas:
         phase = np.exp((-1j * g) * table).astype(dtype)
-        phased = x_frame(init_plus(16, dtype), False) * phase
+        phased = x_frame(np.full(1 << 16, 2.0 ** -8, dtype), False) * phase
         expected += mixed_feasible_mass(phased, np.stack(
             [real_mixer_rows(1 << np.arange(4), b, 4) for b in betas]), 4).tolist()
     assert np.array_equal([mass for _, _, mass in res.table[1]], expected)
@@ -588,17 +588,24 @@ def test_wi4_grid_surface_matches_per_entry_exp(precision):
 @pytest.mark.parametrize("precision", ["f64", "f32"])
 def test_grid_surface_matches_whole_circuits_off_quarter_turns(precision):
     # every point against feasible_mass(run_generic(...)), the whole circuit
-    # from |+>: on [0, pi] grids with integer costs the phases at multiples of
-    # pi/2 are real or imaginary, and there a projection in the wrong frame
-    # can read the same masses, so these ranges avoid them
+    # in the mixer's frame, and against the whole circuit in the lab frame,
+    # np.full's |+> through the lab-frame mixer: on [0, pi] grids with integer
+    # costs the phases at multiples of pi/2 are real or imaginary, and there a
+    # projection in the wrong frame can read the same masses, so these ranges
+    # avoid them
     tol = {"f64": 1e-12, "f32": 1e-5}[precision]
+    dtype = {"f64": np.complex128, "f32": np.complex64}[precision]
     grid = GridSpec(3, 3, gamma_range=(0.1, 0.9), beta_range=(0.2, 1.3))
     for cost in (synthetic_instance(2, seed=5, high=3), synthetic_instance(3, seed=5, high=3),
                  load_instance(WI4)):
         res = grid_search_generic(cost, grid, precision)
+        levels, N = cost_levels(cost.cost_vector()), cost.num_qubits
         for g, b, mass in res.table[1]:
-            want = feasible_mass(run_generic(cost, AngleSchedule.single(g, b), precision), cost.n)
-            assert abs(mass - want) <= tol * want, (cost.name, g, b)
+            lab = apply_cost_phase(np.full(1 << N, 2.0 ** (-N / 2), dtype), levels, g)
+            for state in (run_generic(cost, AngleSchedule.single(g, b), precision),
+                          lab_x_mixer(lab, b)):
+                want = feasible_mass(state, cost.n)
+                assert abs(mass - want) <= tol * want, (cost.name, g, b)
 
 
 def test_lattice_cap_names_size():
@@ -646,6 +653,6 @@ def test_l4_sweep_matches_simulated_grid_mean():
     L = 2 * inst.spread + 1
     for beta in (0.4, 1.2):
         direct = np.mean([fourth_moment(run_generic(
-            inst, AngleSchedule.single(2 * math.pi * k / L, beta))) for k in range(L)])
+            inst, AngleSchedule.single(2 * math.pi * k / L, beta), "f64")) for k in range(L)])
         got = l4_sweep(inst, [beta]).metrics["per_beta"][beta]["mean"]
         assert abs(got - direct) <= 1e-13 * direct

@@ -13,8 +13,8 @@ from feasmass.fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, 
                                 real_mixer_rows, run_generic, sample_counts)
 from feasmass.instance import CapacityError, feasible_indices, load_instance, synthetic_instance
 
-from oracles import (cumsum_copy_sample_counts, fourth_moment, kron_mixer, phase_error,
-                     x_frame)
+from oracles import (cumsum_copy_sample_counts, fourth_moment, kron_mixer, lab_x_mixer,
+                     phase_error, x_frame)
 
 
 @pytest.mark.parametrize("num_bits", [1, 2, 3, 4, 5])
@@ -33,9 +33,10 @@ def test_schedule_validation():
 
 
 def test_init_plus_values():
-    st = init_plus(2)
+    # |+> in the X mixer's frame: conj(P) takes it to 2**(-N/2) everywhere
+    st = x_frame(init_plus(2, np.complex128), True)
     assert np.allclose(st, 0.5)
-    st = init_plus(9)
+    st = x_frame(init_plus(9, np.complex128), True)
     assert st.shape == (512,)
     assert np.allclose(st, 2.0 ** -4.5)
     assert abs(1 - norm_squared(st)) < 1e-12
@@ -74,10 +75,11 @@ def test_chunks_keep_chunk_order_and_raise(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 def test_chunked_init_plus_is_np_full_bitwise(dtype, monkeypatch):
+    # np.full's bits times P, at chunks that are no power of two
     import feasmass.fullspace as fs
     monkeypatch.setattr(fs, "_CHUNK", 100)
     for num_qubits in (1, 9, 12):
-        want = np.full(1 << num_qubits, 2.0 ** (-num_qubits / 2), dtype=dtype)
+        want = x_frame(np.full(1 << num_qubits, 2.0 ** (-num_qubits / 2), dtype=dtype), False)
         assert np.array_equal(init_plus(num_qubits, dtype).view(np.uint8), want.view(np.uint8))
 
 
@@ -92,12 +94,12 @@ def test_init_plus_capacity(monkeypatch):
     monkeypatch.setattr(ins, "_dense_cost", unreachable)
     with pytest.raises(CapacityError, match=r"^the state of a generic run at n=6 needs \d+ bytes; "
                                             r"memory capped at 2147483648 bytes$"):
-        run_generic(synthetic_instance(6, seed=1, high=3), AngleSchedule.single(0.1, 0.1))
+        run_generic(synthetic_instance(6, seed=1, high=3), AngleSchedule.single(0.1, 0.1), "f64")
 
 
 def test_cost_phase_identity_cases():
     cost = synthetic_instance(2, seed=0, high=3)
-    st = init_plus(4)
+    st = init_plus(4, np.complex128)
     ref = st.copy()
     apply_cost_phase(st, cost_levels(cost.cost_vector()), 0.0)
     assert np.array_equal(st, ref)
@@ -106,7 +108,7 @@ def test_cost_phase_identity_cases():
 
 
 def test_cost_phase_rejects_wrong_table_length():
-    st = init_plus(4)
+    st = init_plus(4, np.complex128)
     ref = st.copy()
     with pytest.raises(ValueError, match="length"):
         apply_cost_phase(st, cost_levels(np.zeros(8, dtype=np.int64)), 0.5)
@@ -287,14 +289,14 @@ def test_cost_levels_keep_a_range_or_the_distinct_values():
 
 
 def test_x_mixer_blocks_are_real_p_m_p():
-    # R(b)^{(x)k} = P M P with P = diag((-i)**popcount(x)): conj(P) K conj(P)
-    # is real, equals [[c, s], [s, -c]]^{(x)k}, and multiplying by P only
-    # swaps re and im with a sign
+    # K = conj(P) R P with P = diag((-i)**popcount(x)): R = P K conj(P) is
+    # real, equals [[c, s], [-s, c]]^{(x)k}, and multiplying by P only swaps
+    # re and im with a sign
     import feasmass.fullspace as fs
     for k in range(1, 6):
-        cp = fs._p(np.empty(1 << k, np.complex128), 1.0).conj()
+        p = fs._p(np.empty(1 << k, np.complex128), 1.0)
         for beta in (0.0, 0.37, 1.2, math.pi / 2, 2.9, -0.8):
-            blk = np.outer(cp, cp) * mixer_kernel_rows(np.arange(1 << k), beta, k)
+            blk = np.outer(p, p.conj()) * mixer_kernel_rows(np.arange(1 << k), beta, k)
             assert np.all(blk.imag == 0), (k, beta)
             assert np.array_equal(real_mixer_rows(np.arange(1 << k), beta, k), blk.real)
             one_hot = 1 << np.arange(k)
@@ -302,7 +304,7 @@ def test_x_mixer_blocks_are_real_p_m_p():
             c, s = math.cos(beta), math.sin(beta)
             m = np.ones((1, 1))
             for _ in range(k):
-                m = np.kron(m, [[c, s], [s, -c]])
+                m = np.kron(m, [[c, s], [-s, c]])
             assert np.abs(blk.real - m).max() <= 1e-15, (k, beta)
     rng = np.random.default_rng(4)
     for dtype in (np.complex64, np.complex128):
@@ -321,11 +323,11 @@ def test_x_mixer_refuses_chunks_it_cannot_split(monkeypatch):
     for chunk in (40, 3000, 8):
         monkeypatch.setattr(fs, "_CHUNK", chunk)
         with pytest.raises(ValueError, match=f"power of two of at least 2\\*\\*4, got {chunk}$"):
-            apply_x_mixer(init_plus(6), 0.3)
+            apply_x_mixer(init_plus(6, np.complex128), 0.3)
 
 
 def test_x_mixer_zero_angle():
-    st = init_plus(4)
+    st = init_plus(4, np.complex128)
     ref = st.copy()
     apply_x_mixer(st, 0.0)
     assert np.allclose(st, ref, atol=1e-15)
@@ -335,7 +337,7 @@ def test_x_mixer_half_turn_flips():
     N = 3
     st = np.zeros(1 << N, dtype=complex)
     st[0] = 1.0
-    apply_x_mixer(st, math.pi / 2)
+    lab_x_mixer(st, math.pi / 2)
     expect = np.zeros(1 << N, dtype=complex)
     expect[-1] = (-1j) ** N
     assert np.allclose(st, expect, atol=1e-12)
@@ -349,7 +351,7 @@ def test_x_mixer_matches_dense_kernel(num_bits, beta):
     st /= np.linalg.norm(st)
     K = kron_mixer(beta, num_bits)
     expect = K @ st
-    apply_x_mixer(st, beta)
+    lab_x_mixer(st, beta)
     assert np.abs(st - expect).max() < 1e-12
     # operator-level check: columns of the mixer equal the kernel columns
     dim = 1 << num_bits
@@ -357,7 +359,7 @@ def test_x_mixer_matches_dense_kernel(num_bits, beta):
     for col in range(dim):
         basis = np.zeros(dim, dtype=complex)
         basis[col] = 1.0
-        op[:, col] = apply_x_mixer(basis, beta)
+        op[:, col] = lab_x_mixer(basis, beta)
     assert np.abs(op - K).max() < 1e-12
 
 
@@ -398,7 +400,7 @@ def test_fused_mixer_matches_kernel_oracle(num_bits, monkeypatch):
     for chunk in (fs._CHUNK, 1 << 6, 1 << 11):
         monkeypatch.setattr(fs, "_CHUNK", chunk)
         for dtype, tol in ((np.complex128, 1e-12), (np.complex64, 1e-6)):
-            out = apply_x_mixer(st.astype(dtype), beta)
+            out = lab_x_mixer(st.astype(dtype), beta)
             assert out.dtype == dtype
             assert np.abs(out - expect).max() < tol, (chunk, dtype)
 
@@ -422,27 +424,27 @@ PROJECTION_TOL = {np.complex128: 1e-13, np.complex64: 1e-5}   # relative
 
 
 def one_hot(betas, n):
-    """The stacked one-hot rows of M for these betas, shape (G, n, 2**n)."""
+    """The stacked one-hot rows of R for these betas, shape (G, n, 2**n)."""
     return np.stack([real_mixer_rows(1 << np.arange(n), b, n) for b in betas])
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_projection_matches_full_mixer(n, dtype, monkeypatch):
-    # the projection takes the state in the mixer's frame, P times it, and all
-    # five betas at once; at 64-entry chunks its stages run in many items of
-    # narrow slabs
+    # the projection takes the state in the mixer's frame, P times the lab
+    # state, and all five betas at once; at 64-entry chunks its stages run in
+    # many items of narrow slabs
     import feasmass.fullspace as fs
     default = fs._CHUNK
     cost = synthetic_instance(n, seed=3, high=5)
+    plus = np.full(1 << (n * n), 2.0 ** (-n * n / 2), dtype)
     states = {"random": unit_state(np.random.default_rng(n), 1 << (n * n)).astype(dtype),
-              "phased": apply_cost_phase(init_plus(n * n, dtype), cost_levels(cost.cost_vector()),
-                                         0.7)}
+              "phased": apply_cost_phase(plus, cost_levels(cost.cost_vector()), 0.7)}
     for label, st in states.items():
         framed = x_frame(st.copy(), False)
         before = framed.copy()
         betas = (0.0, 0.3, math.pi / 4, math.pi / 2, 3.0)
-        want = [feasible_mass(apply_x_mixer(st.copy(), beta), n) for beta in betas]
+        want = [feasible_mass(lab_x_mixer(st.copy(), beta), n) for beta in betas]
         for chunk in (default, 1 << 6):
             monkeypatch.setattr(fs, "_CHUNK", chunk)
             got = mixed_feasible_mass(framed, one_hot(betas, n), n)
@@ -454,19 +456,16 @@ def test_projection_matches_full_mixer(n, dtype, monkeypatch):
 
 
 def test_projection_matches_full_mixer_n5_f32():
-    # 2**25 complex64 amplitudes (256 MiB), mixed in place: the second
-    # sampled beta is checked through R(b1) = R(b1 - b0) R(b0).  The state
-    # moves in and out of the mixer's frame in place
+    # 2**25 complex64 amplitudes (256 MiB) in the mixer's frame, mixed in
+    # place: the second sampled beta is checked through R(b1) = R(b1 - b0) R(b0)
     cost = synthetic_instance(5, seed=1, high=9)
     st = apply_cost_phase(init_plus(25, np.complex64), cost_levels(cost.cost_vector()), 0.4)
     del cost
     b0, b1 = np.random.default_rng(5).uniform(0.0, math.pi, size=2).tolist()
-    x_frame(st, False)
     want0, want1 = mixed_feasible_mass(st, one_hot((b0, b1), 5), 5)
-    apply_x_mixer(x_frame(st, True), b0)
+    apply_x_mixer(st, b0)
     assert abs(feasible_mass(st, 5) - want0) <= 1e-5 * want0
-    assert abs(mixed_feasible_mass(x_frame(st, False), one_hot([b1 - b0], 5), 5)[0]
-               - want1) <= 1e-5 * want1
+    assert abs(mixed_feasible_mass(st, one_hot([b1 - b0], 5), 5)[0] - want1) <= 1e-5 * want1
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -474,7 +473,7 @@ def test_projection_matches_full_mixer_n5_f32():
        seed=hs.integers(0, 2 ** 32 - 1), dtype=hs.sampled_from([np.complex128, np.complex64]))
 def test_projection_equals_full_mixer_property(n, beta, seed, dtype):
     st = unit_state(np.random.default_rng(seed), 1 << (n * n)).astype(dtype)
-    want = feasible_mass(apply_x_mixer(st.copy(), beta), n)
+    want = feasible_mass(lab_x_mixer(st.copy(), beta), n)
     got, = mixed_feasible_mass(x_frame(st, False), one_hot([beta], n), n)
     assert abs(got - want) <= PROJECTION_TOL[dtype] * want
 
@@ -497,10 +496,10 @@ def test_grouped_projection_is_per_beta_bitwise(n, dtype):
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @pytest.mark.parametrize("num_qubits", [1, 4, 9, 16, 17])
 def test_p_plus_is_plus_times_p_bitwise(dtype, num_qubits, monkeypatch):
-    # exactly init_plus(N) * (-i)**popcount, signed zeros too, at odd and even
-    # N, one chunk or several
+    # exactly np.full(2**(-N/2)) * (-i)**popcount, signed zeros too, at odd
+    # and even N, one chunk or several
     import feasmass.fullspace as fs
-    want = x_frame(init_plus(num_qubits, dtype), False)
+    want = x_frame(np.full(1 << num_qubits, 2.0 ** (-num_qubits / 2), dtype), False)
     for chunk in (fs._CHUNK, 1 << 12):
         monkeypatch.setattr(fs, "_CHUNK", chunk)
         got = fs._p(np.empty(1 << num_qubits, dtype), 2.0 ** (-num_qubits / 2))
@@ -511,7 +510,7 @@ def test_p_plus_is_plus_times_p_bitwise(dtype, num_qubits, monkeypatch):
 def test_run_generic_zero_angles_is_uniform():
     for n in (2, 3, 4):
         inst = synthetic_instance(n, seed=1, high=5)
-        st = run_generic(inst, AngleSchedule.single(0.0, 0.0))
+        st = run_generic(inst, AngleSchedule.single(0.0, 0.0), "f64")
         mass = feasible_mass(st, n)
         ref = float(Fraction(math.factorial(n), 2 ** (n * n)))
         if n % 2 == 0:
@@ -524,14 +523,14 @@ def test_run_generic_zero_angles_is_uniform():
 
 def test_run_generic_norm():
     inst = synthetic_instance(3, seed=1, high=5)
-    st = run_generic(inst, AngleSchedule(gammas=(0.4, 1.1), betas=(0.3, 0.8)))
+    st = run_generic(inst, AngleSchedule(gammas=(0.4, 1.1), betas=(0.3, 0.8)), "f64")
     assert abs(1 - norm_squared(st)) < 1e-9
 
 
 def test_run_generic_matches_direct_sum_n2():
     cost = synthetic_instance(2, seed=7, high=3)
     gamma, beta = 0.4, 0.3
-    st = run_generic(cost, AngleSchedule.single(gamma, beta))
+    st = x_frame(run_generic(cost, AngleSchedule.single(gamma, beta), "f64"), True)
     table = cost.cost_vector()
     phases = np.exp(-1j * gamma * table) * 0.25
     direct = kron_mixer(beta, 4) @ phases
@@ -545,7 +544,7 @@ def test_feasible_mass_concentrated():
 
 
 def test_fourth_moment_extremes():
-    st = init_plus(6)
+    st = init_plus(6, np.complex128)
     assert fourth_moment(st) == pytest.approx(2.0 ** -6, abs=1e-15)
     basis = np.zeros(64, dtype=complex)
     basis[17] = 1.0
@@ -578,7 +577,7 @@ def test_sampling_basis_state():
 
 
 def test_sampling_uniform_within_5_sigma():
-    st = init_plus(2)
+    st = init_plus(2, np.complex128)
     shots = 400_000
     counts = counts_dict(st, shots, seed=1)
     sigma = math.sqrt(shots * 0.25 * 0.75)
@@ -589,7 +588,7 @@ def test_sampling_uniform_within_5_sigma():
 
 def test_sampling_deterministic():
     inst = synthetic_instance(2, seed=1, high=3)
-    st = run_generic(inst, AngleSchedule.single(0.9, 0.6))
+    st = run_generic(inst, AngleSchedule.single(0.9, 0.6), "f64")
     a = counts_dict(st, 10_000, seed=42)
     b = counts_dict(st, 10_000, seed=42)
     c = counts_dict(st, 10_000, seed=43)
@@ -750,7 +749,7 @@ def test_single_precision_mode_tracks_double():
 
 def test_init_plus_full_scale_norm():
     # the largest supported register: 2**25 amplitudes, norm exact to 1e-9
-    st = init_plus(25)
+    st = init_plus(25, np.complex128)
     assert abs(1 - norm_squared(st)) < 1e-9
     del st
 
@@ -758,7 +757,7 @@ def test_init_plus_full_scale_norm():
 def test_run_generic_capacity_guard():
     inst = synthetic_instance(6, seed=1, high=3)
     with pytest.raises(CapacityError):
-        run_generic(inst, AngleSchedule.single(0.1, 0.1))
+        run_generic(inst, AngleSchedule.single(0.1, 0.1), "f64")
 
 
 def test_cost_phase_partition_independent(monkeypatch):

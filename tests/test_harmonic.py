@@ -178,12 +178,13 @@ def test_mixer_multiplier_diagonalizes_kernel():
 
 def test_plancherel_uniform_baseline():
     from feasmass.fullspace import init_plus
-    assert feasible_mass_via_plancherel(init_plus(4), 2) == pytest.approx(2 / 16, abs=1e-12)
+    assert feasible_mass_via_plancherel(init_plus(4, np.complex128), 2) == pytest.approx(
+        2 / 16, abs=1e-12)
 
 
 def test_plancherel_matches_direct_random_state():
     inst = synthetic_instance(3, seed=8, high=5)
-    st = run_generic(inst, AngleSchedule.single(1.3, 0.6))
+    st = run_generic(inst, AngleSchedule.single(1.3, 0.6), "f64")
     assert feasible_mass_via_plancherel(st, 3) == pytest.approx(
         feasible_mass(st, 3), abs=1e-9)
 
@@ -193,7 +194,7 @@ def test_plancherel_matches_direct_on_grid_n2():
     worst = 0.0
     for g in np.linspace(0, math.pi, 6):
         for b in np.linspace(0, math.pi, 6):
-            st = run_generic(cost, AngleSchedule.single(g, b))
+            st = run_generic(cost, AngleSchedule.single(g, b), "f64")
             worst = max(worst, abs(feasible_mass_via_plancherel(st, 2)
                                    - feasible_mass(st, 2)))
     assert worst <= 1e-10
@@ -202,7 +203,8 @@ def test_plancherel_matches_direct_on_grid_n2():
 def test_plancherel_transforms_the_permutation_indicator_alone(monkeypatch):
     # the same bits as through permutation_spectrum's full spectrum, with the
     # row and column indicators never made
-    st = run_generic(synthetic_instance(3, seed=1, high=5), AngleSchedule.single(0.9, 0.4))
+    st = run_generic(synthetic_instance(3, seed=1, high=5), AngleSchedule.single(0.9, 0.4),
+                     "f64")
     want = float(np.real((1 << 9) * np.sum(np.conj(permutation_spectrum(3).full)
                                            * walsh_transform(np.abs(st) ** 2))))
 

@@ -23,7 +23,8 @@ from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
 
 from oracles import (axiswise_block_mixer, block_mixer_sector, block_mixer_unitary, cost_value,
                      dense_leakage_gram, embed_to_full, enumerated_twirl, full_space_ce_circuit,
-                     pauli_block_sector, phase_error, project_to_subspace, tuple_to_label)
+                     kron_mixer, pauli_block_sector, phase_error, project_to_subspace,
+                     tuple_to_label)
 
 
 def index(symbols, n: int) -> int:
@@ -490,6 +491,23 @@ def test_overlap_zero_angles_real_positive():
         assert ov.real == pytest.approx(math.sqrt(n ** n / 2 ** (n * n)), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_overlap_value_matches_lab_frame_oracle(n):
+    # the complex overlap, not only its modulus, against both layers built in
+    # the lab frame: np.full's |+> through the Kronecker mixer, then
+    # exp(-i gamma C) per label; the W product through the Kronecker product
+    # of dense sector unitaries.  The generic state runs in the X mixer's
+    # frame, so this pins its (-i)**n phase on the one-hot sector
+    inst, N, labels = synthetic_instance(n, seed=1, high=5), n * n, subspace_to_full_labels(n)
+    costs = np.array([cost_value(inst, y) for y in range(1 << N)])
+    rng = np.random.default_rng(n)
+    for g, b in rng.uniform(0, math.pi, size=(4, 2)).tolist():
+        gen = np.exp(-1j * g * costs) * (kron_mixer(b, N) @ np.full(1 << N, 2.0 ** (-N / 2)))
+        u = functools.reduce(np.kron, [block_mixer_unitary(n, b, normalized=False)] * n)
+        ce = np.exp(-1j * g * costs[labels]) * (u @ np.full(n ** n, n ** (-n / 2)))
+        assert abs(overlap_generic_ce(inst, g, b) - np.vdot(ce, gen[labels])) <= 1e-12, (g, b)
+
+
 def test_overlap_standard_order_depends_on_angles():
     # with the cost phase applied first on both sides the cancellation across
     # the projector is broken; the modulus genuinely moves with gamma
@@ -498,7 +516,7 @@ def test_overlap_standard_order_depends_on_angles():
     for g in (0.0, 0.7, 1.9):
         sched = AngleSchedule.single(g, 0.9)
         ce = run_ce(inst, sched, normalized=False)
-        vals.append(abs(np.vdot(ce, project_to_subspace(run_generic(inst, sched), 2))))
+        vals.append(abs(np.vdot(ce, project_to_subspace(run_generic(inst, sched, "f64"), 2))))
     assert max(vals) - min(vals) > 1e-3
 
 
