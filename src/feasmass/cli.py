@@ -268,7 +268,8 @@ def _verify_twirl(bat: _Battery):
         inst = synthetic_instance(n, seed=2, high=5)
         bound = 1.0 / float(n) ** n
         for gamma, beta in ((0.4, 0.3), (1.1, 0.7), (2.0, 1.9)):
-            res = experiments.twirl_existence_experiment(inst, AngleSchedule.single(gamma, beta))
+            res = experiments.twirl_existence_experiment(inst, AngleSchedule.single(gamma, beta),
+                                                         True)
             bat.record(f"twirl mean = 1/{n}^{n} at angles ({gamma},{beta})",
                        res.metrics["mean_error"] <= 1e-12, f"err {_fmt(res.metrics['mean_error'])}")
             bat.record(f"best relabeling >= 1/{n}^{n} at ({gamma},{beta})",

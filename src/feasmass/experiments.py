@@ -113,7 +113,7 @@ def _lattice_spectra(cost: DiagonalCost, tie_break: bool, rows, beta: float, ord
     return L, spectra()
 
 
-def lattice_feasible_masses(cost: DiagonalCost, beta: float, tie_break: bool = True) -> np.ndarray:
+def lattice_feasible_masses(cost: DiagonalCost, beta: float, tie_break: bool) -> np.ndarray:
     """Feasible mass at every grid angle gamma_k = 2 pi k / L, k < L, on the integer cost
     lattice, split into single labels with ``tie_break`` (DiagonalCost.tie_broken_vector):
     any L > spread averages every nonzero cost difference to zero exactly."""
@@ -124,8 +124,7 @@ def lattice_feasible_masses(cost: DiagonalCost, beta: float, tie_break: bool = T
     return masses
 
 
-def exact_angle_average(cost: DiagonalCost, beta: float,
-                        tie_break: bool = True) -> ExperimentResult:
+def exact_angle_average(cost: DiagonalCost, beta: float, tie_break: bool) -> ExperimentResult:
     """Angle mean of the single-layer feasible mass (contract: n!/2**(n**2)
     within 1e-10 on the tie-broken lattice).  Terms between distinct cost levels
     average out (Parseval): 2**-N sum_{x feasible, level} |sum_{y in level} K_xy|**2."""
@@ -139,8 +138,7 @@ def exact_angle_average(cost: DiagonalCost, beta: float,
         table=(), violated=tie_break and abs(mean - base) > 1e-10)
 
 
-def markov_fraction(cost: DiagonalCost, beta: float, t: float,
-                    tie_break: bool = True) -> ExperimentResult:
+def markov_fraction(cost: DiagonalCost, beta: float, t: float, tie_break: bool) -> ExperimentResult:
     """Exact grid measure of {gamma : P >= t * baseline}; contract <= 1/t."""
     if t <= 0:
         raise ValueError("t must be positive")
@@ -161,8 +159,11 @@ def l4_sweep(cost: DiagonalCost, betas) -> ExperimentResult:
     Fourth powers pair cost differences twice, so every grid with
     L >= 2*spread+1 points on the raw lattice gives the continuous angle
     average, degenerate quadruples included.  L is the least 5-smooth
-    length there (wi3: 675,000), as for the feasible mass.
+    length there (wi3: 675,000), as for the feasible mass.  Results are keyed by beta, so a
+    repeated beta raises ValueError.
     """
+    if len(set(betas)) < len(betas):
+        raise ValueError(f"l4 betas must be distinct, got {list(betas)}")
     per_beta, L = {}, None
     for beta in betas:
         L, spectra = _lattice_spectra(cost, False, range(1 << cost.num_qubits), beta, 2)
@@ -194,8 +195,7 @@ def _walk(layer, parent, p_max: int):
             yield (angles,) + deeper, m
 
 
-def grid_search_generic(cost: DiagonalCost, grid: GridSpec,
-                        precision: str = "f64") -> ExperimentResult:
+def grid_search_generic(cost: DiagonalCost, grid: GridSpec, precision: str) -> ExperimentResult:
     """p = 1 feasible mass at every grid point by the one-hot row projection, one table row per
     point in walk order; the argmax is the first maximum in that order.  It is re-run as a whole
     circuit, sharing _p and R's rows with the projection (the tests' lab-frame oracle checks
@@ -233,8 +233,7 @@ def grid_search_generic(cost: DiagonalCost, grid: GridSpec,
         table=("gamma,beta,p_feas", rows), violated=False)
 
 
-def parameter_transfer(cost: DiagonalCost, grid: GridSpec,
-                       precision: str = "f64") -> ExperimentResult:
+def parameter_transfer(cost: DiagonalCost, grid: GridSpec, precision: str) -> ExperimentResult:
     """Reuse the generic grid argmax inside the manifold (unnormalized mixer).
 
     Reports the measured ratio against the dimension factor 2**(n**2)/n**n;
@@ -271,8 +270,7 @@ def _bitstrings(labels, N: int) -> list:
 
 
 def feasible_histogram(cost: DiagonalCost, method: str, schedule: AngleSchedule,
-                       shots: int, seed: int, normalized: bool = True,
-                       precision: str = "f64") -> ExperimentResult:
+                       shots: int, seed: int, normalized: bool, precision: str) -> ExperimentResult:
     """Sample the chosen ansatz and count feasible outcomes per tour, keyed by bitstring in
     ascending label order.  Both ansätze refuse in one order: the budget, the label width."""
     if method not in ("generic", "ce"):
@@ -307,7 +305,7 @@ def feasible_histogram(cost: DiagonalCost, method: str, schedule: AngleSchedule,
 # depth sweep and twirl existence
 
 def ce_depth_sweep(cost: DiagonalCost, p_max: int, grid: GridSpec,
-                   normalized: bool = True) -> ExperimentResult:
+                   normalized: bool) -> ExperimentResult:
     """Best CE feasible mass per depth p = 1..p_max on the per-layer ``grid``.
 
     The per-layer grid starts at zero angles, so depth p+1 contains every
@@ -352,7 +350,7 @@ def ce_depth_sweep(cost: DiagonalCost, p_max: int, grid: GridSpec,
 
 
 def twirl_existence_experiment(cost: DiagonalCost, schedule: AngleSchedule,
-                               normalized: bool = True) -> ExperimentResult:
+                               normalized: bool) -> ExperimentResult:
     """Mean of the probability of the target tuple (0, 1, ..., n-1) over all
     blockwise relabelings of the CE state (must equal 1/n**n) and its maximum
     (must reach 1/n**n).
@@ -381,7 +379,7 @@ def envelope_excess_report(cost: DiagonalCost, grid: GridSpec) -> ExperimentResu
     The single-layer envelope P <= n!/2**N is an equality at beta = 0, so a
     grid holding beta = 0 has a max >= 1, but tuned angles exceed it on small
     instances."""
-    best = grid_search_generic(cost, grid).metrics
+    best = grid_search_generic(cost, grid, "f64").metrics
     base = math.factorial(cost.n) / 2.0 ** cost.num_qubits
     return ExperimentResult(
         name="envelope_excess", instance=cost.name,

@@ -92,10 +92,10 @@ def _items(fn, size: int, space) -> list:
 
 
 def cost_levels(table: np.ndarray) -> tuple:
-    """(index, levels), built once per table for apply_cost_phase.  An integer
-    table with fewer levels (max - min + 1) than entries indexes (low, high) itself;
-    any other, its sorted distinct values by the least unsigned dtype, from one argsort."""
-    low, high = (int(table.min()), int(table.max())) if table.dtype.kind in "iu" else (0, math.inf)
+    """(index, levels), built once per integer cost table for apply_cost_phase.  A table with
+    fewer levels (max - min + 1) than entries indexes (low, high) itself; any other, its sorted
+    distinct values by the least unsigned dtype, from one argsort."""
+    low, high = int(table.min()), int(table.max())
     if high - low + 1 < table.size:
         return table, (low, high)
     ranked = table[order := np.argsort(table)]
@@ -109,7 +109,7 @@ def _exp(values: np.ndarray, gamma: float, dtype) -> np.ndarray:
     """exp(-i*gamma*c) per value, right to round-off in complex128 (see the README's cost phase)."""
     halves = lambda x: (h := x * 134217729.0 - (x * 134217729.0 - x), x - h)   # 2**27 + 1
     (gh, gl), out = halves(float(gamma)), 1
-    big = values.dtype.kind in "iu" and np.abs(values).max(initial=0) >= 2**32   # two parts
+    big = np.abs(values).max(initial=0) >= 2**32   # in two parts
     for x in (values - np.fmod(values, 2**32), np.fmod(values, 2**32)) if big else (values,):
         p, (xh, xl) = gamma * (x := x.astype(np.float64)), halves(x)   # gamma*c = p + e exactly
         e = ((gh * xh - p) + gh * xl + gl * xh) + gl * xl   # |e| < 2**-27: 1 - ie = exp(-ie)
@@ -122,7 +122,7 @@ def level_phases(levels: tuple, gamma: float, dtype) -> tuple:
     table per digit of i, to multiply; else one (for wide distinct integers, low 0, via digits)."""
     ranged, values = isinstance(levels[1], tuple), levels[1]
     low, high = values if ranged else (int(values[0]), int(values[-1]))
-    bits = (high - low).bit_length() if ranged or values.dtype.kind in "iu" else 0
+    bits = (high - low).bit_length()
     if not ranged and not _DIGIT < bits < 63:
         return [_exp(values, gamma, dtype)], 0
     width = -(-bits // (digits := max(1, -(-bits // _DIGIT))))   # d digits of ceil(bits / d)

@@ -133,7 +133,7 @@ class DiagonalCost:
         return int(vec.max() - vec.min())
 
 
-def make_instance(dist, name="unnamed") -> DiagonalCost:
+def make_instance(dist, name: str) -> DiagonalCost:
     return DiagonalCost(dist=dist, penalty_weight=default_penalty_weight(dist), name=name)
 
 
@@ -210,36 +210,39 @@ def feasible_subspace_indices(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dense cost tables
 
-def _cost_terms(patterns, dist, A, include_penalty, dtypes) -> tuple:
-    """(dtype, top, row, overlap, tour) for _dense_cost, nothing allocated.  The column penalty
-    A*(n - sum_i |r_i| + 2 sum_{i<i'} |r_i & r_i'|) joins the row term, A*(|r_i|-1)*(|r_i|-2),
-    and the pair terms, so no term is negative.  The n row, n(n-1)/2 overlap and n tour terms'
-    largest values summed in Python ints (on the full table at n >= 3, the all-ones cost) are
-    ``top``, which bounds every cost and picks the first of ``dtypes`` that holds it."""
-    n = len(dist)
+def _cost_terms(cost: DiagonalCost, one_hot: bool) -> tuple:
+    """(dtype, top, row, overlap, tour) for _dense_cost, nothing allocated: over every row
+    pattern (np.arange(2**n)), or with ``one_hot`` the n one-hot rows over dist.T.  The column
+    penalty A*(n - sum_i |r_i| + 2 sum_{i<i'} |r_i & r_i'|) joins the row term,
+    A*(|r_i|-1)*(|r_i|-2), and the pair terms, so no term is negative.  The n row, n(n-1)/2
+    overlap and n tour terms' largest values summed in Python ints (on the full table at n >= 3,
+    the all-ones cost) are ``top``, which bounds every cost: the table is int32 when top fits
+    it, else int64, and a top past int64 is refused."""
+    n = cost.n
+    patterns, dist = (1 << np.arange(n), cost.dist.T) if one_hot else (np.arange(1 << n), cost.dist)
     bits = ((patterns[:, None] >> np.arange(n)) & 1).astype(object)   # Python ints
     popc = bits.sum(axis=1)
-    pen = int(A) if include_penalty else 0
+    pen = cost.penalty_weight if cost.include_penalty else 0
     row = pen * (popc - 1) * (popc - 2)
     overlap = 2 * pen * (bits @ bits.T)
-    tour = bits @ np.asarray(dist, dtype=object) @ bits.T   # [r_t, r_{t+1}]
+    tour = bits @ dist.astype(object) @ bits.T   # [r_t, r_{t+1}]
     top = n * row.max() + n * (n - 1) // 2 * overlap.max() + n * tour.max()
-    if top > np.iinfo(dtypes[-1]).max:
-        raise CapacityError(f"largest cost {top} overflows the {np.dtype(dtypes[-1]).name} "
-                            f"cost table at n={n}; use smaller distances")
-    dtype = next(t for t in dtypes if top <= np.iinfo(t).max)
+    if top > np.iinfo(np.int64).max:
+        raise CapacityError(f"largest cost {top} overflows the int64 cost table at n={n}; "
+                            "use smaller distances")
+    dtype = np.int32 if top <= np.iinfo(np.int32).max else np.int64
     return dtype, top, row.astype(dtype), overlap.astype(np.int64), tour.astype(np.int64)
 
 
-def _dense_cost(patterns, dist, A, include_penalty, dtypes):
-    """Cost table over every choice of one bit pattern from ``patterns`` per
-    row, row 0 the least significant digit: ``np.arange(2**n)`` gives the
-    full table indexed by label, ``1 << np.arange(n)`` the one-hot manifold.
+def _dense_cost(cost: DiagonalCost, one_hot: bool) -> np.ndarray:
+    """Cost table over every choice of one of _cost_terms' row patterns per
+    row, row 0 the least significant digit: every pattern gives the full
+    table indexed by label, ``one_hot`` the one-hot manifold's (subspace_cost_table).
     The table over rows 0..k-1 is the first m**k entries of the table over
     rows 0..k (m patterns), so each row block extends it in place by m slabs,
     one per pattern of the new row, built straight in _cost_terms' dtype (any order: integers)."""
-    n, m = len(dist), len(patterns)
-    dtype, _, row, overlap, tour = _cost_terms(patterns, dist, A, include_penalty, dtypes)
+    dtype, _, row, overlap, tour = _cost_terms(cost, one_hot)
+    n, m = cost.n, len(row)
 
     def pair(j, k, r):
         # terms coupling row k (= r) to row j < k, over r_j on axis k-1-j: the
@@ -258,30 +261,22 @@ def _dense_cost(patterns, dist, A, include_penalty, dtypes):
     return table
 
 
-def _table_args(cost: DiagonalCost, one_hot: bool) -> tuple:
-    """_dense_cost's arguments for ``cost``'s full table, int32 at n = 5 to halve 2**25 entries,
-    or with ``one_hot`` its CE table (subspace_cost_table), int32 at n = 8 if the costs fit."""
-    n, pen = cost.n, (cost.penalty_weight, cost.include_penalty)
-    if one_hot:
-        return 1 << np.arange(n), cost.dist.T, *pen, (np.int32, np.int64) if n == 8 else (np.int64,)
-    return np.arange(1 << n), cost.dist, *pen, (np.int32 if n == 5 else np.int64,)
-
-
 def build_cost(cost: DiagonalCost) -> DiagonalCost:
     """Build and keep ``cost``'s dense table over all 2**(n*n) labels (index =
-    integer label) and return ``cost``; a cost past the dtype is refused."""
+    integer label) and return ``cost``: int32 or int64 by _cost_terms' bound,
+    and a cost past int64 is refused."""
     if cost._vector is None:
-        object.__setattr__(cost, "_vector", _dense_cost(*_table_args(cost, False)))
+        object.__setattr__(cost, "_vector", _dense_cost(cost, False))
     return cost
 
 
 def check_run(cost: DiagonalCost, one_hot: bool, dtype, extra: int, what: str) -> int:
     """Check and return run_generic's, or with ``one_hot`` run_ce's, peak with ``dtype`` amplitudes
-    plus ``extra`` B: table, state, CE mixer means, cost phase (README).  The state goes first."""
+    plus ``extra`` B: table (_cost_terms' width), state, CE means, phase (README); state first."""
     from .fullspace import _CHUNK, _DIGIT
     size, itemsize = (cost.n if one_hot else 1 << cost.n) ** cost.n, np.dtype(dtype).itemsize
     check_bytes(size * itemsize, f"the state of {what}")   # first: before any term is summed
-    width, top = _cost_terms(*_table_args(cost, one_hot))[:2]
+    width, top = _cost_terms(cost, one_hot)[:2]
     phase = min(top + 1, 4 << _DIGIT) * itemsize if top + 1 < size else size * (20 + itemsize)
     spaces = min(len(os.sched_getaffinity(0)), -(-size // _CHUNK)) * min(_CHUNK, size)   # at once
     state = size * itemsize * (cost.n + 1) // cost.n if one_hot else size * itemsize

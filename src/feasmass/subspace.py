@@ -9,8 +9,8 @@ to full-space bits [b*n, (b+1)*n); symbol j in block b sets bit b*n + j: an int6
 n = 7 (instance.check_label_bits).  The permutations are instance.permutation_table's.
 
 The cost table is the full-space cost builder run over one-hot rows
-(instance._dense_cost), so both tables come from one formula, and a run checks its
-predicted peak (instance.check_run) before the table is built.  The block mixer
+(instance._dense_cost), so both tables come from one formula and one width rule, and
+a run checks its predicted peak (instance.check_run) before the table is built.  The block mixer
 sector, the relabeling twirl and the leakage spectrum are closed forms; their
 brute-force versions (dense Pauli sum, relabeling enumeration, dense sector
 unitary, manifold mixer and per-axis pass, full-space embedding) are test oracles.
@@ -26,7 +26,7 @@ import numpy as np
 from . import fullspace
 from .fullspace import (AngleSchedule, apply_cost_phase, apply_x_mixer, cost_levels, init_plus,
                         norm_squared)
-from .instance import (DiagonalCost, _dense_cost, _table_args, check_label_bits, check_run,
+from .instance import (DiagonalCost, _dense_cost, check_label_bits, check_run,
                        feasible_subspace_indices, permutation_table)
 
 
@@ -51,14 +51,15 @@ def init_w_product(n: int) -> np.ndarray:
 
 def subspace_cost_table(cost: DiagonalCost) -> np.ndarray:
     """C restricted to one-hot tuples: the dense-cost builder over the n
-    one-hot row patterns, so it agrees with cost.value on embedded labels.
+    one-hot row patterns, so it agrees with the full table on embedded
+    labels, int32 or int64 by the same bound (instance._cost_terms).
 
     The builder's row 0 is its least significant digit and the manifold's
     block 0 its most significant, so builder row i is block n-1-i and the
     tour, block b to b+1, runs from builder row i+1 to i: the builder's
-    forward tour over dist.T (instance._table_args).
+    forward tour over dist.T.
     """
-    return _dense_cost(*_table_args(cost, True))
+    return _dense_cost(cost, True)
 
 
 def apply_subspace_cost_phase(state: np.ndarray, levels: tuple, gamma: float) -> np.ndarray:
@@ -76,7 +77,7 @@ def block_mixer_eigenvalues(n: int, normalized: bool) -> tuple:
     return 2.0 * (n - 1) * scale, -2.0 * scale
 
 
-def apply_block_xy_mixer(state: np.ndarray, n: int, beta, normalized: bool = True) -> np.ndarray:
+def apply_block_xy_mixer(state: np.ndarray, n: int, beta, normalized: bool) -> np.ndarray:
     """Per-block sector exponential via the two-eigenspace closed form on a
     C-contiguous (rows, n**n) batch, one beta per row (or a 1-D state).
 
@@ -116,7 +117,7 @@ def apply_block_xy_mixer(state: np.ndarray, n: int, beta, normalized: bool = Tru
     return state
 
 
-def run_ce(cost: DiagonalCost, schedule: AngleSchedule, normalized: bool = True) -> np.ndarray:
+def run_ce(cost: DiagonalCost, schedule: AngleSchedule, normalized: bool) -> np.ndarray:
     """Depth-p CE-QAOA: alternate cost phase and block mixer from the W product."""
     check_run(cost, True, np.complex128, 0, f"a CE run at n={cost.n}")
     levels = cost_levels(subspace_cost_table(cost))

@@ -279,13 +279,16 @@ def tuple_to_label(symbols, n: int) -> int:
     return sum(1 << (b * n + int(j)) for b, j in enumerate(symbols))
 
 
-def broadcast_dense_cost(n, dist, A, include_penalty, dtype):
-    """Dense cost table from one int64 [2**n]*n tensor, one broadcast term
-    at a time, cast to ``dtype`` at the end."""
+def broadcast_dense_cost(patterns, dist, A, include_penalty):
+    """Int64 cost table over every choice of one bit pattern from ``patterns``
+    per row, from one [m]*n tensor, one broadcast term at a time:
+    ``np.arange(2**n)`` gives the full table indexed by label, ``1 << np.arange(n)``
+    with ``dist.T`` the CE table (the builder's rows are the blocks reversed)."""
     # One axis per row block, axis k holding row (n-1-k) so that C-order
-    # flattening reproduces the integer label y = sum_i r_i << (i*n).
-    m = 1 << n
-    bits = ((np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int64)
+    # flattening reproduces the index sum_i k_i * m**i (the label y = sum_i r_i << (i*n)
+    # when the patterns are every row).
+    n, m = len(dist), len(patterns)
+    bits = ((np.asarray(patterns)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int64)
     popc = bits.sum(axis=1)
     row_pen = (popc - 1) ** 2
     and_popc = bits @ bits.T
@@ -317,7 +320,7 @@ def broadcast_dense_cost(n, dist, A, include_penalty, dtype):
                 total += 2 * A * on_pair(and_popc, i, j)
     for t in range(n):
         total += on_pair(tour, t, (t + 1) % n)
-    return total.reshape(-1).astype(dtype, copy=False)
+    return total.reshape(-1)
 
 
 def cumsum_copy_sample_counts(state: np.ndarray, shots: int, seed: int) -> dict:

@@ -54,7 +54,7 @@ def test_criterion_01_exact_angle_average():
             cost = synthetic_instance(n, seed=seed, high=5)
             base = math.factorial(n) / 2.0 ** (n * n)
             for beta in (0.3, 0.7, 1.1):
-                masses = lattice_feasible_masses(cost, beta)
+                masses = lattice_feasible_masses(cost, beta, tie_break=True)
                 worst = max(worst, abs(float(masses.mean()) - base))
     ok = report(1, "exact angle-average identity", worst <= 1e-10,
                 f"(max deviation {worst:.3e})")
@@ -71,8 +71,8 @@ def test_criterion_02_twirl_identity():
         bound = 1.0 / float(n) ** n
         for gamma, beta in ((0.4, 0.3), (1.1, 0.7), (2.3, 1.9)):
             sched = AngleSchedule.single(gamma, beta)
-            res = twirl_existence_experiment(inst, sched)
-            mean, best = enumerated_twirl(run_ce(inst, sched), tuple(range(n)))
+            res = twirl_existence_experiment(inst, sched, normalized=True)
+            mean, best = enumerated_twirl(run_ce(inst, sched, normalized=True), tuple(range(n)))
             worst = max(worst, res.metrics["mean_error"])
             worst_oracle = max(worst_oracle, abs(res.metrics["mean"] - mean),
                                abs(res.metrics["best"] - best))
@@ -139,7 +139,7 @@ def test_criterion_03_parameter_transfer_inequality():
         # (b) standard order (cost phase first) through parameter_transfer:
         # the ratio is exactly the factor on the gamma=0 row and the beta=0
         # column; at tuned angles it is a measurement, not a bound
-        m = parameter_transfer(cost, grid).metrics
+        m = parameter_transfer(cost, grid, precision="f64").metrics
         feas = feasible_indices(n)
         rows = mixer_kernel_rows(feas, m["beta_star"], cost.num_qubits)
         phased = (np.exp(-1j * m["gamma_star"] * cost.cost_vector())
@@ -151,7 +151,7 @@ def test_criterion_03_parameter_transfer_inequality():
         zero_points = ([(g, betas[0]) for g in gammas]
                        + [(gammas[0], b) for b in betas[1:]])
         ratios = np.array([parameter_transfer(
-            cost, GridSpec(1, 1, (float(g), float(g)), (float(b), float(b)))
+            cost, GridSpec(1, 1, (float(g), float(g)), (float(b), float(b))), precision="f64"
         ).metrics["ratio"] for g, b in zero_points])
         worst_zero = float(np.max(np.abs(ratios - factor) / factor))
         if not worst_zero <= tol:
@@ -206,7 +206,7 @@ def test_criterion_06_markov_fraction():
     worst = 0.0
     for n in (2, 3):
         cost = synthetic_instance(n, seed=1, high=5)
-        masses = lattice_feasible_masses(cost, 0.7)
+        masses = lattice_feasible_masses(cost, 0.7, tie_break=True)
         base = math.factorial(n) / 2.0 ** (n * n)
         for t in (2.0, 4.0, 9.0):
             frac = float(np.mean(masses >= t * base))
@@ -268,7 +268,7 @@ def test_criterion_09_inequality_sweeps():
 
 def test_criterion_10_depth_monotonicity():
     inst = synthetic_instance(3, seed=1, high=5)
-    res = ce_depth_sweep(inst, 2, GridSpec(4, 4))
+    res = ce_depth_sweep(inst, 2, GridSpec(4, 4), normalized=True)
     per = res.metrics["per_depth"]
     ok = per[1]["best_mass"] >= per[0]["best_mass"]
     assert report(10, "depth monotonicity p=1 -> 2", ok,
@@ -300,12 +300,13 @@ def test_criterion_12_shot_consistency():
     sched = AngleSchedule.single(0.4, 0.3)
     for seed in (1, 2, 3):
         res = feasible_histogram(wi4, "generic", sched, shots=500_000,
-                                 seed=seed, precision="f64")
+                                 seed=seed, precision="f64", normalized=True)
         ok &= res.metrics["consistent_5sigma"]
     details.append(f"wi4 generic P={res.metrics['statevector_mass']:.3e}")
     wi5 = load_instance(INSTANCES / "wi5.txt")
     for seed in (1, 2, 3):
-        res = feasible_histogram(wi5, "ce", sched, shots=500_000, seed=seed)
+        res = feasible_histogram(wi5, "ce", sched, shots=500_000, seed=seed, normalized=True,
+                                 precision="f64")
         ok &= res.metrics["consistent_5sigma"]
     details.append(f"wi5 ce P={res.metrics['statevector_mass']:.3e}")
     assert report(12, "shot consistency (500k shots, seeds 1-3)", bool(ok),

@@ -145,13 +145,14 @@ def _admit(*args, **kwargs):
 
 @pytest.mark.parametrize("owner, name, run", [
     (experiments, "run_generic", lambda: experiments.feasible_histogram(
-        load_instance(WI5), "generic", AngleSchedule.single(0.4, 0.3), 500_000, 1)),
+        load_instance(WI5), "generic", AngleSchedule.single(0.4, 0.3), 500_000, 1, True, "f64")),
     (instance, "build_cost", lambda: experiments.grid_search_generic(
-        load_instance(WI5), GridSpec(2, 2))),
+        load_instance(WI5), GridSpec(2, 2), precision="f64")),
     (experiments, "run_ce", lambda: experiments.twirl_existence_experiment(
-        synthetic_instance(8, seed=1), AngleSchedule.single(0.4, 0.3))),
+        synthetic_instance(8, seed=1), AngleSchedule.single(0.4, 0.3), normalized=True)),
     (experiments, "run_ce", lambda: experiments.feasible_histogram(
-        synthetic_instance(7, seed=1), "ce", AngleSchedule.single(0.4, 0.3), 500_000, 1)),
+        synthetic_instance(7, seed=1), "ce", AngleSchedule.single(0.4, 0.3), 500_000, 1, True,
+        "f64")),
 ])
 def test_largest_runs_fit_the_budget(monkeypatch, owner, name, run):
     # wi5 f64 hist with 500k shots (measured rise 700 MiB), the wi5 f64 grid

@@ -124,6 +124,18 @@ def test_run_l4(tmp_path):
     assert len(csv) == 4
 
 
+def test_run_l4_refuses_a_repeated_beta(tmp_path, capsys, monkeypatch):
+    # results are keyed by beta: a repeat would list two betas over one row,
+    # so it is refused before any spectrum is made
+    def unreachable(*args, **kwargs):
+        raise AssertionError("spectra made for a repeated beta")
+    monkeypatch.setattr(experiments, "_lattice_spectra", unreachable)
+    out = tmp_path / "out"
+    assert run_cli(["run", "l4", "--n", "3", "--beta-list", "0.3,0.3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: l4 betas must be distinct, got [0.3, 0.3]\n"
+    assert not out.exists()
+
+
 def test_run_transfer_equality_case(tmp_path, capsys):
     rc = run_cli(["run", "transfer", "--n", "3", "--grid", "1x1",
                   "--range-gamma", "0:0", "--range-beta", "0:0",
@@ -222,7 +234,7 @@ def test_run_depth_uses_both_grid_axes(tmp_path):
     gammas, betas = [0.0, math.pi / 2, math.pi], [0.0, math.pi]
     for layer in record["metrics"]["per_depth"]:
         assert all(g in gammas and b in betas for g, b in layer["angles"])
-    direct = experiments.ce_depth_sweep(synthetic_instance(2, seed=1), 2, GridSpec(3, 2))
+    direct = experiments.ce_depth_sweep(synthetic_instance(2, seed=1), 2, GridSpec(3, 2), True)
     assert record["metrics"] == direct.metrics
 
 
@@ -445,18 +457,29 @@ def test_run_hist_ce_at_n9_is_refused_by_the_budget_first(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_hist_int32_overflow_exits_1(tmp_path, capsys):
-    # a 5-city cost past the int32 table is refused before the state is built
-    inst = tmp_path / "big5.txt"
-    rows = [" ".join("0" if i == j else "3000000" for j in range(5)) for i in range(5)]
-    inst.write_text("5\n" + "\n".join(rows) + "\n")
-    out = tmp_path / "out"
-    rc = run_cli(["run", "hist", "--instance", str(inst), "--method", "generic",
-                  "--precision", "f32", "--shots", "10", "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err == ("error: largest cost 2700000160 overflows the int32 cost "
-                                       "table at n=5; use smaller distances\n")
-    assert not out.exists()
+def test_run_hist_past_int32_runs_on_the_int64_table(tmp_path, capsys, monkeypatch):
+    # a 5-city cost past int32 (all-ones cost 2,700,000,160) is admitted on an
+    # int64 table: its predicted peak is that of a cost just under int32
+    # (2,146,500,160) plus 4 B per entry.  A fake of the table build ends each
+    # run before its 2**25 entries are made
+    import feasmass.instance as ins
+    real, peaks = ins.check_bytes, {}
+    def record(nbytes, what):
+        peaks[d] = max(peaks.get(d, 0), nbytes)
+        return real(nbytes, what)
+    def unbuilt(cost, one_hot):
+        raise ValueError(f"{cost.name} not built")
+    monkeypatch.setattr(ins, "check_bytes", record)
+    monkeypatch.setattr(ins, "_dense_cost", unbuilt)
+    for d in (3_000_000, 2_385_000):
+        out = tmp_path / f"out{d}"
+        rc = run_cli(["run", "hist", "--instance", write_instance(
+            tmp_path / f"d{d}.txt", constant_dist(5, d)), "--method", "generic",
+            "--precision", "f32", "--shots", "10", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: d{d} not built\n"
+        assert not out.exists()
+    assert peaks[3_000_000] - peaks[2_385_000] == 4 << 25
 
 
 def write_instance(path, dist) -> str:
@@ -545,7 +568,8 @@ def test_run_avg_tie_broken_past_int64_exits_1(tmp_path, capsys):
 def test_run_grid_refuses_a_corrupted_projection(tmp_path, capsys, monkeypatch):
     # the argmax is re-run as a full circuit; a projection that doubles every
     # mass is caught there, before any file is written
-    true = experiments.grid_search_generic(load_instance(WI3), GridSpec(3, 3)).metrics["p_max"]
+    grid = experiments.grid_search_generic(load_instance(WI3), GridSpec(3, 3), "f64")
+    true = grid.metrics["p_max"]
     real = experiments.mixed_feasible_mass
     monkeypatch.setattr(experiments, "mixed_feasible_mass",
                         lambda st, b, n: 2 * real(st, b, n))

@@ -63,7 +63,7 @@ def costs_and_moves(draw, sizes):
     if draw(hs.booleans()):
         dist = dist + dist.T
     np.fill_diagonal(dist, 0)
-    cost = replace(make_instance(dist), include_penalty=draw(hs.booleans()))
+    cost = replace(make_instance(dist, "unnamed"), include_penalty=draw(hs.booleans()))
     return cost, draw(hs.integers(0, n - 1)), draw(hs.booleans())
 
 
@@ -134,7 +134,7 @@ def test_ce_reversal_fixes_a_gradient_asymmetric_table():
     # so every tour's circulation of it vanishes on the manifold, while a
     # label with only two nonempty rows still tells the directions apart
     dist = np.array([[0, 1, 2], [0, 0, 1], [0, 0, 0]])
-    cost = make_instance(dist)
+    cost = make_instance(dist, "unnamed")
     table, full = subspace_cost_table(cost), cost.cost_vector()
     for k in range(3):
         assert np.array_equal(table[manifold_index_map(3, k, True)], table)

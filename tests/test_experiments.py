@@ -36,7 +36,7 @@ def test_gridspec_validation():
 
 def test_exact_average_matches_baseline():
     inst = synthetic_instance(2, seed=1, high=3)
-    res = exact_angle_average(inst, 0.7)
+    res = exact_angle_average(inst, 0.7, tie_break=True)
     assert res.metrics["deviation"] <= 1e-10
     assert res.metrics["baseline"] == 2 / 16
 
@@ -153,10 +153,10 @@ def test_angle_average_matches_unscaled_level_binning(case, tie_break):
 
 def test_markov_fraction_bounds():
     inst = synthetic_instance(2, seed=1, high=3)
-    res = markov_fraction(inst, 0.7, 1.0)
+    res = markov_fraction(inst, 0.7, 1.0, tie_break=True)
     assert res.metrics["fraction"] <= 1.0
     for t in (2.0, 4.0):
-        res = markov_fraction(inst, 0.7, t)
+        res = markov_fraction(inst, 0.7, t, tie_break=True)
         assert res.metrics["fraction"] <= 1 / t + 1e-12
         assert res.metrics["satisfied"]
 
@@ -193,21 +193,21 @@ def test_l4_envelope_breach_at_small_beta_is_measured():
 
 def test_grid_search_degenerate_grid_is_baseline():
     inst = synthetic_instance(3, seed=1, high=5)
-    res = grid_search_generic(inst, GridSpec(1, 1, (0.0, 0.0), (0.0, 0.0)))
+    res = grid_search_generic(inst, GridSpec(1, 1, (0.0, 0.0), (0.0, 0.0)), precision="f64")
     assert res.metrics["p_max"] == pytest.approx(6 / 512, abs=1e-15)
     assert res.metrics["best_gamma"] == 0.0 and res.metrics["best_beta"] == 0.0
 
 
 def test_grid_search_deterministic_and_lexicographic():
     inst = synthetic_instance(2, seed=4, high=3)
-    a = grid_search_generic(inst, GridSpec(5, 5))
-    b = grid_search_generic(inst, GridSpec(5, 5))
+    a = grid_search_generic(inst, GridSpec(5, 5), precision="f64")
+    b = grid_search_generic(inst, GridSpec(5, 5), precision="f64")
     assert np.array_equal(a.table[1], b.table[1])
     assert (a.metrics["best_gamma"], a.metrics["best_beta"]) == (b.metrics["best_gamma"],
                                                                  b.metrics["best_beta"])
     # the mixer at beta=pi is (-1)^N times the identity, exactly like beta=0,
     # so a {0, pi} beta grid produces tied maxima and the first index wins
-    tied = grid_search_generic(inst, GridSpec(1, 2, (0.9, 0.9), (0.0, math.pi)))
+    tied = grid_search_generic(inst, GridSpec(1, 2, (0.9, 0.9), (0.0, math.pi)), precision="f64")
     (_, _, first), (_, _, second) = tied.table[1]
     assert first == pytest.approx(second, abs=1e-15)
     assert tied.metrics["best_beta"] == 0.0
@@ -215,14 +215,14 @@ def test_grid_search_deterministic_and_lexicographic():
 
 def test_parameter_transfer_equality_case():
     inst = synthetic_instance(3, seed=1, high=5)
-    res = parameter_transfer(inst, GridSpec(1, 1, (0.0, 0.0), (0.0, 0.0)))
+    res = parameter_transfer(inst, GridSpec(1, 1, (0.0, 0.0), (0.0, 0.0)), precision="f64")
     assert res.metrics["ratio"] == pytest.approx(res.metrics["factor"], rel=1e-12)
     assert res.metrics["satisfied"]
 
 
 def test_parameter_transfer_reports_measured_ratio():
     inst = synthetic_instance(3, seed=1, high=5)
-    res = parameter_transfer(inst, GridSpec(6, 6))
+    res = parameter_transfer(inst, GridSpec(6, 6), precision="f64")
     m = res.metrics
     assert m["p_gen_max"] > 0
     assert m["ratio"] == pytest.approx(m["p_ce"] / m["p_gen_max"], rel=1e-12)
@@ -232,7 +232,8 @@ def test_parameter_transfer_reports_measured_ratio():
 def test_histogram_generic_consistency():
     inst = synthetic_instance(2, seed=1, high=3)
     sched = AngleSchedule.single(0.9, 0.4)
-    res = feasible_histogram(inst, "generic", sched, shots=200_000, seed=1)
+    res = feasible_histogram(inst, "generic", sched, shots=200_000, seed=1, normalized=True,
+                             precision="f64")
     assert res.metrics["consistent_5sigma"]
     assert sum(res.metrics["counts"].values()) == res.metrics["feasible_total"]
 
@@ -241,7 +242,8 @@ def test_histogram_ce_consistency_and_keys():
     from feasmass.instance import feasible_indices
     inst = synthetic_instance(3, seed=1, high=5)
     sched = AngleSchedule.single(0.4, 0.3)
-    res = feasible_histogram(inst, "ce", sched, shots=100_000, seed=2)
+    res = feasible_histogram(inst, "ce", sched, shots=100_000, seed=2, normalized=True,
+                             precision="f64")
     assert res.metrics["consistent_5sigma"]
     assert set(res.metrics["counts"]) == set(_bitstrings(feasible_indices(3).tolist(), 9))
 
@@ -251,14 +253,15 @@ def test_histogram_ce_builds_no_label_map():
     # kept for the rest of the process by its cache)
     subspace_to_full_labels.cache_clear()
     feasible_histogram(synthetic_instance(3, seed=1, high=5), "ce",
-                       AngleSchedule.single(0.4, 0.3), shots=100, seed=2)
+                       AngleSchedule.single(0.4, 0.3), shots=100, seed=2, normalized=True,
+                       precision="f64")
     assert subspace_to_full_labels.cache_info().currsize == 0
 
 
 def test_histogram_zero_shots():
     inst = synthetic_instance(2, seed=1, high=3)
     res = feasible_histogram(inst, "generic", AngleSchedule.single(0.4, 0.3),
-                             shots=0, seed=1)
+                             shots=0, seed=1, normalized=True, precision="f64")
     assert res.metrics["feasible_total"] == 0
     assert res.metrics["consistent_5sigma"]
 
@@ -266,8 +269,8 @@ def test_histogram_zero_shots():
 def test_histogram_seed_determinism():
     inst = synthetic_instance(2, seed=1, high=3)
     sched = AngleSchedule.single(0.9, 0.4)
-    a = feasible_histogram(inst, "generic", sched, shots=50_000, seed=7)
-    b = feasible_histogram(inst, "generic", sched, shots=50_000, seed=7)
+    a, b = (feasible_histogram(inst, "generic", sched, shots=50_000, seed=7, normalized=True,
+                               precision="f64") for _ in range(2))
     assert a.metrics["counts"] == b.metrics["counts"]
 
 
@@ -279,7 +282,7 @@ def test_histogram_refuses_an_unknown_method_first(monkeypatch):
     monkeypatch.setattr(experiments, "feasible_indices", unreachable)
     with pytest.raises(ValueError, match="^unknown method 'qaoa'$"):
         feasible_histogram(synthetic_instance(2, seed=1), "qaoa", AngleSchedule.single(0.4, 0.3),
-                           shots=10, seed=1)
+                           shots=10, seed=1, normalized=True, precision="f64")
 
 
 @pytest.mark.parametrize("method", ["generic", "ce"])
@@ -292,13 +295,14 @@ def test_histogram_refuses_in_one_order_for_both_ansatze(monkeypatch, method):
             return _orig(*args, **kwargs)
         monkeypatch.setattr(experiments, name, logged)
     feasible_histogram(synthetic_instance(3, seed=1, high=5), method,
-                       AngleSchedule.single(0.4, 0.3), shots=100, seed=2)
+                       AngleSchedule.single(0.4, 0.3), shots=100, seed=2, normalized=True,
+                       precision="f64")
     assert calls == ["check_run", "feasible_indices", f"run_{method}"]
 
 
 def test_depth_sweep_monotone():
     inst = synthetic_instance(2, seed=1, high=3)
-    res = ce_depth_sweep(inst, 2, GridSpec(4, 4))
+    res = ce_depth_sweep(inst, 2, GridSpec(4, 4), normalized=True)
     per = res.metrics["per_depth"]
     assert res.metrics["monotone"]
     # the per-layer grid contains zero angles, so depth 1 at least matches
@@ -335,7 +339,7 @@ def test_depth_sweep_keeps_the_first_of_round_off_ties(monkeypatch, ulps):
     monkeypatch.setattr(experiments, "subspace_feasible_mass",
                         lambda batch, n: 2 / 9 + step * np.arange(len(batch)))
     per_depth = ce_depth_sweep(synthetic_instance(2, seed=1), 2,
-                               GridSpec(2, 2)).metrics["per_depth"]
+                               GridSpec(2, 2), normalized=True).metrics["per_depth"]
     zero, corner = [0.0, 0.0], [math.pi, math.pi]
     want = [[zero], [zero, zero]] if ulps == 1 else [[corner], [zero, corner]]
     assert [d["angles"] for d in per_depth] == want
@@ -346,14 +350,14 @@ def test_depth_sweep_n3_round_off_ties_keep_zero_angles():
     # at n = 3 on a 4x4 grid every depth's maximum is the W product's 2/9 up
     # to round-off; the first circuit, all angles zero, is reported at each
     per_depth = ce_depth_sweep(synthetic_instance(3, seed=1), 3,
-                               GridSpec(4, 4)).metrics["per_depth"]
+                               GridSpec(4, 4), normalized=True).metrics["per_depth"]
     assert [d["angles"] for d in per_depth] == [[[0.0, 0.0]] * p for p in (1, 2, 3)]
     assert all(d["best_mass"] == pytest.approx(2 / 9, rel=1e-15) for d in per_depth)
 
 
 def test_depth_sweep_zero_grid_constant():
     inst = synthetic_instance(2, seed=1, high=3)
-    res = ce_depth_sweep(inst, 2, GridSpec(1, 1, (0.0, 0.0), (0.0, 0.0)))
+    res = ce_depth_sweep(inst, 2, GridSpec(1, 1, (0.0, 0.0), (0.0, 0.0)), normalized=True)
     masses = [d["best_mass"] for d in res.metrics["per_depth"]]
     assert masses == pytest.approx([0.5, 0.5], abs=1e-14)
 
@@ -361,7 +365,7 @@ def test_depth_sweep_zero_grid_constant():
 @pytest.mark.parametrize("p_max", [0, 4])
 def test_depth_sweep_rejects_depth_out_of_range(p_max):
     with pytest.raises(ValueError, match="p_max"):
-        ce_depth_sweep(synthetic_instance(2, seed=1), p_max, GridSpec(2, 2))
+        ce_depth_sweep(synthetic_instance(2, seed=1), p_max, GridSpec(2, 2), normalized=True)
 
 
 def _count_calls(monkeypatch, *names):
@@ -384,7 +388,7 @@ def test_grid_search_phases_once_per_gamma(monkeypatch, gp, bp):
     # the cost levels
     counts = _count_calls(monkeypatch, "cost_levels", "apply_cost_phase", "apply_x_mixer",
                           "feasible_mass", "mixed_feasible_mass")
-    grid_search_generic(synthetic_instance(2, seed=1, high=3), GridSpec(gp, bp))
+    grid_search_generic(synthetic_instance(2, seed=1, high=3), GridSpec(gp, bp), precision="f64")
     assert counts == {"cost_levels": 1, "apply_cost_phase": gp + 1, "apply_x_mixer": 1,
                       "feasible_mass": 1, "mixed_feasible_mass": gp * bp}
 
@@ -424,7 +428,7 @@ def test_depth_sweep_phases_once_per_gamma(monkeypatch):
     # product, then each of the 9 depth-1 children
     counts = _count_calls(monkeypatch, "cost_levels", "apply_cost_phase", "apply_block_xy_mixer",
                           "subspace_feasible_mass")
-    ce_depth_sweep(synthetic_instance(3, seed=2, high=5), 2, GridSpec(3, 3))
+    ce_depth_sweep(synthetic_instance(3, seed=2, high=5), 2, GridSpec(3, 3), normalized=True)
     assert counts == {"cost_levels": 1, "apply_cost_phase": 3, "apply_block_xy_mixer": 10,
                       "subspace_feasible_mass": 10}
 
@@ -465,12 +469,12 @@ def test_depth_walk_holds_one_batch_per_layer():
     # batches at p = 1, 2, 3.  At p = 1 that is the batch, the phase rows and
     # the mixer's means plus numpy's reduction buffer of 8,192 entries
     cost = synthetic_instance(4, seed=1)
-    ce_depth_sweep(cost, 1, GridSpec(1, 1, (0.0, 0.0), (0.0, 0.0)))   # index caches
+    ce_depth_sweep(cost, 1, GridSpec(1, 1, (0.0, 0.0), (0.0, 0.0)), True)   # index caches
     peaks = []
     for p_max in (1, 3):
         tracemalloc.start()
         try:
-            ce_depth_sweep(cost, p_max, GridSpec(6, 6))
+            ce_depth_sweep(cost, p_max, GridSpec(6, 6), normalized=True)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -494,7 +498,7 @@ def test_grid_search_holds_under_four_states():
         cost.cost_vector()
         tracemalloc.start()
         try:
-            grid_search_generic(cost, grid)
+            grid_search_generic(cost, grid, precision="f64")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -508,7 +512,7 @@ def test_grid_search_frees_its_cost_on_return():
     gc.disable()
     tracemalloc.start()
     try:
-        grid_search_generic(synthetic_instance(4, seed=1), GridSpec(2, 2))
+        grid_search_generic(synthetic_instance(4, seed=1), GridSpec(2, 2), precision="f64")
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -520,7 +524,7 @@ def test_twirl_experiment_exact():
     # exact beyond the n <= 3 enumeration range as well
     for n in (2, 4, 6):
         inst = synthetic_instance(n, seed=1, high=3)
-        res = twirl_existence_experiment(inst, AngleSchedule.single(0.9, 0.6))
+        res = twirl_existence_experiment(inst, AngleSchedule.single(0.9, 0.6), normalized=True)
         assert res.metrics["mean_error"] <= 1e-12
         assert res.metrics["best"] >= res.metrics["bound"] - 1e-12
         assert res.metrics["satisfied"]
@@ -528,7 +532,7 @@ def test_twirl_experiment_exact():
 
 def test_twirl_identity_circuit_equality():
     inst = synthetic_instance(2, seed=1, high=3)
-    res = twirl_existence_experiment(inst, AngleSchedule.single(0.0, 0.0))
+    res = twirl_existence_experiment(inst, AngleSchedule.single(0.0, 0.0), normalized=True)
     assert res.metrics["best"] == pytest.approx(res.metrics["bound"], abs=1e-14)
 
 
@@ -540,7 +544,7 @@ def test_envelope_excess_at_least_one():
 
 def test_result_json_excludes_wall_clock():
     inst = synthetic_instance(2, seed=1, high=3)
-    res = exact_angle_average(inst, 0.3)
+    res = exact_angle_average(inst, 0.3, tie_break=True)
     payload = res.to_json_dict()
     assert "wall_clock" not in payload
     assert payload["experiment"] == "exact_angle_average"

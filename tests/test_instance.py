@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feasmass.instance import (CapacityError, InstanceDimensionError,
-                               InstanceFormatError, build_cost,
+from feasmass.instance import (CapacityError, DiagonalCost, InstanceDimensionError,
+                               InstanceFormatError, _cost_terms, build_cost, check_run,
                                default_penalty_weight, feasible_indices,
                                feasible_subspace_indices, load_instance, make_instance,
                                synthetic_instance)
@@ -67,9 +67,9 @@ def test_load_shipped_instances():
 
 def test_make_instance_validation():
     with pytest.raises(InstanceDimensionError):
-        make_instance([[0, 1, 2], [1, 0, 3]])
+        make_instance([[0, 1, 2], [1, 0, 3]], "unnamed")
     with pytest.raises(ValueError):
-        make_instance([[1, 2], [2, 1]])  # nonzero diagonal
+        make_instance([[1, 2], [2, 1]], "unnamed")  # nonzero diagonal
 
 
 def test_default_penalty_weight():
@@ -122,12 +122,12 @@ def test_enumerate_order_is_lexicographic():
 
 
 def test_cost_all_zero_dist():
-    cost = make_instance([[0, 0], [0, 0]])
+    cost = make_instance([[0, 0], [0, 0]], "unnamed")
     assert cost_value(cost, 0) == 4  # all four one-hot sums are off by one
 
 
 def test_cost_identity_tour():
-    cost = make_instance([[0, 5], [5, 0]])
+    cost = make_instance([[0, 5], [5, 0]], "unnamed")
     y = parse_bitstring("1001")
     assert cost_value(cost, y) == 10  # zero penalty, tour 5 + 5
 
@@ -145,10 +145,10 @@ def test_replaced_cost_builds_its_own_table():
     cost.cost_vector()
     bare = replace(cost, include_penalty=False)
     assert np.array_equal(bare.cost_vector(), broadcast_dense_cost(
-        3, cost.dist, cost.penalty_weight, False, np.int64))
+        np.arange(8), cost.dist, cost.penalty_weight, False))
     doubled = replace(cost, dist=cost.dist * 2)
     assert np.array_equal(doubled.cost_vector(), broadcast_dense_cost(
-        3, cost.dist * 2, cost.penalty_weight, True, np.int64))
+        np.arange(8), cost.dist * 2, cost.penalty_weight, True))
 
 
 def test_cost_vector_matches_scalar():
@@ -186,31 +186,93 @@ def test_spread_exact_small():
     assert cost.spread == int(vec.max() - vec.min())
 
 
-def test_int32_cost_table_refuses_overflow_n5():
-    # off-diagonal distances of 3e6 put the all-ones cost at 2,700,000,160,
-    # past the int32 table; the guard fires before the 2**25 build
-    dist = np.full((5, 5), 3_000_000)
+INT32_MAX, INT64_MAX = np.iinfo(np.int32).max, np.iinfo(np.int64).max
+
+
+def uniform_cost(n: int, d: int, include_penalty: bool = True):
+    dist = np.full((n, n), d)
     np.fill_diagonal(dist, 0)
-    cost = make_instance(dist)
+    return replace(make_instance(dist, "unnamed"), include_penalty=include_penalty)
+
+
+def test_n5_cost_past_int32_takes_the_int64_table():
+    # off-diagonal distances of 3e6 put the all-ones cost at 2,700,000,160,
+    # past int32: the full table at n = 5 is int64 (256 MiB), and a generic
+    # run's predicted peak counts it so, with no 2**25 build here.  Distances
+    # of 2,385,000 put the all-ones cost just under the int32 maximum
+    cost, narrow = uniform_cost(5, 3_000_000), uniform_cost(5, 2_385_000)
     assert cost_value(cost, (1 << 25) - 1) == 2_700_000_160
-    with pytest.raises(CapacityError, match="overflows"):
-        cost.cost_vector()
-    with pytest.raises(CapacityError):
-        cost.spread
+    assert _cost_terms(cost, False)[:2] == (np.int64, 2_700_000_160)
+    assert _cost_terms(narrow, False)[:2] == (np.int32, 2_146_500_160)
+    run = lambda c: check_run(c, False, np.complex64, 0, "a generic run at n=5")
+    assert run(cost) - run(narrow) == 4 << 25   # 4 more bytes per entry, nothing else
+    assert cost._vector is None and narrow._vector is None
+
+
+@pytest.mark.parametrize("n, d", [(3, 10 ** 18), (4, 10 ** 17), (5, 3_000_000), (5, 10 ** 17)])
+def test_full_table_guard_reports_the_all_ones_cost(n, d):
+    # for n >= 3 the guard's sum of largest terms is the all-ones cost: past
+    # int64 the table is refused with it, before any build; 3e6 at n = 5 is
+    # past int32 only, so the bound picks the int64 table
+    cost = uniform_cost(n, d)
+    top = cost_value(cost, (1 << (n * n)) - 1)
+    if top <= INT64_MAX:
+        assert _cost_terms(cost, False)[:2] == (np.int64, top)
+    else:
+        with pytest.raises(CapacityError, match=f"largest cost {top} overflows the int64 "
+                                                f"cost table at n={n}; use smaller distances"):
+            cost.cost_vector()
+        with pytest.raises(CapacityError):
+            cost.spread
     assert cost._vector is None
 
 
-@pytest.mark.parametrize("n, d", [(3, 10 ** 18), (4, 10 ** 17), (5, 3_000_000)])
-def test_full_table_guard_reports_the_all_ones_cost(n, d):
-    # for n >= 3 the guard's sum of largest terms is the all-ones cost
-    dist = np.full((n, n), d)
-    np.fill_diagonal(dist, 0)
-    cost = make_instance(dist)
-    top = cost_value(cost, (1 << (n * n)) - 1)
-    dtype = "int32" if n == 5 else "int64"
-    with pytest.raises(CapacityError, match=f"largest cost {top} overflows the {dtype} "
-                                            f"cost table at n={n}; use smaller distances"):
-        cost.cost_vector()
+def boundary_distance(n: int, one_hot: bool, include_penalty: bool, limit: int) -> int:
+    """The largest uniform distance whose table bound stays at most ``limit``:
+    _cost_terms' top grows strictly with the distance, so a bisection finds it."""
+    def fits(d):
+        try:
+            return _cost_terms(uniform_cost(n, d, include_penalty), one_hot)[1] <= limit
+        except CapacityError:   # past int64
+            return False
+    lo, hi = 1, 2
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("one_hot, n", [(False, n) for n in (2, 3, 4, 5)]
+                         + [(True, n) for n in range(2, 9)])
+@pytest.mark.parametrize("include_penalty", [True, False])
+def test_table_width_is_int32_exactly_when_the_bound_fits(one_hot, n, include_penalty):
+    # one rule for both tables at every n: int32 when top <= int32 max, else
+    # int64, and refused past int64; checked at both boundaries from
+    # _cost_terms alone, with no table built
+    for limit, inside, outside in ((INT32_MAX, np.int32, np.int64), (INT64_MAX, np.int64, None)):
+        d = boundary_distance(n, one_hot, include_penalty, limit)
+        dtype, top = _cost_terms(uniform_cost(n, d, include_penalty), one_hot)[:2]
+        assert dtype == inside and top <= limit, (d, top)
+        over = uniform_cost(n, d + 1, include_penalty)
+        if outside is None:
+            with pytest.raises(CapacityError, match=f"overflows the int64 cost table at n={n}"):
+                _cost_terms(over, one_hot)
+        else:
+            dtype, top = _cost_terms(over, one_hot)[:2]
+            assert dtype == outside and top > limit, (d, top)
+
+
+def test_ce_bound_at_int64_max_is_admitted():
+    # int32's maximum is prime, so no bound lands on it, but 2**63 - 1 is
+    # 7 * 1,317,624,576,693,539,401: the n = 7 CE bound 7*(6A + max(dist))
+    # reaches it with A = 1, and one more is refused
+    edge = (INT64_MAX // 7) - 6
+    cost = DiagonalCost(uniform_cost(7, edge).dist, penalty_weight=1, name="edge")
+    assert _cost_terms(cost, True)[:2] == (np.int64, INT64_MAX)
+    with pytest.raises(CapacityError, match="overflows the int64 cost table at n=7"):
+        _cost_terms(DiagonalCost(uniform_cost(7, edge + 1).dist, 1, "over"), True)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -218,9 +280,10 @@ def test_full_table_guard_reports_the_all_ones_cost(n, d):
 @pytest.mark.parametrize("include_penalty", [True, False])
 def test_slab_cost_build_matches_broadcast_oracle(n, seed, include_penalty):
     cost = replace(synthetic_instance(n, seed=seed), include_penalty=include_penalty)
-    want = broadcast_dense_cost(n, cost.dist, cost.penalty_weight, include_penalty, np.int64)
+    want = broadcast_dense_cost(np.arange(1 << n), cost.dist, cost.penalty_weight,
+                                include_penalty)
     got = cost.cost_vector()
-    assert got.dtype == np.int64
+    assert _cost_terms(cost, False)[1] <= INT32_MAX and got.dtype == np.int32
     assert np.array_equal(got, want)
 
 
@@ -230,8 +293,8 @@ def test_slab_cost_build_matches_broadcast_oracle_asymmetric(n):
     # round only shows on an asymmetric matrix
     dist = np.random.default_rng(n).integers(1, 50, size=(n, n))
     np.fill_diagonal(dist, 0)
-    cost = make_instance(dist)
-    want = broadcast_dense_cost(n, cost.dist, cost.penalty_weight, True, np.int64)
+    cost = make_instance(dist, "unnamed")
+    want = broadcast_dense_cost(np.arange(1 << n), cost.dist, cost.penalty_weight, True)
     assert np.array_equal(cost.cost_vector(), want)
 
 
@@ -244,7 +307,7 @@ def test_slab_cost_build_n5_int32_sampled(off_diagonal):
     else:
         dist = np.full((5, 5), off_diagonal)
         np.fill_diagonal(dist, 0)
-        cost = make_instance(dist)
+        cost = make_instance(dist, "unnamed")
     vec = cost.cost_vector()
     assert vec.dtype == np.int32
     top = (1 << 25) - 1

@@ -42,7 +42,7 @@ def test_feasible_masses_lie_in_the_unit_interval(cost, schedule, precision, nor
 @given(costs, schedules, hs.sampled_from(["generic", "ce"]), hs.integers(0, 2000),
        hs.integers(0, 2 ** 32 - 1))
 def test_one_seed_gives_one_histogram(cost, schedule, method, shots, seed):
-    runs = [feasible_histogram(cost, method, schedule, shots, seed) for _ in range(2)]
+    runs = [feasible_histogram(cost, method, schedule, shots, seed, True, "f64") for _ in range(2)]
     assert runs[0].table == runs[1].table
     assert runs[0].metrics == runs[1].metrics
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from scipy.linalg import expm
 
 from feasmass.fullspace import AngleSchedule, cost_levels, feasible_mass, run_generic
-from feasmass.instance import (CapacityError, _dense_cost, feasible_indices,
+from feasmass.instance import (CapacityError, _cost_terms, feasible_indices,
                                feasible_subspace_indices, make_instance,
                                synthetic_instance)
 from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
@@ -21,7 +21,8 @@ from feasmass.subspace import (apply_block_xy_mixer, apply_subspace_cost_phase,
                                subspace_cost_table, subspace_feasible_mass,
                                subspace_to_full_labels, twirl_average)
 
-from oracles import (axiswise_block_mixer, block_mixer_sector, block_mixer_unitary, cost_value,
+from oracles import (axiswise_block_mixer, block_mixer_sector, block_mixer_unitary,
+                     broadcast_dense_cost, cost_value,
                      dense_leakage_gram, embed_to_full, enumerated_twirl, full_space_ce_circuit,
                      kron_mixer, pauli_block_sector, phase_error, project_to_subspace,
                      tuple_to_label)
@@ -62,7 +63,7 @@ def test_init_w_product_values(monkeypatch):
     monkeypatch.setattr(sub, "_dense_cost", unreachable)
     with pytest.raises(CapacityError,
                        match=r"^the state of a CE run at n=9 needs \d+ bytes; memory capped"):
-        run_ce(synthetic_instance(9, seed=1), AngleSchedule.single(0.1, 0.1))
+        run_ce(synthetic_instance(9, seed=1), AngleSchedule.single(0.1, 0.1), normalized=True)
 
 
 def test_subspace_cost_matches_full_cost():
@@ -81,17 +82,18 @@ def one_hot_costs(draw):
     dist = np.array(draw(hs.lists(hs.integers(0, 10 ** 12), min_size=n * n,
                                   max_size=n * n))).reshape(n, n)
     np.fill_diagonal(dist, 0)
-    return replace(make_instance(dist), include_penalty=draw(hs.booleans()))
+    return replace(make_instance(dist, "unnamed"), include_penalty=draw(hs.booleans()))
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(one_hot_costs())
 def test_subspace_cost_table_is_full_table_on_one_hot_labels(cost):
     # a tour term read the wrong way round (dist for dist.T) only shows on
-    # an asymmetric matrix
+    # an asymmetric matrix; the table is int32 exactly when its bound fits
     table = subspace_cost_table(cost)
     labels = subspace_to_full_labels(cost.n)
-    assert table.dtype == np.int64
+    narrow = _cost_terms(cost, True)[1] <= np.iinfo(np.int32).max
+    assert table.dtype == (np.int32 if narrow else np.int64)
     assert np.array_equal(table, cost.cost_vector()[labels])
     assert table.tolist() == [cost_value(cost, int(y)) for y in labels]
 
@@ -101,7 +103,7 @@ def test_subspace_cost_table_sampled_asymmetric(n):
     rng = np.random.default_rng(n)
     dist = rng.integers(0, 10 ** 9, size=(n, n))
     np.fill_diagonal(dist, 0)
-    cost = make_instance(dist)
+    cost = make_instance(dist, "unnamed")
     table = subspace_cost_table(cost)
     ks = rng.integers(0, n ** n, size=300).tolist()
     assert [int(table[k]) for k in ks] == [cost_value(cost, label(k, n)) for k in ks]
@@ -113,7 +115,7 @@ def test_subspace_cost_table_refuses_int64_overflow(n, d):
     # tables wrapped negative at n=4 and held wrong entries at n=7
     dist = np.full((n, n), d)
     np.fill_diagonal(dist, 0)
-    cost = make_instance(dist)
+    cost = make_instance(dist, "unnamed")
     top = cost.penalty_weight * n * (n - 1) + n * d
     with pytest.raises(CapacityError, match=f"largest cost {top} overflows the int64 "
                                             f"cost table at n={n}"):
@@ -124,7 +126,7 @@ def test_subspace_cost_table_refused_before_allocation():
     import tracemalloc
     dist = np.full((8, 8), 10 ** 17)
     np.fill_diagonal(dist, 0)
-    cost = make_instance(dist)
+    cost = make_instance(dist, "unnamed")
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
@@ -142,7 +144,7 @@ UNDER_BOUND = (np.iinfo(np.int64).max - 6) // 21
 def test_subspace_cost_table_just_under_the_bound_is_exact():
     for d, fits in ((UNDER_BOUND, True), (UNDER_BOUND + 1, False)):
         dist = np.array([[0, d, 1], [2, 0, d], [d, 3, 0]])
-        cost = make_instance(dist)
+        cost = make_instance(dist, "unnamed")
         if not fits:
             with pytest.raises(CapacityError, match="overflows"):
                 subspace_cost_table(cost)
@@ -167,11 +169,11 @@ def uniform_dist(n: int, d: int) -> np.ndarray:
                                          (uniform_dist(8, INT32_BOUND_N8), np.int32),
                                          (uniform_dist(8, INT32_BOUND_N8 + 1), np.int64)])
 def test_subspace_cost_table_n8_int32_equals_int64_build(dist, dtype):
-    cost = make_instance(dist)
+    # the whole table against the int64 broadcast oracle over the one-hot rows
+    cost = make_instance(dist, "unnamed")
     table = subspace_cost_table(cost)
     assert table.dtype == dtype
-    wide = _dense_cost(1 << np.arange(8), np.asarray(cost.dist, dtype=np.int64).T,
-                       cost.penalty_weight, True, (np.int64,))
+    wide = broadcast_dense_cost(1 << np.arange(8), cost.dist.T, cost.penalty_weight, True)
     assert np.array_equal(table, wide)
 
 
@@ -283,8 +285,8 @@ def test_block_mixer_batch_of_one_chunk_stays_on_the_caller(monkeypatch):
     def no_pool():
         raise AssertionError("pool started")
     monkeypatch.setattr(fs, "_pool", no_pool)
-    apply_block_xy_mixer(np.ones((36, 4 ** 4), dtype=complex), 4, np.linspace(0, 3, 36))
-    apply_block_xy_mixer(init_w_product(6), 6, 0.4)
+    apply_block_xy_mixer(np.ones((36, 4 ** 4), dtype=complex), 4, np.linspace(0, 3, 36), True)
+    apply_block_xy_mixer(init_w_product(6), 6, 0.4, normalized=True)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -340,14 +342,14 @@ def test_unnormalized_mixer_fixes_w_product_up_to_phase():
 def test_run_ce_zero_angles_uniform():
     for n in (2, 3):
         inst = synthetic_instance(n, seed=1, high=5)
-        st = run_ce(inst, AngleSchedule.single(0.0, 0.0))
+        st = run_ce(inst, AngleSchedule.single(0.0, 0.0), normalized=True)
         assert subspace_feasible_mass(st, n) == pytest.approx(
             float(Fraction(math.factorial(n), n ** n)), abs=1e-14)
 
 
 def test_run_ce_norm():
     inst = synthetic_instance(3, seed=1, high=5)
-    st = run_ce(inst, AngleSchedule(gammas=(0.4, 1.9), betas=(0.2, 0.9)))
+    st = run_ce(inst, AngleSchedule(gammas=(0.4, 1.9), betas=(0.2, 0.9)), normalized=True)
     assert abs(1 - np.vdot(st, st).real) < 1e-9
 
 
@@ -358,7 +360,7 @@ def test_run_ce_coarse_grid_beats_lower_bound():
     best = 0.0
     for g in np.linspace(0, math.pi, 4):
         for b in np.linspace(0, math.pi, 4):
-            st = run_ce(inst, AngleSchedule.single(g, b))
+            st = run_ce(inst, AngleSchedule.single(g, b), normalized=True)
             best = max(best, subspace_feasible_mass(st, 3))
     assert best >= 1 / 27
 
@@ -372,7 +374,8 @@ def test_subspace_feasible_mass_values():
 
 
 def _ce_state(n, seed, high, gamma, beta):
-    return run_ce(synthetic_instance(n, seed=seed, high=high), AngleSchedule.single(gamma, beta))
+    return run_ce(synthetic_instance(n, seed=seed, high=high), AngleSchedule.single(gamma, beta),
+                  normalized=True)
 
 
 def test_twirl_mean_is_inverse_dimension():
@@ -463,7 +466,7 @@ def test_run_ce_is_the_full_space_circuit(n, normalized):
 
 def test_embed_round_trip_and_subspace_invariance():
     inst = synthetic_instance(3, seed=6, high=5)
-    st = run_ce(inst, AngleSchedule.single(1.1, 0.8))
+    st = run_ce(inst, AngleSchedule.single(1.1, 0.8), normalized=True)
     full = embed_to_full(st, 3)
     # all mass stays on the one-hot sector and projects back unchanged
     assert np.vdot(full, full).real == pytest.approx(1.0, abs=1e-12)
